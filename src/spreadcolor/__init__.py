@@ -33,6 +33,7 @@ from .errors import (
     HypothesisViolated,
     MaxTriesExceeded,
     NegativeR,
+    NoKeptSamples,
     SpreadColorError,
     StuckVertex,
     VerificationFailed,

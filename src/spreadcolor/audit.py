@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, NoKeptSamples
 
 __all__ = [
     "wilson_interval",
@@ -177,7 +177,8 @@ def spread_report_from_samples(
     flagged_trials: int = 0,
 ) -> SpreadReport:
     """Aggregate containment counts for pre-drawn samples (colors indexed
-    by vertex) over the given test sets."""
+    by vertex) over the given test sets.  Raises NoKeptSamples when there
+    are none, rather than reporting intervals over zero trials."""
     single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
     pair_sets = [s for s in sets if len(s) != 1]
     pair_hits = np.zeros(len(pair_sets), dtype=np.int64)
@@ -194,6 +195,10 @@ def spread_report_from_samples(
         if pair_sets:
             pair_hits += np.all(sample[pv] == pc, axis=1)
 
+    if kept == 0:
+        raise NoKeptSamples(
+            f"no samples to aggregate ({flagged_trials} flagged no-spread-guarantee)"
+        )
     rows: list[SpreadRow] = []
     pair_i = 0
     for s in sets:
@@ -203,8 +208,8 @@ def spread_report_from_samples(
         else:
             h = int(pair_hits[pair_i])
             pair_i += 1
-        lo, hi = wilson_interval(h, max(kept, 1))
-        rows.append(SpreadRow(s, kept, h, h / max(kept, 1), lo, hi))
+        lo, hi = wilson_interval(h, kept)
+        rows.append(SpreadRow(s, kept, h, h / kept, lo, hi))
     return SpreadReport(
         rows=rows, palette_size=palette_size, trials=kept, flagged_trials=flagged_trials
     )

@@ -104,10 +104,10 @@ def _init_pipeline_worker(graph_json: str, params_dict: dict) -> None:
     _WORKER_PIPE = Pipeline(Graph.from_json(graph_json), Params.from_dict(params_dict))
 
 
-def _pipeline_trial(seed: int) -> tuple[list[int], bool, list[str]]:
+def _pipeline_trial(seed: int) -> tuple[list[int], bool]:
     assert _WORKER_PIPE is not None
     arr, flagged = _WORKER_PIPE.sample_array(seed)
-    return arr.tolist(), flagged, []
+    return arr.tolist(), flagged
 
 
 def _run_pipeline_trials(
@@ -122,7 +122,7 @@ def _run_pipeline_trials(
         initargs=(g.to_json(), params.to_dict()),
     ) as pool:
         out = list(pool.map(_pipeline_trial, seeds))
-    return [(np.asarray(colors), flagged) for colors, flagged, _ in out]
+    return [(np.asarray(colors), flagged) for colors, flagged in out]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -179,16 +179,8 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _make_sampler(name: str, g: Graph, params: Params):
+def _make_sampler(name: str, g: Graph):
     palette = g.max_degree + 1
-    if name == "pipeline":
-        pipe = Pipeline(g, params)
-
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            arr, _ = pipe.sample_array(int(rng.integers(1 << 62)))
-            return arr
-
-        return sample
     if name == "random-greedy":
         def sample(rng: np.random.Generator) -> np.ndarray:
             sigma = random_greedy_sample(g, rng)
@@ -223,7 +215,7 @@ def _cmd_audit(args) -> int:
             samples, g.n, palette, sets, flagged_trials=flagged
         )
     else:
-        sampler = _make_sampler(args.sampler, g, cfg.params)
+        sampler = _make_sampler(args.sampler, g)
         rep = audit_mod.spread_report(
             sampler, g.n, palette, args.trials, cfg.seed, family=args.family
         )

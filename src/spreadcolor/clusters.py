@@ -25,7 +25,7 @@ from .errors import (
     NegativeR,
     VerificationFailed,
 )
-from .graphs import Graph, regularize
+from .graphs import Graph, check_proper, regularize
 from .matching import Bigraph, spread_X_perfect_matching
 from .params import Params
 from .sparse_phase import sparse_phase_color
@@ -54,7 +54,7 @@ class ClusterContext:
 
     graph: Graph
     cluster: tuple[int, ...]
-    sigma_out: dict[int, int]
+    sigma_out: np.ndarray  # outside colors indexed by vertex, 0 = uncolored
     eps: float
     d: int
     zeta: float
@@ -74,13 +74,14 @@ class ClusterContext:
 def build_cluster_context(
     g: Graph,
     cluster: Sequence[int],
-    sigma_out: Mapping[int, int],
+    sigma_out: Mapping[int, int] | np.ndarray,
     params: Params | None = None,
     eps: float | None = None,
 ) -> ClusterContext:
     """Check the cluster conditions and assemble H, zeta and B.
 
-    sigma_out may be partial (later clusters are still uncolored while
+    sigma_out, a dict or a color array indexed by vertex with 0 for
+    uncolored, may be partial (later clusters are still uncolored while
     earlier ones are being processed); only colored outside neighbors
     constrain B.
     """
@@ -91,7 +92,12 @@ def build_cluster_context(
     d = g.max_degree
     cl = tuple(sorted(cluster))
     cset = frozenset(cl)
-    if any(v in cset for v in sigma_out):
+    if isinstance(sigma_out, np.ndarray):
+        out = sigma_out.copy()
+    else:
+        out = np.zeros(g.n, dtype=np.int64)
+        out[list(sigma_out)] = list(sigma_out.values())
+    if out[list(cl)].any():
         raise ValueError("sigma_out must not color cluster vertices")
 
     h_adj: dict[int, frozenset[int]] = {}
@@ -114,16 +120,14 @@ def build_cluster_context(
     colors = range(1, d + 2)
     rows = []
     for v in cl:
-        banned = {
-            sigma_out[w] for w in g.neighbor_set(v) - cset if w in sigma_out
-        }
+        banned = {int(out[w]) for w in g.neighbor_set(v) - cset}
         rows.append(tuple(c - 1 for c in colors if c not in banned))
     b = Bigraph(nx=len(cl), ny=d + 1, adj_x=tuple(rows))
 
     return ClusterContext(
         graph=g,
         cluster=cl,
-        sigma_out=dict(sigma_out),
+        sigma_out=out,
         eps=eps,
         d=d,
         zeta=zeta,
@@ -287,29 +291,22 @@ def color_cluster(
 def _assert_cluster_proper(ctx: ClusterContext, coloring: dict[int, int]) -> None:
     if set(coloring) != set(ctx.cluster):
         raise VerificationFailed("cluster coloring does not cover the cluster")
-    for v, c in coloring.items():
-        for w in ctx.graph.neighbors(v):
-            cw = coloring.get(w, ctx.sigma_out.get(w))
-            if cw == c:
-                raise VerificationFailed(
-                    f"cluster coloring conflict on edge ({v},{w})"
-                )
+    colors = ctx.sigma_out.copy()
+    colors[list(coloring)] = list(coloring.values())
+    check_proper(ctx.graph, colors, touching=ctx.cluster, what="cluster coloring")
 
 
 def _greedy_cluster_fallback(
-    g: Graph, cluster: Sequence[int], sigma: Mapping[int, int]
+    g: Graph, cluster: Sequence[int], colors: np.ndarray
 ) -> dict[int, int]:
-    """Deterministic first-legal-color completion; palette D+1 always
-    suffices on a graph of max degree D."""
+    """Deterministic first-legal-color completion against the color array
+    (0 = uncolored); palette D+1 always suffices on a graph of max degree D."""
     d = g.max_degree
+    colors = colors.copy()
     out: dict[int, int] = {}
     for v in sorted(cluster):
-        used = set()
-        for w in g.neighbors(v):
-            c = out.get(w, sigma.get(w))
-            if c is not None:
-                used.add(c)
-        out[v] = next(c for c in range(1, d + 2) if c not in used)
+        used = {int(colors[w]) for w in g.neighbors(v)}
+        out[v] = colors[v] = next(c for c in range(1, d + 2) if c not in used)
     return out
 
 
@@ -357,19 +354,19 @@ class Pipeline:
             self.reg, self.params.eps, self.params.theta
         )
 
-    def sample(self, seed: int) -> PipelineResult:
+    def _sample(self, seed: int) -> tuple[np.ndarray, list[str], list[str]]:
+        """(colors of the input vertices, flags, cluster paths)."""
         params = self.params
         flags: list[str] = []
         paths: list[str] = []
-        sparse = sparse_phase_color(self.reg, self.dec, seed, params)
-        sigma: dict[int, int] = dict(sparse.coloring)
+        colors = sparse_phase_color(self.reg, self.dec, seed, params).colors
 
         for i, cluster in enumerate(self.dec.clusters):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((seed, _CLUSTER_TAG, i)))
             )
             try:
-                ctx = build_cluster_context(self.reg, cluster, sigma, params)
+                ctx = build_cluster_context(self.reg, cluster, colors, params)
                 coloring, branch = color_cluster(ctx, rng, params)
                 paths.append(branch)
             except (
@@ -378,30 +375,32 @@ class Pipeline:
                 MaxTriesExceeded,
                 VerificationFailed,
             ) as exc:
-                coloring = _greedy_cluster_fallback(self.reg, cluster, sigma)
+                coloring = _greedy_cluster_fallback(self.reg, cluster, colors)
                 paths.append(f"fallback({type(exc).__name__})")
                 if FLAG_NO_SPREAD not in flags:
                     flags.append(FLAG_NO_SPREAD)
-            sigma.update(coloring)
+            colors[list(coloring)] = list(coloring.values())
 
-        for v, c in sigma.items():
-            for w in self.reg.neighbors(v):
-                if sigma.get(w) == c:
-                    raise VerificationFailed(f"pipeline coloring improper at ({v},{w})")
-        coloring = {v: sigma[v] for v in range(self.original.n)}
-        if len(coloring) != self.original.n:
+        check_proper(self.reg, colors, what="pipeline coloring")
+        colors = colors[: self.original.n].copy()  # not a view pinning the regularized array
+        if not colors.all():
             raise VerificationFailed("pipeline left vertices uncolored")
+        return colors, flags, paths
+
+    def sample(self, seed: int) -> PipelineResult:
+        colors, flags, paths = self._sample(seed)
         return PipelineResult(
-            coloring=coloring, flags=flags, cluster_paths=paths, seed=seed, params=params
+            coloring=dict(enumerate(colors.tolist())),
+            flags=flags,
+            cluster_paths=paths,
+            seed=seed,
+            params=self.params,
         )
 
     def sample_array(self, seed: int) -> tuple[np.ndarray, bool]:
         """(colors indexed by vertex, flagged?) for fast audit loops."""
-        res = self.sample(seed)
-        arr = np.zeros(self.original.n, dtype=np.int64)
-        for v, c in res.coloring.items():
-            arr[v] = c
-        return arr, res.flagged
+        colors, flags, _ = self._sample(seed)
+        return colors, FLAG_NO_SPREAD in flags
 
 
 def color_graph_spread(

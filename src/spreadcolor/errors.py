@@ -31,3 +31,7 @@ class NegativeR(HypothesisViolated):
 
 class EmptyChoiceSet(SpreadColorError):
     """A random selection step had nothing to choose from."""
+
+
+class NoKeptSamples(SpreadColorError):
+    """An audit had no unflagged samples to aggregate, so it could not pass."""

@@ -1,16 +1,18 @@
 """Simple undirected graphs: container, generators, regularization.
 
 Vertices are the integers 0..n-1.  Edge-list files carry one "u v" pair
-per line (0-based ids, '#' starts a comment).
+per line (0-based ids, '#' starts a comment) after an optional first-line
+"# n=<count>" header.
 """
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .errors import MaxTriesExceeded, VerificationFailed
 
 __all__ = [
     "Graph",
+    "check_proper",
     "complete_graph",
     "complete_bipartite",
     "disjoint_union",
@@ -130,23 +133,37 @@ class Graph:
         """CSR-style (flat neighbor array, offsets of length n+1); cached."""
         return self._flat_adjacency
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out: list[list[int]] = []
+    @cached_property
+    def _components(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+        label = [-1] * self.n
+        comps: list[tuple[int, ...]] = []
         for s in range(self.n):
-            if seen[s]:
+            if label[s] >= 0:
                 continue
+            k = len(comps)
             comp, stack = [], [s]
-            seen[s] = True
+            label[s] = k
             while stack:
                 u = stack.pop()
                 comp.append(u)
                 for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if label[w] < 0:
+                        label[w] = k
                         stack.append(w)
-            out.append(sorted(comp))
-        return out
+            comps.append(tuple(sorted(comp)))
+        labels = np.asarray(label, dtype=np.int64)
+        labels.flags.writeable = False
+        return labels, tuple(comps)
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted vertex lists, ordered by their
+        smallest vertex; computed once per graph."""
+        return [list(c) for c in self._components[1]]
+
+    def component_labels(self) -> np.ndarray:
+        """Per vertex, the index of its component in components(); cached
+        and read-only."""
+        return self._components[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -157,6 +174,35 @@ class Graph:
     def from_json(text: str) -> "Graph":
         data = json.loads(text)
         return Graph.from_edges(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+
+
+def check_proper(
+    g: Graph,
+    colors: np.ndarray,
+    touching: Sequence[int] | None = None,
+    what: str = "coloring",
+) -> None:
+    """Raise VerificationFailed naming the first edge whose two ends share
+    a color.  colors is indexed by vertex, 0 meaning uncolored, which never
+    conflicts.  With `touching`, only the edges with an end in that vertex
+    set are checked."""
+    colors = np.asarray(colors)
+    if colors.shape != (g.n,):
+        raise ValueError(f"color array has shape {colors.shape}, expected ({g.n},)")
+    if touching is None:
+        u, v = g.edge_arrays()
+    else:
+        flat, ptr = g.flat_adjacency()
+        s = np.asarray(touching, dtype=np.int64)
+        lens = ptr[s + 1] - ptr[s]
+        u = np.repeat(s, lens)
+        v = flat[np.repeat(ptr[s] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+    bad = np.flatnonzero((colors[u] == colors[v]) & (colors[u] != 0))
+    if bad.size:
+        a, b = sorted((int(u[bad[0]]), int(v[bad[0]])))
+        raise VerificationFailed(
+            f"{what} is not proper: edge ({a},{b}) has both ends colored {int(colors[a])}"
+        )
 
 
 def complete_graph(n: int) -> Graph:
@@ -312,9 +358,16 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Grap
 
 
 def read_edge_list(text: str, n: int | None = None) -> Graph:
+    """Parse an edge-list file.  The vertex count is `n` if given, else the
+    first-line header "# n=<count>" that write_edge_list writes, else one
+    more than the largest id.  An edge outside the count is a ValueError."""
+    lines = text.splitlines()
+    header = re.fullmatch(r"#\s*n=(\d+)", lines[0].strip()) if lines else None
+    if n is None and header:
+        n = int(header.group(1))
     edges: list[tuple[int, int]] = []
     top = -1
-    for line in text.splitlines():
+    for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

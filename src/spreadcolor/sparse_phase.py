@@ -22,7 +22,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .errors import MaxTriesExceeded, StuckVertex, VerificationFailed
-from .graphs import Graph
+from .graphs import Graph, check_proper
 from .params import Params
 
 __all__ = [
@@ -55,6 +55,7 @@ def tranquil_mask(g: Graph, tau: np.ndarray) -> np.ndarray:
 
 
 def _in_t_counts(g: Graph, t_mask: np.ndarray) -> np.ndarray:
+    """Per vertex, the number of its neighbors inside the mask."""
     flat, ptr = g.flat_adjacency()
     if len(flat) == 0:
         return np.zeros(g.n, dtype=np.int64)
@@ -166,6 +167,25 @@ def default_window_halfwidth(
     return abs(mu - d / math.e) + z * sigma
 
 
+def _thresholds(
+    d: int,
+    n_star: int,
+    theta_prime: float,
+    accept_target: float,
+    window_halfwidth: float | None = None,
+    pair_min: float | None = None,
+) -> tuple[float, float]:
+    """(window halfwidth, pair threshold) of the accepted labelings, each
+    defaulting to its desk-scale calibration when not given."""
+    if window_halfwidth is None:
+        window_halfwidth = max(
+            default_window_halfwidth(d, n_star, accept_target), theta_prime / 3.0 * d
+        )
+    if pair_min is None:
+        pair_min = float(math.floor(theta_prime * d))
+    return window_halfwidth, pair_min
+
+
 def sample_conditioned_labeling(
     g: Graph,
     vstar,
@@ -188,51 +208,35 @@ def sample_conditioned_labeling(
     """
     d = g.max_degree
     n = g.n
-    vstar = frozenset(vstar)
-    if window_halfwidth is None:
-        window_halfwidth = max(
-            default_window_halfwidth(d, len(vstar), accept_target),
-            theta_prime / 3.0 * d,
-        )
-    if pair_min is None:
-        pair_min = float(math.floor(theta_prime * d))
+    star = np.zeros(n, dtype=bool)
+    star[list(vstar)] = True
+    window_halfwidth, pair_min = _thresholds(
+        d, int(star.sum()), theta_prime, accept_target, window_halfwidth, pair_min
+    )
     center = d / math.e
     lo, hi = center - window_halfwidth, center + window_halfwidth
 
     comps = g.components()
-    pending = [
-        (np.asarray(c), np.asarray(sorted(vstar & set(c))))
-        for c in comps
-        if vstar & set(c)
-    ]
-    final = np.zeros(n, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool)
-    for c in comps:
-        if not (vstar & set(c)):
-            settled[np.asarray(c)] = True  # takes attempt-0 labels below
-
-    first = _rng(seed, _LABEL_TAG, 0).integers(1, d + 2, size=n)
-    final[settled] = first[settled]
-
+    labels = g.component_labels()
+    # components without a sparse vertex keep their attempt-0 labels
+    pending = np.bincount(labels[star], minlength=len(comps)) > 0
+    final = _rng(seed, _LABEL_TAG, 0).integers(1, d + 2, size=n)
+    tau = final.copy()
     for t in range(max_tries):
-        tau = first if t == 0 else _rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
-        if not pending:
-            break
-        t_mask = tranquil_mask(g, tau)
-        counts = _in_t_counts(g, t_mask)
-        still = []
-        for comp, comp_star in pending:
-            cs = counts[comp_star]
-            ok = bool(np.all((cs >= lo) & (cs <= hi)))
-            if ok and pair_min > 0:
-                ok = all(_pair_count(g, tau, int(v)) >= pair_min for v in comp_star)
-            if ok:
-                final[comp] = tau[comp]
-                settled[comp] = True
-            else:
-                still.append((comp, comp_star))
-        pending = still
-    if pending:
+        if not pending.any():
+            return final
+        if t:
+            tau = _rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
+        counts = _in_t_counts(g, tranquil_mask(g, tau))
+        bad = star & ((counts < lo) | (counts > hi))
+        ok = pending & (np.bincount(labels[bad], minlength=len(comps)) == 0)
+        if pair_min > 0:
+            for c in np.flatnonzero(ok):
+                ok[c] = all(_pair_count(g, tau, v) >= pair_min for v in comps[c] if star[v])
+        take = ok[labels]
+        final[take] = tau[take]
+        pending &= ~ok
+    if pending.any():
         raise MaxTriesExceeded(
             f"conditioned labeling not found in {max_tries} attempts "
             f"(window halfwidth {window_halfwidth:.2f}, pair_min {pair_min})"
@@ -242,11 +246,48 @@ def sample_conditioned_labeling(
 
 @dataclass
 class SparsePhaseResult:
-    coloring: dict[int, int]          # on V* only
+    colors: np.ndarray                # indexed by vertex; 0 off V*
     labeling: np.ndarray              # the accepted conditioned labeling
-    t_set: frozenset[int]             # conflict-free set of the labeling
+    t_mask: np.ndarray                # conflict-free set T of the labeling
     window_halfwidth: float
     pair_min: float
+
+    @property
+    def coloring(self) -> dict[int, int]:
+        """The coloring of V* as a dict."""
+        vs = np.flatnonzero(self.colors)
+        return dict(zip(vs.tolist(), self.colors[vs].tolist()))
+
+    @property
+    def t_set(self) -> frozenset[int]:
+        """T as a set of vertices."""
+        return frozenset(np.flatnonzero(self.t_mask).tolist())
+
+
+def _check_hand_off(
+    vertices: np.ndarray,
+    in_t: np.ndarray,
+    d_rest: np.ndarray,
+    n_list: np.ndarray,
+    d: int,
+    window: float,
+    pair_min: float,
+) -> None:
+    """The invariants the accepted window hands to the slack greedy, over
+    every leftover vertex at once: |N_v ∩ T| inside the window, leftover
+    degree at most D - |N_v ∩ T|, and a list of at least D + 1 - |N_v ∩ T|
+    colors (plus pair_min when the pair clause is live)."""
+    slack = d + 1 - in_t
+    for bad, what in (
+        (np.abs(in_t - d / math.e) > window + 1e-9, "escaped the accepted window"),
+        (d_rest > d - in_t, "has leftover degree exceeding D - |N_v ∩ T|"),
+        (
+            (n_list < slack - 1e-9) | ((pair_min > 0) & (n_list < slack + pair_min)),
+            "has a hand-off list shorter than the window implies",
+        ),
+    ):
+        if bad.any():
+            raise VerificationFailed(f"vertex {vertices[np.argmax(bad)]} {what}")
 
 
 def sparse_phase_color(
@@ -259,6 +300,11 @@ def sparse_phase_color(
     Gamma minus the colors seen on T-neighbors.  Labels on T \\ V* are
     used for those lists and then dropped.  On a D-regular graph the
     greedy always has |S_v| >= d'(v) + 1, so it cannot get stuck.
+
+    The T-neighbor colors of every vertex come from one ban matrix, so
+    the greedy is sequential only over leftover-to-leftover edges: each
+    leftover, in ascending order, removes the colors of its earlier
+    leftover neighbors from its list and takes avail[floor(u_v * |avail|)].
     """
     if params is None:
         params = Params()
@@ -266,15 +312,13 @@ def sparse_phase_color(
     if not g.is_regular(d):
         raise ValueError("sparse phase expects the regularized (D-regular) graph")
     theta_prime = params.theta_prime_value()
-    window = (
-        params.t_window * d
-        if params.t_window is not None
-        else max(
-            default_window_halfwidth(d, len(dec.sparse), params.accept_target),
-            theta_prime / 3.0 * d,
-        )
+    window, pair_min = _thresholds(
+        d,
+        len(dec.sparse),
+        theta_prime,
+        params.accept_target,
+        None if params.t_window is None else params.t_window * d,
     )
-    pair_min = float(math.floor(theta_prime * d))
     tau = sample_conditioned_labeling(
         g,
         dec.sparse,
@@ -286,57 +330,61 @@ def sparse_phase_color(
         accept_target=params.accept_target,
     )
     t_mask = tranquil_mask(g, tau)
-    counts = _in_t_counts(g, t_mask)
-    center = d / math.e
-
     # sigma restricted to T is proper by the definition of T
+    check_proper(g, np.where(t_mask, tau, 0), what="labeling restricted to T")
+
+    star = np.zeros(g.n, dtype=bool)
+    star[list(dec.sparse)] = True
+    left_mask = star & ~t_mask
+    leftovers = np.flatnonzero(left_mask)
+
+    # ban[v, c]: some T-neighbor of v has label c
     eu, ev = g.edge_arrays()
-    both = t_mask[eu] & t_mask[ev]
-    if np.any(tau[eu[both]] == tau[ev[both]]):
-        raise VerificationFailed("labeling restricted to T is not proper")
+    ban = np.zeros((g.n, d + 2), dtype=bool)
+    for a, b in ((eu, ev), (ev, eu)):
+        in_t = t_mask[b]
+        ban[a[in_t], tau[b[in_t]]] = True
+    left_ban = ban[leftovers]
+    _check_hand_off(
+        leftovers,
+        _in_t_counts(g, t_mask)[leftovers],
+        _in_t_counts(g, left_mask)[leftovers],
+        d + 1 - left_ban.sum(axis=1),
+        d,
+        window,
+        pair_min,
+    )
 
-    palette = range(1, d + 2)
-    sigma: dict[int, int] = {}
-    for v in sorted(dec.sparse):
-        if t_mask[v]:
-            sigma[v] = int(tau[v])
-
-    # leftover sparse vertices, ascending order, one keyed uniform each
-    leftovers = [v for v in range(g.n) if v in dec.sparse and not t_mask[v]]
-    uniforms = _rng(seed, _GREEDY_TAG).random(g.n)
-    vstar = dec.sparse
-    for v in leftovers:
-        in_t = int(counts[v])
-        if abs(in_t - center) > window + 1e-9:
-            raise VerificationFailed(f"vertex {v} escaped the accepted window")
-        used = set()
-        d_rest = 0
-        for w in g.neighbors(v):
-            if t_mask[w]:
-                used.add(int(tau[w]))
-            elif w in vstar and w in sigma:
-                used.add(sigma[w])
-            if not t_mask[w] and w in vstar:
-                d_rest += 1
-        avail = [c for c in palette if c not in used]
-        # the two hand-off inequalities implied by the accepted window
-        if d_rest > d - in_t:
-            raise VerificationFailed("leftover degree exceeds D - |N_v ∩ T|")
-        n_list = d + 1 - len({int(tau[w]) for w in g.neighbors(v) if t_mask[w]})
-        if n_list < d + 1 - in_t - 1e-9 or (pair_min > 0 and n_list < d + 1 - in_t + pair_min):
-            raise VerificationFailed("hand-off list shorter than the window implies")
+    # earlier leftover neighbors of each leftover, by position in `leftovers`
+    pos = np.cumsum(left_mask) - 1
+    both = left_mask[eu] & left_mask[ev]
+    later, earlier = pos[ev[both]], pos[eu[both]]
+    order = np.argsort(later, kind="stable")
+    pred = earlier[order].tolist()
+    pred_ptr = np.searchsorted(later[order], np.arange(len(leftovers) + 1)).tolist()
+    allowed = ~left_ban
+    allowed[:, 0] = False
+    rows, cols = np.nonzero(allowed)
+    avail_ptr = np.searchsorted(rows, np.arange(len(leftovers) + 1)).tolist()
+    cols = cols.tolist()
+    uniforms = _rng(seed, _GREEDY_TAG).random(g.n)[leftovers].tolist()
+    picked: list[int] = []
+    for i, u in enumerate(uniforms):
+        avail = cols[avail_ptr[i] : avail_ptr[i + 1]]
+        if pred_ptr[i] < pred_ptr[i + 1]:
+            used = {picked[j] for j in pred[pred_ptr[i] : pred_ptr[i + 1]]}
+            avail = [c for c in avail if c not in used]
         if not avail:
-            raise StuckVertex(f"sparse-phase greedy stuck at vertex {v}")
-        sigma[v] = avail[int(uniforms[v] * len(avail))]
+            raise StuckVertex(f"sparse-phase greedy stuck at vertex {leftovers[i]}")
+        picked.append(avail[int(u * len(avail))])
 
-    for v, c in sigma.items():
-        for w in g.neighbors(v):
-            if w in sigma and sigma[w] == c:
-                raise VerificationFailed("sparse-phase coloring is not proper on V*")
+    colors = np.where(star & t_mask, tau, 0)
+    colors[leftovers] = picked
+    check_proper(g, colors, what="sparse-phase coloring")
     return SparsePhaseResult(
-        coloring=sigma,
+        colors=colors,
         labeling=tau,
-        t_set=frozenset(np.flatnonzero(t_mask).tolist()),
+        t_mask=t_mask,
         window_halfwidth=window,
         pair_min=pair_min,
     )

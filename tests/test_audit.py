@@ -13,10 +13,11 @@ from spreadcolor.audit import (
     estimate_containment,
     exact_spread,
     spread_report,
+    spread_report_from_samples,
     audit_set_family,
     wilson_interval,
 )
-from spreadcolor.errors import CapExceeded
+from spreadcolor.errors import CapExceeded, NoKeptSamples
 from spreadcolor.graphs import complete_graph
 from spreadcolor.greedy import build_counterexample, enumerate_colorings
 
@@ -139,6 +140,11 @@ class TestSpreadReport:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0].startswith("pairs,trials,hits")
         assert len(lines) == 1 + 4
+
+    def test_no_kept_samples_is_an_error(self):
+        # an all-flagged run must not report a C_hat over zero trials
+        with pytest.raises(NoKeptSamples, match="7 flagged"):
+            spread_report_from_samples([], 2, 2, [((0, 1),)], flagged_trials=7)
 
     def test_c_hat_shrinks_with_trials(self):
         # CI uppers tighten with more trials, so C_hat must come down

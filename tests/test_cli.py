@@ -5,7 +5,7 @@ import json
 import pytest
 
 from spreadcolor.cli import main
-from spreadcolor.graphs import read_edge_list
+from spreadcolor.graphs import complete_graph, disjoint_union, read_edge_list, write_edge_list
 
 
 def test_gen_writes_edge_list(tmp_path, capsys):
@@ -90,6 +90,19 @@ def test_audit_pipeline_small(capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["c_hat"] < 64
+
+
+def test_audit_all_flagged_exits_1(tmp_path, capsys):
+    # zeta0 = 0 sends both cliques down the large path, whose hierarchy check
+    # fails, so every trial is flagged and none is kept
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(write_edge_list(disjoint_union(complete_graph(17), complete_graph(17))))
+    rc = main(
+        ["audit", "--graph", str(g_file), "--zeta0", "0", "--trials", "3",
+         "--family", "singletons"]
+    )
+    assert rc == 1
+    assert "NoKeptSamples" in capsys.readouterr().err
 
 
 def test_sparsify(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spreadcolor import clusters
 from spreadcolor.clusters import (
     Pipeline,
     build_cluster_context,
@@ -10,9 +11,10 @@ from spreadcolor.clusters import (
     color_graph_spread,
     process_pair_coloring,
 )
-from spreadcolor.errors import HypothesisViolated, NegativeR
+from spreadcolor.errors import HypothesisViolated, NegativeR, VerificationFailed
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
 from spreadcolor.greedy import is_proper
+from spreadcolor.matching import Matching
 from spreadcolor.params import Params
 
 
@@ -169,6 +171,52 @@ class TestColorCluster:
         ctx = build_cluster_context(g, range(19), {}, Params())
         with pytest.raises(HypothesisViolated):
             color_cluster(ctx, np.random.default_rng(7), Params(eta=0.9))
+
+
+class TestClusterCheck:
+    def _ctx(self):
+        # K15 whose every vertex also sees outside vertices 0 (color 3) and 1 (color 5)
+        g = swapped_double_clique(17)
+        return build_cluster_context(g, range(2, 17), {0: 3, 1: 5}, Params())
+
+    def test_conflict_with_outside_color_caught(self, monkeypatch):
+        # x -> y = x + 2 gives vertex 2 color 3, the color of its neighbor 0
+        monkeypatch.setattr(
+            clusters, "spread_X_perfect_matching",
+            lambda b, *a, **k: Matching({x: x + 2 for x in range(b.nx)}),
+        )
+        with pytest.raises(VerificationFailed, match=r"cluster coloring is not proper: edge \(0,2\)"):
+            color_cluster(self._ctx(), np.random.default_rng(0))
+
+    def test_uncovered_vertex_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            clusters, "spread_X_perfect_matching",
+            lambda b, *a, **k: Matching({x: x + 5 for x in range(b.nx - 1)}),
+        )
+        with pytest.raises(VerificationFailed, match="does not cover the cluster"):
+            color_cluster(self._ctx(), np.random.default_rng(0))
+
+    def test_array_and_dict_outside_colors_agree(self):
+        g = swapped_double_clique(17)
+        arr = np.zeros(g.n, dtype=np.int64)
+        arr[[0, 1]] = [3, 5]
+        a = build_cluster_context(g, range(2, 17), arr, Params())
+        assert a.b == self._ctx().b
+        assert np.array_equal(a.sigma_out, self._ctx().sigma_out)
+
+
+class TestPipelineCheck:
+    def test_improper_final_coloring_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            clusters, "color_cluster", lambda ctx, rng, params: ({v: 1 for v in ctx.cluster}, "small")
+        )
+        with pytest.raises(VerificationFailed, match=r"pipeline coloring is not proper: edge \(0,1\)"):
+            Pipeline(complete_graph(17)).sample(0)
+
+    def test_uncolored_vertex_caught(self, monkeypatch):
+        monkeypatch.setattr(clusters, "color_cluster", lambda ctx, rng, params: ({}, "small"))
+        with pytest.raises(VerificationFailed, match="left vertices uncolored"):
+            Pipeline(complete_graph(17)).sample(0)
 
 
 class TestPipeline:

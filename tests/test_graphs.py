@@ -3,10 +3,13 @@ from __future__ import annotations
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
+from spreadcolor.errors import VerificationFailed
 from spreadcolor.graphs import (
     Graph,
+    check_proper,
     complete_bipartite,
     complete_graph,
     disjoint_union,
@@ -61,9 +64,44 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             read_edge_list("0 1 2\n")
 
+    def test_edge_list_header_keeps_isolated_vertices(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2)])  # 3 and 4 isolated
+        text = write_edge_list(g)
+        assert text.startswith("# n=5\n")
+        assert read_edge_list(text) == g
+        assert read_edge_list(text, n=7).n == 7  # an explicit n wins
+        with pytest.raises(ValueError, match="out of range"):
+            read_edge_list("# n=3\n0 1\n2 3\n")
+
     def test_components(self):
         g = disjoint_union(complete_graph(3), path_graph(2))
         assert g.components() == [[0, 1, 2], [3, 4]]
+        assert g.component_labels().tolist() == [0, 0, 0, 1, 1]
+        # callers get fresh lists; the cached structure stays intact
+        g.components()[0].append(99)
+        assert g.components() == [[0, 1, 2], [3, 4]]
+        assert not g.component_labels().flags.writeable
+
+
+class TestCheckProper:
+    def test_names_the_first_bad_edge(self):
+        g = path_graph(4)
+        with pytest.raises(VerificationFailed, match=r"edge \(2,3\) has both ends colored 5"):
+            check_proper(g, np.array([1, 2, 5, 5]))
+
+    def test_uncolored_never_conflicts(self):
+        check_proper(path_graph(4), np.array([0, 0, 3, 0]))
+
+    def test_restricted_to_edges_touching_a_subset(self):
+        g = path_graph(5)
+        colors = np.array([1, 1, 2, 3, 4])  # only edge (0,1) is bad
+        check_proper(g, colors, touching=[3, 4])
+        with pytest.raises(VerificationFailed, match=r"cluster coloring is not proper: edge \(0,1\)"):
+            check_proper(g, colors, touching=[1], what="cluster coloring")
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            check_proper(path_graph(3), np.array([1, 2]))
 
 
 class TestNeighborhoodComplement:

@@ -5,22 +5,41 @@ import math
 import numpy as np
 import pytest
 
+from spreadcolor import sparse_phase
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
-from spreadcolor.errors import MaxTriesExceeded
+from spreadcolor.errors import MaxTriesExceeded, VerificationFailed
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
 from spreadcolor.greedy import is_proper
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
+    _GREEDY_TAG,
+    _check_hand_off,
+    _rng,
     default_window_halfwidth,
     label_statistics,
     sample_conditioned_labeling,
     sparse_phase_color,
     tranquil_mask,
 )
+from test_clusters import swapped_double_clique
 
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def reference_slack_greedy(g: Graph, dec: Decomposition, res, seed: int) -> dict[int, int]:
+    """The per-vertex dict/set slack greedy: labels kept on T ∩ V*, then each
+    leftover in ascending order drops the colors of its T-neighbors and of
+    its already colored leftover neighbors."""
+    tau, t = res.labeling, res.t_mask
+    sigma = {v: int(tau[v]) for v in dec.sparse if t[v]}
+    uniforms = _rng(seed, _GREEDY_TAG).random(g.n)
+    for v in sorted(dec.sparse - res.t_set):
+        used = {int(tau[w]) if t[w] else sigma.get(w) for w in g.neighbors(v)}
+        avail = [c for c in range(1, g.max_degree + 2) if c not in used]
+        sigma[v] = avail[int(uniforms[v] * len(avail))]
+    return sigma
 
 
 class TestLabelStatistics:
@@ -165,6 +184,77 @@ class TestSparsePhaseColor:
             assert rest_deg <= d - in_t
             n_list = d + 1 - len({int(res.labeling[w]) for w in g.neighbors(v) if w in t})
             assert n_list >= d + 1 - in_t
+
+    def test_matches_reference_greedy(self):
+        cases = [
+            (gen_random_regular(200, 16, seed=6), Params()),
+            # sparse vertices next to dense ones: labels on T \ V* ban colors
+            (swapped_double_clique(17), Params(theta=0.05)),
+        ]
+        for g, params in cases:
+            dec = sparse_dense_decompose(g, params.eps, params.theta)
+            for seed in range(5):
+                res = sparse_phase_color(g, dec, seed, params)
+                assert res.coloring == reference_slack_greedy(g, dec, res, seed)
+
+    def test_labeling_escaping_the_window_is_caught(self, monkeypatch):
+        # one label everywhere: T is empty, so |N_v ∩ T| = 0, far below
+        # D/e = 18.4 at D = 50
+        g = gen_random_regular(100, 50, seed=3)
+        dec = _decompose_all_sparse(g)
+        monkeypatch.setattr(
+            sparse_phase, "sample_conditioned_labeling", lambda *a, **k: np.ones(g.n, dtype=np.int64)
+        )
+        with pytest.raises(VerificationFailed, match="vertex 0 escaped the accepted window"):
+            sparse_phase_color(g, dec, seed=0)
+
+    def test_improper_labeling_on_t_is_caught(self, monkeypatch):
+        # a T that claims every vertex while all labels agree
+        g = gen_random_regular(100, 50, seed=3)
+        dec = _decompose_all_sparse(g)
+        monkeypatch.setattr(
+            sparse_phase, "sample_conditioned_labeling", lambda *a, **k: np.ones(g.n, dtype=np.int64)
+        )
+        monkeypatch.setattr(sparse_phase, "tranquil_mask", lambda g, tau: np.ones(g.n, dtype=bool))
+        with pytest.raises(
+            VerificationFailed, match=r"labeling restricted to T is not proper: edge \(\d+,\d+\) has both ends colored 1"
+        ):
+            sparse_phase_color(g, dec, seed=0)
+
+    def test_every_sample_checks_t_and_the_final_coloring(self, monkeypatch):
+        # the greedy cannot produce a conflict, so the final check is shown
+        # to run on the returned colors rather than to fire
+        g = gen_random_regular(100, 12, seed=7)
+        dec = _decompose_all_sparse(g)
+        seen = []
+        real = sparse_phase.check_proper
+
+        def spy(g, colors, **kw):
+            seen.append((kw["what"], np.array(colors)))
+            real(g, colors, **kw)
+
+        monkeypatch.setattr(sparse_phase, "check_proper", spy)
+        for seed in range(3):
+            seen.clear()
+            res = sparse_phase_color(g, dec, seed=seed)
+            assert [w for w, _ in seen] == ["labeling restricted to T", "sparse-phase coloring"]
+            assert np.array_equal(seen[1][1], res.colors)
+
+    def test_each_hand_off_invariant_fires(self):
+        # D = 10, window 2 around 3.68: in_t = 4 is inside, and the lists
+        # below meet every inequality with equality
+        vs, d, window = np.array([7, 9]), 10, 2.0
+        in_t, d_rest, n_list = np.array([4, 4]), np.array([6, 6]), np.array([7, 7])
+        _check_hand_off(vs, in_t, d_rest, n_list, d, window, 0.0)
+        _check_hand_off(vs, in_t, d_rest, n_list + 1, d, window, 1.0)
+        for t, r, nl, pair_min, what in [
+            (np.array([4, 7]), d_rest, n_list, 0.0, "escaped the accepted window"),
+            (in_t, np.array([6, 7]), n_list, 0.0, "leftover degree exceeding"),
+            (in_t, d_rest, np.array([7, 6]), 0.0, "hand-off list shorter"),
+            (in_t, d_rest, np.array([8, 7]), 1.0, "hand-off list shorter"),
+        ]:
+            with pytest.raises(VerificationFailed, match=f"vertex 9 .*{what}"):
+                _check_hand_off(vs, t, r, nl, d, window, pair_min)
 
     def test_requires_regular_graph(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
