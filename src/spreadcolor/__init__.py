@@ -19,9 +19,11 @@ from .audit import (
 )
 from .clusters import (
     ClusterContext,
+    ClusterShape,
     Pipeline,
     PipelineResult,
     build_cluster_context,
+    cluster_shape,
     color_cluster,
     color_graph_spread,
     process_pair_coloring,
@@ -30,6 +32,7 @@ from .decompose import Decomposition, sparse_dense_decompose, verify_decompositi
 from .errors import (
     CapExceeded,
     EmptyChoiceSet,
+    FloorNotMet,
     HypothesisViolated,
     MaxTriesExceeded,
     NegativeR,

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,19 +46,19 @@ class RunConfig:
     params: Params
 
 
-_PARAM_FLAGS = [
-    ("eps", float),
-    ("theta", float),
-    ("theta_prime", float),
-    ("t_window", float),
-    ("accept_target", float),
-    ("max_tries", int),
-    ("k_out", int),
-    ("zeta0", float),
-    ("eta", float),
-    ("h_margin", float),
-    ("d_min", int),
-]
+def _param_flags() -> list[tuple[str, type]]:
+    """(field name, argparse type) for every Params field; `float | None`
+    parses as float."""
+    hints = typing.get_type_hints(Params)
+    out = []
+    for f in fields(Params):
+        hint = hints[f.name]
+        types = [t for t in typing.get_args(hint) if t is not type(None)] or [hint]
+        out.append((f.name, types[0]))
+    return out
+
+
+_PARAM_FLAGS = _param_flags()
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .decompose import sparse_dense_decompose
 from .errors import (
     EmptyChoiceSet,
+    FloorNotMet,
     HypothesisViolated,
     MaxTriesExceeded,
     NegativeR,
@@ -31,7 +32,9 @@ from .params import Params
 from .sparse_phase import sparse_phase_color
 
 __all__ = [
+    "ClusterShape",
     "ClusterContext",
+    "cluster_shape",
     "build_cluster_context",
     "process_pair_coloring",
     "color_cluster",
@@ -45,26 +48,96 @@ FLAG_NO_SPREAD = "no-spread-guarantee"
 _CLUSTER_TAG = 0xC1
 
 
+@dataclass(frozen=True)
+class ClusterShape:
+    """The part of a cluster's context that no sample changes: the
+    complement graph H on the cluster, zeta = e(H)/D^2, and the
+    (position, outside neighbor) pairs that B is gathered from.
+    Positions index the sorted cluster.  `violation` is the message of the
+    first failed cluster condition, or None; every context built on this
+    shape raises it."""
+
+    cluster: tuple[int, ...]
+    members: np.ndarray  # the cluster as an int array
+    d: int
+    eps: float
+    zeta: float
+    h_pairs: np.ndarray  # (e(H), 2) position pairs i < j, in lexicographic order
+    h_deg: tuple[int, ...]  # H-degree by position
+    out_pos: np.ndarray  # position of each (vertex, outside neighbor) pair
+    out_nbr: np.ndarray  # the outside neighbor of that pair
+    violation: str | None
+
+
+def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
+    """Compute H, zeta, the outside-neighbor index arrays and the checks
+    |N_v \\ C| < eps*D and |C \\ N_v| < eps*D (in vertex order, outside
+    first) of one cluster."""
+    d = g.max_degree
+    cl = tuple(sorted(cluster))
+    members = np.asarray(cl, dtype=np.int64)
+    size = len(cl)
+    lens, nbrs = g.gather_neighbors(members)
+    rows = np.repeat(np.arange(size), lens)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[members] = np.arange(size)
+    inside = pos[nbrs] >= 0
+    h = np.ones((size, size), dtype=bool)
+    h[rows[inside], pos[nbrs[inside]]] = False
+    np.fill_diagonal(h, False)
+
+    outside = np.bincount(rows[~inside], minlength=size)
+    missing = np.count_nonzero(h, axis=1) + 1  # |C \ N_v|, v itself included
+    violation = None
+    bad = np.flatnonzero((outside >= eps * d) | (missing >= eps * d))
+    if bad.size:
+        i = int(bad[0])
+        if outside[i] >= eps * d:
+            violation = f"|N_v \\ C| = {outside[i]} >= eps*D for v={cl[i]}"
+        else:
+            violation = f"|C \\ N_v| = {missing[i]} >= eps*D for v={cl[i]}"
+    h_pairs = np.argwhere(np.triu(h, 1))
+    return ClusterShape(
+        cluster=cl,
+        members=members,
+        d=d,
+        eps=eps,
+        zeta=len(h_pairs) / (d * d),
+        h_pairs=h_pairs,
+        h_deg=tuple((missing - 1).tolist()),
+        out_pos=rows[~inside],
+        out_nbr=nbrs[~inside],
+        violation=violation,
+    )
+
+
 @dataclass
 class ClusterContext:
     """Everything needed to color one cluster against a fixed outside
-    coloring: the complement graph H, its density statistic zeta, and
-    the legal-color bigraph B (x-index = position in `cluster`,
-    y-index = color - 1)."""
+    coloring: its shape (H, zeta) and the legal-color bigraph B
+    (x-index = position in `cluster`, y-index = color - 1)."""
 
     graph: Graph
-    cluster: tuple[int, ...]
+    shape: ClusterShape
     sigma_out: np.ndarray  # outside colors indexed by vertex, 0 = uncolored
-    eps: float
-    d: int
-    zeta: float
     zeta0: float
     b: Bigraph
-    h_adj: dict[int, frozenset[int]]
-    h_edges: tuple[tuple[int, int], ...]
 
-    def h_degree(self, v: int) -> int:
-        return len(self.h_adj[v])
+    @property
+    def cluster(self) -> tuple[int, ...]:
+        return self.shape.cluster
+
+    @property
+    def d(self) -> int:
+        return self.shape.d
+
+    @property
+    def eps(self) -> float:
+        return self.shape.eps
+
+    @property
+    def zeta(self) -> float:
+        return self.shape.zeta
 
     @property
     def palette(self) -> range:
@@ -77,64 +150,42 @@ def build_cluster_context(
     sigma_out: Mapping[int, int] | np.ndarray,
     params: Params | None = None,
     eps: float | None = None,
+    shape: ClusterShape | None = None,
 ) -> ClusterContext:
     """Check the cluster conditions and assemble H, zeta and B.
 
     sigma_out, a dict or a color array indexed by vertex with 0 for
     uncolored, may be partial (later clusters are still uncolored while
     earlier ones are being processed); only colored outside neighbors
-    constrain B.
+    constrain B.  `shape`, when given, is cluster_shape(g, cluster, eps)
+    computed earlier; B is then one gather of sigma_out.
     """
     if params is None:
         params = Params()
-    if eps is None:
-        eps = params.cluster_eps()
-    d = g.max_degree
-    cl = tuple(sorted(cluster))
-    cset = frozenset(cl)
+    if shape is None:
+        shape = cluster_shape(g, cluster, params.cluster_eps() if eps is None else eps)
+    d = shape.d
     if isinstance(sigma_out, np.ndarray):
         out = sigma_out.copy()
     else:
         out = np.zeros(g.n, dtype=np.int64)
         out[list(sigma_out)] = list(sigma_out.values())
-    if out[list(cl)].any():
+    if out[shape.members].any():
         raise ValueError("sigma_out must not color cluster vertices")
+    if shape.violation is not None:
+        raise HypothesisViolated(shape.violation)
 
-    h_adj: dict[int, frozenset[int]] = {}
-    for v in cl:
-        nbrs = g.neighbor_set(v)
-        outside = len(nbrs - cset)
-        if outside >= eps * d:
-            raise HypothesisViolated(f"|N_v \\ C| = {outside} >= eps*D for v={v}")
-        missing = cset - nbrs - {v}
-        if len(missing) + 1 >= eps * d:
-            raise HypothesisViolated(
-                f"|C \\ N_v| = {len(missing) + 1} >= eps*D for v={v}"
-            )
-        h_adj[v] = frozenset(missing)
-    h_edges = tuple(
-        (u, v) for i, u in enumerate(cl) for v in cl[i + 1 :] if v in h_adj[u]
-    )
-    zeta = len(h_edges) / (d * d)
-
-    colors = range(1, d + 2)
-    rows = []
-    for v in cl:
-        banned = {int(out[w]) for w in g.neighbor_set(v) - cset}
-        rows.append(tuple(c - 1 for c in colors if c not in banned))
-    b = Bigraph(nx=len(cl), ny=d + 1, adj_x=tuple(rows))
-
+    seen = out[shape.out_nbr]
+    if seen.size and not (0 <= seen.min() and seen.max() <= d + 1):
+        raise ValueError(f"sigma_out colors must lie in 0..D+1 = {d + 1}")
+    banned = np.zeros((len(shape.cluster), d + 2), dtype=bool)  # column 0: uncolored
+    banned[shape.out_pos, seen] = True
     return ClusterContext(
         graph=g,
-        cluster=cl,
+        shape=shape,
         sigma_out=out,
-        eps=eps,
-        d=d,
-        zeta=zeta,
         zeta0=params.zeta0_value(d),
-        b=b,
-        h_adj=h_adj,
-        h_edges=h_edges,
+        b=Bigraph(~banned[:, 1:]),
     )
 
 
@@ -188,36 +239,39 @@ def process_pair_coloring(
         )
     if rounds is None or eta is None:
         eta, rounds = _eta_rounds(ctx, params)
-    d, eps = ctx.d, ctx.eps
-    legal = {v: frozenset(ctx.b.adj_x[i]) for i, v in enumerate(ctx.cluster)}
-    alive = set(ctx.cluster)
-    gamma = set(range(d + 1))  # y-indices
+    d, eps, cl = ctx.d, ctx.eps, ctx.cluster
+    legal = ctx.b.m
+    hu, hv = ctx.shape.h_pairs.T  # positions
+    alive = np.ones(len(cl), dtype=bool)
+    gamma = np.ones(d + 1, dtype=bool)  # y-indices
     pi: dict[int, int] = {}
     edge_floor = (ctx.zeta - 2 * eta * eps) * d * d
     color_floor = (1.0 - 2 * eps - eta) * d
     for i in range(rounds):
-        edges = [(u, v) for u, v in ctx.h_edges if u in alive and v in alive]
-        if not edges:
+        edges = np.flatnonzero(alive[hu] & alive[hv])
+        if not edges.size:
             raise EmptyChoiceSet(f"no non-edge pairs left at round {i + 1}")
-        if not len(edges) > edge_floor:
-            raise VerificationFailed(
-                f"round {i + 1}: e(H_i) = {len(edges)} !> (zeta - 2*eta*eps)*D^2 "
+        if not edges.size > edge_floor:
+            raise FloorNotMet(
+                f"round {i + 1}: e(H_i) = {edges.size} !> (zeta - 2*eta*eps)*D^2 "
                 f"= {edge_floor:.2f}"
             )
-        u, v = edges[int(rng.integers(len(edges)))]
-        common = sorted((legal[u] & legal[v]) & gamma)
-        if not common:
+        e = edges[int(rng.integers(edges.size))]
+        p, q = int(hu[e]), int(hv[e])
+        u, v = cl[p], cl[q]
+        common = np.flatnonzero(legal[p] & legal[q] & gamma)
+        if not common.size:
             raise EmptyChoiceSet(f"no common legal color for pair ({u},{v})")
-        if not len(common) > color_floor:
-            raise VerificationFailed(
-                f"round {i + 1}: common colors {len(common)} !> (1-2eps-eta)*D "
+        if not common.size > color_floor:
+            raise FloorNotMet(
+                f"round {i + 1}: common colors {common.size} !> (1-2eps-eta)*D "
                 f"= {color_floor:.2f}"
             )
-        c = common[int(rng.integers(len(common)))]
+        c = int(common[int(rng.integers(common.size))])
         pi[u] = c + 1
         pi[v] = c + 1
-        alive -= {u, v}
-        gamma.discard(c)
+        alive[[p, q]] = False
+        gamma[c] = False
 
     if len(set(pi.values())) != rounds or len(pi) != 2 * rounds:
         raise VerificationFailed("pair process bookkeeping broken")
@@ -243,7 +297,7 @@ def color_cluster(
         if big_r < 0:
             raise NegativeR(f"|C| = {j} > D+1 = {d + 1} on the small-zeta path")
         z = 3.0 * (eps + ctx.zeta * d)
-        r_x = [ctx.h_degree(v) for v in ctx.cluster]
+        r_x = list(ctx.shape.h_deg)
         m = spread_X_perfect_matching(
             ctx.b,
             z,
@@ -252,6 +306,7 @@ def color_cluster(
             k=params.k_out,
             max_tries=params.match_max_tries,
             lambda_max=params.lambda_max,
+            k_max=params.k_out_max,
         )
         coloring = {ctx.cluster[x]: y + 1 for x, y in m.pairs.items()}
     else:
@@ -271,7 +326,7 @@ def color_cluster(
         if b2.ny - b2.nx != big_r:
             raise VerificationFailed("large-zeta bookkeeping: |Y| - |X| != R")
         z = 2.0 * (eps + eta)
-        r_x = [ctx.h_degree(v) - rounds for v in rest]
+        r_x = [ctx.shape.h_deg[i] - rounds for i in x_idx]
         m = spread_X_perfect_matching(
             b2,
             z,
@@ -280,6 +335,7 @@ def color_cluster(
             k=params.k_out,
             max_tries=params.match_max_tries,
             lambda_max=params.lambda_max,
+            k_max=params.k_out_max,
         )
         coloring = dict(pi)
         coloring.update({rest[x]: rest_y[y] + 1 for x, y in m.pairs.items()})
@@ -353,6 +409,16 @@ class Pipeline:
         self.dec = sparse_dense_decompose(
             self.reg, self.params.eps, self.params.theta
         )
+        self._shapes: list[ClusterShape | None] = [None] * len(self.dec.clusters)
+
+    def _shape(self, i: int) -> ClusterShape:
+        """Cluster i's sample-independent context, built on first use."""
+        shape = self._shapes[i]
+        if shape is None:
+            shape = self._shapes[i] = cluster_shape(
+                self.reg, self.dec.clusters[i], self.params.cluster_eps()
+            )
+        return shape
 
     def _sample(self, seed: int) -> tuple[np.ndarray, list[str], list[str]]:
         """(colors of the input vertices, flags, cluster paths)."""
@@ -366,15 +432,14 @@ class Pipeline:
                 np.random.PCG64(np.random.SeedSequence((seed, _CLUSTER_TAG, i)))
             )
             try:
-                ctx = build_cluster_context(self.reg, cluster, colors, params)
+                ctx = build_cluster_context(
+                    self.reg, cluster, colors, params, shape=self._shape(i)
+                )
                 coloring, branch = color_cluster(ctx, rng, params)
                 paths.append(branch)
-            except (
-                HypothesisViolated,
-                EmptyChoiceSet,
-                MaxTriesExceeded,
-                VerificationFailed,
-            ) as exc:
+            except (HypothesisViolated, EmptyChoiceSet, MaxTriesExceeded) as exc:
+                # a cluster outside the construction's hypotheses; a broken
+                # invariant (VerificationFailed) is a bug and propagates
                 coloring = _greedy_cluster_fallback(self.reg, cluster, colors)
                 paths.append(f"fallback({type(exc).__name__})")
                 if FLAG_NO_SPREAD not in flags:

@@ -25,6 +25,11 @@ class HypothesisViolated(SpreadColorError):
     """An input failed a checked hypothesis; the message names the inequality."""
 
 
+class FloorNotMet(HypothesisViolated):
+    """A finite-D floor the analysis proves only as D grows (an edge or
+    color count lower bound) failed on this instance."""
+
+
 class NegativeR(HypothesisViolated):
     """Color surplus R = |Y| - |X| came out negative for a cluster matching."""
 

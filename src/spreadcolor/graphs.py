@@ -43,6 +43,9 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
     _nbr_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False, default=())
+    # -1 until first read; set through object.__setattr__ rather than a
+    # cached_property, whose __dict__ write slows every later attribute load
+    _max_degree: int = field(repr=False, compare=False, default=-1)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -71,7 +74,9 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        if self._max_degree < 0:
+            object.__setattr__(self, "_max_degree", max((len(a) for a in self.adj), default=0))
+        return self._max_degree
 
     @property
     def min_degree(self) -> int:
@@ -133,6 +138,13 @@ class Graph:
         """CSR-style (flat neighbor array, offsets of length n+1); cached."""
         return self._flat_adjacency
 
+    def gather_neighbors(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(degree of each vertex in vs, their sorted neighbor lists
+        concatenated in the order of vs)."""
+        flat, ptr = self._flat_adjacency
+        lens = ptr[vs + 1] - ptr[vs]
+        return lens, flat[np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+
     @cached_property
     def _components(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
         label = [-1] * self.n
@@ -192,11 +204,9 @@ def check_proper(
     if touching is None:
         u, v = g.edge_arrays()
     else:
-        flat, ptr = g.flat_adjacency()
         s = np.asarray(touching, dtype=np.int64)
-        lens = ptr[s + 1] - ptr[s]
+        lens, v = g.gather_neighbors(s)
         u = np.repeat(s, lens)
-        v = flat[np.repeat(ptr[s] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
     bad = np.flatnonzero((colors[u] == colors[v]) & (colors[u] != 0))
     if bad.size:
         a, b = sorted((int(u[bad[0]]), int(v[bad[0]])))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     EmptyChoiceSet,
+    FloorNotMet,
     HypothesisViolated,
     MaxTriesExceeded,
     VerificationFailed,
@@ -33,55 +34,85 @@ __all__ = [
 INF = -1
 
 
-@dataclass(frozen=True)
-class Bigraph:
-    """Bipartite graph on parts X (size nx) and Y (size ny), both 0-indexed."""
+def _rows(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Ascending column indices of each row of a boolean matrix."""
+    cols = np.nonzero(m)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(m, axis=1)).tolist()
+    out, start = [], 0
+    for end in ends:
+        out.append(tuple(cols[start:end]))
+        start = end
+    return tuple(out)
 
-    nx: int
-    ny: int
-    adj_x: tuple[tuple[int, ...], ...]
+
+class Bigraph:
+    """Bipartite graph on parts X (size nx) and Y (size ny), both 0-indexed,
+    held as its read-only nx-by-ny boolean biadjacency matrix `m`."""
+
+    __slots__ = ("m", "_adj_x")
+
+    def __init__(self, m: np.ndarray):
+        m = np.asarray(m, dtype=bool).view()
+        if m.ndim != 2:
+            raise ValueError(f"biadjacency matrix must be 2-D, got shape {m.shape}")
+        m.flags.writeable = False
+        self.m = m
+        self._adj_x: tuple[tuple[int, ...], ...] | None = None
 
     @staticmethod
     def from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> "Bigraph":
-        adj: list[set[int]] = [set() for _ in range(nx)]
+        m = np.zeros((nx, ny), dtype=bool)
         for x, y in edges:
             if not (0 <= x < nx and 0 <= y < ny):
                 raise ValueError(f"edge ({x},{y}) out of range")
-            adj[x].add(y)
-        return Bigraph(nx, ny, tuple(tuple(sorted(s)) for s in adj))
+            m[x, y] = True
+        return Bigraph(m)
 
     @staticmethod
     def complete(nx: int, ny: int) -> "Bigraph":
-        row = tuple(range(ny))
-        return Bigraph(nx, ny, tuple(row for _ in range(nx)))
+        return Bigraph(np.ones((nx, ny), dtype=bool))
+
+    @property
+    def nx(self) -> int:
+        return self.m.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.m.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Bigraph):
+            return NotImplemented
+        return self.m.shape == other.m.shape and bool(np.array_equal(self.m, other.m))
+
+    def __hash__(self) -> int:
+        return hash((self.m.shape, self.m.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Bigraph(nx={self.nx}, ny={self.ny}, edges={self.edge_count()})"
+
+    @property
+    def adj_x(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbors of each x, derived from the matrix once."""
+        if self._adj_x is None:
+            self._adj_x = _rows(self.m)
+        return self._adj_x
 
     def deg_x(self, x: int) -> int:
-        return len(self.adj_x[x])
+        return int(np.count_nonzero(self.m[x]))
 
     def degrees_y(self) -> np.ndarray:
-        deg = np.zeros(self.ny, dtype=np.int64)
-        for row in self.adj_x:
-            for y in row:
-                deg[y] += 1
-        return deg
+        return np.count_nonzero(self.m, axis=0).astype(np.int64)
 
     def adj_y(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.ny)]
-        for x, row in enumerate(self.adj_x):
-            for y in row:
-                out[y].append(x)
-        return out
+        return [list(col) for col in _rows(self.m.T)]
 
     def edge_count(self) -> int:
-        return sum(len(r) for r in self.adj_x)
+        return int(np.count_nonzero(self.m))
 
     def subgraph(self, xs: Sequence[int], ys: Sequence[int]) -> "Bigraph":
         """Induced bigraph on (xs, ys), reindexed in the given order."""
-        ymap = {y: j for j, y in enumerate(ys)}
-        adj = tuple(
-            tuple(sorted(ymap[y] for y in self.adj_x[x] if y in ymap)) for x in xs
-        )
-        return Bigraph(len(xs), len(ys), adj)
+        return Bigraph(self.m[np.ix_(xs, ys)])
 
 
 @dataclass
@@ -100,14 +131,16 @@ class Matching:
         return set(self.pairs) == set(range(b.nx))
 
     def validate(self, b: Bigraph) -> None:
+        m, ny = b.m, b.ny
         for x, y in self.pairs.items():
-            if y not in b.adj_x[x]:
+            if not (0 <= y < ny and m[x, y]):
                 raise VerificationFailed(f"matched pair ({x},{y}) is not an edge")
 
 
 def perfect_matching(b: Bigraph) -> Matching:
     """Deterministic maximum matching via Hopcroft-Karp; check
     .is_x_perfect(b) on the result for X-perfection."""
+    adj = b.adj_x
     pair_x = [INF] * b.nx
     pair_y = [INF] * b.ny
     dist = [0] * b.nx
@@ -125,7 +158,7 @@ def perfect_matching(b: Bigraph) -> Matching:
             x = q.popleft()
             if found != INF and dist[x] >= found:
                 continue
-            for y in b.adj_x[x]:
+            for y in adj[x]:
                 x2 = pair_y[y]
                 if x2 == INF:
                     if found == INF:
@@ -136,7 +169,7 @@ def perfect_matching(b: Bigraph) -> Matching:
         return found != INF
 
     def dfs(x: int) -> bool:
-        for y in b.adj_x[x]:
+        for y in adj[x]:
             x2 = pair_y[y]
             if x2 == INF or (dist[x2] == dist[x] + 1 and dfs(x2)):
                 pair_x[x] = y
@@ -156,26 +189,26 @@ def kout_subgraph(b: Bigraph, k: int, rng: np.random.Generator) -> Bigraph:
     """Each vertex on BOTH sides keeps min(k, deg) uniformly chosen
     incident edges; the subgraph is their union.  Two-sided selection is
     what kills isolated vertices, the main obstruction to a perfect
-    matching."""
+    matching.
+
+    Draws one rng.choice(deg, k, replace=False) per vertex of degree > k,
+    X in index order first, then Y, each picking positions in the sorted
+    neighbor list."""
     if k < 1:
         raise ValueError("need k >= 1")
-    chosen: set[tuple[int, int]] = set()
-    for x in range(b.nx):
-        row = b.adj_x[x]
-        if len(row) <= k:
-            chosen.update((x, y) for y in row)
-        else:
-            idx = rng.choice(len(row), size=k, replace=False)
-            chosen.update((x, row[i]) for i in idx)
-    for y, col in enumerate(b.adj_y()):
-        if not col:
-            continue
-        if len(col) <= k:
-            chosen.update((x, y) for x in col)
-        else:
-            idx = rng.choice(len(col), size=k, replace=False)
-            chosen.update((col[i], y) for i in idx)
-    return Bigraph.from_edges(b.nx, b.ny, chosen)
+    out = np.zeros(b.m.shape, dtype=bool)
+    for adj, kept in ((b.m, out), (b.m.T, out.T)):  # rows of X, then rows of Y
+        deg = np.count_nonzero(adj, axis=1)
+        small = deg <= k
+        kept[small] |= adj[small]
+        big = np.flatnonzero(~small)
+        if big.size:
+            nbrs = np.nonzero(adj)[1]  # row by row, ascending
+            start = np.cumsum(deg) - deg
+            picks = [rng.choice(n, size=k, replace=False) for n in deg[big].tolist()]
+            rows = np.repeat(big, k)
+            kept[rows, nbrs[np.repeat(start[big], k) + np.concatenate(picks)]] = True
+    return Bigraph(out)
 
 
 def spread_matching_dense(
@@ -201,9 +234,8 @@ def spread_matching_dense(
     if not 0 <= lam <= lambda_max:
         raise HypothesisViolated(f"lambda = {lam:.4f} exceeds lambda_max = {lambda_max}")
     need = (1.0 - lam) * i_size
-    min_x = min((f.deg_x(x) for x in range(f.nx)), default=0)
-    degs_y = f.degrees_y()
-    min_y = int(degs_y.min()) if f.ny else 0
+    min_x = int(np.count_nonzero(f.m, axis=1).min()) if f.nx else 0
+    min_y = int(f.degrees_y().min()) if f.ny else 0
     if min(min_x, min_y) < need:
         raise HypothesisViolated(
             f"min degree {min(min_x, min_y)} < (1-lambda)I = {need:.2f}"
@@ -234,6 +266,7 @@ def spread_X_perfect_matching(
     k: int = 3,
     max_tries: int = 200,
     lambda_max: float = 0.25,
+    k_max: int = 16,
 ) -> Matching:
     """X-perfect matching in a bigraph on (X, Y) with |X| = J,
     |Y| = J + R, under the checked hypotheses
@@ -245,14 +278,15 @@ def spread_X_perfect_matching(
     < (1-delta)J, delta = 5*sqrt(z)) and remove both endpoints.  Phase 2
     matches the rest against the surviving high-degree colors.  The
     edge-count lower bounds that make phase 1 work are asserted at every
-    step.
+    step; they are finite-D floors, so a miss raises FloorNotMet.
     """
     j = b.nx
     big_r = b.ny - b.nx
     if j == 0:
         return Matching({}, meta={"branch": "empty"})
+    deg_x = np.count_nonzero(b.m, axis=1)
     if r_x is None:
-        r_x = [j - b.deg_x(x) for x in range(j)]
+        r_x = (j - deg_x).tolist()
     if len(r_x) != j:
         raise ValueError("r_x must have one entry per X vertex")
 
@@ -266,85 +300,80 @@ def spread_X_perfect_matching(
     sum_r = sum(r_x)
     if sum_r > z * j:
         raise HypothesisViolated(f"sum r_x = {sum_r} > zJ = {z * j:.2f}")
-    for x in range(j):
-        if b.deg_x(x) < j - r_x[x]:
-            raise HypothesisViolated(
-                f"d(x={x}) = {b.deg_x(x)} < J - r_x = {j - r_x[x]:.2f}"
-            )
+    short = np.flatnonzero(deg_x < j - np.asarray(r_x))
+    if short.size:
+        x = int(short[0])
+        raise HypothesisViolated(
+            f"d(x={x}) = {deg_x[x]} < J - r_x = {j - r_x[x]:.2f}"
+        )
 
     delta = 5.0 * z**0.5
     degs_y = b.degrees_y()
-    unpopular = [y for y in range(b.ny) if degs_y[y] < (1.0 - delta) * j]
+    unpopular = degs_y < (1.0 - delta) * j
+    n_unpop = int(np.count_nonzero(unpopular))
     # consequence of the hypotheses; catches instance-construction bugs
-    if len(unpopular) * delta * j > big_r * j + z * j + 1e-9:
+    if n_unpop * delta * j > big_r * j + z * j + 1e-9:
         raise VerificationFailed(
-            f"|U| = {len(unpopular)} exceeds (R+z)/delta = {(big_r + z) / delta:.2f}"
+            f"|U| = {n_unpop} exceeds (R+z)/delta = {(big_r + z) / delta:.2f}"
         )
-    r = len(unpopular) - big_r
+    r = n_unpop - big_r
 
     greedy_pairs: dict[int, int] = {}
-    live_x = set(range(j))
-    meta: dict = {"branch": "dense", "unpopular": len(unpopular), "r": r}
+    meta: dict = {"branch": "dense", "unpopular": n_unpop, "r": r}
     if r > 0:
         meta["branch"] = "greedy+dense"
-        u_set = set(unpopular)
-        adj_y = b.adj_y()
+        live_x = np.ones(j, dtype=bool)
+        u_live = unpopular.copy()
         floor_target = r * delta * j / 2.0
         for step in range(r):
-            edges = [
-                (x, y) for y in sorted(u_set) for x in adj_y[y] if x in live_x
-            ]
-            count_before = len(edges)
+            # edges into live unpopular colors, ordered by color, then by x
+            ys, xs = np.nonzero((b.m & live_x[:, None] & u_live).T)
+            count_before = len(ys)
             if count_before < floor_target - 1e-9:
-                raise VerificationFailed(
+                raise FloorNotMet(
                     f"greedy-phase edge count {count_before} fell below "
                     f"r*delta*J/2 = {floor_target:.2f} at step {step}"
                 )
-            if not edges:
+            if not count_before:
                 raise EmptyChoiceSet(
                     f"no edges left into unpopular colors at step {step}"
                 )
-            x, y = edges[int(rng.integers(len(edges)))]
-            live_x.discard(x)
-            u_set.discard(y)
+            e = int(rng.integers(count_before))
+            x, y = int(xs[e]), int(ys[e])
+            live_x[x] = False
+            u_live[y] = False
             greedy_pairs[x] = y
-            count_after = sum(
-                1 for yy in u_set for xx in adj_y[yy] if xx in live_x
-            )
-            if count_after < count_before - len(unpopular) - (1.0 - delta) * j - 1e-9:
+            count_after = int(np.count_nonzero(b.m & live_x[:, None] & u_live))
+            if count_after < count_before - n_unpop - (1.0 - delta) * j - 1e-9:
                 raise VerificationFailed(
                     "greedy step removed more edges than |U| + (1-delta)J"
                 )
             if step == r - 1 and count_after < floor_target - 1e-9:
-                raise VerificationFailed(
+                raise FloorNotMet(
                     f"greedy-phase edge count {count_after} fell below "
                     f"r*delta*J/2 = {floor_target:.2f} after the last step"
                 )
-
-    if r > 0:
-        u_all = set(unpopular)
-        v0 = sorted(live_x)
-        v1 = [y for y in range(b.ny) if y not in u_all]
+        v0 = np.flatnonzero(live_x)
+        v1 = np.flatnonzero(~unpopular)
     else:
         # drop the R least-popular colors, ties broken by id
-        order = sorted(range(b.ny), key=lambda y: (-degs_y[y], y))
-        v0 = list(range(j))
-        v1 = sorted(order[:j])
+        v0 = np.arange(j)
+        v1 = np.sort(np.argsort(-degs_y, kind="stable")[:j])
 
     i_size = len(v0)
     if len(v1) != i_size:
         raise VerificationFailed(f"dense phase sizes differ: {i_size} vs {len(v1)}")
     dense_meta = {}
+    dense_pairs = {}
     if i_size:
         f = b.subgraph(v0, v1)
         lam = min(2.0 * delta, lambda_max)
         m_dense = spread_matching_dense(
-            f, lam, k, rng, max_tries=max_tries, lambda_max=lambda_max
+            f, lam, k, rng, max_tries=max_tries, lambda_max=lambda_max, k_max=k_max
         )
         dense_meta = m_dense.meta
-        dense_pairs = {v0[x]: v1[y] for x, y in m_dense.pairs.items()}
-    else:
-        dense_pairs = {}
+        xs, ys = v0.tolist(), v1.tolist()
+        dense_pairs = {xs[x]: ys[y] for x, y in m_dense.pairs.items()}
 
     pairs = {**greedy_pairs, **dense_pairs}
     out = Matching(pairs, meta={**meta, "dense": dense_meta})

@@ -50,6 +50,17 @@ class Params:
             raise ValueError("h_margin must exceed 1")
         if not (0 < self.accept_target < 1):
             raise ValueError("accept_target must be in (0, 1)")
+        if not (1 <= self.k_out <= self.k_out_max):
+            raise ValueError(
+                f"need 1 <= k_out <= k_out_max, got k_out={self.k_out}, "
+                f"k_out_max={self.k_out_max}"
+            )
+        if self.max_tries < 1:
+            raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
+        if self.match_max_tries < 1:
+            raise ValueError(f"match_max_tries must be >= 1, got {self.match_max_tries}")
+        if not (0 < self.lambda_max < 1):
+            raise ValueError(f"lambda_max must be in (0, 1), got {self.lambda_max}")
 
     # -- derived values ------------------------------------------------------
 

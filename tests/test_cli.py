@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from spreadcolor.cli import main
+from spreadcolor import clusters
+from spreadcolor.cli import _build_config, build_parser, main
 from spreadcolor.graphs import complete_graph, disjoint_union, read_edge_list, write_edge_list
+from spreadcolor.matching import Matching
+from spreadcolor.params import Params
 
 
 def test_gen_writes_edge_list(tmp_path, capsys):
@@ -167,3 +171,48 @@ def test_sample_jobs_matches_serial(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
     assert json.loads(a.read_text()) == json.loads(b.read_text())
+
+
+def test_sample_with_broken_matcher_exits_1(tmp_path, monkeypatch, capsys):
+    # a matcher that leaves a vertex out breaks an invariant: the run fails
+    # loudly instead of coming back flagged
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(write_edge_list(complete_graph(17)))
+    monkeypatch.setattr(
+        clusters, "spread_X_perfect_matching",
+        lambda b, *a, **k: Matching({x: x for x in range(b.nx - 1)}),
+    )
+    assert main(["sample", "--graph", str(g_file)]) == 1
+    assert "VerificationFailed: cluster coloring does not cover" in capsys.readouterr().err
+
+
+def _flag_value(f) -> str:
+    """A valid non-default value for each Params field, as typed on the command line."""
+    default = f.default
+    if default is None:
+        return "0.01"
+    if isinstance(default, int):
+        return str(default + 1)
+    return repr(default * 0.9)
+
+
+def test_every_param_has_exactly_one_flag_and_round_trips():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices["sample"]
+    dests = [a.dest for a in sub._actions]
+    names = [f.name for f in fields(Params)]
+    for name in names:
+        assert dests.count(name) == 1, name
+    argv = ["sample", "--n", "40", "--D", "8"]
+    for f in fields(Params):
+        argv += [f"--{f.name.replace('_', '-')}", _flag_value(f)]
+    cfg = _build_config(parser.parse_args(argv))
+    for f in fields(Params):
+        got, want = getattr(cfg.params, f.name), type(f.default or 0.0)(_flag_value(f))
+        assert (got, type(got)) == (want, type(want)), f.name
+    assert Params.from_dict(cfg.params.to_dict()) == cfg.params
+
+
+def test_bad_matching_param_is_a_usage_error(capsys):
+    assert main(["sample", "--n", "40", "--D", "8", "--k-out", "0"]) == 2
+    assert "k_out" in capsys.readouterr().err

@@ -7,11 +7,12 @@ from spreadcolor import clusters
 from spreadcolor.clusters import (
     Pipeline,
     build_cluster_context,
+    cluster_shape,
     color_cluster,
     color_graph_spread,
     process_pair_coloring,
 )
-from spreadcolor.errors import HypothesisViolated, NegativeR, VerificationFailed
+from spreadcolor.errors import FloorNotMet, HypothesisViolated, NegativeR, VerificationFailed
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
 from spreadcolor.greedy import is_proper
 from spreadcolor.matching import Matching
@@ -79,6 +80,81 @@ class TestBuildContext:
             build_cluster_context(g, range(17), {3: 1}, Params())
 
 
+def _reference_legal_rows(g, cluster, sigma_out: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """B's rows as the set-based construction built them: y = c - 1 for
+    every color c no colored outside neighbor uses."""
+    d = g.max_degree
+    cset = frozenset(cluster)
+    rows = []
+    for v in sorted(cluster):
+        banned = {sigma_out.get(w, 0) for w in g.neighbor_set(v) - cset}
+        rows.append(tuple(c - 1 for c in range(1, d + 2) if c not in banned))
+    return tuple(rows)
+
+
+class TestClusterShape:
+    def test_gathered_bigraph_matches_set_construction(self):
+        g = disjoint_union(clique_minus_cycle(19), clique_minus_cycle(19))
+        edges = set(g.edges())
+        edges -= {(2, 5), (21, 24), (3, 7), (22, 26)}
+        edges |= {(2, 21), (5, 24), (3, 22), (7, 26)}
+        g2 = Graph.from_edges(38, edges)
+        cluster = range(19)
+        shape = cluster_shape(g2, cluster, Params().cluster_eps())
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            sigma_out = {v: int(rng.integers(0, 18)) for v in range(19, 38)}
+            ctx = build_cluster_context(g2, cluster, sigma_out, Params(), shape=shape)
+            assert ctx.b.adj_x == _reference_legal_rows(g2, cluster, sigma_out)
+            assert ctx.b == build_cluster_context(g2, cluster, sigma_out, Params()).b
+
+    def test_h_statistics_match_set_construction(self):
+        g = clique_minus_cycle(19)
+        shape = cluster_shape(g, range(19), Params().cluster_eps())
+        cset = frozenset(range(19))
+        ref = [(u, v) for u in range(19) for v in range(u + 1, 19) if not g.has_edge(u, v)]
+        assert [tuple(p) for p in shape.h_pairs.tolist()] == ref
+        assert shape.h_deg == tuple(len(cset - g.neighbor_set(v) - {v}) for v in range(19))
+        assert shape.zeta == len(ref) / 16**2
+        assert shape.out_pos.size == 0 and shape.violation is None
+
+    def test_violation_is_raised_on_every_use(self):
+        g = disjoint_union(complete_graph(17), complete_graph(17))
+        shape = cluster_shape(g, range(34), Params().cluster_eps())
+        assert shape.violation == "|C \\ N_v| = 18 >= eps*D for v=0"
+        for _ in range(2):
+            with pytest.raises(HypothesisViolated) as info:
+                build_cluster_context(g, range(34), {}, Params(), shape=shape)
+            assert str(info.value) == shape.violation
+
+    def test_outside_check_comes_first(self):
+        # vertex 0 of the first K17 sees 16 outside vertices: |N_v \ C| >= 0.4*16
+        g = Graph.from_edges(
+            34, [*complete_graph(17).edges(), *[(0, 17 + i) for i in range(16)]]
+        )
+        shape = cluster_shape(g, range(1, 17), Params().cluster_eps())
+        assert shape.violation is None
+        shape = cluster_shape(g, range(17), Params().cluster_eps())
+        assert shape.violation == "|N_v \\ C| = 16 >= eps*D for v=0"
+
+    def test_outside_colors_beyond_the_palette_rejected(self):
+        g = swapped_double_clique(17)
+        with pytest.raises(ValueError, match="0..D\\+1"):
+            build_cluster_context(g, range(2, 17), {0: 18}, Params())
+
+    def test_pipeline_builds_each_shape_once(self, monkeypatch):
+        calls = []
+        real = clusters.cluster_shape
+        monkeypatch.setattr(
+            clusters, "cluster_shape", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        pipe = Pipeline(swapped_double_clique(17), Params(theta=0.05))
+        assert calls == []  # built on first use, not at set-up
+        for seed in range(3):
+            pipe.sample(seed)
+        assert sorted(calls) == sorted(pipe.dec.clusters)
+
+
 class TestProcess:
     def test_bookkeeping_and_pair_property(self):
         g = clique_minus_cycle(19)
@@ -98,6 +174,16 @@ class TestProcess:
         ctx = build_cluster_context(g, range(17), {}, Params())
         with pytest.raises(HypothesisViolated):
             process_pair_coloring(ctx, np.random.default_rng(1))
+
+    def test_finite_d_floor_is_a_hypothesis_violation(self):
+        # eta = 0 makes the edge floor zeta*D^2 = e(H) itself, which e(H_0) = e(H)
+        # does not exceed
+        g = clique_minus_cycle(19)
+        ctx = build_cluster_context(g, range(19), {}, Params())
+        with pytest.raises(FloorNotMet, match=r"e\(H_i\) = 19 !> .* = 19.00"):
+            process_pair_coloring(ctx, np.random.default_rng(0), rounds=1, eta=0.0)
+        assert issubclass(FloorNotMet, HypothesisViolated)
+        assert not issubclass(FloorNotMet, VerificationFailed)
 
     def test_rounds_reduce_counts(self):
         g = clique_minus_cycle(19)
@@ -211,6 +297,15 @@ class TestPipelineCheck:
             clusters, "color_cluster", lambda ctx, rng, params: ({v: 1 for v in ctx.cluster}, "small")
         )
         with pytest.raises(VerificationFailed, match=r"pipeline coloring is not proper: edge \(0,1\)"):
+            Pipeline(complete_graph(17)).sample(0)
+
+    def test_broken_matcher_raises_instead_of_falling_back(self, monkeypatch):
+        # a matcher result that leaves a vertex out is a bug, not a flagged run
+        monkeypatch.setattr(
+            clusters, "spread_X_perfect_matching",
+            lambda b, *a, **k: Matching({x: x for x in range(b.nx - 1)}),
+        )
+        with pytest.raises(VerificationFailed, match="does not cover the cluster"):
             Pipeline(complete_graph(17)).sample(0)
 
     def test_uncolored_vertex_caught(self, monkeypatch):

@@ -215,3 +215,123 @@ class TestXPerfectMatching:
             spread_X_perfect_matching(
                 b, z=0.1, rng=np.random.default_rng(15), r_x=[-1] + [0] * 9
             )
+
+
+# -- reference implementations on tuple adjacency lists: the matrix-backed
+# Bigraph must give the same adjacency and consume the same random stream ----
+
+
+def _ref_adj_y(nx: int, ny: int, adj_x) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(ny)]
+    for x, row in enumerate(adj_x):
+        for y in row:
+            out[y].append(x)
+    return out
+
+
+def _ref_degrees_y(ny: int, adj_x) -> np.ndarray:
+    deg = np.zeros(ny, dtype=np.int64)
+    for row in adj_x:
+        for y in row:
+            deg[y] += 1
+    return deg
+
+
+def _ref_subgraph(adj_x, xs, ys) -> tuple[tuple[int, ...], ...]:
+    ymap = {y: j for j, y in enumerate(ys)}
+    return tuple(tuple(sorted(ymap[y] for y in adj_x[x] if y in ymap)) for x in xs)
+
+
+def _ref_kout(nx: int, ny: int, adj_x, k: int, rng) -> tuple[tuple[int, ...], ...]:
+    chosen: set[tuple[int, int]] = set()
+    for x in range(nx):
+        row = adj_x[x]
+        if len(row) <= k:
+            chosen.update((x, y) for y in row)
+        else:
+            idx = rng.choice(len(row), size=k, replace=False)
+            chosen.update((x, row[i]) for i in idx)
+    for y, col in enumerate(_ref_adj_y(nx, ny, adj_x)):
+        if not col:
+            continue
+        if len(col) <= k:
+            chosen.update((x, y) for x in col)
+        else:
+            idx = rng.choice(len(col), size=k, replace=False)
+            chosen.update((col[i], y) for i in idx)
+    adj: list[set[int]] = [set() for _ in range(nx)]
+    for x, y in chosen:
+        adj[x].add(y)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def _random_bigraph(nx: int, ny: int, p: float, seed: int) -> Bigraph:
+    rng = np.random.default_rng(seed)
+    return Bigraph(rng.random((nx, ny)) < p)
+
+
+_REFERENCE_CASES = [
+    (nx, ny, p, seed)
+    for seed, (nx, ny, p) in enumerate(
+        [(1, 1, 1.0), (5, 7, 0.5), (12, 12, 0.9), (30, 33, 0.8), (20, 10, 0.3), (0, 4, 1.0), (6, 0, 1.0)]
+    )
+]
+
+
+class TestMatrixBigraphAgainstReference:
+    @pytest.mark.parametrize("nx, ny, p, seed", _REFERENCE_CASES)
+    def test_derived_views_match_loop_versions(self, nx, ny, p, seed):
+        b = _random_bigraph(nx, ny, p, seed)
+        adj_x = b.adj_x
+        assert adj_x == tuple(tuple(int(y) for y in np.flatnonzero(row)) for row in b.m)
+        assert b.adj_y() == _ref_adj_y(nx, ny, adj_x)
+        assert np.array_equal(b.degrees_y(), _ref_degrees_y(ny, adj_x))
+        assert [b.deg_x(x) for x in range(nx)] == [len(r) for r in adj_x]
+        assert b.edge_count() == sum(len(r) for r in adj_x)
+        sel = np.random.default_rng(seed + 100)
+        xs = sorted(sel.permutation(nx)[: max(nx // 2, 0)].tolist())
+        ys = sel.permutation(ny)[: max(ny - 2, 0)].tolist()  # unsorted on purpose
+        assert b.subgraph(xs, ys).adj_x == _ref_subgraph(adj_x, xs, ys)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("nx, ny, p, seed", _REFERENCE_CASES)
+    def test_kout_same_edges_and_same_stream(self, nx, ny, p, seed, k):
+        for b in (_random_bigraph(nx, ny, p, seed), Bigraph.complete(nx, ny)):
+            for s in range(3):
+                new_rng = np.random.default_rng((seed, s))
+                ref_rng = np.random.default_rng((seed, s))
+                got = kout_subgraph(b, k, new_rng)
+                assert got.adj_x == _ref_kout(b.nx, b.ny, b.adj_x, k, ref_rng)
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_equality_and_read_only_matrix(self):
+        a = Bigraph.from_edges(2, 3, [(0, 1), (1, 2)])
+        assert a == Bigraph(np.array([[0, 1, 0], [0, 0, 1]]))
+        assert a != Bigraph.from_edges(2, 3, [(0, 1)])
+        assert a != Bigraph.from_edges(2, 4, [(0, 1), (1, 2)])
+        assert hash(a) == hash(Bigraph(a.m.copy()))
+        with pytest.raises(ValueError):
+            a.m[0, 0] = True
+        with pytest.raises(ValueError):
+            Bigraph(np.ones(3, dtype=bool))
+
+    def test_validate_rejects_non_edges_and_out_of_range(self):
+        b = Bigraph.from_edges(2, 2, [(0, 0), (1, 1)])
+        Matching({0: 0, 1: 1}).validate(b)
+        with pytest.raises(VerificationFailed, match=r"\(0,1\) is not an edge"):
+            Matching({0: 1}).validate(b)
+        with pytest.raises(VerificationFailed, match=r"\(1,2\) is not an edge"):
+            Matching({1: 2}).validate(b)
+
+
+def test_maximum_matching_size_agrees_with_scipy():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(v) for v in rng.integers(1, 25, size=2))
+        b = Bigraph(rng.random((nx, ny)) < rng.uniform(0.02, 0.5))
+        ours = perfect_matching(b)
+        ours.validate(b)
+        match = csgraph.maximum_bipartite_matching(sparse.csr_matrix(b.m), perm_type="column")
+        assert len(ours.pairs) == int(np.count_nonzero(match >= 0)), (seed, nx, ny)
