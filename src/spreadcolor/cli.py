@@ -100,9 +100,9 @@ class SystemExit2(SystemExit):
 _WORKER_PIPE: Pipeline | None = None
 
 
-def _init_pipeline_worker(graph_json: str, params_dict: dict) -> None:
+def _init_pipeline_worker(pipe: Pipeline) -> None:
     global _WORKER_PIPE
-    _WORKER_PIPE = Pipeline(Graph.from_json(graph_json), Params.from_dict(params_dict))
+    _WORKER_PIPE = pipe
 
 
 def _pipeline_trial(seed: int) -> tuple[list[int], bool]:
@@ -114,13 +114,13 @@ def _pipeline_trial(seed: int) -> tuple[list[int], bool]:
 def _run_pipeline_trials(
     g: Graph, params: Params, seeds: list[int], jobs: int
 ) -> list[tuple[np.ndarray, bool]]:
+    # built here for every --jobs value, so a graph the pipeline cannot
+    # take fails the same way, before any worker starts
+    pipe = Pipeline(g, params)
     if jobs <= 1:
-        pipe = Pipeline(g, params)
         return [pipe.sample_array(s) for s in seeds]
     with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_pipeline_worker,
-        initargs=(g.to_json(), params.to_dict()),
+        max_workers=jobs, initializer=_init_pipeline_worker, initargs=(pipe,)
     ) as pool:
         out = list(pool.map(_pipeline_trial, seeds))
     return [(np.asarray(colors), flagged) for colors, flagged in out]

@@ -51,8 +51,9 @@ _CLUSTER_TAG = 0xC1
 @dataclass(frozen=True)
 class ClusterShape:
     """The part of a cluster's context that no sample changes: the
-    complement graph H on the cluster, zeta = e(H)/D^2, and the
-    (position, outside neighbor) pairs that B is gathered from.
+    complement graph H on the cluster, zeta = e(H)/D^2, the
+    (position, outside neighbor) pairs that B is gathered from, and the
+    edges with an end in the cluster, which the cluster check reads.
     Positions index the sorted cluster.  `violation` is the message of the
     first failed cluster condition, or None; every context built on this
     shape raises it."""
@@ -66,6 +67,7 @@ class ClusterShape:
     h_deg: tuple[int, ...]  # H-degree by position
     out_pos: np.ndarray  # position of each (vertex, outside neighbor) pair
     out_nbr: np.ndarray  # the outside neighbor of that pair
+    edges: tuple[np.ndarray, np.ndarray]  # (member, neighbor) of each incident edge
     violation: str | None
 
 
@@ -107,6 +109,7 @@ def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
         h_deg=tuple((missing - 1).tolist()),
         out_pos=rows[~inside],
         out_nbr=nbrs[~inside],
+        edges=(np.repeat(members, lens), nbrs),
         violation=violation,
     )
 
@@ -349,7 +352,7 @@ def _assert_cluster_proper(ctx: ClusterContext, coloring: dict[int, int]) -> Non
         raise VerificationFailed("cluster coloring does not cover the cluster")
     colors = ctx.sigma_out.copy()
     colors[list(coloring)] = list(coloring.values())
-    check_proper(ctx.graph, colors, touching=ctx.cluster, what="cluster coloring")
+    check_proper(ctx.graph, colors, edges=ctx.shape.edges, what="cluster coloring")
 
 
 def _greedy_cluster_fallback(

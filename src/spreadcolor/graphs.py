@@ -10,9 +10,8 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,9 +42,22 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
     _nbr_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False, default=())
-    # -1 until first read; set through object.__setattr__ rather than a
-    # cached_property, whose __dict__ write slows every later attribute load
+    # Lazy caches, empty (None or -1) until first use and then set through
+    # object.__setattr__.  They are declared fields rather than
+    # cached_propertys: a cached_property adds a key to the instance
+    # __dict__ after construction, which sends every later attribute load
+    # on the graph down CPython's slower path.
+    _min_degree: int = field(repr=False, compare=False, default=-1)
     _max_degree: int = field(repr=False, compare=False, default=-1)
+    _edge_arrays: tuple[np.ndarray, np.ndarray] | None = field(
+        repr=False, compare=False, default=None
+    )
+    _flat_adjacency: tuple[np.ndarray, np.ndarray] | None = field(
+        repr=False, compare=False, default=None
+    )
+    _components: tuple[np.ndarray, tuple[tuple[int, ...], ...]] | None = field(
+        repr=False, compare=False, default=None
+    )
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -72,15 +84,22 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    def _cache_degree_range(self) -> None:
+        lens = list(map(len, self.adj))
+        object.__setattr__(self, "_min_degree", min(lens, default=0))
+        object.__setattr__(self, "_max_degree", max(lens, default=0))
+
     @property
     def max_degree(self) -> int:
         if self._max_degree < 0:
-            object.__setattr__(self, "_max_degree", max((len(a) for a in self.adj), default=0))
+            self._cache_degree_range()
         return self._max_degree
 
     @property
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        if self._min_degree < 0:
+            self._cache_degree_range()
+        return self._min_degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not (0 <= v < self.n):
@@ -107,75 +126,74 @@ class Graph:
     def is_regular(self, d: int | None = None) -> bool:
         if self.n == 0:
             return True
-        if d is None:
-            d = len(self.adj[0])
-        return all(len(a) == d for a in self.adj)
-
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        us, vs = [], []
-        for u, v in self.edges():
-            us.append(u)
-            vs.append(v)
-        return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        return self.min_degree == self.max_degree and d in (None, self.max_degree)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two int64 arrays (u < v); cached."""
+        if self._edge_arrays is None:
+            us, vs = [], []
+            for u, v in self.edges():
+                us.append(u)
+                vs.append(v)
+            object.__setattr__(
+                self,
+                "_edge_arrays",
+                (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)),
+            )
         return self._edge_arrays
-
-    @cached_property
-    def _flat_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.fromiter(
-            (w for a in self.adj for w in a),
-            dtype=np.int64,
-            count=sum(len(a) for a in self.adj),
-        )
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        ptr[1:] = np.cumsum([len(a) for a in self.adj])
-        return flat, ptr
 
     def flat_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style (flat neighbor array, offsets of length n+1); cached."""
+        if self._flat_adjacency is None:
+            flat = np.fromiter(
+                (w for a in self.adj for w in a),
+                dtype=np.int64,
+                count=sum(len(a) for a in self.adj),
+            )
+            ptr = np.zeros(self.n + 1, dtype=np.int64)
+            ptr[1:] = np.cumsum([len(a) for a in self.adj])
+            object.__setattr__(self, "_flat_adjacency", (flat, ptr))
         return self._flat_adjacency
 
     def gather_neighbors(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(degree of each vertex in vs, their sorted neighbor lists
         concatenated in the order of vs)."""
-        flat, ptr = self._flat_adjacency
+        flat, ptr = self.flat_adjacency()
         lens = ptr[vs + 1] - ptr[vs]
         return lens, flat[np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
 
-    @cached_property
-    def _components(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-        label = [-1] * self.n
-        comps: list[tuple[int, ...]] = []
-        for s in range(self.n):
-            if label[s] >= 0:
-                continue
-            k = len(comps)
-            comp, stack = [], [s]
-            label[s] = k
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.adj[u]:
-                    if label[w] < 0:
-                        label[w] = k
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        labels = np.asarray(label, dtype=np.int64)
-        labels.flags.writeable = False
-        return labels, tuple(comps)
+    def _component_data(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+        if self._components is None:
+            label = [-1] * self.n
+            comps: list[tuple[int, ...]] = []
+            for s in range(self.n):
+                if label[s] >= 0:
+                    continue
+                k = len(comps)
+                comp, stack = [], [s]
+                label[s] = k
+                while stack:
+                    u = stack.pop()
+                    comp.append(u)
+                    for w in self.adj[u]:
+                        if label[w] < 0:
+                            label[w] = k
+                            stack.append(w)
+                comps.append(tuple(sorted(comp)))
+            labels = np.asarray(label, dtype=np.int64)
+            labels.flags.writeable = False
+            object.__setattr__(self, "_components", (labels, tuple(comps)))
+        return self._components
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by their
         smallest vertex; computed once per graph."""
-        return [list(c) for c in self._components[1]]
+        return [list(c) for c in self._component_data()[1]]
 
     def component_labels(self) -> np.ndarray:
         """Per vertex, the index of its component in components(); cached
         and read-only."""
-        return self._components[0]
+        return self._component_data()[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -191,22 +209,17 @@ class Graph:
 def check_proper(
     g: Graph,
     colors: np.ndarray,
-    touching: Sequence[int] | None = None,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
     what: str = "coloring",
 ) -> None:
     """Raise VerificationFailed naming the first edge whose two ends share
     a color.  colors is indexed by vertex, 0 meaning uncolored, which never
-    conflicts.  With `touching`, only the edges with an end in that vertex
-    set are checked."""
+    conflicts.  `edges`, two arrays of endpoints, restricts the check to
+    those edges of g; by default every edge is checked."""
     colors = np.asarray(colors)
     if colors.shape != (g.n,):
         raise ValueError(f"color array has shape {colors.shape}, expected ({g.n},)")
-    if touching is None:
-        u, v = g.edge_arrays()
-    else:
-        s = np.asarray(touching, dtype=np.int64)
-        lens, v = g.gather_neighbors(s)
-        u = np.repeat(s, lens)
+    u, v = g.edge_arrays() if edges is None else edges
     bad = np.flatnonzero((colors[u] == colors[v]) & (colors[u] != 0))
     if bad.size:
         a, b = sorted((int(u[bad[0]]), int(v[bad[0]])))

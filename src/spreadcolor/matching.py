@@ -34,22 +34,20 @@ __all__ = [
 INF = -1
 
 
-def _rows(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Ascending column indices of each row of a boolean matrix."""
-    cols = np.nonzero(m)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(m, axis=1)).tolist()
-    out, start = [], 0
-    for end in ends:
-        out.append(tuple(cols[start:end]))
-        start = end
-    return tuple(out)
+def _csr(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """(column of each True entry of a boolean matrix, row by row and
+    ascending within a row; offsets of each row's run, length nrows+1)."""
+    ncols = m.shape[1]
+    flat = np.flatnonzero(m)
+    ptr = np.searchsorted(flat, np.arange(m.shape[0] + 1) * ncols)
+    return (flat % ncols).tolist() if ncols else [], ptr.tolist()
 
 
 class Bigraph:
     """Bipartite graph on parts X (size nx) and Y (size ny), both 0-indexed,
     held as its read-only nx-by-ny boolean biadjacency matrix `m`."""
 
-    __slots__ = ("m", "_adj_x")
+    __slots__ = ("m",)
 
     def __init__(self, m: np.ndarray):
         m = np.asarray(m, dtype=bool).view()
@@ -57,7 +55,6 @@ class Bigraph:
             raise ValueError(f"biadjacency matrix must be 2-D, got shape {m.shape}")
         m.flags.writeable = False
         self.m = m
-        self._adj_x: tuple[tuple[int, ...], ...] | None = None
 
     @staticmethod
     def from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> "Bigraph":
@@ -93,10 +90,9 @@ class Bigraph:
 
     @property
     def adj_x(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbors of each x, derived from the matrix once."""
-        if self._adj_x is None:
-            self._adj_x = _rows(self.m)
-        return self._adj_x
+        """Sorted neighbors of each x."""
+        cols, ptr = _csr(self.m)
+        return tuple(tuple(cols[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def deg_x(self, x: int) -> int:
         return int(np.count_nonzero(self.m[x]))
@@ -105,7 +101,7 @@ class Bigraph:
         return np.count_nonzero(self.m, axis=0).astype(np.int64)
 
     def adj_y(self) -> list[list[int]]:
-        return [list(col) for col in _rows(self.m.T)]
+        return [list(col) for col in Bigraph(self.m.T).adj_x]
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.m))
@@ -139,8 +135,10 @@ class Matching:
 
 def perfect_matching(b: Bigraph) -> Matching:
     """Deterministic maximum matching via Hopcroft-Karp; check
-    .is_x_perfect(b) on the result for X-perfection."""
-    adj = b.adj_x
+    .is_x_perfect(b) on the result for X-perfection.
+
+    The neighbors of x are cols[ptr[x]:ptr[x+1]], in ascending order."""
+    cols, ptr = _csr(b.m)
     pair_x = [INF] * b.nx
     pair_y = [INF] * b.ny
     dist = [0] * b.nx
@@ -158,7 +156,7 @@ def perfect_matching(b: Bigraph) -> Matching:
             x = q.popleft()
             if found != INF and dist[x] >= found:
                 continue
-            for y in adj[x]:
+            for y in cols[ptr[x] : ptr[x + 1]]:
                 x2 = pair_y[y]
                 if x2 == INF:
                     if found == INF:
@@ -169,7 +167,7 @@ def perfect_matching(b: Bigraph) -> Matching:
         return found != INF
 
     def dfs(x: int) -> bool:
-        for y in adj[x]:
+        for y in cols[ptr[x] : ptr[x + 1]]:
             x2 = pair_y[y]
             if x2 == INF or (dist[x2] == dist[x] + 1 and dfs(x2)):
                 pair_x[x] = y
@@ -191,9 +189,10 @@ def kout_subgraph(b: Bigraph, k: int, rng: np.random.Generator) -> Bigraph:
     what kills isolated vertices, the main obstruction to a perfect
     matching.
 
-    Draws one rng.choice(deg, k, replace=False) per vertex of degree > k,
-    X in index order first, then Y, each picking positions in the sorted
-    neighbor list."""
+    Keyed draw: the rows of degree > k on one side (X rows first, then Y
+    rows, each in index order) get one block of uniform keys, one key per
+    matrix entry; a row keeps the k neighbors with the smallest keys,
+    which is a uniform k-subset of its neighbors."""
     if k < 1:
         raise ValueError("need k >= 1")
     out = np.zeros(b.m.shape, dtype=bool)
@@ -203,11 +202,9 @@ def kout_subgraph(b: Bigraph, k: int, rng: np.random.Generator) -> Bigraph:
         kept[small] |= adj[small]
         big = np.flatnonzero(~small)
         if big.size:
-            nbrs = np.nonzero(adj)[1]  # row by row, ascending
-            start = np.cumsum(deg) - deg
-            picks = [rng.choice(n, size=k, replace=False) for n in deg[big].tolist()]
-            rows = np.repeat(big, k)
-            kept[rows, nbrs[np.repeat(start[big], k) + np.concatenate(picks)]] = True
+            keys = rng.random((big.size, adj.shape[1]))
+            keys += ~adj[big]  # non-edges key above 1, after every neighbor
+            kept[big[:, None], np.argpartition(keys, k - 1, axis=1)[:, :k]] = True
     return Bigraph(out)
 
 

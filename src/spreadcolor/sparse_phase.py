@@ -9,8 +9,9 @@ Randomness is keyed: attempt t of the rejection loop uses the stream
 (seed, LABEL_TAG, t) and the greedy stage uses (seed, GREEDY_TAG), one
 uniform per vertex.  Because acceptance is decided per connected
 component and vector draws are stream prefixes, the result restricted to
-a component equals a run on that component alone (same seed, ids
-preserved as a prefix).
+a component equals a run on that component alone (same seed, same D and
+window, ids preserved as a prefix).  The default window depends on the
+number of sparse vertices in the whole graph.
 """
 from __future__ import annotations
 

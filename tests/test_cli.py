@@ -173,6 +173,16 @@ def test_sample_jobs_matches_serial(tmp_path):
     assert json.loads(a.read_text()) == json.loads(b.read_text())
 
 
+def test_sample_jobs_2_fails_like_jobs_1_when_the_pipeline_cannot_be_built(tmp_path, capsys):
+    # at D=4 a K5 component has no valid decomposition; the error must come
+    # out as exit 1 whatever --jobs is, not as a broken worker pool
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(write_edge_list(complete_graph(5)))
+    for jobs in ("1", "2"):
+        assert main(["sample", "--graph", str(g_file), "--jobs", jobs]) == 1
+        assert "VerificationFailed: vertex 0 violates a cluster condition" in capsys.readouterr().err
+
+
 def test_sample_with_broken_matcher_exits_1(tmp_path, monkeypatch, capsys):
     # a matcher that leaves a vertex out breaks an invariant: the run fails
     # loudly instead of coming back flagged

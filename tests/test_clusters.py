@@ -107,6 +107,11 @@ class TestClusterShape:
             ctx = build_cluster_context(g2, cluster, sigma_out, Params(), shape=shape)
             assert ctx.b.adj_x == _reference_legal_rows(g2, cluster, sigma_out)
             assert ctx.b == build_cluster_context(g2, cluster, sigma_out, Params()).b
+        # the cluster check reads every edge with an end in the cluster
+        touching = {(u, v) for u, v in g2.edges() if u in cluster or v in cluster}
+        got = {tuple(sorted(e)) for e in zip(*(a.tolist() for a in shape.edges))}
+        assert got == touching
+        assert all(u in cluster for u in shape.edges[0].tolist())
 
     def test_h_statistics_match_set_construction(self):
         g = clique_minus_cycle(19)

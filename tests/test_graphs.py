@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from math import comb
 
 import numpy as np
@@ -82,6 +83,25 @@ class TestGraphBasics:
         assert g.components() == [[0, 1, 2], [3, 4]]
         assert not g.component_labels().flags.writeable
 
+    def test_caches_stay_in_declared_fields(self):
+        # a key added to the instance __dict__ after construction would put
+        # every later attribute load on this graph on CPython's slow path
+        g = disjoint_union(complete_graph(3), path_graph(4))
+        declared = {f.name for f in fields(Graph)}
+        assert set(vars(g)) == declared
+        g.edge_arrays(), g.flat_adjacency(), g.gather_neighbors(np.array([0, 4]))
+        g.components(), g.component_labels(), g.max_degree, g.min_degree
+        g.is_regular(), g.is_regular(2)
+        assert set(vars(g)) == declared
+        assert Graph.from_json(g.to_json()) == g
+
+    def test_is_regular(self):
+        assert cycle_graph(5).is_regular() and cycle_graph(5).is_regular(2)
+        assert not cycle_graph(5).is_regular(3)
+        assert not path_graph(4).is_regular() and not path_graph(4).is_regular(1)
+        assert Graph.from_edges(0, []).is_regular(7)
+        assert (path_graph(4).min_degree, path_graph(4).max_degree) == (1, 2)
+
 
 class TestCheckProper:
     def test_names_the_first_bad_edge(self):
@@ -95,9 +115,11 @@ class TestCheckProper:
     def test_restricted_to_edges_touching_a_subset(self):
         g = path_graph(5)
         colors = np.array([1, 1, 2, 3, 4])  # only edge (0,1) is bad
-        check_proper(g, colors, touching=[3, 4])
+        touching_3_4 = (np.array([3, 3, 4]), np.array([2, 4, 3]))
+        check_proper(g, colors, edges=touching_3_4)
+        touching_1 = (np.array([1, 1]), np.array([0, 2]))
         with pytest.raises(VerificationFailed, match=r"cluster coloring is not proper: edge \(0,1\)"):
-            check_proper(g, colors, touching=[1], what="cluster coloring")
+            check_proper(g, colors, edges=touching_1, what="cluster coloring")
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

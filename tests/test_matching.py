@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+from collections import Counter, deque
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,28 @@ class TestKout:
         hits = sum(1 for _ in range(trials) if 7 in kout_subgraph(b, k, rng).adj_x[3])
         se = (p_expect * (1 - p_expect) / trials) ** 0.5
         assert abs(hits / trials - p_expect) < 5 * se
+
+    def test_row_keeps_each_k_subset_with_its_exact_probability(self):
+        # Row 0 picks a uniform k-subset A of its neighbors, probability
+        # 1/C(deg, k); each neighbor y outside A must then not pick x=0 on
+        # its own side, which it does with probability k/deg(y).  So the
+        # kept row equals A with probability
+        # 1/C(deg, k) * prod_{y in N(0) \ A} (1 - k/deg(y)).
+        m = np.ones((5, 6), dtype=bool)
+        m[1, [1, 2]] = m[2, 2] = m[3, 4] = m[0, 5] = False
+        b, k, trials = Bigraph(m), 2, 20_000
+        nbrs = np.flatnonzero(m[0])
+        deg_y = b.degrees_y()
+        rng = np.random.default_rng(16)
+        seen = Counter(tuple(kout_subgraph(b, k, rng).adj_x[0]) for _ in range(trials))
+        subsets = list(combinations(nbrs.tolist(), k))
+        assert len(subsets) == comb(len(nbrs), k)
+        for a in subsets:
+            p = 1 / comb(len(nbrs), k)
+            for y in set(nbrs.tolist()) - set(a):
+                p *= 1 - k / deg_y[y]
+            se = (p * (1 - p) / trials) ** 0.5
+            assert abs(seen[a] / trials - p) < 5 * se, (a, seen[a] / trials, p)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -243,22 +269,23 @@ def _ref_subgraph(adj_x, xs, ys) -> tuple[tuple[int, ...], ...]:
 
 
 def _ref_kout(nx: int, ny: int, adj_x, k: int, rng) -> tuple[tuple[int, ...], ...]:
+    """Keyed k-out, one row at a time: each row of degree > k (X rows, then
+    Y rows) draws one uniform key per vertex of the other side and keeps
+    the k neighbors with the smallest keys."""
     chosen: set[tuple[int, int]] = set()
     for x in range(nx):
         row = adj_x[x]
         if len(row) <= k:
             chosen.update((x, y) for y in row)
         else:
-            idx = rng.choice(len(row), size=k, replace=False)
-            chosen.update((x, row[i]) for i in idx)
+            keys = rng.random(ny)
+            chosen.update((x, y) for y in sorted(row, key=lambda y: keys[y])[:k])
     for y, col in enumerate(_ref_adj_y(nx, ny, adj_x)):
-        if not col:
-            continue
         if len(col) <= k:
             chosen.update((x, y) for x in col)
         else:
-            idx = rng.choice(len(col), size=k, replace=False)
-            chosen.update((col[i], y) for i in idx)
+            keys = rng.random(nx)
+            chosen.update((x, y) for x in sorted(col, key=lambda x: keys[x])[:k])
     adj: list[set[int]] = [set() for _ in range(nx)]
     for x, y in chosen:
         adj[x].add(y)
@@ -322,6 +349,65 @@ class TestMatrixBigraphAgainstReference:
             Matching({0: 1}).validate(b)
         with pytest.raises(VerificationFailed, match=r"\(1,2\) is not an edge"):
             Matching({1: 2}).validate(b)
+
+
+def _ref_perfect_matching(b: Bigraph) -> dict[int, int]:
+    """Hopcroft-Karp on tuple adjacency lists, as perfect_matching was
+    before it walked CSR arrays; same search order, so the same pairs."""
+    adj, INF = b.adj_x, -1
+    pair_x, pair_y, dist = [INF] * b.nx, [INF] * b.ny, [0] * b.nx
+
+    def bfs() -> bool:
+        q: deque[int] = deque()
+        for x in range(b.nx):
+            if pair_x[x] == INF:
+                dist[x] = 0
+                q.append(x)
+            else:
+                dist[x] = INF
+        found = INF
+        while q:
+            x = q.popleft()
+            if found != INF and dist[x] >= found:
+                continue
+            for y in adj[x]:
+                x2 = pair_y[y]
+                if x2 == INF:
+                    if found == INF:
+                        found = dist[x] + 1
+                elif dist[x2] == INF:
+                    dist[x2] = dist[x] + 1
+                    q.append(x2)
+        return found != INF
+
+    def dfs(x: int) -> bool:
+        for y in adj[x]:
+            x2 = pair_y[y]
+            if x2 == INF or (dist[x2] == dist[x] + 1 and dfs(x2)):
+                pair_x[x] = y
+                pair_y[y] = x
+                return True
+        dist[x] = INF
+        return False
+
+    while bfs():
+        for x in range(b.nx):
+            if pair_x[x] == INF:
+                dfs(x)
+    return {x: y for x, y in enumerate(pair_x) if y != INF}
+
+
+def test_hopcroft_karp_on_csr_finds_the_same_pairs_as_the_tuple_version():
+    cases = [Bigraph.complete(nx, ny) for nx, ny in [(0, 0), (0, 3), (3, 0), (1, 1), (6, 6), (5, 9), (9, 5)]]
+    cases += [Bigraph(np.zeros((nx, ny), dtype=bool)) for nx, ny in [(4, 4), (3, 7)]]
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        nx, ny = (int(v) for v in rng.integers(1, 30, size=2))
+        cases.append(Bigraph(rng.random((nx, ny)) < rng.uniform(0.02, 0.6)))
+    for _ in range(20):
+        cases.append(kout_subgraph(Bigraph.complete(42, 42), 3, rng))
+    for b in cases:
+        assert perfect_matching(b).pairs == _ref_perfect_matching(b), b
 
 
 def test_maximum_matching_size_agrees_with_scipy():
