@@ -4,14 +4,23 @@ Partitions V into a sparse set (vertices with many non-edges inside
 their neighborhood) and clusters (near-cliques with few outside
 neighbors and few missing cluster-mates).  The construction is verified
 against its own postconditions before being returned.
+
+Both the sparsity statistic and the friend graph come from blocked
+common-neighbor counts over the CSR adjacency
+(`graphs.common_neighbor_blocks`), never from pairwise set
+intersections.  The statistic is one int64 array per graph
+(`neighborhood_complement_edges(g)`), computed once and read by the
+classifier and by `verify_decomposition` alike.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 
-from .errors import VerificationFailed
-from .graphs import Graph, neighborhood_complement_edges
+import numpy as np
+
+from .errors import HypothesisViolated, VerificationFailed
+from .graphs import Graph, common_neighbor_blocks, neighborhood_complement_edges
 
 __all__ = ["Decomposition", "DecompositionReport", "sparse_dense_decompose", "verify_decomposition"]
 
@@ -89,11 +98,11 @@ def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
     is_partition = covered == set(range(g.n)) and total == g.n
 
     report = DecompositionReport(is_partition, [], [], [])
-    for v in dec.sparse:
-        stat = neighborhood_complement_edges(g, v)
-        report.worst_sparse_margin = min(report.worst_sparse_margin, stat - dec.theta * d * d)
-        if stat < dec.theta * d * d:
-            report.sparse_failures.append(v)
+    if dec.sparse:
+        sparse = np.fromiter(dec.sparse, dtype=np.int64, count=len(dec.sparse))
+        margin = neighborhood_complement_edges(g)[sparse] - dec.theta * d * d
+        report.worst_sparse_margin = float(margin.min())
+        report.sparse_failures = sparse[margin < 0].tolist()
     for cluster in dec.clusters:
         cset = frozenset(cluster)
         for v in cluster:
@@ -117,11 +126,12 @@ def sparse_dense_decompose(
     A vertex is dense when its neighborhood has fewer than theta*D^2
     non-edges (theta defaults to eps_in^2/16).  Dense u, v are friends
     when |N_u ∩ N_v| >= (1 - 2*eps_in)*D; clusters are the connected
-    components of the friend graph.  A repair loop demotes to the sparse
-    side any cluster vertex violating a cluster condition, provided it
-    passes the sparsity test; since dense vertices never do, a violation
-    surfaces as VerificationFailed rather than a silently weakened
-    output.
+    components of the friend graph.  Below D = 1/(2*eps_in) friends need
+    N_u = N_v, so no cluster can meet the cluster conditions: a graph with
+    a dense vertex there raises HypothesisViolated.  Cluster members are
+    dense, so a violated cluster condition cannot be repaired by demoting
+    the vertex to the sparse side; it surfaces as VerificationFailed rather
+    than a silently weakened output.
     """
     d = g.max_degree
     if not g.is_regular(d):
@@ -132,24 +142,30 @@ def sparse_dense_decompose(
         theta = eps_in * eps_in / 16.0
     eps = 8.0 * eps_in
 
-    thr = theta * d * d
-    sparse = {v for v in range(g.n) if neighborhood_complement_edges(g, v) >= thr}
-    dense = [v for v in range(g.n) if v not in sparse]
+    is_sparse = neighborhood_complement_edges(g) >= theta * d * d
+    sparse = set(np.flatnonzero(is_sparse).tolist())
+    dense = np.flatnonzero(~is_sparse)
+    bound = 1.0 / (2.0 * eps_in)
+    if dense.size and d < bound:
+        raise HypothesisViolated(
+            f"D = {d} < 1/(2*eps_in) = {bound:g} and vertex {dense[0]} "
+            f"is dense: friends would need equal neighborhoods, so no cluster "
+            f"can meet the cluster conditions"
+        )
 
-    # friend graph on the dense vertices
+    # friend graph on the dense vertices: only pairs at distance 2 share a
+    # neighbor, and every such pair is a cell of the common-neighbor counts
     friend_thr = (1.0 - 2.0 * eps_in) * d
-    dense_set = set(dense)
-    friend_adj: dict[int, list[int]] = {v: [] for v in dense}
-    for i, u in enumerate(dense):
-        nu = g.neighbor_set(u)
-        for v in dense[i + 1 :]:
-            if len(nu & g.neighbor_set(v)) >= friend_thr:
-                friend_adj[u].append(v)
-                friend_adj[v].append(u)
+    friend_adj: dict[int, list[int]] = {}
+    for block, cnt in common_neighbor_blocks(g, dense):
+        friend = (cnt >= friend_thr) & ~is_sparse
+        friend[np.arange(len(block)), block] = False
+        for u, row in zip(block.tolist(), friend):
+            friend_adj[u] = np.flatnonzero(row).tolist()
 
     clusters: list[set[int]] = []
     seen: set[int] = set()
-    for s in dense:
+    for s in friend_adj:
         if s in seen:
             continue
         comp, stack = set(), [s]
@@ -163,24 +179,14 @@ def sparse_dense_decompose(
                     stack.append(w)
         clusters.append(comp)
 
-    # repair loop: demote violating vertices when they pass the sparsity test
-    changed = True
-    while changed:
-        changed = False
-        for cluster in clusters:
-            for v in list(cluster):
-                nbrs = g.neighbor_set(v)
-                if len(nbrs - cluster) >= eps * d or len(cluster - nbrs) >= eps * d:
-                    if neighborhood_complement_edges(g, v) >= thr:
-                        cluster.discard(v)
-                        sparse.add(v)
-                        changed = True
-                    else:
-                        raise VerificationFailed(
-                            f"vertex {v} violates a cluster condition but fails the "
-                            f"sparsity test; no valid decomposition at eps_in={eps_in}"
-                        )
-    clusters = [c for c in clusters if c]
+    for cluster in clusters:
+        for v in cluster:
+            nbrs = g.neighbor_set(v)
+            if len(nbrs - cluster) >= eps * d or len(cluster - nbrs) >= eps * d:
+                raise VerificationFailed(
+                    f"vertex {v} violates a cluster condition but fails the "
+                    f"sparsity test; no valid decomposition at eps_in={eps_in}"
+                )
 
     dec = Decomposition(
         sparse=frozenset(sparse),

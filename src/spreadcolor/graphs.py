@@ -10,7 +10,6 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import MaxTriesExceeded, VerificationFailed
 __all__ = [
     "Graph",
     "check_proper",
+    "common_neighbor_blocks",
     "complete_graph",
     "complete_bipartite",
     "disjoint_union",
@@ -58,6 +58,7 @@ class Graph:
     _components: tuple[np.ndarray, tuple[tuple[int, ...], ...]] | None = field(
         repr=False, compare=False, default=None
     )
+    _complement_edges: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -248,20 +249,49 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def neighborhood_complement_edges(g: Graph, v: int) -> int:
-    """Number of non-edges among the neighbors of v.
+# Cells of one block's common-neighbor count matrix, rows x n; a block also
+# gathers at most this many wedges (rows x D^2).  At 2^16 the transient
+# arrays of a block stay within a few MiB.
+_BLOCK_CELLS = 1 << 16
 
-    Equals C(d(v),2) minus the number of edges inside N_v; this is the
-    sparsity statistic that classifies vertices for the decomposition.
+
+def common_neighbor_blocks(
+    g: Graph, rows: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (block, cnt) over consecutive blocks of the vertex array `rows`:
+    cnt has shape (len(block), n) and cnt[i, w] = |N(block[i]) ∩ N(w)|.
+
+    Each block gathers the wedges b - m - w for m in N(b) from the CSR
+    arrays and counts them with one bincount over the keys i*n + w."""
+    n = g.n
+    step = max(1, _BLOCK_CELLS // max(n, g.max_degree**2, 1))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        lens, mids = g.gather_neighbors(block)
+        mid_lens, ends = g.gather_neighbors(mids)
+        owner = np.repeat(np.repeat(np.arange(len(block)), lens), mid_lens)
+        cnt = np.bincount(owner * n + ends, minlength=len(block) * n)
+        yield block, cnt.reshape(len(block), n)
+
+
+def neighborhood_complement_edges(g: Graph) -> np.ndarray:
+    """Per vertex v, the number of non-edges among the neighbors of v, as a
+    read-only int64 array; computed once per graph.
+
+    Equals C(d(v),2) minus the edges inside N_v, and the latter is half of
+    the sum over w in N_v of |N_v ∩ N_w|; this is the sparsity statistic
+    that classifies vertices for the decomposition.
     """
-    nbrs = g.neighbor_set(v)
-    inside = sum(len(nbrs & g._nbr_sets[u]) for u in nbrs) // 2
-    return comb(len(nbrs), 2) - inside
-
-
-def induced_edge_count(g: Graph, vs: Iterable[int]) -> int:
-    vset = frozenset(vs)
-    return sum(len(vset & g._nbr_sets[u]) for u in vset) // 2
+    if g._complement_edges is None:
+        out = np.empty(g.n, dtype=np.int64)
+        for block, cnt in common_neighbor_blocks(g, np.arange(g.n)):
+            lens, mids = g.gather_neighbors(block)
+            row = np.repeat(np.arange(len(block)), lens)
+            twice_inside = np.bincount(row, weights=cnt[row, mids], minlength=len(block))
+            out[block] = lens * (lens - 1) // 2 - twice_inside.astype(np.int64) // 2
+        out.flags.writeable = False
+        object.__setattr__(g, "_complement_edges", out)
+    return g._complement_edges
 
 
 # ---------------------------------------------------------------------------

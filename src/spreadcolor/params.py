@@ -46,6 +46,10 @@ class Params:
     def __post_init__(self):
         if not (0 < self.eps <= 0.05):
             raise ValueError(f"eps must be in (0, 1/20], got {self.eps}")
+        for name in ("theta", "theta_prime"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.h_margin <= 1.0:
             raise ValueError("h_margin must exceed 1")
         if not (0 < self.accept_target < 1):

@@ -180,7 +180,17 @@ def test_sample_jobs_2_fails_like_jobs_1_when_the_pipeline_cannot_be_built(tmp_p
     g_file.write_text(write_edge_list(complete_graph(5)))
     for jobs in ("1", "2"):
         assert main(["sample", "--graph", str(g_file), "--jobs", jobs]) == 1
-        assert "VerificationFailed: vertex 0 violates a cluster condition" in capsys.readouterr().err
+        assert "HypothesisViolated: D = 4 < 1/(2*eps_in) = 10" in capsys.readouterr().err
+
+
+def test_dense_vertex_below_the_degree_bound_exits_1(tmp_path, capsys):
+    # a K5 at D=4 is rejected when the decomposition classifies it, before
+    # any friend graph or cluster is built
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(write_edge_list(complete_graph(5)))
+    assert main(["decompose", "--graph", str(g_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("HypothesisViolated: D = 4 < 1/(2*eps_in) = 10 and vertex 0 is dense")
 
 
 def test_sample_with_broken_matcher_exits_1(tmp_path, monkeypatch, capsys):
@@ -226,3 +236,10 @@ def test_every_param_has_exactly_one_flag_and_round_trips():
 def test_bad_matching_param_is_a_usage_error(capsys):
     assert main(["sample", "--n", "40", "--D", "8", "--k-out", "0"]) == 2
     assert "k_out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--theta-prime"])
+@pytest.mark.parametrize("value", ["nan", "0", "-0.1", "inf"])
+def test_bad_threshold_is_a_usage_error(flag, value, capsys):
+    assert main(["sample", "--n", "40", "--D", "8", flag, value]) == 2
+    assert "must be finite and > 0" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
+from spreadcolor import graphs
 from spreadcolor.decompose import (
     Decomposition,
     sparse_dense_decompose,
     verify_decomposition,
 )
-from spreadcolor.errors import VerificationFailed
+from spreadcolor.errors import HypothesisViolated, VerificationFailed
 from spreadcolor.graphs import (
     Graph,
     complete_graph,
@@ -117,14 +120,171 @@ class TestVerifier:
         assert not verify_decomposition(g, dec).is_partition
 
 
-def test_impossible_repair_raises():
-    # Clique vertices that land in a cluster violating the conditions can
-    # never be demoted (they fail the sparsity test), so the construction
-    # must fail loudly.  At D=6 and eps_in=0.01 a K_7 forms singleton
-    # friend components whose members keep D outside neighbors.
+def test_dense_vertex_below_the_degree_bound_is_rejected():
+    # At D=6 and eps_in=0.01, D < 1/(2*eps_in) = 50: two vertices of a
+    # clique neighborhood share D-1 < (1-2*eps_in)*D neighbors, so friends
+    # would need equal neighborhoods and no cluster can be valid.
     g = complete_graph(7)
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(HypothesisViolated, match=r"D = 6 < 1/\(2\*eps_in\) = 50"):
         sparse_dense_decompose(g, eps_in=0.01)
+    # the same K_7 at eps_in = 0.05 is still below the bound (10)
+    with pytest.raises(HypothesisViolated, match=r"D = 6 < 1/\(2\*eps_in\) = 10"):
+        sparse_dense_decompose(g, eps_in=0.05)
+
+
+def test_all_sparse_graph_below_the_degree_bound_is_accepted():
+    # the bound only matters when a dense vertex exists
+    g = gen_random_regular(60, 6, seed=4)
+    dec = sparse_dense_decompose(g, eps_in=0.05)
+    assert dec.sparse == frozenset(range(60)) and dec.clusters == ()
+
+
+def test_clique_at_the_degree_bound_is_one_cluster():
+    # D = 10 = 1/(2*eps_in): clique-mates share D-1 = (1-2*eps_in)*D neighbors
+    dec = sparse_dense_decompose(complete_graph(11), eps_in=0.05)
+    assert dec.clusters == (tuple(range(11)),)
+
+
+def test_cluster_violation_raises_verification_failed():
+    # theta = 0.5 makes every vertex of a random 20-regular graph dense;
+    # its friend components cannot meet the cluster conditions
+    g = gen_random_regular(40, 20, seed=1)
+    with pytest.raises(VerificationFailed, match="violates a cluster condition"):
+        sparse_dense_decompose(g, eps_in=0.05, theta=0.5)
+
+
+# -- differential check against the pairwise construction --------------------
+
+
+def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> Decomposition:
+    """Frozen copy of the earlier construction: the statistic from neighbor
+    sets per vertex, friends by intersecting every pair of dense neighbor
+    sets, clusters by DFS, then the repair loop."""
+    sets = [frozenset(a) for a in g.adj]
+
+    def stat(v: int) -> int:
+        return comb(len(sets[v]), 2) - sum(len(sets[v] & sets[u]) for u in sets[v]) // 2
+
+    d = g.max_degree
+    if theta is None:
+        theta = eps_in * eps_in / 16.0
+    eps = 8.0 * eps_in
+    thr = theta * d * d
+    sparse = {v for v in range(g.n) if stat(v) >= thr}
+    dense = [v for v in range(g.n) if v not in sparse]
+    friend_thr = (1.0 - 2.0 * eps_in) * d
+    friend_adj: dict[int, list[int]] = {v: [] for v in dense}
+    for i, u in enumerate(dense):
+        for v in dense[i + 1 :]:
+            if len(sets[u] & sets[v]) >= friend_thr:
+                friend_adj[u].append(v)
+                friend_adj[v].append(u)
+    clusters: list[set[int]] = []
+    seen: set[int] = set()
+    for s in dense:
+        if s in seen:
+            continue
+        comp, stack = set(), [s]
+        seen.add(s)
+        while stack:
+            u = stack.pop()
+            comp.add(u)
+            for w in friend_adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        clusters.append(comp)
+    changed = True
+    while changed:
+        changed = False
+        for cluster in clusters:
+            for v in list(cluster):
+                nbrs = sets[v]
+                if len(nbrs - cluster) >= eps * d or len(cluster - nbrs) >= eps * d:
+                    if stat(v) >= thr:
+                        cluster.discard(v)
+                        sparse.add(v)
+                        changed = True
+                    else:
+                        raise VerificationFailed(
+                            f"vertex {v} violates a cluster condition but fails the "
+                            f"sparsity test; no valid decomposition at eps_in={eps_in}"
+                        )
+    return Decomposition(
+        sparse=frozenset(sparse),
+        clusters=tuple(tuple(sorted(c)) for c in clusters if c),
+        eps=eps,
+        theta=theta,
+    )
+
+
+def decomposition_cases() -> dict[str, Graph]:
+    from test_clusters import clique_minus_cycle, swapped_double_clique
+
+    many_cliques = complete_graph(21)
+    for _ in range(11):
+        many_cliques = disjoint_union(many_cliques, complete_graph(21))
+    return {
+        "empty": Graph.from_edges(0, []),
+        "K5": complete_graph(5),
+        "C5": Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+        "K11": complete_graph(11),
+        "K17+K17": disjoint_union(complete_graph(17), complete_graph(17)),
+        "K17+regular": disjoint_union(complete_graph(17), gen_random_regular(60, 16, seed=8)),
+        "clique_minus_cycle(23)": clique_minus_cycle(23),
+        "swapped_double_clique(17)": swapped_double_clique(17),
+        "clustered": disjoint_union(
+            disjoint_union(swapped_double_clique(21), clique_minus_cycle(23)),
+            gen_random_regular(60, 20, seed=3),
+        ),
+        "regular(120, 12)": gen_random_regular(120, 12, seed=11),
+        "12 x K21 + regular": disjoint_union(many_cliques, gen_random_regular(60, 20, seed=9)),
+    }
+
+
+DECOMPOSITION_CASES = decomposition_cases()
+SETTINGS = [(0.05, None), (0.05, 0.05), (0.03, 0.02), (0.05, 0.5)]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (HypothesisViolated, VerificationFailed) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("eps_in, theta", SETTINGS)
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_CASES))
+def test_matches_the_pairwise_reference(name, eps_in, theta):
+    g = DECOMPOSITION_CASES[name]
+    want = outcome(lambda: reference_decompose(g, eps_in, theta))
+    got = outcome(lambda: sparse_dense_decompose(g, eps_in, theta))
+    if isinstance(got, HypothesisViolated):
+        # the reference gets as far as its repair loop and fails there
+        assert isinstance(want, VerificationFailed), want
+        assert g.max_degree < 1 / (2 * eps_in)
+    elif isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+        assert list(got.sparse) == list(want.sparse)  # same set, built in the same order
+
+
+def test_one_row_blocks_give_the_same_decomposition(monkeypatch):
+    monkeypatch.setattr(graphs, "_BLOCK_CELLS", 1)
+    for name in ("clustered", "K17+regular", "swapped_double_clique(17)"):
+        # a fresh graph, so its statistic is computed under the small budget
+        g = Graph.from_edges(DECOMPOSITION_CASES[name].n, DECOMPOSITION_CASES[name].edges())
+        assert sparse_dense_decompose(g, 0.05, 0.05) == reference_decompose(g, 0.05, 0.05)
+
+
+def test_the_large_case_spans_several_blocks():
+    # both the statistic pass (all n rows) and the friend pass (the 252
+    # dense rows) take more than one block
+    g = DECOMPOSITION_CASES["12 x K21 + regular"]
+    rows_per_block = graphs._BLOCK_CELLS // max(g.n, g.max_degree**2)
+    dense = g.n - len(sparse_dense_decompose(g, 0.05).sparse)
+    assert rows_per_block < dense < g.n
 
 
 def test_json_round_trip():

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from spreadcolor.errors import VerificationFailed
+from spreadcolor import graphs
 from spreadcolor.graphs import (
     Graph,
     check_proper,
     complete_bipartite,
     complete_graph,
     disjoint_union,
+    common_neighbor_blocks,
     gen_random_regular,
-    induced_edge_count,
     neighborhood_complement_edges,
     read_edge_list,
     regularize,
@@ -126,42 +127,109 @@ class TestCheckProper:
             check_proper(path_graph(3), np.array([1, 2]))
 
 
+def complement_edges_by_sets(g: Graph) -> list[int]:
+    """The sparsity statistic from neighbor sets, vertex by vertex: the
+    independent oracle for the blocked common-neighbor pass."""
+    sets = [frozenset(a) for a in g.adj]
+    out = []
+    for v in range(g.n):
+        inside = sum(len(sets[v] & sets[u]) for u in sets[v]) // 2
+        out.append(comb(len(sets[v]), 2) - inside)
+    return out
+
+
+def gnp_with_isolated(n: int, p: float, isolated: int, seed: int) -> Graph:
+    """G(n, p) on the first n - isolated vertices, the rest isolated."""
+    rng = random.Random(seed)
+    m = n - isolated
+    return Graph.from_edges(
+        n, [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < p]
+    )
+
+
+def statistic_cases() -> dict[str, Graph]:
+    from test_clusters import clique_minus_cycle, swapped_double_clique
+
+    cases = {
+        "empty": Graph.from_edges(0, []),
+        "edgeless": Graph.from_edges(4, []),
+        "star": complete_bipartite(1, 5),
+        "C5": cycle_graph(5),
+        "K2": complete_graph(2),
+        "K9": complete_graph(9),
+        "K4+K7+K3": disjoint_union(
+            disjoint_union(complete_graph(4), complete_graph(7)), complete_graph(3)
+        ),
+        "clique_minus_cycle(23)": clique_minus_cycle(23),
+        "swapped_double_clique(17)": swapped_double_clique(17),
+        "clustered": disjoint_union(
+            disjoint_union(swapped_double_clique(21), clique_minus_cycle(23)),
+            gen_random_regular(60, 20, seed=3),
+        ),
+        "regular(320, 12)": gen_random_regular(320, 12, seed=5),
+    }
+    for seed in range(6):
+        cases[f"gnp({seed})"] = gnp_with_isolated(8 + 5 * seed, 0.15 + 0.12 * seed, seed % 3, seed)
+    return cases
+
+
+STATISTIC_CASES = statistic_cases()
+
+
 class TestNeighborhoodComplement:
     def test_clique_neighborhood_is_zero(self):
-        g = complete_graph(4)
-        for v in range(4):
-            assert neighborhood_complement_edges(g, v) == 0
+        assert neighborhood_complement_edges(complete_graph(4)).tolist() == [0] * 4
 
     def test_star_center(self):
-        g = complete_bipartite(1, 3)
-        assert neighborhood_complement_edges(g, 0) == 3
+        assert neighborhood_complement_edges(complete_bipartite(1, 3)).tolist() == [3, 0, 0, 0]
 
     def test_five_cycle(self):
-        g = cycle_graph(5)
-        for v in range(5):
-            assert neighborhood_complement_edges(g, v) == 1
+        assert neighborhood_complement_edges(cycle_graph(5)).tolist() == [1] * 5
 
-    def test_invalid_vertex(self):
-        with pytest.raises(ValueError):
-            neighborhood_complement_edges(complete_graph(3), 7)
+    def test_empty_graph(self):
+        out = neighborhood_complement_edges(Graph.from_edges(0, []))
+        assert out.shape == (0,) and out.dtype == np.int64
 
-    def test_cross_check_identity(self):
-        # e(complement of N_v) + e(G[N_v]) = C(d(v), 2) on random graphs.
-        rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(4, 14)
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.4
-            ]
-            g = Graph.from_edges(n, edges)
-            for v in range(n):
-                inside = induced_edge_count(g, g.neighbor_set(v))
-                assert neighborhood_complement_edges(g, v) + inside == comb(
-                    g.degree(v), 2
-                )
+    @pytest.mark.parametrize("name", sorted(STATISTIC_CASES))
+    def test_matches_the_set_oracle(self, name):
+        g = STATISTIC_CASES[name]
+        got = neighborhood_complement_edges(g)
+        assert got.dtype == np.int64 and got.shape == (g.n,)
+        assert got.tolist() == complement_edges_by_sets(g)
+
+    @pytest.mark.parametrize("name", sorted(STATISTIC_CASES))
+    def test_matches_networkx_triangles(self, name):
+        nx = pytest.importorskip("networkx")
+        g = STATISTIC_CASES[name]
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        tri = nx.triangles(h)
+        want = [comb(g.degree(v), 2) - tri[v] for v in range(g.n)]
+        assert neighborhood_complement_edges(g).tolist() == want
+
+    def test_the_large_case_spans_several_blocks(self):
+        g = STATISTIC_CASES["regular(320, 12)"]
+        blocks = list(common_neighbor_blocks(g, np.arange(g.n)))
+        assert len(blocks) > 1
+        assert np.concatenate([b for b, _ in blocks]).tolist() == list(range(g.n))
+
+    def test_block_counts_are_common_neighbors(self):
+        g = STATISTIC_CASES["gnp(4)"]
+        rows = np.array([5, 0, 7])
+        sets = [frozenset(a) for a in g.adj]
+        for block, cnt in common_neighbor_blocks(g, rows):
+            assert cnt.shape == (len(block), g.n)
+            for i, b in enumerate(block):
+                assert cnt[i].tolist() == [len(sets[b] & sets[w]) for w in range(g.n)]
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        g = complete_graph(6)
+        first = neighborhood_complement_edges(g)
+        monkeypatch.setattr(graphs, "common_neighbor_blocks", None)  # a second pass would fail
+        assert neighborhood_complement_edges(g) is first
+        assert not first.flags.writeable
+        assert set(vars(g)) == {f.name for f in fields(Graph)}
 
 
 class TestRegularize:

@@ -31,9 +31,20 @@ def test_bad_matching_params_rejected(bad):
         Params.from_dict(bad)
 
 
+@pytest.mark.parametrize("name", ["theta", "theta_prime"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -0.01])
+def test_bad_thresholds_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        Params(**{name: value})
+    with pytest.raises(ValueError):
+        Params.from_dict({name: value})
+
+
 def test_boundary_values_accepted():
     Params(k_out=1, k_out_max=1, max_tries=1, match_max_tries=1, lambda_max=0.999)
     Params(k_out=16)
+    Params(theta=1e-300, theta_prime=1e-300)
+    Params(theta=1.0, theta_prime=1.0)
 
 
 def test_k_out_max_reaches_the_dense_matcher(monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from spreadcolor.cli import main  # noqa: E402
 from spreadcolor.clusters import Pipeline  # noqa: E402
-from spreadcolor.errors import VerificationFailed  # noqa: E402
+from spreadcolor.errors import HypothesisViolated  # noqa: E402
 from spreadcolor.graphs import (  # noqa: E402
     Graph,
     complete_graph,
@@ -74,17 +74,17 @@ def regular_graphs(draw) -> tuple[Graph, Graph]:
 
 
 def _pipeline_or_known_failure(g: Graph, params: Params) -> Pipeline | None:
-    """Pipeline(g, params), or None when the decomposition fails for the
-    known reason: below D = 1/(2*eps_in) the D-1 common neighbors of two
-    vertices of a clique neighborhood miss the (1-2*eps_in)*D friend
-    threshold, so a dense vertex ends up alone in its cluster, fails the
-    cluster conditions and raises VerificationFailed."""
+    """Pipeline(g, params), or None when the decomposition rejects the input
+    for the known reason: below D = 1/(2*eps_in) the D-1 common neighbors of
+    two vertices of a clique neighborhood miss the (1-2*eps_in)*D friend
+    threshold, so a dense vertex could only form an invalid cluster, and the
+    decomposition raises HypothesisViolated."""
     try:
         return Pipeline(g, params)
-    except VerificationFailed as exc:
+    except HypothesisViolated as exc:
         reg = regularize(g)
-        dense = [v for v in range(reg.n) if neighborhood_complement_edges(reg, v) == 0]
-        assert "violates a cluster condition" in str(exc)
+        dense = (neighborhood_complement_edges(reg) == 0).any()
+        assert "< 1/(2*eps_in)" in str(exc)
         assert g.max_degree < 1 / (2 * params.eps) and dense, str(exc)
         return None
 
