@@ -16,6 +16,7 @@ from spreadcolor.graphs import (
     complete_graph,
     disjoint_union,
     gen_random_regular,
+    regularize,
 )
 
 
@@ -218,6 +219,20 @@ def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> 
     )
 
 
+def sparse_twin() -> Graph:
+    """D=20 after regularize: a dense vertex u whose neighborhood A is K_20
+    minus a matching on 18 of its vertices A', and a sparse vertex w whose
+    neighbors are A' and two vertices b1, b2 off A'.  u and w share 18 =
+    (1 - 2*0.05)*20 neighbors, so only the dense mask keeps w out of u's
+    friend list."""
+    u, a, w, b1, b2 = 0, list(range(1, 21)), 21, 22, 23
+    matched = {(a[i], a[i + 1]) for i in range(0, 18, 2)}
+    edges = [(u, x) for x in a]
+    edges += [(x, y) for i, x in enumerate(a) for y in a[i + 1 :] if (x, y) not in matched]
+    edges += [(x, w) for x in a[:18]] + [(w, b1), (w, b2), (b1, b2)]
+    return regularize(Graph.from_edges(24, edges))
+
+
 def decomposition_cases() -> dict[str, Graph]:
     from test_clusters import clique_minus_cycle, swapped_double_clique
 
@@ -239,6 +254,7 @@ def decomposition_cases() -> dict[str, Graph]:
         ),
         "regular(120, 12)": gen_random_regular(120, 12, seed=11),
         "12 x K21 + regular": disjoint_union(many_cliques, gen_random_regular(60, 20, seed=9)),
+        "sparse twin": sparse_twin(),
     }
 
 
