@@ -22,7 +22,7 @@ from .errors import CapExceeded, NoKeptSamples
 
 __all__ = [
     "wilson_interval",
-    "ContainmentEstimate",
+    "SpreadRow",
     "estimate_containment",
     "SpreadReport",
     "spread_report",
@@ -55,7 +55,10 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 @dataclass
-class ContainmentEstimate:
+class SpreadRow:
+    """Containment frequency of one set of (vertex, color) pairs with its
+    Wilson interval."""
+
     pairs: tuple[tuple[int, int], ...]
     trials: int
     hits: int
@@ -69,7 +72,7 @@ def estimate_containment(
     pairs: Iterable[tuple[int, int]],
     trials: int,
     seed: int,
-) -> ContainmentEstimate:
+) -> SpreadRow:
     """Frequency of {sample contains every (vertex, color) pair} with its
     Wilson interval.  Per-trial streams are keyed by (seed, index), so the
     result does not depend on evaluation order."""
@@ -82,17 +85,7 @@ def estimate_containment(
         if all(sample[v] == c for v, c in pairs):
             hits += 1
     lo, hi = wilson_interval(hits, trials)
-    return ContainmentEstimate(pairs, trials, hits, hits / trials, lo, hi)
-
-
-@dataclass
-class SpreadRow:
-    pairs: tuple[tuple[int, int], ...]
-    trials: int
-    hits: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
+    return SpreadRow(pairs, trials, hits, hits / trials, lo, hi)
 
 
 @dataclass

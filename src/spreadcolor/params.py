@@ -41,12 +41,11 @@ class Params:
     enum_cap: int = 10**8
     color_cap: int = 2_000_000
     c_hat_ceiling: float = 64.0
-    dense_edge_ceiling: float = 10.0
 
     def __post_init__(self):
         if not (0 < self.eps <= 0.05):
             raise ValueError(f"eps must be in (0, 1/20], got {self.eps}")
-        for name in ("theta", "theta_prime"):
+        for name in ("theta", "theta_prime", "t_window", "c_hat_ceiling"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")

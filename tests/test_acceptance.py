@@ -238,6 +238,11 @@ def _matcher_instance_r_gt_0(j: int, unpop_deg: int) -> Bigraph:
     return Bigraph.from_edges(j, j + big_r, edges)
 
 
+# criterion 07: no singleton edge of the dense matcher may be hit with
+# probability above this constant over |I|
+DENSE_EDGE_CEILING = 10.0
+
+
 def test_criterion_07_x_perfect_matcher():
     t0 = time.time()
     j, z = 200, 0.01
@@ -278,7 +283,7 @@ def test_criterion_07_x_perfect_matcher():
         hits[xs, ys] += 1
     worst = int(hits.max())
     _, upper = wilson_interval(worst, trials)
-    edge_ceiling = Params().dense_edge_ceiling / i_size  # 10/I
+    edge_ceiling = DENSE_EDGE_CEILING / i_size
     ok = rate >= 0.98 and branches["greedy+dense"] > 0 and branches["dense"] > 0 \
         and upper <= edge_ceiling
     _report(7, "x-perfect-matcher", ok, time.time() - t0, 300,

@@ -8,6 +8,7 @@ import pytest
 
 from spreadcolor.audit import (
     ExplicitDistribution,
+    SpreadRow,
     SpreadValue,
     check_composition,
     estimate_containment,
@@ -94,6 +95,15 @@ class TestEstimateContainment:
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
         with pytest.raises(ValueError):
             estimate_containment(sampler, [(0, 1)], trials=50, seed=0)
+
+    def test_is_the_spread_report_row(self):
+        # same keyed trial streams, so the same row as a one-set audit
+        g = complete_graph(3)
+        sampler = _uniform_coloring_sampler(g, [[1, 2, 3]] * 3)
+        pairs = ((0, 1), (2, 3))
+        est = estimate_containment(sampler, pairs, trials=300, seed=4)
+        rep = spread_report(sampler, 3, 3, 300, 4, family="custom", custom_sets=[pairs])
+        assert isinstance(est, SpreadRow) and rep.rows == [est]
 
 
 class TestSpreadReport:

@@ -238,8 +238,15 @@ def test_bad_matching_param_is_a_usage_error(capsys):
     assert "k_out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--theta", "--theta-prime"])
+@pytest.mark.parametrize("flag", ["--theta", "--theta-prime", "--t-window", "--c-hat-ceiling"])
 @pytest.mark.parametrize("value", ["nan", "0", "-0.1", "inf"])
 def test_bad_threshold_is_a_usage_error(flag, value, capsys):
     assert main(["sample", "--n", "40", "--D", "8", flag, value]) == 2
     assert "must be finite and > 0" in capsys.readouterr().err
+
+
+def test_audit_with_a_nan_ceiling_is_a_usage_error(capsys):
+    # a nan ceiling would pass the gate vacuously: c_hat > nan is False
+    argv = ["audit", "--n", "20", "--D", "4", "--trials", "100", "--c-hat-ceiling", "nan"]
+    assert main(argv) == 2
+    assert "c_hat_ceiling must be finite and > 0" in capsys.readouterr().err

@@ -55,6 +55,13 @@ CASES = {
         Params(),
         "df2191337d06e9d7420dc3816152de789cf79d16eae6b13a13f60ca48eccb58c",
     ),
+    # 585-656 leftovers per seed: the only case past the level-path
+    # threshold of the sparse-phase greedy; pinned from the sequential loop
+    "regular-large": (
+        lambda: gen_random_regular(1000, 16, seed=23),
+        Params(),
+        "21bb8bb5d7d39eb66a3afca22aafacfcb1adc8db77aec1c3244443d7dd2fc64c",
+    ),
     "irregular": (
         _irregular,
         Params(),

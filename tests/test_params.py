@@ -31,7 +31,7 @@ def test_bad_matching_params_rejected(bad):
         Params.from_dict(bad)
 
 
-@pytest.mark.parametrize("name", ["theta", "theta_prime"])
+@pytest.mark.parametrize("name", ["theta", "theta_prime", "t_window", "c_hat_ceiling"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -0.01])
 def test_bad_thresholds_rejected(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
@@ -45,6 +45,13 @@ def test_boundary_values_accepted():
     Params(k_out=16)
     Params(theta=1e-300, theta_prime=1e-300)
     Params(theta=1.0, theta_prime=1.0)
+    Params(t_window=1e-300, c_hat_ceiling=1e-300)
+    Params(t_window=None)
+
+
+def test_removed_knob_is_an_unknown_parameter():
+    with pytest.raises(ValueError, match="unknown parameter"):
+        Params.from_dict({"dense_edge_ceiling": 10.0})
 
 
 def test_k_out_max_reaches_the_dense_matcher(monkeypatch):

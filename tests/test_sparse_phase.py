@@ -7,13 +7,16 @@ import pytest
 
 from spreadcolor import sparse_phase
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
-from spreadcolor.errors import MaxTriesExceeded, VerificationFailed
+from spreadcolor.errors import MaxTriesExceeded, StuckVertex, VerificationFailed
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
 from spreadcolor.greedy import is_proper
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
     _GREEDY_TAG,
+    _LEVEL_MIN_LEFTOVERS,
     _check_hand_off,
+    _greedy_levels,
+    _greedy_sequential,
     _rng,
     default_window_halfwidth,
     label_statistics,
@@ -190,12 +193,27 @@ class TestSparsePhaseColor:
             (gen_random_regular(200, 16, seed=6), Params()),
             # sparse vertices next to dense ones: labels on T \ V* ban colors
             (swapped_double_clique(17), Params(theta=0.05)),
+            # about 630 leftovers: the level path
+            (gen_random_regular(1000, 16, seed=6), Params()),
         ]
         for g, params in cases:
             dec = sparse_dense_decompose(g, params.eps, params.theta)
             for seed in range(5):
                 res = sparse_phase_color(g, dec, seed, params)
                 assert res.coloring == reference_slack_greedy(g, dec, res, seed)
+        assert len(dec.sparse - res.t_set) >= _LEVEL_MIN_LEFTOVERS
+
+    def test_leftover_count_selects_the_greedy(self, monkeypatch):
+        ran = []
+        for f in (_greedy_levels, _greedy_sequential):
+            monkeypatch.setattr(
+                sparse_phase, f.__name__, lambda *a, f=f: ran.append(f.__name__) or f(*a)
+            )
+        for n, want in ((200, "_greedy_sequential"), (1000, "_greedy_levels")):
+            g = gen_random_regular(n, 16, seed=6)
+            ran.clear()
+            sparse_phase_color(g, _decompose_all_sparse(g), seed=0)
+            assert ran == [want]
 
     def test_labeling_escaping_the_window_is_caught(self, monkeypatch):
         # one label everywhere: T is empty, so |N_v ∩ T| = 0, far below
@@ -276,6 +294,125 @@ class TestSparsePhaseColor:
             alone = sparse_phase_color(g1, dec1, seed=seed)
             restricted = {v: c for v, c in full.coloring.items() if v < 40}
             assert restricted == alone.coloring
+
+
+def _greedy_input(rng, k: int, edges, d: int, p_allowed: float = 1.0):
+    """(leftovers, allowed, earlier, later, uniforms) for k leftovers with
+    increasing vertex ids, the given (earlier, later) position pairs, and
+    each color of 1..D+1 allowed with probability p_allowed."""
+    leftovers = np.cumsum(rng.integers(1, 4, size=k))
+    allowed = rng.random((k, d + 2)) < p_allowed
+    allowed[:, 0] = False
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return leftovers, allowed, pairs[:, 0], pairs[:, 1], rng.random(k)
+
+
+def _random_edges(rng, k: int, m: int) -> set[tuple[int, int]]:
+    if k < 2:
+        return set()
+    a, b = rng.integers(k, size=(2, m))
+    return {(min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist()) if x != y}
+
+
+def _outcome(greedy, args):
+    try:
+        return greedy(*args)
+    except StuckVertex as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(args):
+    allowed = args[1].copy()
+    seq, lev = _outcome(_greedy_sequential, args), _outcome(_greedy_levels, args)
+    assert np.array_equal(args[1], allowed)  # neither greedy writes its input
+    if isinstance(seq, str):
+        assert lev == seq
+    else:
+        assert lev.dtype == seq.dtype == np.int64
+        assert np.array_equal(lev, seq)
+    return seq
+
+
+class TestGreedyPaths:
+    """The level path against the sequential loop on the same arrays."""
+
+    def test_no_leftovers(self):
+        args = _greedy_input(np.random.default_rng(0), 0, set(), 4)
+        assert len(_assert_same_outcome(args)) == 0
+
+    @pytest.mark.parametrize("k", [1, 50, 600])
+    def test_no_edges(self, k):
+        rng = np.random.default_rng(k)
+        _, allowed, _, _, u = args = _greedy_input(rng, k, set(), 10, p_allowed=0.5)
+        allowed[:, 1] = True  # no row is empty
+        picked = _assert_same_outcome(args)
+        for i in range(k):
+            avail = np.flatnonzero(allowed[i])
+            assert picked[i] == avail[int(u[i] * len(avail))]
+
+    @pytest.mark.parametrize("k", [2, 40, 600])
+    def test_chain(self, k):
+        # one vertex per level: consecutive positions must differ
+        rng = np.random.default_rng(k)
+        args = _greedy_input(rng, k, {(i, i + 1) for i in range(k - 1)}, 1)
+        picked = _assert_same_outcome(args)
+        assert (picked[1:] != picked[:-1]).all()
+
+    @pytest.mark.parametrize("k", [30, 600])
+    def test_star(self, k):
+        rng = np.random.default_rng(k)
+        # centre first: one level of k - 1 leaves after it
+        _assert_same_outcome(_greedy_input(rng, k, {(0, i) for i in range(1, k)}, 3))
+        # centre last: its list must lose every leaf color, so give it room
+        args = _greedy_input(rng, k, {(i, k - 1) for i in range(k - 1)}, k)
+        picked = _assert_same_outcome(args)
+        assert picked[-1] not in picked[:-1]
+
+    @pytest.mark.parametrize("k", [100, 511, 512, 900])
+    def test_random_inputs(self, k):
+        rng = np.random.default_rng(k)
+        stuck = 0
+        for trial in range(12):
+            d = int(rng.integers(2, 40))
+            edges = _random_edges(rng, k, int(rng.integers(0, 8 * k)))
+            p = 1.0 if trial % 2 else float(rng.uniform(0.5, 1.0))
+            stuck += isinstance(_assert_same_outcome(_greedy_input(rng, k, edges, d, p)), str)
+        assert 0 < stuck < 12  # both outcomes are exercised
+
+    def test_first_stuck_in_ascending_order_not_in_level_order(self):
+        # the chain 0 -> 1 -> 2 -> 3 with lists {3}, {2}, {1}, {1} leaves 3
+        # stuck at level 3, while 5 has an empty list and is stuck at level
+        # 0; 3 comes first
+        rng = np.random.default_rng(7)
+        leftovers, allowed, earlier, later, u = _greedy_input(
+            rng, 6, {(0, 1), (1, 2), (2, 3)}, 4
+        )
+        allowed[[0, 1, 2, 3, 5]] = False
+        allowed[[0, 1, 2, 3], [3, 2, 1, 1]] = True
+        args = (leftovers, allowed, earlier, later, u)
+        for greedy in (_greedy_sequential, _greedy_levels):
+            with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[3]}$"):
+                greedy(*args)
+        # with 3 freed, the level-0 vertex is the first stuck one
+        allowed[3, 2] = True
+        for greedy in (_greedy_sequential, _greedy_levels):
+            with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[5]}$"):
+                greedy(*args)
+
+    def test_stuck_vertex_with_stuck_successors(self):
+        # 0 has an empty list; its successors see a row the loop never
+        # builds, and may be stuck too, but 0 is named
+        rng = np.random.default_rng(8)
+        k = 600
+        edges = {(0, i) for i in range(1, k)} | {(i, i + 1) for i in range(1, 20)}
+        leftovers, allowed, earlier, later, u = _greedy_input(rng, k, edges, 2)
+        allowed[0] = False
+        allowed[1:21] = False
+        allowed[1:21, 1] = True
+        args = (leftovers, allowed, earlier, later, u)
+        with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[0]}$"):
+            _greedy_levels(*args)
+        _assert_same_outcome(args)
 
 
 def test_concentration_at_moderate_scale():
