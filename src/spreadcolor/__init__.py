@@ -25,7 +25,6 @@ from .clusters import (
     build_cluster_context,
     cluster_shape,
     color_cluster,
-    color_graph_spread,
     process_pair_coloring,
 )
 from .decompose import Decomposition, sparse_dense_decompose, verify_decomposition
@@ -65,8 +64,6 @@ from .matching import (
 )
 from .params import Params
 from .sparse_phase import (
-    LabelingStats,
-    label_statistics,
     sample_conditioned_labeling,
     sparse_phase_color,
 )

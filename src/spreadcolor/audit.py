@@ -153,6 +153,12 @@ def audit_set_family(
         ((v, c),) for v in range(n) for c in range(1, palette_size + 1)
     ]
     if family == "singletons+pairs":
+        if n and n * palette_size < 2:
+            # every drawn 2-set would repeat its one pair: the loop never ends
+            raise ValueError(
+                f"the singletons+pairs family needs two (vertex, color) pairs, "
+                f"got {n * palette_size} (n = {n}, palette {palette_size})"
+            )
         rng = _trial_rng(seed, 1 << 40)
         while len(sets) < n * palette_size + 10 * n:
             v1, v2 = (int(x) for x in rng.integers(n, size=2))
@@ -240,9 +246,6 @@ class SpreadValue:
         if self.size < 1 or self.prob < 0:
             raise ValueError("need size >= 1 and prob >= 0")
 
-    def approx(self) -> float:
-        return float(self.prob) ** (1.0 / self.size)
-
     def __le__(self, other: "SpreadValue") -> bool:
         return self.prob**other.size <= other.prob**self.size
 
@@ -252,10 +255,6 @@ class SpreadValue:
     def le_scalar(self, c: Fraction | int) -> bool:
         """self <= c, exactly."""
         return self.prob <= Fraction(c) ** self.size
-
-    def pow_le(self, exponent: int, bound: Fraction) -> bool:
-        """self^exponent <= bound, exactly."""
-        return self.prob**exponent <= bound**self.size
 
 
 @dataclass

@@ -11,7 +11,6 @@ sparse phase and the cluster loop into a sampler of proper
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -40,7 +39,6 @@ __all__ = [
     "color_cluster",
     "Pipeline",
     "PipelineResult",
-    "color_graph_spread",
     "FLAG_NO_SPREAD",
 ]
 
@@ -287,12 +285,13 @@ def process_pair_coloring(
 
 def color_cluster(
     ctx: ClusterContext, rng: np.random.Generator, params: Params | None = None
-) -> tuple[dict[int, int], str]:
+) -> tuple[np.ndarray, str]:
     """Proper coloring of the cluster consistent with sigma_out; returns
-    (coloring, branch taken)."""
+    (colors, branch taken), colors an int64 array aligned with ctx.cluster."""
     if params is None:
         params = Params()
     d, eps = ctx.d, ctx.eps
+    colors = np.zeros(len(ctx.cluster), dtype=np.int64)
     if ctx.zeta < ctx.zeta0:
         branch = "small"
         j = len(ctx.cluster)
@@ -311,25 +310,26 @@ def color_cluster(
             lambda_max=params.lambda_max,
             k_max=params.k_out_max,
         )
-        coloring = {ctx.cluster[x]: y + 1 for x, y in m.pairs.items()}
+        for x, y in m.pairs.items():
+            colors[x] = y + 1
     else:
         branch = "large"
         eta, rounds = _eta_rounds(ctx, params)
         _check_hierarchy(ctx, eta, params.h_margin)
         pi = process_pair_coloring(ctx, rng, rounds=rounds, eta=eta, params=params)
-        rest = [v for v in ctx.cluster if v not in pi]
-        used_y = {c - 1 for c in pi.values()}
-        rest_y = [y for y in range(d + 1) if y not in used_y]
-        x_idx = [i for i, v in enumerate(ctx.cluster) if v not in pi]
+        colors[np.searchsorted(ctx.shape.members, list(pi))] = list(pi.values())
+        x_idx = np.flatnonzero(colors == 0)
+        free = np.ones(d + 2, dtype=bool)
+        free[colors] = False
+        rest_y = np.flatnonzero(free[1:])
         b2 = ctx.b.subgraph(x_idx, rest_y)
-        j = len(rest)
         big_r = d + 1 - len(ctx.cluster) + rounds
         if big_r < 0:
             raise NegativeR(f"R = {big_r} < 0 on the large-zeta path")
         if b2.ny - b2.nx != big_r:
             raise VerificationFailed("large-zeta bookkeeping: |Y| - |X| != R")
         z = 2.0 * (eps + eta)
-        r_x = [ctx.shape.h_deg[i] - rounds for i in x_idx]
+        r_x = [ctx.shape.h_deg[i] - rounds for i in x_idx.tolist()]
         m = spread_X_perfect_matching(
             b2,
             z,
@@ -340,33 +340,31 @@ def color_cluster(
             lambda_max=params.lambda_max,
             k_max=params.k_out_max,
         )
-        coloring = dict(pi)
-        coloring.update({rest[x]: rest_y[y] + 1 for x, y in m.pairs.items()})
+        for x, y in m.pairs.items():
+            colors[x_idx[x]] = rest_y[y] + 1
 
-    _assert_cluster_proper(ctx, coloring)
-    return coloring, branch
+    _assert_cluster_proper(ctx, colors)
+    return colors, branch
 
 
-def _assert_cluster_proper(ctx: ClusterContext, coloring: dict[int, int]) -> None:
-    if set(coloring) != set(ctx.cluster):
+def _assert_cluster_proper(ctx: ClusterContext, colors: np.ndarray) -> None:
+    if not colors.all():
         raise VerificationFailed("cluster coloring does not cover the cluster")
-    colors = ctx.sigma_out.copy()
-    colors[list(coloring)] = list(coloring.values())
-    check_proper(ctx.graph, colors, edges=ctx.shape.edges, what="cluster coloring")
+    full = ctx.sigma_out.copy()
+    full[ctx.shape.members] = colors
+    check_proper(ctx.graph, full, edges=ctx.shape.edges, what="cluster coloring")
 
 
-def _greedy_cluster_fallback(
-    g: Graph, cluster: Sequence[int], colors: np.ndarray
-) -> dict[int, int]:
-    """Deterministic first-legal-color completion against the color array
-    (0 = uncolored); palette D+1 always suffices on a graph of max degree D."""
+def _greedy_cluster_fallback(g: Graph, members: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Deterministic first-legal-color completion of the sorted cluster
+    `members` against the color array (0 = uncolored); palette D+1 always
+    suffices on a graph of max degree D.  Returns the members' colors."""
     d = g.max_degree
     colors = colors.copy()
-    out: dict[int, int] = {}
-    for v in sorted(cluster):
+    for v in members.tolist():
         used = {int(colors[w]) for w in g.neighbors(v)}
-        out[v] = colors[v] = next(c for c in range(1, d + 2) if c not in used)
-    return out
+        colors[v] = next(c for c in range(1, d + 2) if c not in used)
+    return colors[members]
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +383,6 @@ class PipelineResult:
     @property
     def flagged(self) -> bool:
         return FLAG_NO_SPREAD in self.flags
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "coloring": {str(v): c for v, c in sorted(self.coloring.items())},
-                "flags": self.flags,
-                "cluster_paths": self.cluster_paths,
-                "seed": self.seed,
-                "params": self.params.to_dict(),
-            }
-        )
 
 
 class Pipeline:
@@ -431,23 +418,21 @@ class Pipeline:
         colors = sparse_phase_color(self.reg, self.dec, seed, params).colors
 
         for i, cluster in enumerate(self.dec.clusters):
+            shape = self._shape(i)
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((seed, _CLUSTER_TAG, i)))
             )
             try:
-                ctx = build_cluster_context(
-                    self.reg, cluster, colors, params, shape=self._shape(i)
-                )
-                coloring, branch = color_cluster(ctx, rng, params)
+                ctx = build_cluster_context(self.reg, cluster, colors, params, shape=shape)
+                colors[shape.members], branch = color_cluster(ctx, rng, params)
                 paths.append(branch)
             except (HypothesisViolated, EmptyChoiceSet, MaxTriesExceeded) as exc:
                 # a cluster outside the construction's hypotheses; a broken
                 # invariant (VerificationFailed) is a bug and propagates
-                coloring = _greedy_cluster_fallback(self.reg, cluster, colors)
+                colors[shape.members] = _greedy_cluster_fallback(self.reg, shape.members, colors)
                 paths.append(f"fallback({type(exc).__name__})")
                 if FLAG_NO_SPREAD not in flags:
                     flags.append(FLAG_NO_SPREAD)
-            colors[list(coloring)] = list(coloring.values())
 
         check_proper(self.reg, colors, what="pipeline coloring")
         colors = colors[: self.original.n].copy()  # not a view pinning the regularized array
@@ -470,10 +455,3 @@ class Pipeline:
         colors, flags, _ = self._sample(seed)
         return colors, FLAG_NO_SPREAD in flags
 
-
-def color_graph_spread(
-    g: Graph, seed: int, params: Params | None = None
-) -> PipelineResult:
-    """One-shot pipeline run: regularize, decompose, sparse phase, cluster
-    phase, restricted back to the input vertices."""
-    return Pipeline(g, params).sample(seed)

@@ -40,9 +40,6 @@ class Decomposition:
     eps: float
     theta: float
 
-    def cluster_of(self) -> dict[int, int]:
-        return {v: i for i, c in enumerate(self.clusters) for v in c}
-
     def to_json(self) -> str:
         return json.dumps(
             {

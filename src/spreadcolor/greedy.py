@@ -8,7 +8,6 @@ Fractions throughout.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,6 @@ from .graphs import Graph, complete_bipartite, complete_graph
 
 __all__ = [
     "ListAssignment",
-    "is_proper",
     "slack_greedy_sample",
     "ColoringEnumeration",
     "enumerate_colorings",
@@ -37,31 +35,8 @@ ListAssignment = Sequence[Sequence[int]]
 Coloring = dict[int, int]
 
 
-def lists_to_json(lists: ListAssignment) -> str:
-    return json.dumps({str(v): list(s) for v, s in enumerate(lists)})
-
-
-def lists_from_json(text: str) -> list[list[int]]:
-    data = json.loads(text)
-    return [list(map(int, data[str(v)])) for v in range(len(data))]
-
-
-def coloring_to_json(sigma: Mapping[int, int]) -> str:
-    return json.dumps({str(v): c for v, c in sorted(sigma.items())})
-
-
 def uniform_lists(g: Graph, palette_size: int) -> list[list[int]]:
     return [list(range(1, palette_size + 1)) for _ in range(g.n)]
-
-
-def is_proper(g: Graph, sigma: Mapping[int, int], lists: ListAssignment | None = None) -> bool:
-    for v, c in sigma.items():
-        if lists is not None and c not in lists[v]:
-            return False
-        for w in g.neighbors(v):
-            if w in sigma and sigma[w] == c:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

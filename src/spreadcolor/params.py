@@ -49,8 +49,12 @@ class Params:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.h_margin <= 1.0:
-            raise ValueError("h_margin must exceed 1")
+        if not (math.isfinite(self.h_margin) and self.h_margin > 1.0):
+            raise ValueError(f"h_margin must be finite and > 1, got {self.h_margin}")
+        if self.zeta0 is not None and not (math.isfinite(self.zeta0) and self.zeta0 >= 0):
+            raise ValueError(f"zeta0 must be finite and >= 0, got {self.zeta0}")
+        if self.eta is not None and not (0 < self.eta <= 1):
+            raise ValueError(f"eta must be finite and in (0, 1], got {self.eta}")
         if not (0 < self.accept_target < 1):
             raise ValueError("accept_target must be in (0, 1)")
         if not (1 <= self.k_out <= self.k_out_max):
@@ -58,10 +62,9 @@ class Params:
                 f"need 1 <= k_out <= k_out_max, got k_out={self.k_out}, "
                 f"k_out_max={self.k_out_max}"
             )
-        if self.max_tries < 1:
-            raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
-        if self.match_max_tries < 1:
-            raise ValueError(f"match_max_tries must be >= 1, got {self.match_max_tries}")
+        for name in ("max_tries", "match_max_tries", "enum_cap", "color_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0 < self.lambda_max < 1):
             raise ValueError(f"lambda_max must be in (0, 1), got {self.lambda_max}")
 

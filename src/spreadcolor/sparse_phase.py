@@ -27,8 +27,6 @@ from .graphs import Graph, check_proper
 from .params import Params
 
 __all__ = [
-    "LabelingStats",
-    "label_statistics",
     "tranquil_mask",
     "default_window_halfwidth",
     "sample_conditioned_labeling",
@@ -91,62 +89,24 @@ def _pair_count(g: Graph, tau: np.ndarray, v: int) -> int:
     return count
 
 
-@dataclass
-class LabelingStats:
-    """Exact statistics of one labeling, restricted to the sparse set."""
-
-    t_set: frozenset[int]
-    in_t: dict[int, int]
-    pair_count: dict[int, int]
-    bad: dict[int, bool]
-    window_halfwidth: float  # absolute units of |N_v ∩ T|
-    pair_min: float
-
-    @property
-    def any_bad(self) -> bool:
-        return any(self.bad.values())
-
-
-def label_statistics(
+def _bad_vertices(
     g: Graph,
     tau: np.ndarray,
-    vstar,
-    theta_prime: float,
-    window_halfwidth: float | None = None,
-    pair_min: float | None = None,
-) -> LabelingStats:
-    """T, |N_v ∩ T|, |P_v| and the bad-event flag for each sparse vertex.
-
-    By default the bad event is the literal one: |N_v ∩ T| outside
-    (e^-1 ± theta'/3)D or |P_v| < theta'*D.  Callers running at desk
-    scale pass wider/looser thresholds explicitly.
-    """
-    d = g.max_degree
-    if window_halfwidth is None:
-        window_halfwidth = theta_prime / 3.0 * d
-    if pair_min is None:
-        pair_min = theta_prime * d
-    tau = np.asarray(tau)
-    t_mask = tranquil_mask(g, tau)
-    counts = _in_t_counts(g, t_mask)
-    center = d / math.e
-    in_t: dict[int, int] = {}
-    pairs: dict[int, int] = {}
-    bad: dict[int, bool] = {}
-    for v in sorted(vstar):
-        c = int(counts[v])
-        in_t[v] = c
-        p = _pair_count(g, tau, v)
-        pairs[v] = p
-        bad[v] = abs(c - center) > window_halfwidth or p < pair_min
-    return LabelingStats(
-        t_set=frozenset(np.flatnonzero(t_mask).tolist()),
-        in_t=in_t,
-        pair_count=pairs,
-        bad=bad,
-        window_halfwidth=window_halfwidth,
-        pair_min=pair_min,
-    )
+    where: np.ndarray,
+    lo: float,
+    hi: float,
+    pair_min: float,
+) -> np.ndarray:
+    """Mask of the vertices in `where` hit by the bad event of the labeling
+    tau: |N_v ∩ T| outside [lo, hi], or |P_v| < pair_min.  The pair clause
+    is evaluated only when pair_min > 0, and only on the vertices of
+    `where` that the window has not already marked."""
+    counts = _in_t_counts(g, tranquil_mask(g, tau))
+    bad = where & ((counts < lo) | (counts > hi))
+    if pair_min > 0:
+        for v in np.flatnonzero(where & ~bad).tolist():
+            bad[v] = _pair_count(g, tau, v) < pair_min
+    return bad
 
 
 def default_window_halfwidth(
@@ -217,10 +177,10 @@ def sample_conditioned_labeling(
     center = d / math.e
     lo, hi = center - window_halfwidth, center + window_halfwidth
 
-    comps = g.components()
+    n_comps = len(g.components())
     labels = g.component_labels()
     # components without a sparse vertex keep their attempt-0 labels
-    pending = np.bincount(labels[star], minlength=len(comps)) > 0
+    pending = np.bincount(labels[star], minlength=n_comps) > 0
     final = _rng(seed, _LABEL_TAG, 0).integers(1, d + 2, size=n)
     tau = final.copy()
     for t in range(max_tries):
@@ -228,12 +188,8 @@ def sample_conditioned_labeling(
             return final
         if t:
             tau = _rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
-        counts = _in_t_counts(g, tranquil_mask(g, tau))
-        bad = star & ((counts < lo) | (counts > hi))
-        ok = pending & (np.bincount(labels[bad], minlength=len(comps)) == 0)
-        if pair_min > 0:
-            for c in np.flatnonzero(ok):
-                ok[c] = all(_pair_count(g, tau, v) >= pair_min for v in comps[c] if star[v])
+        bad = _bad_vertices(g, tau, star & pending[labels], lo, hi, pair_min)
+        ok = pending & (np.bincount(labels[bad], minlength=n_comps) == 0)
         take = ok[labels]
         final[take] = tau[take]
         pending &= ~ok
@@ -252,12 +208,6 @@ class SparsePhaseResult:
     t_mask: np.ndarray                # conflict-free set T of the labeling
     window_halfwidth: float
     pair_min: float
-
-    @property
-    def coloring(self) -> dict[int, int]:
-        """The coloring of V* as a dict."""
-        vs = np.flatnonzero(self.colors)
-        return dict(zip(vs.tolist(), self.colors[vs].tolist()))
 
     @property
     def t_set(self) -> frozenset[int]:
@@ -439,29 +389,28 @@ def sparse_phase_color(
     left_mask = star & ~t_mask
     leftovers = np.flatnonzero(left_mask)
 
-    # ban[v, c]: some T-neighbor of v has label c
+    # allowed[i, c]: no T-neighbor of leftover i has label c; column 0 is
+    # no color
+    pos = np.cumsum(left_mask) - 1
     eu, ev = g.edge_arrays()
-    ban = np.zeros((g.n, d + 2), dtype=bool)
+    allowed = np.ones((len(leftovers), d + 2), dtype=bool)
+    allowed[:, 0] = False
     for a, b in ((eu, ev), (ev, eu)):
-        in_t = t_mask[b]
-        ban[a[in_t], tau[b[in_t]]] = True
-    left_ban = ban[leftovers]
+        hit = left_mask[a] & t_mask[b]
+        allowed[pos[a[hit]], tau[b[hit]]] = False
     _check_hand_off(
         leftovers,
         _in_t_counts(g, t_mask)[leftovers],
         _in_t_counts(g, left_mask)[leftovers],
-        d + 1 - left_ban.sum(axis=1),
+        allowed.sum(axis=1),
         d,
         window,
         pair_min,
     )
 
     # leftover-to-leftover edges as (earlier, later) positions in `leftovers`
-    pos = np.cumsum(left_mask) - 1
     both = left_mask[eu] & left_mask[ev]
     earlier, later = pos[eu[both]], pos[ev[both]]
-    allowed = ~left_ban
-    allowed[:, 0] = False
     uniforms = _rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
     greedy = _greedy_levels if len(leftovers) >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
     picked = greedy(leftovers, allowed, earlier, later, uniforms)

@@ -30,7 +30,6 @@ from spreadcolor.greedy import (
     build_counterexample,
     enumerate_colorings,
     exact_containment_uniform,
-    is_proper,
     random_greedy_exact_probability,
 )
 from spreadcolor.matching import (
@@ -42,6 +41,7 @@ from spreadcolor.matching import (
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import _in_t_counts, tranquil_mask
 from spreadcolor.thresholds import Hypergraph, cost_bruteforce, expense, sparsification_scan
+from oracles import is_proper
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float, detail: str):

@@ -143,6 +143,15 @@ class TestSpreadReport:
         assert len(pairs) == 100
         assert all(s[0] != s[1] for s in pairs)
 
+    def test_pairs_need_two_vertex_color_pairs(self):
+        # one vertex with a one-color palette: every 2-set would repeat its
+        # only pair, and drawing used to loop forever
+        with pytest.raises(ValueError, match="needs two"):
+            audit_set_family(1, 1, seed=0)
+        assert audit_set_family(1, 1, seed=0, family="singletons") == [((0, 1),)]
+        assert len(audit_set_family(1, 2, seed=0)) == 2 + 10
+        assert audit_set_family(0, 1, seed=0) == []
+
     def test_csv_shape(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])

@@ -245,6 +245,32 @@ def test_bad_threshold_is_a_usage_error(flag, value, capsys):
     assert "must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--n", "40", "--D", "8", "--h-margin", "nan"], "h_margin must be finite and > 1"),
+        (["sample", "--n", "40", "--D", "8", "--zeta0", "-1"], "zeta0 must be finite and >= 0"),
+        (["sample", "--n", "40", "--D", "8", "--eta", "2"], "eta must be finite and in (0, 1]"),
+        (["sparsify", "--n", "20", "--D", "4", "--color-cap", "0"], "color_cap must be >= 1"),
+        (["counterexample", "red_thumb", "--D", "3", "--enum-cap", "0"], "enum_cap must be >= 1"),
+    ],
+)
+def test_bad_cluster_or_cap_value_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_audit_pairs_on_a_one_vertex_graph_is_a_usage_error(tmp_path, capsys):
+    # a single vertex with palette 1 has one (vertex, color) pair, so no
+    # 2-set can be drawn; the run used to hang
+    g_file = tmp_path / "g.txt"
+    g_file.write_text("# n=1\n")
+    argv = ["audit", "--graph", str(g_file), "--sampler", "random-greedy", "--trials", "100"]
+    assert main(argv) == 2
+    assert "needs two (vertex, color) pairs" in capsys.readouterr().err
+    assert main(argv + ["--family", "singletons"]) == 0
+
+
 def test_audit_with_a_nan_ceiling_is_a_usage_error(capsys):
     # a nan ceiling would pass the gate vacuously: c_hat > nan is False
     argv = ["audit", "--n", "20", "--D", "4", "--trials", "100", "--c-hat-ceiling", "nan"]

@@ -9,14 +9,13 @@ from spreadcolor.clusters import (
     build_cluster_context,
     cluster_shape,
     color_cluster,
-    color_graph_spread,
     process_pair_coloring,
 )
 from spreadcolor.errors import FloorNotMet, HypothesisViolated, NegativeR, VerificationFailed
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
-from spreadcolor.greedy import is_proper
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
+from oracles import is_proper
 
 
 def clique_minus_cycle(n: int) -> Graph:
@@ -204,16 +203,17 @@ class TestColorCluster:
         d = 16
         g = complete_graph(d + 1)
         ctx = build_cluster_context(g, range(d + 1), {}, Params())
-        coloring, branch = color_cluster(ctx, np.random.default_rng(3))
+        colors, branch = color_cluster(ctx, np.random.default_rng(3))
         assert branch == "small"
-        assert sorted(coloring.values()) == list(range(1, d + 2))
+        assert colors.dtype == np.int64 and sorted(colors) == list(range(1, d + 2))
 
     def test_large_zeta_path(self):
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), {}, Params())
-        coloring, branch = color_cluster(ctx, np.random.default_rng(4))
+        colors, branch = color_cluster(ctx, np.random.default_rng(4))
         assert branch == "large"
-        assert set(coloring) == set(range(19))
+        coloring = dict(zip(ctx.cluster, colors.tolist()))
+        assert set(coloring) == set(range(19)) and all(coloring.values())
         assert is_proper(g, coloring)
         # colors used twice are exactly the process pairs
         from collections import Counter
@@ -239,9 +239,10 @@ class TestColorCluster:
         sigma_out = {v: (v % 17) + 1 for v in range(19, 38)}
         ctx = build_cluster_context(g2, range(19), sigma_out, Params())
         assert ctx.zeta == pytest.approx(20 / 256)
-        coloring, branch = color_cluster(ctx, np.random.default_rng(5))
+        colors, branch = color_cluster(ctx, np.random.default_rng(5))
         assert branch == "large"
-        for v, c in coloring.items():
+        assert colors.all()
+        for v, c in zip(ctx.cluster, colors.tolist()):
             for w in g2.neighbors(v):
                 if w in sigma_out:
                     assert sigma_out[w] != c
@@ -299,7 +300,8 @@ class TestClusterCheck:
 class TestPipelineCheck:
     def test_improper_final_coloring_caught(self, monkeypatch):
         monkeypatch.setattr(
-            clusters, "color_cluster", lambda ctx, rng, params: ({v: 1 for v in ctx.cluster}, "small")
+            clusters, "color_cluster",
+            lambda ctx, rng, params: (np.ones(len(ctx.cluster), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match=r"pipeline coloring is not proper: edge \(0,1\)"):
             Pipeline(complete_graph(17)).sample(0)
@@ -314,7 +316,10 @@ class TestPipelineCheck:
             Pipeline(complete_graph(17)).sample(0)
 
     def test_uncolored_vertex_caught(self, monkeypatch):
-        monkeypatch.setattr(clusters, "color_cluster", lambda ctx, rng, params: ({}, "small"))
+        monkeypatch.setattr(
+            clusters, "color_cluster",
+            lambda ctx, rng, params: (np.zeros(len(ctx.cluster), dtype=np.int64), "small"),
+        )
         with pytest.raises(VerificationFailed, match="left vertices uncolored"):
             Pipeline(complete_graph(17)).sample(0)
 
@@ -323,7 +328,7 @@ class TestPipeline:
     def test_single_clique(self):
         d = 16
         g = complete_graph(d + 1)
-        res = color_graph_spread(g, seed=0)
+        res = Pipeline(g).sample(0)
         assert sorted(res.coloring.values()) == list(range(1, d + 2))
         assert res.cluster_paths == ["small"]
         assert not res.flagged
@@ -385,12 +390,6 @@ class TestPipeline:
         with pytest.raises(ValueError):
             Pipeline(complete_graph(3))
 
-    def test_result_json(self):
-        g = complete_graph(17)
-        res = color_graph_spread(g, seed=1)
-        out = res.to_json()
-        assert '"cluster_paths": ["small"]' in out
-
     def test_irregular_input_regularized(self):
         # star-ish irregular graph: pipeline must still produce a proper
         # (D+1)-coloring of the original vertices
@@ -399,7 +398,7 @@ class TestPipeline:
             [(0, i) for i in range(1, 9)]
             + [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (10, 11)],
         )
-        res = color_graph_spread(g, seed=2)
+        res = Pipeline(g).sample(2)
         assert set(res.coloring) == set(range(12))
         assert is_proper(g, res.coloring)
         assert set(res.coloring.values()) <= set(range(1, g.max_degree + 2))

@@ -22,6 +22,7 @@ from spreadcolor.graphs import (
     regularize,
     write_edge_list,
 )
+from oracles import is_proper
 
 
 def path_graph(n: int) -> Graph:
@@ -125,6 +126,25 @@ class TestCheckProper:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             check_proper(path_graph(3), np.array([1, 2]))
+
+    def test_matches_the_dict_oracle(self):
+        # random partial colorings, 0 standing for a vertex missing from the dict
+        rng = np.random.default_rng(11)
+        graphs = [path_graph(6), cycle_graph(7), complete_graph(5), gen_random_regular(30, 4, seed=5)]
+        graphs.append(Graph.from_edges(9, [(0, 1), (1, 2), (3, 4)]))  # isolated vertices
+        verdicts = set()
+        for g in graphs:
+            for _ in range(60):
+                colors = rng.integers(0, int(rng.integers(2, 2 * g.max_degree + 3)), size=g.n)
+                sigma = {v: c for v, c in enumerate(colors.tolist()) if c}
+                try:
+                    check_proper(g, colors)
+                    ok = True
+                except VerificationFailed:
+                    ok = False
+                assert ok == is_proper(g, sigma)
+                verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 def complement_edges_by_sets(g: Graph) -> list[int]:

@@ -12,15 +12,13 @@ from spreadcolor.greedy import (
     build_counterexample,
     enumerate_colorings,
     exact_containment_uniform,
-    is_proper,
-    lists_from_json,
-    lists_to_json,
     random_greedy_exact_probability,
     random_greedy_sample,
     slack_greedy_exact_distribution,
     slack_greedy_sample,
     uniform_lists,
 )
+from oracles import is_proper
 
 
 def path_graph(n: int) -> Graph:
@@ -227,14 +225,3 @@ class TestCounterexamples:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_counterexample("nope", 3)
-
-
-def test_lists_json_round_trip():
-    lists = [[1, 2], [2, 3, 4]]
-    assert lists_from_json(lists_to_json(lists)) == lists
-
-
-def test_coloring_json():
-    from spreadcolor.greedy import coloring_to_json
-
-    assert coloring_to_json({1: 3, 0: 2}) == '{"0": 2, "1": 3}'

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from spreadcolor import clusters, matching
+from spreadcolor import matching
 from spreadcolor.clusters import Pipeline
 from spreadcolor.graphs import complete_graph
 from spreadcolor.params import Params
@@ -40,6 +40,23 @@ def test_bad_thresholds_rejected(name, value):
         Params.from_dict({name: value})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("h_margin", v, "h_margin must be finite and > 1") for v in (NAN, INF, -INF, 1.0, 0.5)]
+    + [("zeta0", v, "zeta0 must be finite and >= 0") for v in (NAN, INF, -INF, -1.0, -1e-9)]
+    + [("eta", v, r"eta must be finite and in \(0, 1\]") for v in (NAN, INF, -INF, 0.0, -0.5, 2.0, 1.0001)]
+    + [(name, v, f"{name} must be >= 1") for name in ("enum_cap", "color_cap") for v in (0, -1)],
+)
+def test_bad_cluster_and_cap_values_rejected(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        Params(**{name: value})
+    with pytest.raises(ValueError, match=message):
+        Params.from_dict({name: value})
+
+
 def test_boundary_values_accepted():
     Params(k_out=1, k_out_max=1, max_tries=1, match_max_tries=1, lambda_max=0.999)
     Params(k_out=16)
@@ -47,6 +64,8 @@ def test_boundary_values_accepted():
     Params(theta=1.0, theta_prime=1.0)
     Params(t_window=1e-300, c_hat_ceiling=1e-300)
     Params(t_window=None)
+    Params(h_margin=1.0000001, zeta0=0.0, eta=1.0, enum_cap=1, color_cap=1)
+    Params(zeta0=1e300, eta=1e-300)
 
 
 def test_removed_knob_is_an_unknown_parameter():
@@ -65,5 +84,5 @@ def test_k_out_max_reaches_the_dense_matcher(monkeypatch):
     monkeypatch.setattr(matching, "spread_matching_dense", spy)
     Pipeline(complete_graph(17), Params(k_out_max=5)).sample(0)
     assert seen == [5]
-    res = clusters.color_graph_spread(complete_graph(17), 0, Params(k_out=2, k_out_max=4))
+    res = Pipeline(complete_graph(17), Params(k_out=2, k_out_max=4)).sample(0)
     assert seen == [5, 4] and sorted(res.coloring.values()) == list(range(1, 18))

@@ -9,26 +9,67 @@ from spreadcolor import sparse_phase
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
 from spreadcolor.errors import MaxTriesExceeded, StuckVertex, VerificationFailed
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
-from spreadcolor.greedy import is_proper
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
     _GREEDY_TAG,
     _LEVEL_MIN_LEFTOVERS,
+    _bad_vertices,
     _check_hand_off,
     _greedy_levels,
     _greedy_sequential,
+    _in_t_counts,
+    _pair_count,
     _rng,
     default_window_halfwidth,
-    label_statistics,
     sample_conditioned_labeling,
     sparse_phase_color,
     tranquil_mask,
 )
+from oracles import is_proper
 from test_clusters import swapped_double_clique
 
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def as_dict(colors: np.ndarray) -> dict[int, int]:
+    """The colored vertices of a color array (0 = uncolored) as a dict."""
+    vs = np.flatnonzero(colors)
+    return dict(zip(vs.tolist(), colors[vs].tolist()))
+
+
+def reference_bad_event(
+    g: Graph, tau: np.ndarray, vstar, window_halfwidth: float, pair_min: float
+) -> dict[int, bool]:
+    """The per-vertex bad-event loop the predicate replaced, with its own
+    set-based pair count: |N_v ∩ T| more than the halfwidth from D/e, or
+    fewer than pair_min non-adjacent equal-label pairs u, w in N_v whose
+    label appears nowhere else in N_v ∪ N_u ∪ N_w."""
+    d = g.max_degree
+    t = {v for v in range(g.n) if all(tau[w] != tau[v] for w in g.neighbors(v))}
+    bad = {}
+    for v in sorted(vstar):
+        c = sum(1 for w in g.neighbors(v) if w in t)
+        nbrs = sorted(g.neighbor_set(v))
+        p = 0
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1 :]:
+                if tau[u] != tau[w] or g.has_edge(u, w):
+                    continue
+                zone = (g.neighbor_set(v) | g.neighbor_set(u) | g.neighbor_set(w)) - {u, w}
+                p += all(tau[z] != tau[u] for z in zone)
+        bad[v] = abs(c - d / math.e) > window_halfwidth or p < pair_min
+    return bad
+
+
+def _literal_bad(g: Graph, tau: np.ndarray, theta_prime: float) -> np.ndarray:
+    """The literal bad event on every vertex: window (e^-1 ± theta'/3)D and
+    pair_min theta'*D."""
+    d = g.max_degree
+    w = theta_prime / 3.0 * d
+    every = np.ones(g.n, dtype=bool)
+    return _bad_vertices(g, tau, every, d / math.e - w, d / math.e + w, theta_prime * d)
 
 
 def reference_slack_greedy(g: Graph, dec: Decomposition, res, seed: int) -> dict[int, int]:
@@ -48,9 +89,7 @@ def reference_slack_greedy(g: Graph, dec: Decomposition, res, seed: int) -> dict
 class TestLabelStatistics:
     def test_all_distinct_labels_gives_full_t(self):
         g = complete_graph(4)
-        tau = np.array([1, 2, 3, 4])
-        stats = label_statistics(g, tau, vstar=range(4), theta_prime=0.01)
-        assert stats.t_set == frozenset(range(4))
+        assert tranquil_mask(g, np.array([1, 2, 3, 4])).all()
 
     def test_k2_equal_labels_empty_t(self):
         g = complete_graph(2)
@@ -60,27 +99,61 @@ class TestLabelStatistics:
         g = cycle_graph(5)
         tau = np.array([1, 1, 2, 3, 4])
         # vertices 0,1 share a label along an edge; 2,3,4 are conflict-free
-        stats = label_statistics(g, tau, vstar=range(5), theta_prime=0.01)
-        assert stats.t_set == frozenset({2, 3, 4})
-        assert stats.in_t == {0: 1, 1: 1, 2: 1, 3: 2, 4: 1}
+        t_mask = tranquil_mask(g, tau)
+        assert np.flatnonzero(t_mask).tolist() == [2, 3, 4]
+        assert _in_t_counts(g, t_mask).tolist() == [1, 1, 1, 2, 1]
 
     def test_pair_count_definition(self):
         # star center: leaves are mutually non-adjacent; two leaves sharing a
         # label form a pair iff nothing else in the three neighborhoods
         # carries that label.
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        stats = label_statistics(g, np.array([9, 5, 5, 7]), vstar=[0], theta_prime=0.01)
-        assert stats.pair_count[0] == 1
+        assert _pair_count(g, np.array([9, 5, 5, 7]), 0) == 1
         # a third leaf with the same label kills every pair
-        stats = label_statistics(g, np.array([9, 5, 5, 5]), vstar=[0], theta_prime=0.01)
-        assert stats.pair_count[0] == 0
+        assert _pair_count(g, np.array([9, 5, 5, 5]), 0) == 0
 
     def test_literal_bad_event_thresholds(self):
         g = cycle_graph(5)
         tau = np.array([1, 1, 2, 3, 4])
-        stats = label_statistics(g, tau, vstar=range(5), theta_prime=0.3)
         # window is (e^-1 ± 0.1) * 2 = [0.54, 0.94]; every count is 1 or 2
-        assert all(stats.bad.values())
+        assert _literal_bad(g, tau, theta_prime=0.3).all()
+        # at theta' = 0.01 the window is [0.73, 0.74] and pair_min 0.02
+        assert _literal_bad(g, tau, theta_prime=0.01).all()
+
+    def test_only_where_is_evaluated(self):
+        g = cycle_graph(5)
+        tau = np.array([1, 1, 2, 3, 4])
+        where = np.array([False, True, False, True, False])
+        assert (_bad_vertices(g, tau, where, 0.0, 0.5, 1.0) == where).all()
+        # the pair clause never runs off `where`
+        assert not _bad_vertices(g, tau, np.zeros(5, dtype=bool), 0.0, 9.0, 1.0).any()
+
+    @pytest.mark.parametrize("pair_min", [0.0, 1.0, 2.0])
+    def test_matches_the_per_vertex_reference(self, pair_min):
+        rng = np.random.default_rng(int(pair_min) + 40)
+        graphs = [
+            cycle_graph(6),
+            Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+            gen_random_regular(12, 3, seed=1),
+            gen_random_regular(16, 5, seed=2),
+            gen_random_regular(20, 6, seed=3),
+            # irregular, with isolated vertices
+            Graph.from_edges(14, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 5), (5, 6), (7, 8)]),
+        ]
+        outcomes = set()
+        for g in graphs:
+            d = g.max_degree
+            for trial in range(25):
+                # a small palette makes equal-label pairs common
+                tau = rng.integers(1, int(rng.integers(2, d + 3)), size=g.n)
+                where = rng.random(g.n) < 0.7
+                w = float(rng.uniform(0.2, d / 2))
+                got = _bad_vertices(g, tau, where, d / math.e - w, d / math.e + w, pair_min)
+                want = reference_bad_event(g, tau, np.flatnonzero(where), w, pair_min)
+                assert got[~where].sum() == 0
+                assert {v: bool(got[v]) for v in want} == want
+                outcomes.update(want.values())
+        assert outcomes == {False, True}
 
 
 class TestConditionedLabeling:
@@ -109,10 +182,8 @@ class TestConditionedLabeling:
         d = 16
         w = default_window_halfwidth(d, 100, 0.5)
         tau = sample_conditioned_labeling(g, range(100), 1e-5, seed=3)
-        stats = label_statistics(
-            g, tau, range(100), 1e-5, window_halfwidth=w, pair_min=0.0
-        )
-        assert not stats.any_bad
+        every = np.ones(100, dtype=bool)
+        assert not _bad_vertices(g, tau, every, d / math.e - w, d / math.e + w, 0.0).any()
 
     def test_adversarial_theta_prime_exhausts(self):
         # theta' = 1 wants |P_v| >= D pairs; a 5-cycle has at most one
@@ -157,22 +228,23 @@ class TestSparsePhaseColor:
         dec = sparse_dense_decompose(g, eps_in=0.05)
         assert dec.sparse == frozenset()
         res = sparse_phase_color(g, dec, seed=1)
-        assert res.coloring == {}
+        assert not res.colors.any()
 
     def test_proper_and_complete_on_vstar(self):
         g = gen_random_regular(200, 16, seed=6)
         dec = _decompose_all_sparse(g)
         res = sparse_phase_color(g, dec, seed=9)
-        assert set(res.coloring) == set(dec.sparse)
-        assert is_proper(g, res.coloring)
-        assert set(res.coloring.values()) <= set(range(1, 18))
+        coloring = as_dict(res.colors)
+        assert set(coloring) == set(dec.sparse)
+        assert is_proper(g, coloring)
+        assert set(coloring.values()) <= set(range(1, 18))
 
     def test_t_vertices_keep_their_labels(self):
         g = gen_random_regular(100, 12, seed=7)
         dec = _decompose_all_sparse(g)
         res = sparse_phase_color(g, dec, seed=10)
         for v in res.t_set & dec.sparse:
-            assert res.coloring[v] == int(res.labeling[v])
+            assert res.colors[v] == res.labeling[v]
 
     def test_hand_off_inequalities(self):
         g = gen_random_regular(200, 50, seed=8)
@@ -200,7 +272,7 @@ class TestSparsePhaseColor:
             dec = sparse_dense_decompose(g, params.eps, params.theta)
             for seed in range(5):
                 res = sparse_phase_color(g, dec, seed, params)
-                assert res.coloring == reference_slack_greedy(g, dec, res, seed)
+                assert as_dict(res.colors) == reference_slack_greedy(g, dec, res, seed)
         assert len(dec.sparse - res.t_set) >= _LEVEL_MIN_LEFTOVERS
 
     def test_leftover_count_selects_the_greedy(self, monkeypatch):
@@ -292,8 +364,7 @@ class TestSparsePhaseColor:
         for seed in (0, 1, 2):
             full = sparse_phase_color(g, dec, seed=seed)
             alone = sparse_phase_color(g1, dec1, seed=seed)
-            restricted = {v: c for v, c in full.coloring.items() if v < 40}
-            assert restricted == alone.coloring
+            assert np.array_equal(full.colors[:40], alone.colors)
 
 
 def _greedy_input(rng, k: int, edges, d: int, p_allowed: float = 1.0):
