@@ -127,9 +127,9 @@ class Matching:
         return set(self.pairs) == set(range(b.nx))
 
     def validate(self, b: Bigraph) -> None:
-        m, ny = b.m, b.ny
+        m, nx, ny = b.m, b.nx, b.ny
         for x, y in self.pairs.items():
-            if not (0 <= y < ny and m[x, y]):
+            if not (0 <= x < nx and 0 <= y < ny and m[x, y]):
                 raise VerificationFailed(f"matched pair ({x},{y}) is not an edge")
 
 

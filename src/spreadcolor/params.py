@@ -8,6 +8,8 @@ calibration formulas where the asymptotic analysis leaves a knob
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import asdict, dataclass, fields
 
 __all__ = ["Params"]
@@ -43,6 +45,15 @@ class Params:
     c_hat_ceiling: float = 64.0
 
     def __post_init__(self):
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in _INT_FIELDS:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            elif not (value is None and name in _OPTIONAL_FIELDS) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0 < self.eps <= 0.05):
             raise ValueError(f"eps must be in (0, 1/20], got {self.eps}")
         for name in ("theta", "theta_prime", "t_window", "c_hat_ceiling"):
@@ -103,3 +114,10 @@ class Params:
         d = self.to_dict()
         d.update(kw)
         return Params.from_dict(d)
+
+
+_HINTS = typing.get_type_hints(Params)
+_INT_FIELDS = frozenset(name for name, hint in _HINTS.items() if hint is int)
+_OPTIONAL_FIELDS = frozenset(
+    name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -149,84 +150,90 @@ def decide_list_colorable(
     g: Graph, lists: Sequence[Sequence[int]], cap: int = 2_000_000
 ) -> bool:
     """Exact decision by backtracking with unit propagation, branching on
-    the vertex with the fewest remaining colors.  Colors are kept as
-    bitmasks.  Raises CapExceeded past `cap` search nodes."""
+    the vertex with the fewest remaining colors (lowest index on ties) and
+    trying its colors lowest first.  Raises CapExceeded past `cap` search
+    nodes.
+
+    Colors are kept as bitmasks of Python ints, so any color >= 0 fits.
+    The remaining-color counts are kept in step with the masks: propagation
+    and undo update both, and a fixed vertex holds a sentinel above every
+    count.  So the branch vertex is the first minimum of the counts (a
+    vertex left with no color has no branch to try).  Only the root
+    propagates from every singleton list; a successful propagation leaves
+    no unfixed singleton, so after a branch it starts from the branched
+    vertex alone."""
     n = g.n
+    adj = g.adj
     avail = []
     for v in range(n):
+        lst = lists[v]
         mask = 0
-        for c in lists[v]:
+        for c in lst.tolist() if isinstance(lst, np.ndarray) else map(operator.index, lst):
             mask |= 1 << c
         avail.append(mask)
-    assigned = [0] * n  # color bit once fixed
+    cnt = [mask.bit_count() for mask in avail]
+    fixed = max(cnt, default=0) + 1  # the count of a fixed vertex
+    cnt.append(fixed)  # cnt[n]: min(cnt) == fixed iff every vertex is fixed
     nodes = 0
 
-    def propagate(trail: list[tuple[int, int]]) -> bool:
-        """Fix all singleton lists; returns False on a wipe-out."""
-        queue = [v for v in range(n) if assigned[v] == 0 and avail[v].bit_count() == 1]
+    def propagate(queue: list[int], trail: list[int]) -> bool:
+        """Fix every singleton list reachable from `queue`, recording each
+        fixed vertex as ~v and each removed color as (w, bit) on `trail`;
+        returns False on a wipe-out."""
         while queue:
-            v = queue.pop()
-            if assigned[v]:
-                continue
+            v = queue.pop()  # queued once: its count reached 1 just once
             bit = avail[v]
-            if bit == 0:
-                return False
-            assigned[v] = bit
-            trail.append((v, -1))
-            for w in g.neighbors(v):
-                if assigned[w]:
-                    if assigned[w] == bit:
-                        return False
-                    continue
+            cnt[v] = fixed
+            trail.append(~v)
+            for w in adj[v]:
                 if avail[w] & bit:
-                    avail[w] &= ~bit
-                    trail.append((w, bit))
-                    cnt = avail[w].bit_count()
-                    if cnt == 0:
+                    if cnt[w] == fixed:  # a fixed neighbor holds the same color
                         return False
-                    if cnt == 1:
+                    avail[w] ^= bit
+                    trail.append(w)
+                    trail.append(bit)
+                    c = cnt[w] - 1
+                    cnt[w] = c
+                    if c == 0:
+                        return False
+                    if c == 1:
                         queue.append(w)
         return True
 
-    def undo(trail: list[tuple[int, int]]) -> None:
+    def undo(trail: list[int]) -> None:
         while trail:
-            v, bit = trail.pop()
-            if bit == -1:
-                assigned[v] = 0
+            x = trail.pop()
+            if x < 0:
+                cnt[~x] = 1
             else:
-                avail[v] |= bit
+                w = trail.pop()
+                avail[w] |= x
+                cnt[w] += 1
 
     def search() -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise CapExceeded(f"colorability search exceeded {cap} nodes")
-        v_best, best_cnt = -1, 1 << 30
-        for v in range(n):
-            if assigned[v] == 0:
-                cnt = avail[v].bit_count()
-                if cnt == 0:
-                    return False
-                if cnt < best_cnt:
-                    v_best, best_cnt = v, cnt
-        if v_best == -1:
+        least = min(cnt)
+        if least == fixed:
             return True
-        mask = avail[v_best]
+        v = cnt.index(least)
+        saved = mask = avail[v]
+        trail: list[int] = []
         while mask:
             bit = mask & -mask
             mask ^= bit
-            trail: list[tuple[int, int]] = []
-            saved = avail[v_best]
-            avail[v_best] = bit
-            trail.append((v_best, saved & ~bit))
-            if propagate(trail) and search():
+            avail[v] = bit
+            cnt[v] = 1
+            if propagate([v], trail) and search():
                 return True
             undo(trail)
-            avail[v_best] = saved
+        avail[v] = saved
+        cnt[v] = least
         return False
 
-    trail0: list[tuple[int, int]] = []
-    if not propagate(trail0):
+    if not propagate([v for v in range(n) if cnt[v] == 1], []):
         return False
     return search()
 

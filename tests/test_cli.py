@@ -145,6 +145,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert data["eps"] == pytest.approx(0.4)  # flag eps=0.05 -> cluster eps 0.4
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [('{"max_tries": 2.5}', "max_tries must be an integer, got 2.5"),
+     ('{"eps": "0.05"}', "eps must be a real number, got '0.05'")],
+)
+def test_wrongly_typed_config_exit_2(tmp_path, capsys, config, message):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(config)
+    rc = main(["sample", "--n", "20", "--D", "4", "--config", str(cfgf)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     assert main(["counterexample", "nonsense", "--D", "3"]) == 2
 

@@ -350,6 +350,14 @@ class TestMatrixBigraphAgainstReference:
         with pytest.raises(VerificationFailed, match=r"\(1,2\) is not an edge"):
             Matching({1: 2}).validate(b)
 
+    def test_validate_range_checks_x(self):
+        # the last row holds the edge (1, 0), which m[-1, 0] would read
+        b = Bigraph.from_edges(2, 2, [(0, 1), (1, 0)])
+        with pytest.raises(VerificationFailed, match=r"\(-1,0\) is not an edge"):
+            Matching({-1: 0}).validate(b)
+        with pytest.raises(VerificationFailed, match=r"\(2,0\) is not an edge"):
+            Matching({2: 0}).validate(b)
+
 
 def _ref_perfect_matching(b: Bigraph) -> dict[int, int]:
     """Hopcroft-Karp on tuple adjacency lists, as perfect_matching was

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from spreadcolor import matching
@@ -55,6 +58,44 @@ def test_bad_cluster_and_cap_values_rejected(name, value, message):
         Params(**{name: value})
     with pytest.raises(ValueError, match=message):
         Params.from_dict({name: value})
+
+
+INT_FIELDS = ["k_out", "k_out_max", "max_tries", "match_max_tries", "d_min", "enum_cap", "color_cap"]
+FLOAT_FIELDS = ["eps", "theta", "theta_prime", "t_window", "accept_target", "lambda_max",
+                "zeta0", "eta", "h_margin", "c_hat_ceiling"]
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
+def test_non_integer_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        Params(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        Params.from_dict({name: value})
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", ["0.05", True, 1j, [0.05]])
+def test_non_real_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        Params(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        Params.from_dict({name: value})
+
+
+@pytest.mark.parametrize("name", ["eps", "accept_target", "lambda_max", "h_margin", "c_hat_ceiling"])
+def test_none_rejected_where_no_default_is_derived(name):
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got None"):
+        Params(**{name: None})
+
+
+def test_field_kinds_cover_every_field():
+    assert sorted(INT_FIELDS + FLOAT_FIELDS) == sorted(f.name for f in fields(Params))
+
+
+def test_numpy_scalars_and_ints_accepted():
+    p = Params(max_tries=np.int64(5), eps=np.float64(0.04), c_hat_ceiling=64, theta=1)
+    assert p.max_tries == 5 and p.c_hat_ceiling == 64
 
 
 def test_boundary_values_accepted():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spreadcolor.errors import CapExceeded
@@ -180,6 +181,177 @@ class TestListColorable:
         with pytest.raises(CapExceeded):
             decide_list_colorable(g, uniform_lists(g, 12), cap=5)
 
+    def test_cap_hit_after_backtracking(self):
+        # K4 on {0, 1, 3, 4} with three colors, plus the isolated vertex 2:
+        # both colors of 2 and of 3 are tried before the K4 is refuted, 7
+        # nodes in all.  One descent holds at most n + 1 = 6 nodes, so a
+        # cap of 6 is hit after a backtrack.
+        g = Graph.from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4)])
+        lists = [[1, 2, 3], [1, 2, 3], [2, 3], [2, 3], [1, 2, 3]]
+        assert reference_decide(g, lists) == (False, 7)
+        with pytest.raises(CapExceeded):
+            decide_list_colorable(g, lists, cap=6)
+        assert not decide_list_colorable(g, lists, cap=7)
+
+    def test_colors_past_62(self):
+        # numpy int64 colors: 1 << np.int64(70) is 0 in numpy
+        assert decide_list_colorable(complete_graph(2), [np.array([6]), np.array([70])])
+        assert not decide_list_colorable(complete_graph(2), [np.array([70]), np.array([70])])
+        g = complete_graph(66)
+        assert decide_list_colorable(g, [np.arange(1, 67)] * 66)
+
+
+def reference_decide(g: Graph, lists) -> tuple[bool, int]:
+    """Frozen copy of the full-scan decision (every node scans all vertices
+    for the branch vertex, every propagation scans them for singletons),
+    with Python-int masks.  Returns (decision, search nodes); the nodes are
+    the smallest cap under which decide_list_colorable does not raise."""
+    n = g.n
+    avail = []
+    for v in range(n):
+        mask = 0
+        for c in lists[v]:
+            mask |= 1 << int(c)
+        avail.append(mask)
+    assigned = [0] * n
+    nodes = 0
+
+    def propagate(trail) -> bool:
+        queue = [v for v in range(n) if assigned[v] == 0 and avail[v].bit_count() == 1]
+        while queue:
+            v = queue.pop()
+            if assigned[v]:
+                continue
+            bit = avail[v]
+            if bit == 0:
+                return False
+            assigned[v] = bit
+            trail.append((v, -1))
+            for w in g.neighbors(v):
+                if assigned[w]:
+                    if assigned[w] == bit:
+                        return False
+                    continue
+                if avail[w] & bit:
+                    avail[w] &= ~bit
+                    trail.append((w, bit))
+                    cnt = avail[w].bit_count()
+                    if cnt == 0:
+                        return False
+                    if cnt == 1:
+                        queue.append(w)
+        return True
+
+    def undo(trail) -> None:
+        while trail:
+            v, bit = trail.pop()
+            if bit == -1:
+                assigned[v] = 0
+            else:
+                avail[v] |= bit
+
+    def search() -> bool:
+        nonlocal nodes
+        nodes += 1
+        v_best, best_cnt = -1, 1 << 30
+        for v in range(n):
+            if assigned[v] == 0:
+                cnt = avail[v].bit_count()
+                if cnt == 0:
+                    return False
+                if cnt < best_cnt:
+                    v_best, best_cnt = v, cnt
+        if v_best == -1:
+            return True
+        mask = avail[v_best]
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            trail = []
+            saved = avail[v_best]
+            avail[v_best] = bit
+            trail.append((v_best, saved & ~bit))
+            if propagate(trail) and search():
+                return True
+            undo(trail)
+            avail[v_best] = saved
+        return False
+
+    if not propagate([]):
+        return False, nodes
+    return search(), nodes
+
+
+def assert_same_search(g: Graph, lists) -> tuple[bool, int]:
+    """decide_list_colorable decides as the reference does and raises
+    CapExceeded exactly below the reference's node count."""
+    decision, nodes = reference_decide(g, lists)
+    assert decide_list_colorable(g, lists, cap=nodes) == decision
+    if nodes:
+        with pytest.raises(CapExceeded):
+            decide_list_colorable(g, lists, cap=nodes - 1)
+    return decision, nodes
+
+
+class TestDecisionMatchesReference:
+    def test_seeded_random_instances(self):
+        # 3-color lists from [D] or [D+1] on 3..6-regular graphs: small
+        # enough to decide fast, tight enough that the search backtracks
+        rng = random.Random(2024)
+        decisions, backtracked = set(), 0
+        for _ in range(400):
+            d = rng.randint(3, 6)
+            n = max(rng.randint(6, 20), d + 1)
+            n += n * d % 2
+            g = gen_random_regular(n, d, seed=rng.randrange(10**6))
+            palette = range(1, d + 1 + rng.randint(0, 1))
+            lists = [rng.sample(palette, 3) for _ in range(n)]
+            decision, nodes = assert_same_search(g, lists)
+            decisions.add(decision)
+            backtracked += nodes > n
+        assert decisions == {True, False}
+        assert backtracked >= 20
+
+    def test_edge_cases(self):
+        k2 = complete_graph(2)
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        cases = [
+            (Graph.from_edges(0, []), []),
+            (Graph.from_edges(1, []), [[]]),
+            (Graph.from_edges(1, []), [[4]]),
+            (Graph.from_edges(1, []), [[1, 2, 3]]),
+            (k2, [[3], [3]]),
+            (k2, [[], [1, 2]]),
+            (k2, [[1, 2], []]),
+            (path, [[1, 2], [], [1]]),
+            (Graph.from_edges(4, []), [[1, 2], [3], [2, 5, 7], [1, 1]]),  # isolated
+            (Graph.from_edges(4, [(0, 1)]), [[1], [1, 2], [5, 6], [7]]),
+            (path, [[1, 2, 3, 4], [2], [1, 2]]),  # unequal lengths
+            (path, [[1, 2], [1, 2, 3], [2, 3]]),
+            (complete_graph(4), [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]),
+            (complete_graph(4), [[1, 2, 3, 4], [1, 2, 3], [1, 2], [1]]),
+            (complete_graph(4), [[1, 2, 3]] * 4),
+            (Graph(1, ((0,),)), [[1, 2]]),  # a self-loop, only through the raw constructor
+        ]
+        seen = set()
+        for g, lists in cases:
+            seen.add(assert_same_search(g, lists))
+        assert (True, 1) in seen  # n = 0
+        assert (False, 1) in seen  # an empty list ends the first node
+        assert (False, 0) in seen  # the root propagation fails
+
+    def test_bench_shape(self):
+        # the lists sparsification_scan draws on gen_random_regular(100, 20)
+        g = gen_random_regular(100, 20, seed=555)
+        palette = np.arange(1, 22)
+        decisions = set()
+        for k in (2, 3, 4, 6, 8, 10, 14, 21):
+            for t in range(2):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, k, t))))
+                lists = [rng.choice(palette, size=k, replace=False) for _ in range(g.n)]
+                decisions.add(assert_same_search(g, lists)[0])
+        assert decisions == {True, False}
+
 
 class TestSparsificationScan:
     def test_full_palette_rate_one(self):
@@ -210,6 +382,13 @@ class TestSparsificationScan:
         lines = curve.to_csv().strip().splitlines()
         assert lines[0] == "k,trials,successes,rate,ci_lo,ci_hi"
         assert len(lines) == 3
+
+    def test_full_lists_past_color_62(self):
+        # full lists at D >= 62 hold colors past 62, which broke int64 masks
+        for n in (63, 66):
+            assert sparsification_scan(complete_graph(n), [n], trials=3, seed=0).rows[0].rate == 1.0
+        g = gen_random_regular(200, 64, seed=1)
+        assert sparsification_scan(g, [65], trials=3, seed=0).rows[0].rate == 1.0
 
     def test_deterministic(self):
         g = gen_random_regular(20, 4, seed=8)
