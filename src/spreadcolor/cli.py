@@ -61,9 +61,17 @@ def _param_flags() -> list[tuple[str, type]]:
 _PARAM_FLAGS = _param_flags()
 
 
+def count(text: str) -> int:
+    """argparse type of --jobs, --seeds and --trials: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p.add_argument("--jobs", type=count, default=1, help="parallel trial workers")
     p.add_argument("--config", type=Path, help="JSON file of parameter defaults")
     for name, typ in _PARAM_FLAGS:
         p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
@@ -302,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=Path)
     p.add_argument("--n", type=int)
     p.add_argument("--D", type=int)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=count, default=1)
     p.add_argument("--out", type=Path)
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=Path)
     p.add_argument("--n", type=int)
     p.add_argument("--D", type=int)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=count, default=2000)
     p.add_argument("--family", default="singletons+pairs",
                    choices=["singletons", "singletons+pairs"])
     p.add_argument("--out", type=Path, help="CSV output path")
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--D", type=int)
     p.add_argument("--k-values", default="2,4,6,8,10,12,14,16,18,20,21")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=count, default=200)
     p.add_argument("--out", type=Path)
     _add_common(p)
     p.set_defaults(func=_cmd_sparsify)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decompose import sparse_dense_decompose
+from .decompose import cluster_condition_counts, sparse_dense_decompose
 from .errors import (
     EmptyChoiceSet,
     FloorNotMet,
@@ -51,7 +51,7 @@ class ClusterShape:
     """The part of a cluster's context that no sample changes: the
     complement graph H on the cluster, zeta = e(H)/D^2, the
     (position, outside neighbor) pairs that B is gathered from, and the
-    edges with an end in the cluster, which the cluster check reads.
+    edges with an end in the cluster, which the properness checks read.
     Positions index the sorted cluster.  `violation` is the message of the
     first failed cluster condition, or None; every context built on this
     shape raises it."""
@@ -77,17 +77,15 @@ def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
     cl = tuple(sorted(cluster))
     members = np.asarray(cl, dtype=np.int64)
     size = len(cl)
+    outside, missing = cluster_condition_counts(g, members)
     lens, nbrs = g.gather_neighbors(members)
     rows = np.repeat(np.arange(size), lens)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[members] = np.arange(size)
     inside = pos[nbrs] >= 0
     h = np.ones((size, size), dtype=bool)
-    h[rows[inside], pos[nbrs[inside]]] = False
-    np.fill_diagonal(h, False)
+    h[rows[inside], pos[nbrs[inside]]] = False  # its diagonal is never read
 
-    outside = np.bincount(rows[~inside], minlength=size)
-    missing = np.count_nonzero(h, axis=1) + 1  # |C \ N_v|, v itself included
     violation = None
     bad = np.flatnonzero((outside >= eps * d) | (missing >= eps * d))
     if bad.size:
@@ -139,10 +137,6 @@ class ClusterContext:
     @property
     def zeta(self) -> float:
         return self.shape.zeta
-
-    @property
-    def palette(self) -> range:
-        return range(1, self.d + 2)
 
 
 def build_cluster_context(
@@ -276,10 +270,9 @@ def process_pair_coloring(
 
     if len(set(pi.values())) != rounds or len(pi) != 2 * rounds:
         raise VerificationFailed("pair process bookkeeping broken")
-    for u in pi:
-        for v in pi:
-            if u < v and pi[u] == pi[v] and ctx.graph.has_edge(u, v):
-                raise VerificationFailed("pair process colored an edge")
+    colors = np.zeros(ctx.graph.n, dtype=np.int64)
+    colors[list(pi)] = list(pi.values())
+    check_proper(ctx.graph, colors, edges=ctx.shape.edges, what="pair process coloring")
     return pi
 
 

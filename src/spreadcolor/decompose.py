@@ -22,7 +22,8 @@ import numpy as np
 from .errors import HypothesisViolated, VerificationFailed
 from .graphs import Graph, common_neighbor_blocks, neighborhood_complement_edges
 
-__all__ = ["Decomposition", "DecompositionReport", "sparse_dense_decompose", "verify_decomposition"]
+__all__ = ["Decomposition", "DecompositionReport", "cluster_condition_counts",
+           "sparse_dense_decompose", "verify_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,28 @@ class DecompositionReport:
         )
 
 
+def cluster_condition_counts(g: Graph, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two cluster conditions' counts |N_v \\ C| and |C \\ N_v| for each
+    entry v of the int array `members`, where C is the set of its entries;
+    v itself counts in C \\ N_v.  Ids must lie in 0..n-1."""
+    lens, nbrs = g.gather_neighbors(members)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[members] = np.arange(len(members))
+    rows = np.repeat(np.arange(len(members)), lens)
+    inside = np.bincount(rows[pos[nbrs] >= 0], minlength=len(members))
+    return lens - inside, np.count_nonzero(pos >= 0) - inside
+
+
 def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
-    """Pure check of the Decomposition invariants against g."""
+    """Pure check of the Decomposition invariants against g.  A vertex id
+    outside 0..n-1 is a ValueError."""
     d = g.max_degree
-    all_parts = [dec.sparse, *map(frozenset, dec.clusters)]
-    covered: set[int] = set()
-    total = 0
-    for part in all_parts:
-        covered |= part
-        total += len(part)
-    is_partition = covered == set(range(g.n)) and total == g.n
+    parts = [dec.sparse, *map(frozenset, dec.clusters)]
+    covered = set().union(*parts)
+    stray = covered.difference(range(g.n))
+    if stray:
+        raise ValueError(f"vertex {min(stray)} not in graph of order {g.n}")
+    is_partition = len(covered) == g.n and sum(map(len, parts)) == g.n
 
     report = DecompositionReport(is_partition, [], [], [])
     if dec.sparse:
@@ -100,18 +113,19 @@ def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
         margin = neighborhood_complement_edges(g)[sparse] - dec.theta * d * d
         report.worst_sparse_margin = float(margin.min())
         report.sparse_failures = sparse[margin < 0].tolist()
+    limit = dec.eps * d
     for cluster in dec.clusters:
-        cset = frozenset(cluster)
-        for v in cluster:
-            nbrs = g.neighbor_set(v)
-            outside = len(nbrs - cset)
-            missing = len(cset - nbrs)  # counts v itself
-            report.worst_outside_margin = min(report.worst_outside_margin, dec.eps * d - outside)
-            report.worst_missing_margin = min(report.worst_missing_margin, dec.eps * d - missing)
-            if outside >= dec.eps * d:
-                report.outside_failures.append((v, outside))
-            if missing >= dec.eps * d:
-                report.missing_failures.append((v, missing))
+        members = np.asarray(cluster, dtype=np.int64)
+        outside, missing = cluster_condition_counts(g, members)
+        report.worst_outside_margin = min(
+            report.worst_outside_margin, float(np.min(limit - outside, initial=np.inf))
+        )
+        report.worst_missing_margin = min(
+            report.worst_missing_margin, float(np.min(limit - missing, initial=np.inf))
+        )
+        out_bad, miss_bad = outside >= limit, missing >= limit
+        report.outside_failures += zip(members[out_bad].tolist(), outside[out_bad].tolist())
+        report.missing_failures += zip(members[miss_bad].tolist(), missing[miss_bad].tolist())
     return report
 
 
@@ -177,13 +191,14 @@ def sparse_dense_decompose(
         clusters.append(comp)
 
     for cluster in clusters:
-        for v in cluster:
-            nbrs = g.neighbor_set(v)
-            if len(nbrs - cluster) >= eps * d or len(cluster - nbrs) >= eps * d:
-                raise VerificationFailed(
-                    f"vertex {v} violates a cluster condition but fails the "
-                    f"sparsity test; no valid decomposition at eps_in={eps_in}"
-                )
+        members = np.fromiter(cluster, dtype=np.int64, count=len(cluster))  # set order
+        outside, missing = cluster_condition_counts(g, members)
+        bad = np.flatnonzero((outside >= eps * d) | (missing >= eps * d))
+        if bad.size:
+            raise VerificationFailed(
+                f"vertex {members[bad[0]]} violates a cluster condition but fails the "
+                f"sparsity test; no valid decomposition at eps_in={eps_in}"
+            )
 
     dec = Decomposition(
         sparse=frozenset(sparse),

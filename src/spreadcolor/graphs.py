@@ -35,13 +35,13 @@ __all__ = [
 class Graph:
     """Immutable simple graph with sorted adjacency lists.
 
-    Invariants (enforced by the constructors): no self-loops, no
-    duplicate edges, symmetric adjacency.
+    Invariants: no self-loops, no duplicate edges, symmetric adjacency.
+    `from_edges` (and every generator and reader built on it) enforces
+    them; the raw `Graph(n, adj)` checks nothing and trusts its caller.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    _nbr_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False, default=())
     # Lazy caches, empty (None or -1) until first use and then set through
     # object.__setattr__.  They are declared fields rather than
     # cached_propertys: a cached_property adds a key to the instance
@@ -70,15 +70,7 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(
-            n=n,
-            adj=tuple(tuple(sorted(s)) for s in adj),
-            _nbr_sets=tuple(frozenset(s) for s in adj),
-        )
-
-    def __post_init__(self):
-        if not self._nbr_sets:
-            object.__setattr__(self, "_nbr_sets", tuple(frozenset(a) for a in self.adj))
+        return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in adj))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -107,14 +99,6 @@ class Graph:
             raise ValueError(f"vertex {v} not in graph of order {self.n}")
         return self.adj[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} not in graph of order {self.n}")
-        return self._nbr_sets[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.adj[u]:
@@ -130,17 +114,12 @@ class Graph:
         return self.min_degree == self.max_degree and d in (None, self.max_degree)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int64 arrays (u < v); cached."""
+        """Edge endpoints as two int64 arrays (u < v), in edges() order; cached."""
         if self._edge_arrays is None:
-            us, vs = [], []
-            for u, v in self.edges():
-                us.append(u)
-                vs.append(v)
-            object.__setattr__(
-                self,
-                "_edge_arrays",
-                (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)),
-            )
+            flat, ptr = self.flat_adjacency()
+            u = np.repeat(np.arange(self.n), np.diff(ptr))
+            keep = u < flat
+            object.__setattr__(self, "_edge_arrays", (u[keep], flat[keep]))
         return self._edge_arrays
 
     def flat_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -342,9 +321,13 @@ def regularize(g: Graph) -> Graph:
     out = Graph.from_edges(n * m, set(edges))
     if not out.is_regular(d):
         raise VerificationFailed("regularized graph is not D-regular")
-    for v in range(n):
-        if out.neighbor_set(v) & frozenset(range(n)) != g.neighbor_set(v):
-            raise VerificationFailed("original graph not induced on vertex prefix")
+    # both edge lists are in lexicographic order with u < v, so the edges
+    # inside the prefix are those with v < n, in g's order
+    ou, ov = out.edge_arrays()
+    gu, gv = g.edge_arrays()
+    prefix = ov < n
+    if not (np.array_equal(ou[prefix], gu) and np.array_equal(ov[prefix], gv)):
+        raise VerificationFailed("original graph not induced on vertex prefix")
     return out
 
 

@@ -77,13 +77,11 @@ def _pair_count(g: Graph, tau: np.ndarray, v: int) -> int:
         if len(group) < 2:
             continue
         for i, u in enumerate(group):
+            u_nbrs = set(g.adj[u])
             for w in group[i + 1 :]:
-                if g.has_edge(u, w):
+                if w in u_nbrs:
                     continue
-                zone = (
-                    (g.neighbor_set(v) | g.neighbor_set(u) | g.neighbor_set(w))
-                    - {u, w}
-                )
+                zone = u_nbrs.union(nbrs, g.adj[w]) - {u, w}
                 if all(int(tau[z]) != label for z in zone):
                     count += 1
     return count

@@ -166,6 +166,29 @@ def test_missing_graph_args_exit_2(capsys):
     assert main(["decompose"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--n", "20", "--D", "4", "--trials", "0"],
+        ["audit", "--n", "20", "--D", "4", "--trials", "-3"],
+        ["sparsify", "--n", "20", "--D", "4", "--trials", "0"],
+        ["sample", "--n", "20", "--D", "4", "--seeds", "-2"],
+        ["sample", "--n", "20", "--D", "4", "--seeds", "0"],
+        ["sample", "--n", "20", "--D", "4", "--jobs", "0"],
+        ["audit", "--n", "20", "--D", "4", "--jobs", "-4"],
+    ],
+)
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    # zero trials used to exit 1 as NoKeptSamples, and zero seeds to exit 0
+    # with no colorings
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"error: argument {argv[-2]}: must be >= 1, got {argv[-1]}")
+    assert captured.out == ""
+
+
 def test_sample_moderate_scale(tmp_path):
     out = tmp_path / "runs.json"
     rc = main(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ def _reference_legal_rows(g, cluster, sigma_out: dict[int, int]) -> tuple[tuple[
     cset = frozenset(cluster)
     rows = []
     for v in sorted(cluster):
-        banned = {sigma_out.get(w, 0) for w in g.neighbor_set(v) - cset}
+        banned = {sigma_out.get(w, 0) for w in set(g.adj[v]) - cset}
         rows.append(tuple(c - 1 for c in range(1, d + 2) if c not in banned))
     return tuple(rows)
 
@@ -116,9 +118,9 @@ class TestClusterShape:
         g = clique_minus_cycle(19)
         shape = cluster_shape(g, range(19), Params().cluster_eps())
         cset = frozenset(range(19))
-        ref = [(u, v) for u in range(19) for v in range(u + 1, 19) if not g.has_edge(u, v)]
+        ref = [(u, v) for u in range(19) for v in range(u + 1, 19) if v not in g.adj[u]]
         assert [tuple(p) for p in shape.h_pairs.tolist()] == ref
-        assert shape.h_deg == tuple(len(cset - g.neighbor_set(v) - {v}) for v in range(19))
+        assert shape.h_deg == tuple(len(cset - set(g.adj[v]) - {v}) for v in range(19))
         assert shape.zeta == len(ref) / 16**2
         assert shape.out_pos.size == 0 and shape.violation is None
 
@@ -171,13 +173,22 @@ class TestProcess:
         for c in set(pi.values()):
             pair = [v for v, cc in pi.items() if cc == c]
             assert len(pair) == 2
-            assert not g.has_edge(*pair)
+            assert pair[1] not in g.adj[pair[0]]
 
     def test_small_zeta_rejected(self):
         g = complete_graph(17)
         ctx = build_cluster_context(g, range(17), {}, Params())
         with pytest.raises(HypothesisViolated):
             process_pair_coloring(ctx, np.random.default_rng(1))
+
+    def test_a_pair_on_an_edge_is_caught(self):
+        # a shape whose only H pair is an edge of g; eta = 1 lowers both floors
+        # below zero, so the one round colors that edge
+        g = clique_minus_cycle(19)
+        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx.shape = replace(ctx.shape, h_pairs=np.array([[0, g.adj[0][0]]]))
+        with pytest.raises(VerificationFailed, match="pair process coloring is not proper"):
+            process_pair_coloring(ctx, np.random.default_rng(0), rounds=1, eta=1.0)
 
     def test_finite_d_floor_is_a_hypothesis_violation(self):
         # eta = 0 makes the edge floor zeta*D^2 = e(H) itself, which e(H_0) = e(H)
@@ -223,14 +234,14 @@ class TestColorCluster:
         for c, cnt in counts.items():
             if cnt == 2:
                 u, v = [w for w, cc in coloring.items() if cc == c]
-                assert not g.has_edge(u, v)
+                assert v not in g.adj[u]
 
     def test_large_zeta_with_outside_colors(self):
         g = disjoint_union(clique_minus_cycle(19), clique_minus_cycle(19))
         # swap one non-H edge across the copies to create outside neighbors
         edges = set(g.edges())
         a, b = 2, 5  # adjacent inside copy 1 (not cycle neighbors)
-        assert g.has_edge(a, b)
+        assert b in g.adj[a]
         a2, b2 = 19 + 2, 19 + 5
         edges -= {(a, b), (a2, b2)}
         edges |= {(a, a2), (b, b2)}

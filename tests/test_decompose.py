@@ -7,6 +7,7 @@ import pytest
 from spreadcolor import graphs
 from spreadcolor.decompose import (
     Decomposition,
+    DecompositionReport,
     sparse_dense_decompose,
     verify_decomposition,
 )
@@ -119,6 +120,17 @@ class TestVerifier:
             sparse=frozenset({0}), clusters=((1, 2),), eps=0.4, theta=0.001
         )
         assert not verify_decomposition(g, dec).is_partition
+
+    @pytest.mark.parametrize(
+        "sparse, clusters, vertex",
+        [({0, 1, 5}, ((2, 3, 4),), 5), ({-1, 0, 1}, ((2, 3, 4),), -1),
+         ({0, 1}, ((2, 3, 4, 5),), 5), ({0, 1}, ((-1, 2, 3, 4),), -1)],
+    )
+    def test_out_of_range_id_is_a_value_error(self, sparse, clusters, vertex):
+        # checked before any gather: a numpy gather would wrap -1 to vertex 4
+        dec = Decomposition(frozenset(sparse), clusters, eps=0.4, theta=0.001)
+        with pytest.raises(ValueError, match=rf"^vertex {vertex} not in graph of order 5$"):
+            verify_decomposition(complete_graph(5), dec)
 
 
 def test_dense_vertex_below_the_degree_bound_is_rejected():
@@ -284,6 +296,81 @@ def test_matches_the_pairwise_reference(name, eps_in, theta):
     else:
         assert got == want
         assert list(got.sparse) == list(want.sparse)  # same set, built in the same order
+
+
+def reference_verify(g: Graph, dec: Decomposition) -> DecompositionReport:
+    """Frozen copy of the set-based verifier: the statistic from neighbor
+    sets, and the cluster conditions member by member."""
+    sets = [frozenset(a) for a in g.adj]
+    d = g.max_degree
+    parts = [dec.sparse, *map(frozenset, dec.clusters)]
+    covered = set().union(*parts)
+    report = DecompositionReport(
+        covered == set(range(g.n)) and sum(map(len, parts)) == g.n, [], [], []
+    )
+    for v in dec.sparse:
+        stat = comb(len(sets[v]), 2) - sum(len(sets[v] & sets[u]) for u in sets[v]) // 2
+        margin = stat - dec.theta * d * d
+        report.worst_sparse_margin = min(report.worst_sparse_margin, margin)
+        if margin < 0:
+            report.sparse_failures.append(v)
+    for cluster in dec.clusters:
+        cset = frozenset(cluster)
+        for v in cluster:
+            outside = len(sets[v] - cset)
+            missing = len(cset - sets[v])  # counts v itself
+            report.worst_outside_margin = min(report.worst_outside_margin, dec.eps * d - outside)
+            report.worst_missing_margin = min(report.worst_missing_margin, dec.eps * d - missing)
+            if outside >= dec.eps * d:
+                report.outside_failures.append((v, outside))
+            if missing >= dec.eps * d:
+                report.missing_failures.append((v, missing))
+    return report
+
+
+def verifier_cases() -> dict[str, tuple[Graph, Decomposition]]:
+    """Every decomposition case's own decomposition where one exists, its
+    components taken as clusters, and hand-built invalid decompositions."""
+    eps, theta = 8 * 0.05, 0.05**2 / 16
+    cases = {}
+    for name, g in DECOMPOSITION_CASES.items():
+        dec = outcome(lambda: sparse_dense_decompose(g, 0.05, 0.05))
+        if isinstance(dec, Decomposition):
+            cases[name] = g, dec
+        comps = tuple(map(tuple, g.components()))
+        cases[f"{name}, components"] = g, Decomposition(frozenset(), comps, eps, theta)
+    k17 = DECOMPOSITION_CASES["K17+K17"]
+    first, second = tuple(range(17)), tuple(range(17, 34))
+    for name, sparse, clusters in [
+        ("merged far cliques", (), (first + second,)),
+        ("overlapping clusters", (), (first + (17, 18), second)),
+        ("clique vertex on the sparse side", (5,), (first[:5] + first[6:], second)),
+        ("unsorted cluster", (), (first[::-1], second)),
+        ("repeated member", (), (first + (3,), second)),
+    ]:
+        cases[name] = k17, Decomposition(frozenset(sparse), clusters, eps, theta)
+    return cases
+
+
+VERIFIER_CASES = verifier_cases()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_CASES))
+def test_verifier_matches_the_set_based_reference(name):
+    g, dec = VERIFIER_CASES[name]
+    got, want = verify_decomposition(g, dec), reference_verify(g, dec)
+    # repr too: it is the text of a failed verification, and shows int types
+    assert (got, repr(got)) == (want, repr(want))
+
+
+def test_the_verifier_cases_fail_each_check():
+    reports = {name: reference_verify(g, dec) for name, (g, dec) in VERIFIER_CASES.items()}
+    assert reports["merged far cliques"].missing_failures
+    assert reports["overlapping clusters"].outside_failures
+    assert not reports["overlapping clusters"].is_partition
+    assert reports["clique vertex on the sparse side"].sparse_failures == [5]
+    assert reports["K17+regular, components"].missing_failures
+    assert reports["K17+regular"].ok
 
 
 def test_one_row_blocks_give_the_same_decomposition(monkeypatch):

@@ -97,6 +97,14 @@ class TestGraphBasics:
         assert set(vars(g)) == declared
         assert Graph.from_json(g.to_json()) == g
 
+    def test_edge_arrays_list_the_edges_in_order(self):
+        for g in [Graph.from_edges(0, []), Graph.from_edges(4, [(0, 1)]),
+                  disjoint_union(complete_graph(3), path_graph(4)),
+                  gen_random_regular(30, 4, seed=5)]:
+            u, v = g.edge_arrays()
+            assert u.dtype == v.dtype == np.int64
+            assert list(zip(u.tolist(), v.tolist())) == list(g.edges())
+
     def test_is_regular(self):
         assert cycle_graph(5).is_regular() and cycle_graph(5).is_regular(2)
         assert not cycle_graph(5).is_regular(3)
@@ -263,7 +271,7 @@ class TestRegularize:
         assert out.is_regular(2)
         assert out.n % 3 == 0
         for v in range(3):
-            assert out.neighbor_set(v) & frozenset(range(3)) == g.neighbor_set(v)
+            assert set(out.adj[v]) & frozenset(range(3)) == set(g.adj[v])
 
     def test_single_edge(self):
         g = path_graph(2)
@@ -288,8 +296,31 @@ class TestRegularize:
             assert out.is_regular(d)
             # original graph induced on the vertex prefix
             for v in range(n):
-                assert out.neighbor_set(v) & frozenset(range(n)) == g.neighbor_set(v)
+                assert set(out.adj[v]) & frozenset(range(n)) == set(g.adj[v])
             assert out.n <= (d + 2) * n
+
+
+    def test_large_irregular_input_is_an_induced_prefix(self):
+        # n = 8,000 at D = 4: the prefix check must not be quadratic in n
+        base = gen_random_regular(8000, 4, seed=5)
+        g = Graph.from_edges(8000, [e for i, e in enumerate(base.edges()) if i % 7])
+        out = regularize(g)
+        assert not g.is_regular() and out.is_regular(4)
+        assert [tuple(w for w in out.adj[v] if w < g.n) for v in range(g.n)] == list(g.adj)
+
+    def test_a_changed_prefix_is_caught(self, monkeypatch):
+        # the path 0-1-2-3 gets 4 copies, and the copies of vertex 3 are
+        # joined by the edge (3,11).  Swapping (1,2), (3,11) for (1,3), (2,11)
+        # keeps the output 2-regular and the first ends of the prefix edges
+        # (0, 1, 2), so only a check of both ends can see it
+        g, from_edges = path_graph(4), Graph.from_edges
+
+        def swapped(n, edges):
+            return from_edges(n, (set(edges) - {(1, 2), (3, 11)}) | {(1, 3), (2, 11)})
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(swapped))
+        with pytest.raises(VerificationFailed, match="not induced on vertex prefix"):
+            regularize(g)
 
 
 class TestGenRandomRegular:

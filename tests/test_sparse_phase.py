@@ -51,13 +51,13 @@ def reference_bad_event(
     bad = {}
     for v in sorted(vstar):
         c = sum(1 for w in g.neighbors(v) if w in t)
-        nbrs = sorted(g.neighbor_set(v))
+        nbrs = sorted(set(g.adj[v]))
         p = 0
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1 :]:
-                if tau[u] != tau[w] or g.has_edge(u, w):
+                if tau[u] != tau[w] or w in g.adj[u]:
                     continue
-                zone = (g.neighbor_set(v) | g.neighbor_set(u) | g.neighbor_set(w)) - {u, w}
+                zone = (set(g.adj[v]) | set(g.adj[u]) | set(g.adj[w])) - {u, w}
                 p += all(tau[z] != tau[u] for z in zone)
         bad[v] = abs(c - d / math.e) > window_halfwidth or p < pair_min
     return bad
