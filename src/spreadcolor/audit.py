@@ -26,6 +26,7 @@ __all__ = [
     "estimate_containment",
     "SpreadReport",
     "spread_report",
+    "trial_rng",
     "SpreadValue",
     "ExplicitDistribution",
     "exact_spread",
@@ -50,7 +51,8 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
+def trial_rng(seed: int, index: int) -> np.random.Generator:
+    """The stream keyed by (seed, index): trial `index` of an audit."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
@@ -81,7 +83,7 @@ def estimate_containment(
     pairs = tuple(pairs)
     hits = 0
     for t in range(trials):
-        sample = sampler(_trial_rng(seed, t))
+        sample = sampler(trial_rng(seed, t))
         if all(sample[v] == c for v, c in pairs):
             hits += 1
     lo, hi = wilson_interval(hits, trials)
@@ -139,14 +141,9 @@ def audit_set_family(
     palette_size: int,
     seed: int,
     family: str = "singletons+pairs",
-    custom_sets: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> list[tuple[tuple[int, int], ...]]:
     """The default audit family: every (vertex, color) singleton, plus 10n
     random genuine 2-sets when requested."""
-    if family == "custom":
-        if custom_sets is None:
-            raise ValueError("custom family needs custom_sets")
-        return [tuple((int(v), int(c)) for v, c in s) for s in custom_sets]
     if family not in ("singletons", "singletons+pairs"):
         raise ValueError(f"unknown family {family!r}")
     sets: list[tuple[tuple[int, int], ...]] = [
@@ -159,7 +156,7 @@ def audit_set_family(
                 f"the singletons+pairs family needs two (vertex, color) pairs, "
                 f"got {n * palette_size} (n = {n}, palette {palette_size})"
             )
-        rng = _trial_rng(seed, 1 << 40)
+        rng = trial_rng(seed, 1 << 40)
         while len(sets) < n * palette_size + 10 * n:
             v1, v2 = (int(x) for x in rng.integers(n, size=2))
             c1, c2 = (int(x) for x in rng.integers(1, palette_size + 1, size=2))
@@ -221,12 +218,13 @@ def spread_report(
     trials: int,
     seed: int,
     family: str = "singletons+pairs",
-    custom_sets: Sequence[Sequence[tuple[int, int]]] | None = None,
+    sets: Sequence[tuple[tuple[int, int], ...]] | None = None,
 ) -> SpreadReport:
-    """Estimate P(sigma ⊇ T) for every T in the chosen family, with one
-    keyed stream per trial."""
-    sets = audit_set_family(n, palette_size, seed, family, custom_sets)
-    samples = (sampler(_trial_rng(seed, t)) for t in range(trials))
+    """Estimate P(sigma ⊇ T) for every T in `sets`, by default the chosen
+    family, with one keyed stream per trial."""
+    if sets is None:
+        sets = audit_set_family(n, palette_size, seed, family)
+    samples = (sampler(trial_rng(seed, t)) for t in range(trials))
     return spread_report_from_samples(samples, n, palette_size, sets)
 
 

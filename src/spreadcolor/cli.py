@@ -2,8 +2,9 @@
 
 Subcommands: gen, decompose, sample, audit, counterexample, sparsify,
 cost.  All randomness derives from --seed; per-trial streams are keyed
-by trial index, so --jobs changes wall time but never output.  A JSON
-config file (--config) supplies parameter defaults; explicit flags win.
+by trial index, so --jobs (sample, audit) changes wall time but never
+output.  A JSON config file (--config) supplies parameter defaults;
+explicit flags win.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
 """
@@ -16,6 +17,7 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +73,6 @@ def count(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--jobs", type=count, default=1, help="parallel trial workers")
     p.add_argument("--config", type=Path, help="JSON file of parameter defaults")
     for name, typ in _PARAM_FLAGS:
         p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
@@ -85,7 +86,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, name, None)
         if val is not None:
             base[name] = val
-    return RunConfig(seed=args.seed, jobs=args.jobs, params=Params.from_dict(base))
+    jobs = getattr(args, "jobs", 1)
+    return RunConfig(seed=args.seed, jobs=jobs, params=Params.from_dict(base))
 
 
 def _load_graph(args: argparse.Namespace, cfg: RunConfig) -> Graph:
@@ -113,10 +115,9 @@ def _init_pipeline_worker(pipe: Pipeline) -> None:
     _WORKER_PIPE = pipe
 
 
-def _pipeline_trial(seed: int) -> tuple[list[int], bool]:
+def _pipeline_trial(seed: int) -> tuple[np.ndarray, bool]:
     assert _WORKER_PIPE is not None
-    arr, flagged = _WORKER_PIPE.sample_array(seed)
-    return arr.tolist(), flagged
+    return _WORKER_PIPE.sample_array(seed)
 
 
 def _run_pipeline_trials(
@@ -130,8 +131,7 @@ def _run_pipeline_trials(
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_pipeline_worker, initargs=(pipe,)
     ) as pool:
-        out = list(pool.map(_pipeline_trial, seeds))
-    return [(np.asarray(colors), flagged) for colors, flagged in out]
+        return list(pool.map(_pipeline_trial, seeds))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -188,23 +188,11 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _make_sampler(name: str, g: Graph):
-    palette = g.max_degree + 1
+def _make_sampler(name: str, g: Graph) -> audit_mod.Sampler:
+    """The greedy sampler `name` (an --sampler choice) on g."""
     if name == "random-greedy":
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            sigma = random_greedy_sample(g, rng)
-            return np.array([sigma[v] for v in range(g.n)])
-
-        return sample
-    if name == "slack-greedy":
-        lists = uniform_lists(g, palette)
-
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            sigma = slack_greedy_sample(g, lists, rng=rng)
-            return np.array([sigma[v] for v in range(g.n)])
-
-        return sample
-    raise SystemExit2(f"unknown sampler {name!r}")
+        return partial(random_greedy_sample, g)
+    return partial(slack_greedy_sample, g, uniform_lists(g, g.max_degree + 1))
 
 
 def _cmd_audit(args) -> int:
@@ -218,16 +206,15 @@ def _cmd_audit(args) -> int:
             for t in range(args.trials)
         ]
         results = _run_pipeline_trials(g, cfg.params, trial_seeds, cfg.jobs)
-        samples = [arr for arr, is_flagged in results if not is_flagged]
-        flagged = sum(1 for _, is_flagged in results if is_flagged)
-        rep = audit_mod.spread_report_from_samples(
-            samples, g.n, palette, sets, flagged_trials=flagged
-        )
     else:
         sampler = _make_sampler(args.sampler, g)
-        rep = audit_mod.spread_report(
-            sampler, g.n, palette, args.trials, cfg.seed, family=args.family
-        )
+        results = [
+            (sampler(audit_mod.trial_rng(cfg.seed, t)), False) for t in range(args.trials)
+        ]
+    samples = [arr for arr, is_flagged in results if not is_flagged]
+    rep = audit_mod.spread_report_from_samples(
+        samples, g.n, palette, sets, flagged_trials=len(results) - len(samples)
+    )
     if args.out:
         Path(args.out).write_text(rep.to_csv())
     print(rep.to_json())
@@ -284,6 +271,9 @@ def _cmd_cost(args) -> int:
     return 0
 
 
+JOBS_HELP = "worker processes that run pipeline trials in parallel (default 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="spreadcolor",
@@ -312,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int)
     p.add_argument("--seeds", type=count, default=1)
     p.add_argument("--out", type=Path)
+    p.add_argument("--jobs", type=count, default=1, help=JOBS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -325,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="singletons+pairs",
                    choices=["singletons", "singletons+pairs"])
     p.add_argument("--out", type=Path, help="CSV output path")
+    p.add_argument("--jobs", type=count, default=1, help=JOBS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
 

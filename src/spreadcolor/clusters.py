@@ -12,11 +12,11 @@ sparse phase and the cluster loop into a sampler of proper
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .decompose import cluster_condition_counts, sparse_dense_decompose
+from .decompose import check_vertex_ids, cluster_condition_counts, sparse_dense_decompose
 from .errors import (
     EmptyChoiceSet,
     FloorNotMet,
@@ -39,10 +39,8 @@ __all__ = [
     "color_cluster",
     "Pipeline",
     "PipelineResult",
-    "FLAG_NO_SPREAD",
 ]
 
-FLAG_NO_SPREAD = "no-spread-guarantee"
 _CLUSTER_TAG = 0xC1
 
 
@@ -72,9 +70,10 @@ class ClusterShape:
 def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
     """Compute H, zeta, the outside-neighbor index arrays and the checks
     |N_v \\ C| < eps*D and |C \\ N_v| < eps*D (in vertex order, outside
-    first) of one cluster."""
+    first) of one cluster.  An id outside 0..n-1 is a ValueError."""
     d = g.max_degree
     cl = tuple(sorted(cluster))
+    check_vertex_ids(g, cl)
     members = np.asarray(cl, dtype=np.int64)
     size = len(cl)
     outside, missing = cluster_condition_counts(g, members)
@@ -142,29 +141,26 @@ class ClusterContext:
 def build_cluster_context(
     g: Graph,
     cluster: Sequence[int],
-    sigma_out: Mapping[int, int] | np.ndarray,
+    sigma_out: np.ndarray,
     params: Params | None = None,
-    eps: float | None = None,
     shape: ClusterShape | None = None,
 ) -> ClusterContext:
     """Check the cluster conditions and assemble H, zeta and B.
 
-    sigma_out, a dict or a color array indexed by vertex with 0 for
-    uncolored, may be partial (later clusters are still uncolored while
-    earlier ones are being processed); only colored outside neighbors
-    constrain B.  `shape`, when given, is cluster_shape(g, cluster, eps)
+    sigma_out, a color array indexed by vertex with 0 for uncolored, may
+    be partial (later clusters are still uncolored while earlier ones are
+    being processed); only colored outside neighbors constrain B.
+    `shape`, when given, is cluster_shape(g, cluster, params.cluster_eps())
     computed earlier; B is then one gather of sigma_out.
     """
     if params is None:
         params = Params()
     if shape is None:
-        shape = cluster_shape(g, cluster, params.cluster_eps() if eps is None else eps)
+        shape = cluster_shape(g, cluster, params.cluster_eps())
     d = shape.d
-    if isinstance(sigma_out, np.ndarray):
-        out = sigma_out.copy()
-    else:
-        out = np.zeros(g.n, dtype=np.int64)
-        out[list(sigma_out)] = list(sigma_out.values())
+    out = np.array(sigma_out, dtype=np.int64)  # a copy: the caller colors on
+    if out.shape != (g.n,):
+        raise ValueError(f"sigma_out must be a color array of shape ({g.n},)")
     if out[shape.members].any():
         raise ValueError("sigma_out must not color cluster vertices")
     if shape.violation is not None:
@@ -286,55 +282,39 @@ def color_cluster(
     d, eps = ctx.d, ctx.eps
     colors = np.zeros(len(ctx.cluster), dtype=np.int64)
     if ctx.zeta < ctx.zeta0:
-        branch = "small"
-        j = len(ctx.cluster)
-        big_r = d + 1 - j
-        if big_r < 0:
-            raise NegativeR(f"|C| = {j} > D+1 = {d + 1} on the small-zeta path")
+        # the matching alone colors the cluster: no pair rounds
+        branch, rounds = "small", 0
         z = 3.0 * (eps + ctx.zeta * d)
-        r_x = list(ctx.shape.h_deg)
-        m = spread_X_perfect_matching(
-            ctx.b,
-            z,
-            rng,
-            r_x=r_x,
-            k=params.k_out,
-            max_tries=params.match_max_tries,
-            lambda_max=params.lambda_max,
-            k_max=params.k_out_max,
-        )
-        for x, y in m.pairs.items():
-            colors[x] = y + 1
     else:
         branch = "large"
         eta, rounds = _eta_rounds(ctx, params)
         _check_hierarchy(ctx, eta, params.h_margin)
         pi = process_pair_coloring(ctx, rng, rounds=rounds, eta=eta, params=params)
         colors[np.searchsorted(ctx.shape.members, list(pi))] = list(pi.values())
-        x_idx = np.flatnonzero(colors == 0)
-        free = np.ones(d + 2, dtype=bool)
-        free[colors] = False
-        rest_y = np.flatnonzero(free[1:])
-        b2 = ctx.b.subgraph(x_idx, rest_y)
-        big_r = d + 1 - len(ctx.cluster) + rounds
-        if big_r < 0:
-            raise NegativeR(f"R = {big_r} < 0 on the large-zeta path")
-        if b2.ny - b2.nx != big_r:
-            raise VerificationFailed("large-zeta bookkeeping: |Y| - |X| != R")
         z = 2.0 * (eps + eta)
-        r_x = [ctx.shape.h_deg[i] - rounds for i in x_idx.tolist()]
-        m = spread_X_perfect_matching(
-            b2,
-            z,
-            rng,
-            r_x=r_x,
-            k=params.k_out,
-            max_tries=params.match_max_tries,
-            lambda_max=params.lambda_max,
-            k_max=params.k_out_max,
-        )
-        for x, y in m.pairs.items():
-            colors[x_idx[x]] = rest_y[y] + 1
+    big_r = d + 1 - len(ctx.cluster) + rounds
+    if big_r < 0:
+        raise NegativeR(f"R = {big_r} < 0 on the {branch}-zeta path")
+    # X: the positions still uncolored; Y: the colors the pairs did not use
+    x_idx = np.flatnonzero(colors == 0)
+    free = np.ones(d + 2, dtype=bool)
+    free[colors] = False
+    rest_y = np.flatnonzero(free[1:])
+    b = ctx.b.subgraph(x_idx, rest_y)
+    if b.ny - b.nx != big_r:
+        raise VerificationFailed(f"{branch}-zeta bookkeeping: |Y| - |X| != R")
+    m = spread_X_perfect_matching(
+        b,
+        z,
+        rng,
+        r_x=[ctx.shape.h_deg[i] - rounds for i in x_idx.tolist()],
+        k=params.k_out,
+        max_tries=params.match_max_tries,
+        lambda_max=params.lambda_max,
+        k_max=params.k_out_max,
+    )
+    for x, y in m.pairs.items():
+        colors[x_idx[x]] = rest_y[y] + 1
 
     _assert_cluster_proper(ctx, colors)
     return colors, branch
@@ -367,15 +347,14 @@ def _greedy_cluster_fallback(g: Graph, members: np.ndarray, colors: np.ndarray) 
 
 @dataclass
 class PipelineResult:
-    coloring: dict[int, int]
-    flags: list[str]
+    """One sample: colors indexed by input vertex (int64), whether a
+    cluster fell back to greedy (no spread guarantee), and each cluster's
+    branch."""
+
+    coloring: np.ndarray
+    flagged: bool
     cluster_paths: list[str]
     seed: int
-    params: Params
-
-    @property
-    def flagged(self) -> bool:
-        return FLAG_NO_SPREAD in self.flags
 
 
 class Pipeline:
@@ -403,10 +382,10 @@ class Pipeline:
             )
         return shape
 
-    def _sample(self, seed: int) -> tuple[np.ndarray, list[str], list[str]]:
-        """(colors of the input vertices, flags, cluster paths)."""
+    def _sample(self, seed: int) -> tuple[np.ndarray, bool, list[str]]:
+        """(colors of the input vertices, flagged?, cluster paths)."""
         params = self.params
-        flags: list[str] = []
+        flagged = False
         paths: list[str] = []
         colors = sparse_phase_color(self.reg, self.dec, seed, params).colors
 
@@ -424,27 +403,20 @@ class Pipeline:
                 # invariant (VerificationFailed) is a bug and propagates
                 colors[shape.members] = _greedy_cluster_fallback(self.reg, shape.members, colors)
                 paths.append(f"fallback({type(exc).__name__})")
-                if FLAG_NO_SPREAD not in flags:
-                    flags.append(FLAG_NO_SPREAD)
+                flagged = True
 
         check_proper(self.reg, colors, what="pipeline coloring")
         colors = colors[: self.original.n].copy()  # not a view pinning the regularized array
         if not colors.all():
             raise VerificationFailed("pipeline left vertices uncolored")
-        return colors, flags, paths
+        return colors, flagged, paths
 
     def sample(self, seed: int) -> PipelineResult:
-        colors, flags, paths = self._sample(seed)
-        return PipelineResult(
-            coloring=dict(enumerate(colors.tolist())),
-            flags=flags,
-            cluster_paths=paths,
-            seed=seed,
-            params=self.params,
-        )
+        colors, flagged, paths = self._sample(seed)
+        return PipelineResult(colors, flagged, paths, seed)
 
     def sample_array(self, seed: int) -> tuple[np.ndarray, bool]:
-        """(colors indexed by vertex, flagged?) for fast audit loops."""
-        colors, flags, _ = self._sample(seed)
-        return colors, FLAG_NO_SPREAD in flags
+        """(colors indexed by vertex, flagged?) without the cluster paths."""
+        colors, flagged, _ = self._sample(seed)
+        return colors, flagged
 

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .errors import HypothesisViolated, VerificationFailed
 from .graphs import Graph, common_neighbor_blocks, neighborhood_complement_edges
 
-__all__ = ["Decomposition", "DecompositionReport", "cluster_condition_counts",
-           "sparse_dense_decompose", "verify_decomposition"]
+__all__ = ["Decomposition", "DecompositionReport", "check_vertex_ids",
+           "cluster_condition_counts", "sparse_dense_decompose", "verify_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,20 @@ def cluster_condition_counts(g: Graph, members: np.ndarray) -> tuple[np.ndarray,
     return lens - inside, np.count_nonzero(pos >= 0) - inside
 
 
+def check_vertex_ids(g: Graph, ids: Iterable[int]) -> None:
+    """ValueError naming the smallest id outside 0..n-1, if there is one."""
+    stray = set(ids).difference(range(g.n))
+    if stray:
+        raise ValueError(f"vertex {min(stray)} not in graph of order {g.n}")
+
+
 def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
     """Pure check of the Decomposition invariants against g.  A vertex id
     outside 0..n-1 is a ValueError."""
     d = g.max_degree
     parts = [dec.sparse, *map(frozenset, dec.clusters)]
     covered = set().union(*parts)
-    stray = covered.difference(range(g.n))
-    if stray:
-        raise ValueError(f"vertex {min(stray)} not in graph of order {g.n}")
+    check_vertex_ids(g, covered)
     is_partition = len(covered) == g.n and sum(map(len, parts)) == g.n
 
     report = DecompositionReport(is_partition, [], [], [])

@@ -2,9 +2,10 @@
 counterexample instances showing that the uniform and random-greedy
 distributions need not be well spread.
 
-A list assignment maps each vertex to its allowed colors; a (partial)
-coloring is a plain dict vertex -> color.  Exact probabilities are
-Fractions throughout.
+A list assignment maps each vertex to its allowed colors.  The samplers
+return an int64 color array indexed by vertex; only the exact oracles'
+partial colorings and targets are dicts vertex -> color.  Exact
+probabilities are Fractions throughout.
 """
 from __future__ import annotations
 
@@ -44,37 +45,31 @@ def uniform_lists(g: Graph, palette_size: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def slack_greedy_sample(
-    g: Graph,
-    lists: ListAssignment,
-    order: Sequence[int] | None = None,
-    rng: np.random.Generator | None = None,
-) -> Coloring:
-    """Color the vertices in the given order, each uniformly from its
-    list minus the colors already placed on its neighbors.
+def slack_greedy_sample(g: Graph, lists: ListAssignment, rng: np.random.Generator) -> np.ndarray:
+    """Color the vertices in ascending order, each uniformly from its
+    list minus the colors already placed on its neighbors; returns the
+    colors indexed by vertex.
 
     With |S_v| >= d(v) + 1 for all v no vertex can get stuck; otherwise
-    StuckVertex may be raised.  Default order is ascending id.
+    StuckVertex may be raised.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    if order is None:
-        order = range(g.n)
-    sigma: Coloring = {}
-    for v in order:
-        used = {sigma[w] for w in g.neighbors(v) if w in sigma}
+    # None, not 0, marks uncolored: a list may hold color 0
+    sigma: list[int | None] = [None] * g.n
+    for v in range(g.n):
+        used = {sigma[w] for w in g.neighbors(v)}
         avail = [c for c in lists[v] if c not in used]
         if not avail:
             raise StuckVertex(f"vertex {v} has no available color")
         sigma[v] = avail[int(rng.integers(len(avail)))]
-    return sigma
+    return np.array(sigma, dtype=np.int64)
 
 
 def slack_greedy_exact_distribution(
     g: Graph, lists: ListAssignment, order: Sequence[int] | None = None
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact output distribution of slack_greedy_sample, keyed by the
-    color tuple in vertex order.  Exponential; for small instances only."""
+    """Exact output distribution of slack greedy in the given order
+    (slack_greedy_sample's ascending order by default), keyed by the color
+    tuple in vertex order.  Exponential; for small instances only."""
     if order is None:
         order = list(range(g.n))
     out: dict[tuple[int, ...], Fraction] = {}
@@ -189,21 +184,21 @@ def exact_containment_uniform(
 # ---------------------------------------------------------------------------
 
 
-def random_greedy_sample(g: Graph, rng: np.random.Generator) -> Coloring:
+def random_greedy_sample(g: Graph, rng: np.random.Generator) -> np.ndarray:
     """Pick a uniform uncolored vertex, then a uniform color outside its
     colored neighborhood; palette is [max_degree + 1] so this always
-    completes."""
+    completes.  Returns the colors indexed by vertex."""
     palette = range(1, g.max_degree + 2)
     uncolored = list(range(g.n))
-    sigma: Coloring = {}
+    sigma: list[int | None] = [None] * g.n
     while uncolored:
         i = int(rng.integers(len(uncolored)))
         uncolored[i], uncolored[-1] = uncolored[-1], uncolored[i]
         v = uncolored.pop()
-        used = {sigma[w] for w in g.neighbors(v) if w in sigma}
+        used = {sigma[w] for w in g.neighbors(v)}
         avail = [c for c in palette if c not in used]
         sigma[v] = avail[int(rng.integers(len(avail)))]
-    return sigma
+    return np.array(sigma, dtype=np.int64)
 
 
 def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Fraction:

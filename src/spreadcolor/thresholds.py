@@ -113,7 +113,6 @@ def cost_bruteforce(
         for mask in range(1 << len(items)):
             yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
-    best: dict = {"value": None, "witness": None}
     memo: dict[frozenset, tuple[Fraction, tuple[frozenset, ...]]] = {}
 
     def solve(remaining: frozenset[frozenset]) -> tuple[Fraction, tuple[frozenset, ...]]:

@@ -103,7 +103,7 @@ def test_criterion_04_pipeline_validity():
             if (
                 len(res.coloring) == 200
                 and is_proper(g, res.coloring)
-                and set(res.coloring.values()) <= set(range(1, 18))
+                and set(res.coloring.tolist()) <= set(range(1, 18))
                 and not res.flagged
             ):
                 good += 1

@@ -102,7 +102,7 @@ class TestEstimateContainment:
         sampler = _uniform_coloring_sampler(g, [[1, 2, 3]] * 3)
         pairs = ((0, 1), (2, 3))
         est = estimate_containment(sampler, pairs, trials=300, seed=4)
-        rep = spread_report(sampler, 3, 3, 300, 4, family="custom", custom_sets=[pairs])
+        rep = spread_report(sampler, 3, 3, 300, 4, sets=[pairs])
         assert isinstance(est, SpreadRow) and rep.rows == [est]
 
 
@@ -128,8 +128,7 @@ class TestSpreadReport:
             palette_size=4,
             trials=3000,
             seed=5,
-            family="custom",
-            custom_sets=[[(0, 0)]],
+            sets=[((0, 0),)],
         )
         row = rep.rows[0]
         assert abs(row.p_hat - 0.5) < 0.05

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import fields
 
 import pytest
 
-from spreadcolor import clusters
-from spreadcolor.cli import _build_config, build_parser, main
-from spreadcolor.graphs import complete_graph, disjoint_union, read_edge_list, write_edge_list
+import numpy as np
+
+from spreadcolor import audit, clusters
+from spreadcolor.cli import _build_config, _make_sampler, build_parser, main
+from spreadcolor.clusters import Pipeline
+from spreadcolor.graphs import (
+    complete_graph,
+    disjoint_union,
+    gen_random_regular,
+    read_edge_list,
+    write_edge_list,
+)
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
 
@@ -189,6 +199,26 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["gen", "decompose", "sparsify"])
+def test_jobs_is_offered_only_where_pipeline_trials_run(command, capsys):
+    # only sample and audit run pipeline trials, so only they take --jobs
+    assert main([command, "--n", "20", "--D", "4", "--jobs", "2"]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_every_sampler_returns_an_int64_vertex_array():
+    g = gen_random_regular(30, 6, seed=2)
+    for name in ("random-greedy", "slack-greedy"):
+        colors = _make_sampler(name, g)(audit.trial_rng(0, 0))
+        assert colors.dtype == np.int64 and colors.shape == (g.n,), name
+    pipe = Pipeline(g)
+    for seed in range(3):
+        res = pipe.sample(seed)
+        arr, flagged = pipe.sample_array(seed)
+        assert res.coloring.dtype == np.int64 and res.coloring.shape == (g.n,)
+        assert np.array_equal(res.coloring, arr) and res.flagged == flagged
+
+
 def test_sample_moderate_scale(tmp_path):
     out = tmp_path / "runs.json"
     rc = main(
@@ -312,3 +342,38 @@ def test_audit_with_a_nan_ceiling_is_a_usage_error(capsys):
     argv = ["audit", "--n", "20", "--D", "4", "--trials", "100", "--c-hat-ceiling", "nan"]
     assert main(argv) == 2
     assert "c_hat_ceiling must be finite and > 0" in capsys.readouterr().err
+
+
+# sha256 of each command's --out file followed by its stdout, pinned from
+# the dict-returning samplers: the array samplers must print the same bytes
+CLI_GOLDEN = {
+    "sample": (
+        ["sample", "--n", "40", "--D", "8", "--seeds", "3", "--seed", "1"],
+        "8d5cce0f213fa22075f35035ead0c02622923b66d533771f20b8afa263e1159b",
+    ),
+    "audit-pipeline": (
+        ["audit", "--sampler", "pipeline", "--n", "30", "--D", "6", "--trials", "200",
+         "--seed", "6"],
+        "1f97c5a09f9e3731dd837fb79741a7f18cbd506d3269383f7fbe318732bb913f",
+    ),
+    "audit-random-greedy": (
+        ["audit", "--sampler", "random-greedy", "--n", "30", "--D", "6", "--trials", "200",
+         "--seed", "6"],
+        "1721a8de4bdd66c6ff455712a2d8eb54dba63c21e0efdbedda76a07dbf88d010",
+    ),
+    "audit-slack-greedy": (
+        ["audit", "--sampler", "slack-greedy", "--n", "30", "--D", "6", "--trials", "200",
+         "--seed", "6"],
+        "84b952d23dac374f3a45c88c7d0dc0e8f078d66f33f71781d944e2321b51621a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_output_is_byte_identical(name, tmp_path, capsys):
+    argv, expected = CLI_GOLDEN[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    h = hashlib.sha256(out.read_bytes())
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == expected

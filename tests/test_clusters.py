@@ -39,11 +39,19 @@ def swapped_double_clique(k: int) -> Graph:
     return Graph.from_edges(2 * k, edges)
 
 
+def outside_colors(g: Graph, sigma: dict[int, int] | None = None) -> np.ndarray:
+    """The color array build_cluster_context takes: sigma's colors, 0 elsewhere."""
+    out = np.zeros(g.n, dtype=np.int64)
+    if sigma:
+        out[list(sigma)] = list(sigma.values())
+    return out
+
+
 class TestBuildContext:
     def test_isolated_clique_zeta_zero_complete_b(self):
         d = 16
         g = complete_graph(d + 1)
-        ctx = build_cluster_context(g, range(d + 1), {}, Params())
+        ctx = build_cluster_context(g, range(d + 1), outside_colors(g), Params())
         assert ctx.zeta == 0.0
         assert all(len(row) == d + 1 for row in ctx.b.adj_x)
 
@@ -53,12 +61,12 @@ class TestBuildContext:
         edges = set(g.edges()) - {(0, 1)}
         g2 = Graph.from_edges(d + 1, edges)
         # degrees now d-1 and d; treat as cluster of the (irregular) graph
-        ctx = build_cluster_context(g2, range(d + 1), {}, Params())
+        ctx = build_cluster_context(g2, range(d + 1), outside_colors(g2), Params())
         assert ctx.zeta == 1 / ctx.d**2
 
     def test_engineered_density(self):
         g = clique_minus_cycle(19)  # D = 16, e(H) = 19
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         assert ctx.d == 16
         assert ctx.zeta == pytest.approx(19 / 256)
 
@@ -66,19 +74,19 @@ class TestBuildContext:
         g = swapped_double_clique(17)
         cluster = [v for v in range(2, 17)]  # K_17 minus the swapped pair {0,1}
         sigma_out = {0: 3, 1: 5}
-        ctx = build_cluster_context(g, cluster, sigma_out, Params())
+        ctx = build_cluster_context(g, cluster, outside_colors(g, sigma_out), Params())
         for row in ctx.b.adj_x:
             assert 2 not in row and 4 not in row  # y-indices of colors 3 and 5
 
     def test_invariant_violation_raises(self):
         g = disjoint_union(complete_graph(17), complete_graph(17))
         with pytest.raises(HypothesisViolated):
-            build_cluster_context(g, range(34), {}, Params())
+            build_cluster_context(g, range(34), outside_colors(g), Params())
 
     def test_sigma_out_on_cluster_rejected(self):
         g = complete_graph(17)
         with pytest.raises(ValueError):
-            build_cluster_context(g, range(17), {3: 1}, Params())
+            build_cluster_context(g, range(17), outside_colors(g, {3: 1}), Params())
 
 
 def _reference_legal_rows(g, cluster, sigma_out: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -105,9 +113,10 @@ class TestClusterShape:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             sigma_out = {v: int(rng.integers(0, 18)) for v in range(19, 38)}
-            ctx = build_cluster_context(g2, cluster, sigma_out, Params(), shape=shape)
+            arr = outside_colors(g2, sigma_out)
+            ctx = build_cluster_context(g2, cluster, arr, Params(), shape=shape)
             assert ctx.b.adj_x == _reference_legal_rows(g2, cluster, sigma_out)
-            assert ctx.b == build_cluster_context(g2, cluster, sigma_out, Params()).b
+            assert ctx.b == build_cluster_context(g2, cluster, arr, Params()).b
         # the cluster check reads every edge with an end in the cluster
         touching = {(u, v) for u, v in g2.edges() if u in cluster or v in cluster}
         got = {tuple(sorted(e)) for e in zip(*(a.tolist() for a in shape.edges))}
@@ -130,7 +139,7 @@ class TestClusterShape:
         assert shape.violation == "|C \\ N_v| = 18 >= eps*D for v=0"
         for _ in range(2):
             with pytest.raises(HypothesisViolated) as info:
-                build_cluster_context(g, range(34), {}, Params(), shape=shape)
+                build_cluster_context(g, range(34), outside_colors(g), Params(), shape=shape)
             assert str(info.value) == shape.violation
 
     def test_outside_check_comes_first(self):
@@ -143,10 +152,20 @@ class TestClusterShape:
         shape = cluster_shape(g, range(17), Params().cluster_eps())
         assert shape.violation == "|N_v \\ C| = 16 >= eps*D for v=0"
 
+    @pytest.mark.parametrize("cluster, stray", [([-1, 0, 1], -1), ([0, 1, 5], 5)])
+    def test_ids_outside_the_graph_rejected(self, cluster, stray):
+        # both fail at the boundary and name the stray id
+        g = complete_graph(5)
+        message = f"vertex {stray} not in graph of order 5"
+        with pytest.raises(ValueError, match=message):
+            cluster_shape(g, cluster, Params().cluster_eps())
+        with pytest.raises(ValueError, match=message):
+            build_cluster_context(g, cluster, outside_colors(g), Params())
+
     def test_outside_colors_beyond_the_palette_rejected(self):
         g = swapped_double_clique(17)
         with pytest.raises(ValueError, match="0..D\\+1"):
-            build_cluster_context(g, range(2, 17), {0: 18}, Params())
+            build_cluster_context(g, range(2, 17), outside_colors(g, {0: 18}), Params())
 
     def test_pipeline_builds_each_shape_once(self, monkeypatch):
         calls = []
@@ -164,7 +183,7 @@ class TestClusterShape:
 class TestProcess:
     def test_bookkeeping_and_pair_property(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         assert ctx.zeta >= ctx.zeta0
         rng = np.random.default_rng(0)
         pi = process_pair_coloring(ctx, rng)
@@ -177,7 +196,7 @@ class TestProcess:
 
     def test_small_zeta_rejected(self):
         g = complete_graph(17)
-        ctx = build_cluster_context(g, range(17), {}, Params())
+        ctx = build_cluster_context(g, range(17), outside_colors(g), Params())
         with pytest.raises(HypothesisViolated):
             process_pair_coloring(ctx, np.random.default_rng(1))
 
@@ -185,7 +204,7 @@ class TestProcess:
         # a shape whose only H pair is an edge of g; eta = 1 lowers both floors
         # below zero, so the one round colors that edge
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         ctx.shape = replace(ctx.shape, h_pairs=np.array([[0, g.adj[0][0]]]))
         with pytest.raises(VerificationFailed, match="pair process coloring is not proper"):
             process_pair_coloring(ctx, np.random.default_rng(0), rounds=1, eta=1.0)
@@ -194,7 +213,7 @@ class TestProcess:
         # eta = 0 makes the edge floor zeta*D^2 = e(H) itself, which e(H_0) = e(H)
         # does not exceed
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         with pytest.raises(FloorNotMet, match=r"e\(H_i\) = 19 !> .* = 19.00"):
             process_pair_coloring(ctx, np.random.default_rng(0), rounds=1, eta=0.0)
         assert issubclass(FloorNotMet, HypothesisViolated)
@@ -202,7 +221,7 @@ class TestProcess:
 
     def test_rounds_reduce_counts(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         pi = process_pair_coloring(ctx, np.random.default_rng(2))
         # |C'| = |C| - 2*rounds, |Gamma'| = D+1 - rounds
         rounds = len(set(pi.values()))
@@ -213,14 +232,14 @@ class TestColorCluster:
     def test_isolated_clique_bijection(self):
         d = 16
         g = complete_graph(d + 1)
-        ctx = build_cluster_context(g, range(d + 1), {}, Params())
+        ctx = build_cluster_context(g, range(d + 1), outside_colors(g), Params())
         colors, branch = color_cluster(ctx, np.random.default_rng(3))
         assert branch == "small"
         assert colors.dtype == np.int64 and sorted(colors) == list(range(1, d + 2))
 
     def test_large_zeta_path(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         colors, branch = color_cluster(ctx, np.random.default_rng(4))
         assert branch == "large"
         coloring = dict(zip(ctx.cluster, colors.tolist()))
@@ -248,7 +267,7 @@ class TestColorCluster:
         g2 = Graph.from_edges(38, edges)
         assert g2.is_regular(16)
         sigma_out = {v: (v % 17) + 1 for v in range(19, 38)}
-        ctx = build_cluster_context(g2, range(19), sigma_out, Params())
+        ctx = build_cluster_context(g2, range(19), outside_colors(g2, sigma_out), Params())
         assert ctx.zeta == pytest.approx(20 / 256)
         colors, branch = color_cluster(ctx, np.random.default_rng(5))
         assert branch == "large"
@@ -265,13 +284,13 @@ class TestColorCluster:
         # remove another Hamilton-ish matching to get D = 16? simpler: use as is
         d = g.max_degree
         assert d == 17
-        ctx = build_cluster_context(g, range(20), {}, Params(zeta0=1.0))
+        ctx = build_cluster_context(g, range(20), outside_colors(g), Params(zeta0=1.0))
         with pytest.raises(NegativeR):
             color_cluster(ctx, np.random.default_rng(6))
 
     def test_hierarchy_violation_raises(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), {}, Params())
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         with pytest.raises(HypothesisViolated):
             color_cluster(ctx, np.random.default_rng(7), Params(eta=0.9))
 
@@ -280,7 +299,7 @@ class TestClusterCheck:
     def _ctx(self):
         # K15 whose every vertex also sees outside vertices 0 (color 3) and 1 (color 5)
         g = swapped_double_clique(17)
-        return build_cluster_context(g, range(2, 17), {0: 3, 1: 5}, Params())
+        return build_cluster_context(g, range(2, 17), outside_colors(g, {0: 3, 1: 5}), Params())
 
     def test_conflict_with_outside_color_caught(self, monkeypatch):
         # x -> y = x + 2 gives vertex 2 color 3, the color of its neighbor 0
@@ -294,18 +313,21 @@ class TestClusterCheck:
     def test_uncovered_vertex_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "spread_X_perfect_matching",
-            lambda b, *a, **k: Matching({x: x + 5 for x in range(b.nx - 1)}),
+            lambda b, *a, **k: Matching({x: x + 1 for x in range(b.nx - 1)}),
         )
         with pytest.raises(VerificationFailed, match="does not cover the cluster"):
             color_cluster(self._ctx(), np.random.default_rng(0))
 
-    def test_array_and_dict_outside_colors_agree(self):
+    def test_outside_colors_are_one_array_over_the_graph(self):
         g = swapped_double_clique(17)
-        arr = np.zeros(g.n, dtype=np.int64)
-        arr[[0, 1]] = [3, 5]
-        a = build_cluster_context(g, range(2, 17), arr, Params())
-        assert a.b == self._ctx().b
-        assert np.array_equal(a.sigma_out, self._ctx().sigma_out)
+        arr = outside_colors(g, {0: 3, 1: 5})
+        ctx = build_cluster_context(g, range(2, 17), arr, Params())
+        arr[0] = 7  # the context keeps its own copy
+        assert ctx.sigma_out[0] == 3 and ctx.b == self._ctx().b
+        with pytest.raises(ValueError, match=r"shape \(34,\)"):
+            build_cluster_context(g, range(2, 17), arr[:-1], Params())
+        with pytest.raises(TypeError):
+            build_cluster_context(g, range(2, 17), {0: 3, 1: 5}, Params())
 
 
 class TestPipelineCheck:
@@ -340,7 +362,7 @@ class TestPipeline:
         d = 16
         g = complete_graph(d + 1)
         res = Pipeline(g).sample(0)
-        assert sorted(res.coloring.values()) == list(range(1, d + 2))
+        assert sorted(res.coloring.tolist()) == list(range(1, d + 2))
         assert res.cluster_paths == ["small"]
         assert not res.flagged
 
@@ -360,7 +382,7 @@ class TestPipeline:
         pipe = Pipeline(g)
         res = pipe.sample(3)
         assert is_proper(g, res.coloring)
-        assert set(res.coloring.values()) <= set(range(1, d + 2))
+        assert set(res.coloring.tolist()) <= set(range(1, d + 2))
         assert res.cluster_paths == ["small"]
 
     def test_swapped_cliques_clusters_with_cross_colors(self):
@@ -385,7 +407,7 @@ class TestPipeline:
     def test_deterministic_per_seed(self):
         g = gen_random_regular(80, 10, seed=20)
         pipe = Pipeline(g)
-        assert pipe.sample(5).coloring == pipe.sample(5).coloring
+        assert np.array_equal(pipe.sample(5).coloring, pipe.sample(5).coloring)
 
     def test_fallback_flags_but_stays_proper(self):
         # zeta0 = 0 forces the large path on a zeta = 0 clique; the hierarchy
@@ -410,6 +432,6 @@ class TestPipeline:
             + [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (10, 11)],
         )
         res = Pipeline(g).sample(2)
-        assert set(res.coloring) == set(range(12))
+        assert res.coloring.shape == (12,)
         assert is_proper(g, res.coloring)
-        assert set(res.coloring.values()) <= set(range(1, g.max_degree + 2))
+        assert set(res.coloring.tolist()) <= set(range(1, g.max_degree + 2))

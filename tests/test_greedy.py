@@ -29,7 +29,14 @@ class TestSlackGreedy:
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
         sigma = slack_greedy_sample(g, [[1]], rng=np.random.default_rng(0))
-        assert sigma == {0: 1}
+        assert sigma.dtype == np.int64 and sigma.tolist() == [1]
+
+    def test_color_zero_is_a_color(self):
+        # red_thumb's vertex 0 may take color 0, so 0 cannot mark "uncolored"
+        ce = build_counterexample("red_thumb", 3)
+        rng = np.random.default_rng(1)
+        firsts = {int(slack_greedy_sample(ce.graph, ce.lists, rng)[0]) for _ in range(50)}
+        assert firsts == {0, 1, 2, 3, 4}
 
     def test_k2_both_colorings_half(self):
         g = complete_graph(2)
@@ -190,8 +197,9 @@ class TestRandomGreedy:
         ce = build_counterexample("greedy_boys", 2)
         rng = np.random.default_rng(11)
         trials = 4000
+        target = [ce.target[v] for v in range(ce.graph.n)]
         hits = sum(
-            1 for _ in range(trials) if random_greedy_sample(ce.graph, rng) == ce.target
+            1 for _ in range(trials) if random_greedy_sample(ce.graph, rng).tolist() == target
         )
         p = float(random_greedy_exact_probability(ce.graph, ce.target))
         se = (p * (1 - p) / trials) ** 0.5

@@ -126,4 +126,4 @@ def test_k_out_max_reaches_the_dense_matcher(monkeypatch):
     Pipeline(complete_graph(17), Params(k_out_max=5)).sample(0)
     assert seen == [5]
     res = Pipeline(complete_graph(17), Params(k_out=2, k_out_max=4)).sample(0)
-    assert seen == [5, 4] and sorted(res.coloring.values()) == list(range(1, 18))
+    assert seen == [5, 4] and sorted(res.coloring.tolist()) == list(range(1, 18))
