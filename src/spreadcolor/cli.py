@@ -2,9 +2,9 @@
 
 Subcommands: gen, decompose, sample, audit, counterexample, sparsify,
 cost.  All randomness derives from --seed; per-trial streams are keyed
-by trial index, so --jobs (sample, audit) changes wall time but never
-output.  A JSON config file (--config) supplies parameter defaults;
-explicit flags win.
+by trial index, so --jobs (sample, and audit with the pipeline sampler)
+changes wall time but never output.  A JSON config file (--config)
+supplies parameter defaults; explicit flags win.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
 """
@@ -196,6 +196,11 @@ def _make_sampler(name: str, g: Graph) -> audit_mod.Sampler:
 
 
 def _cmd_audit(args) -> int:
+    if args.sampler != "pipeline" and args.jobs > 1:
+        raise SystemExit2(
+            f"--jobs {args.jobs}: --sampler {args.sampler} runs in one process; "
+            "only --sampler pipeline takes --jobs"
+        )
     cfg = _build_config(args)
     g = _load_graph(args, cfg)
     palette = g.max_degree + 1
@@ -271,7 +276,10 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-JOBS_HELP = "worker processes that run pipeline trials in parallel (default 1)"
+JOBS_HELP = (
+    "worker processes that run pipeline trials in parallel (default 1); "
+    "audit takes it only with --sampler pipeline"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:

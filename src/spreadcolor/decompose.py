@@ -104,9 +104,19 @@ def check_vertex_ids(g: Graph, ids: Iterable[int]) -> None:
         raise ValueError(f"vertex {min(stray)} not in graph of order {g.n}")
 
 
-def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
+def verify_decomposition(
+    g: Graph,
+    dec: Decomposition,
+    *,
+    counts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+) -> DecompositionReport:
     """Pure check of the Decomposition invariants against g.  A vertex id
-    outside 0..n-1 is a ValueError."""
+    outside 0..n-1 is a ValueError.
+
+    `counts`, if given, holds each cluster's (members in dec.clusters
+    order, |N_v \\ C|, |C \\ N_v|) as cluster_condition_counts gives them,
+    so a caller that has counted the clusters already need not count them
+    again; by default they are counted here, once the ids are checked."""
     d = g.max_degree
     parts = [dec.sparse, *map(frozenset, dec.clusters)]
     covered = set().union(*parts)
@@ -119,10 +129,11 @@ def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
         margin = neighborhood_complement_edges(g)[sparse] - dec.theta * d * d
         report.worst_sparse_margin = float(margin.min())
         report.sparse_failures = sparse[margin < 0].tolist()
+    if counts is None:
+        arrays = (np.asarray(c, dtype=np.int64) for c in dec.clusters)
+        counts = ((members, *cluster_condition_counts(g, members)) for members in arrays)
     limit = dec.eps * d
-    for cluster in dec.clusters:
-        members = np.asarray(cluster, dtype=np.int64)
-        outside, missing = cluster_condition_counts(g, members)
+    for members, outside, missing in counts:
         report.worst_outside_margin = min(
             report.worst_outside_margin, float(np.min(limit - outside, initial=np.inf))
         )
@@ -196,6 +207,10 @@ def sparse_dense_decompose(
                     stack.append(w)
         clusters.append(comp)
 
+    # one count per cluster serves both this check, which names the first
+    # failing vertex in set order, and the verification, which reads the
+    # counts in sorted order
+    counts = []
     for cluster in clusters:
         members = np.fromiter(cluster, dtype=np.int64, count=len(cluster))  # set order
         outside, missing = cluster_condition_counts(g, members)
@@ -205,6 +220,8 @@ def sparse_dense_decompose(
                 f"vertex {members[bad[0]]} violates a cluster condition but fails the "
                 f"sparsity test; no valid decomposition at eps_in={eps_in}"
             )
+        order = np.argsort(members)
+        counts.append((members[order], outside[order], missing[order]))
 
     dec = Decomposition(
         sparse=frozenset(sparse),
@@ -212,7 +229,7 @@ def sparse_dense_decompose(
         eps=eps,
         theta=theta,
     )
-    report = verify_decomposition(g, dec)
+    report = verify_decomposition(g, dec, counts=counts)
     if not report.ok:
         raise VerificationFailed(f"decomposition failed verification: {report}")
     return dec

@@ -72,6 +72,37 @@ class Graph:
             adj[v].add(u)
         return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in adj))
 
+    @staticmethod
+    def _from_csr(n: int, flat: np.ndarray, ptr: np.ndarray) -> "Graph":
+        """Graph whose row v is flat[ptr[v]:ptr[v+1]], with both arrays kept
+        as the flat_adjacency() cache.  Checks what from_edges enforces, ids
+        in range, no self-loop and strictly increasing rows (so no duplicate
+        edge), and raises ValueError otherwise.  Symmetry is the caller's
+        duty: every undirected edge must appear once in each row."""
+        flat = np.asarray(flat, dtype=np.int64)
+        ptr = np.asarray(ptr, dtype=np.int64)
+        lens = np.diff(ptr)
+        if ptr.shape != (n + 1,) or ptr[0] != 0 or ptr[-1] != len(flat) or (lens < 0).any():
+            raise ValueError(f"bad CSR offsets for n={n} and {len(flat)} entries")
+        if flat.size and not (0 <= flat.min() and flat.max() < n):
+            raise ValueError(f"neighbor id out of range for n={n}")
+        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+        loops = np.flatnonzero(flat == rows)
+        if loops.size:
+            raise ValueError(f"self-loop at {rows[loops[0]]}")
+        same_row = rows[1:] == rows[:-1]
+        bad = np.flatnonzero(same_row & (flat[1:] <= flat[:-1]))
+        if bad.size:
+            raise ValueError(
+                f"row {rows[bad[0]]} is not strictly increasing at "
+                f"{flat[bad[0]]}, {flat[bad[0] + 1]} (a duplicate or unsorted neighbor)"
+            )
+        cells, bounds = flat.tolist(), ptr.tolist()
+        adj = tuple(tuple(cells[a:b]) for a, b in zip(bounds, bounds[1:]))
+        out = Graph(n=n, adj=adj)
+        object.__setattr__(out, "_flat_adjacency", (flat, ptr))
+        return out
+
     # -- basic accessors ---------------------------------------------------
 
     def degree(self, v: int) -> int:
@@ -286,39 +317,46 @@ def regularize(g: Graph) -> Graph:
     f_v-regular circulant: offsets +-1..+-floor(f_v/2), plus the antipodal
     offset m/2 when f_v is odd (m is even in that case).  Vertex v of the
     input is vertex v of the output, and copy 0 induces g exactly.
+
+    The output is built as arrays: both directions of every edge are
+    emitted once, sorted by (row, column) into one CSR and handed to
+    Graph._from_csr.  The offsets are pairwise distinct mod m (2*off < m,
+    and m/2 is its own inverse), so no edge is emitted twice.
     """
     d = g.max_degree
     if d < 1:
         raise ValueError("regularize requires max degree >= 1")
-    deficiency = [d - g.degree(v) for v in range(g.n)]
-    if all(f == 0 for f in deficiency):
+    if g.is_regular():
         return g
-
-    if all(f * (d + 1) % 2 == 0 for f in deficiency):
-        m = d + 1
-    else:
-        m = d + 2
-
     n = g.n
-    edges: list[tuple[int, int]] = []
-    for c in range(m):
-        base = c * n
-        edges.extend((base + u, base + v) for u, v in g.edges())
-    for v in range(n):
-        f = deficiency[v]
-        if f == 0:
-            continue
-        offsets = list(range(1, f // 2 + 1))
-        if f % 2 == 1:
-            offsets.append(m // 2)
-        for c in range(m):
-            for off in offsets:
-                c2 = (c + off) % m
-                a, b = c * n + v, c2 * n + v
-                if a != b:
-                    edges.append((min(a, b), max(a, b)))
+    gflat, gptr = g.flat_adjacency()
+    deficiency = d - np.diff(gptr)
+    m = d + 2 if (deficiency * (d + 1) % 2).any() else d + 1
+    big = n * m
 
-    out = Graph.from_edges(n * m, set(edges))
+    # the m copies of g: row c*n + u, column c*n + w for each w in N(u)
+    copies = np.arange(m, dtype=np.int64)[:, None]
+    copy_rows = copies * n + np.repeat(np.arange(n, dtype=np.int64), np.diff(gptr))
+    copy_cols = copies * n + gflat
+    # the circulants: vertex v's j-th offset, j < f_v, is +(j//2 + 1) for
+    # even j and -(j//2 + 1) for odd j, except that the last one is m/2
+    # when f_v is odd
+    owner = np.repeat(np.arange(n, dtype=np.int64), deficiency)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(deficiency) - deficiency, deficiency)
+    offset = np.where(j % 2 == 0, j // 2 + 1, -(j // 2 + 1))
+    offset[(j == deficiency[owner] - 1) & (deficiency[owner] % 2 == 1)] = m // 2
+    circ_rows = copies * n + owner
+    circ_cols = (copies + offset) % m * n + owner
+
+    keys = np.concatenate(
+        [(copy_rows * big + copy_cols).ravel(), (circ_rows * big + circ_cols).ravel()]
+    )
+    keys.sort()
+    rows, flat = np.divmod(keys, big)
+    ptr = np.zeros(big + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=big), out=ptr[1:])
+    out = Graph._from_csr(big, flat, ptr)
+
     if not out.is_regular(d):
         raise VerificationFailed("regularized graph is not D-regular")
     # both edge lists are in lexicographic order with u < v, so the edges

@@ -206,6 +206,20 @@ def test_jobs_is_offered_only_where_pipeline_trials_run(command, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sampler", ["random-greedy", "slack-greedy"])
+def test_greedy_audit_rejects_parallel_jobs(sampler, capsys):
+    # the greedy samplers run every trial in one process, so --jobs 2 would
+    # do nothing; --jobs 1 (the default) is still accepted
+    base = ["audit", "--sampler", sampler, "--n", "20", "--D", "4", "--trials", "5"]
+    assert main(base + ["--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --jobs 2: --sampler {sampler} runs in one process; "
+        "only --sampler pipeline takes --jobs\n"
+    )
+    assert main(base + ["--jobs", "1"]) == 0
+
+
 def test_every_sampler_returns_an_int64_vertex_array():
     g = gen_random_regular(30, 6, seed=2)
     for name in ("random-greedy", "slack-greedy"):

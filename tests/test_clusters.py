@@ -14,7 +14,13 @@ from spreadcolor.clusters import (
     process_pair_coloring,
 )
 from spreadcolor.errors import FloorNotMet, HypothesisViolated, NegativeR, VerificationFailed
-from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
+from spreadcolor.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    disjoint_union,
+    gen_random_regular,
+)
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
 from oracles import is_proper
@@ -276,6 +282,35 @@ class TestColorCluster:
             for w in g2.neighbors(v):
                 if w in sigma_out:
                     assert sigma_out[w] != c
+
+    @pytest.mark.parametrize("case", ["R", "sum r_x"])
+    def test_small_zeta_matcher_bound_is_three_times(self, case):
+        # the small branch checks R, max r_x and sum r_x against zJ with
+        # z = 3*(eps + zeta*D).  Each cluster below puts one of them above
+        # the bound at 2*(eps + zeta*D) and within the one at 3
+        if case == "R":
+            # K10 beside a star K_{1,20}: D = 20, zeta = 0 and R = 21 - 10
+            g = disjoint_union(complete_graph(10), complete_bipartite(1, 20))
+            cluster, params = range(10), Params()
+        else:
+            # K33 minus the 6-regular circulant with offsets 1, 2, 3, and 14
+            # pendant neighbors per member: D = 40, R = 8, e(H) = 99, so
+            # sum r_x = 198 and zeta = 99/1600, forced onto the small branch
+            h = {(u, (u + k) % 33) for u in range(33) for k in (1, 2, 3)}
+            h |= {(v, u) for u, v in h}
+            edges = [(u, v) for u in range(33) for v in range(u + 1, 33) if (u, v) not in h]
+            edges += [(v, 33 + 14 * v + k) for v in range(33) for k in range(14)]
+            g = Graph.from_edges(33 + 33 * 14, edges)
+            cluster, params = range(33), Params(zeta0=1.0)
+        ctx = build_cluster_context(g, cluster, outside_colors(g), params)
+        d, j, r_x = ctx.d, len(ctx.cluster), ctx.shape.h_deg
+        values = {"R": d + 1 - j, "max r_x": max(r_x), "sum r_x": sum(r_x)}
+        low, high = (c * (ctx.eps + ctx.zeta * d) * j for c in (2, 3))
+        assert low < values.pop(case) <= high
+        assert all(value <= low for value in values.values())
+        colors, branch = color_cluster(ctx, np.random.default_rng(8), params)
+        assert branch == "small"
+        assert is_proper(g, dict(zip(ctx.cluster, colors.tolist())))
 
     def test_oversized_cluster_negative_r(self):
         # 20 vertices with D = 16 and zeta0 forced huge -> small path, R < 0

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from spreadcolor import graphs
+from spreadcolor import decompose, graphs
 from spreadcolor.decompose import (
     Decomposition,
     DecompositionReport,
@@ -296,6 +296,36 @@ def test_matches_the_pairwise_reference(name, eps_in, theta):
     else:
         assert got == want
         assert list(got.sparse) == list(want.sparse)  # same set, built in the same order
+
+
+@pytest.mark.parametrize("eps_in, theta", SETTINGS)
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_CASES))
+def test_one_count_per_cluster_gives_the_same_report(name, eps_in, theta, monkeypatch):
+    # the decomposition's own check and its verification share one
+    # cluster_condition_counts call per cluster, and the report they give
+    # equals a fresh verify_decomposition of the result
+    g = DECOMPOSITION_CASES[name]
+    calls, reports = [], []
+    count, verify = decompose.cluster_condition_counts, decompose.verify_decomposition
+
+    def counted(*args):
+        calls.append(1)
+        return count(*args)
+
+    def verified(*args, **kwargs):
+        reports.append(verify(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(decompose, "cluster_condition_counts", counted)
+    monkeypatch.setattr(decompose, "verify_decomposition", verified)
+    dec = outcome(lambda: sparse_dense_decompose(g, eps_in, theta))
+    monkeypatch.undo()
+    if not isinstance(dec, Decomposition):
+        assert not reports
+        return
+    assert len(calls) == len(dec.clusters)
+    want = verify_decomposition(g, dec)
+    assert (reports, repr(reports)) == ([want], repr([want]))
 
 
 def reference_verify(g: Graph, dec: Decomposition) -> DecompositionReport:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import fields
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from spreadcolor.graphs import (
     regularize,
     write_edge_list,
 )
-from oracles import is_proper
+from oracles import is_proper, regularize_reference
 
 
 def path_graph(n: int) -> Graph:
@@ -278,20 +280,8 @@ class TestRegularize:
         assert regularize(g) is g
 
     def test_random_inputs_postconditions(self):
-        rng = random.Random(1234)
-        for _ in range(100):
-            n = rng.randint(2, 60)
-            p = rng.uniform(0.05, 0.6)
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < p
-            ]
-            g = Graph.from_edges(n, edges)
-            d = g.max_degree
-            if d < 1 or d > 20:
-                continue
+        for g in random_regularize_inputs():
+            n, d = g.n, g.max_degree
             out = regularize(g)
             assert out.is_regular(d)
             # original graph induced on the vertex prefix
@@ -299,28 +289,140 @@ class TestRegularize:
                 assert set(out.adj[v]) & frozenset(range(n)) == set(g.adj[v])
             assert out.n <= (d + 2) * n
 
-
     def test_large_irregular_input_is_an_induced_prefix(self):
         # n = 8,000 at D = 4: the prefix check must not be quadratic in n
-        base = gen_random_regular(8000, 4, seed=5)
-        g = Graph.from_edges(8000, [e for i, e in enumerate(base.edges()) if i % 7])
+        g = large_irregular_input()
         out = regularize(g)
         assert not g.is_regular() and out.is_regular(4)
         assert [tuple(w for w in out.adj[v] if w < g.n) for v in range(g.n)] == list(g.adj)
+
+    @staticmethod
+    def inject(monkeypatch, change):
+        """Route the CSR that regularize builds through `change`, a map from
+        its edge set to another edge set, before Graph._from_csr sees it."""
+        from_csr = Graph._from_csr
+
+        def changed(n, flat, ptr):
+            edges = change(set(from_csr(n, flat, ptr).edges()))
+            return from_csr(n, *Graph.from_edges(n, edges).flat_adjacency())
+
+        monkeypatch.setattr(Graph, "_from_csr", staticmethod(changed))
 
     def test_a_changed_prefix_is_caught(self, monkeypatch):
         # the path 0-1-2-3 gets 4 copies, and the copies of vertex 3 are
         # joined by the edge (3,11).  Swapping (1,2), (3,11) for (1,3), (2,11)
         # keeps the output 2-regular and the first ends of the prefix edges
         # (0, 1, 2), so only a check of both ends can see it
-        g, from_edges = path_graph(4), Graph.from_edges
-
-        def swapped(n, edges):
-            return from_edges(n, (set(edges) - {(1, 2), (3, 11)}) | {(1, 3), (2, 11)})
-
-        monkeypatch.setattr(Graph, "from_edges", staticmethod(swapped))
+        self.inject(monkeypatch, lambda edges: (edges - {(1, 2), (3, 11)}) | {(1, 3), (2, 11)})
         with pytest.raises(VerificationFailed, match="not induced on vertex prefix"):
-            regularize(g)
+            regularize(path_graph(4))
+
+    def test_a_non_regular_output_is_caught(self, monkeypatch):
+        # without the antipodal edge (3,11), vertices 3 and 11 have degree 1
+        self.inject(monkeypatch, lambda edges: edges - {(3, 11)})
+        with pytest.raises(VerificationFailed, match="not D-regular"):
+            regularize(path_graph(4))
+
+
+def random_regularize_inputs():
+    """The 100 seeded random graphs of the regularize tests, keeping those
+    with 1 <= D <= 20."""
+    rng = random.Random(1234)
+    for _ in range(100):
+        n = rng.randint(2, 60)
+        p = rng.uniform(0.05, 0.6)
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        g = Graph.from_edges(n, edges)
+        if 1 <= g.max_degree <= 20:
+            yield g
+
+
+def large_irregular_input() -> Graph:
+    """gen_random_regular(8000, 4) minus every 7th edge."""
+    base = gen_random_regular(8000, 4, seed=5)
+    return Graph.from_edges(8000, [e for i, e in enumerate(base.edges()) if i % 7])
+
+
+def irregular_sparse_bench_input(monkeypatch) -> Graph:
+    """The `irregular-sparse` benchmark input at seed 555, made by the
+    benchmark's own code."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("workloads").IrregularSparse().make_input(555).graph
+
+
+class TestRegularizeMatchesReference:
+    """The array-built regularize against the tuple-and-set construction it
+    replaced (tests/oracles.py): the same graph, so the same vertex layout
+    and the same sorted rows, with a symmetric adjacency and a cached CSR
+    equal to one built afresh from the rows."""
+
+    @staticmethod
+    def check(g: Graph) -> Graph:
+        out = regularize(g)
+        assert out == regularize_reference(g)
+        flat, ptr = out.flat_adjacency()
+        fresh_flat, fresh_ptr = Graph(out.n, out.adj).flat_adjacency()
+        assert np.array_equal(flat, fresh_flat) and np.array_equal(ptr, fresh_ptr)
+        rows = np.repeat(np.arange(out.n), np.diff(ptr))
+        assert np.array_equal(np.sort(rows * out.n + flat), np.sort(flat * out.n + rows))
+        return out
+
+    def test_random_inputs(self):
+        for g in random_regularize_inputs():
+            self.check(g)
+
+    @pytest.mark.parametrize(
+        "g,copies",
+        [
+            # K5 beside C5: D = 4 and every deficiency is 0 or 2, so m = D+1
+            (disjoint_union(complete_graph(5), cycle_graph(5)), 5),
+            # the path 0-1-2-3: D = 2, the ends lack 1, so m = D+2 with the
+            # antipodal offset m/2
+            (path_graph(4), 4),
+            # K_{1,3} plus the edge (1,2): D = 3, deficiencies 1, 1, 2, so
+            # m = D+1 is even and the odd ones still take m/2
+            (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 4),
+            # an isolated vertex beside K4: deficiency D
+            (disjoint_union(complete_graph(4), Graph.from_edges(1, [])), 4),
+        ],
+    )
+    def test_copy_counts(self, g, copies):
+        assert self.check(g).n == copies * g.n
+
+    def test_large_irregular_input(self):
+        self.check(large_irregular_input())
+
+    def test_bench_input(self, monkeypatch):
+        assert self.check(irregular_sparse_bench_input(monkeypatch)).n == 4200
+
+
+class TestFromCsr:
+    def test_rows_and_cache(self):
+        g = Graph._from_csr(3, np.array([1, 0, 2, 1]), np.array([0, 1, 3, 4]))
+        assert g == path_graph(3)
+        flat, ptr = g.flat_adjacency()
+        assert flat.tolist() == [1, 0, 2, 1] and ptr.tolist() == [0, 1, 3, 4]
+
+    @pytest.mark.parametrize(
+        "n,flat,ptr,match",
+        [
+            (2, [1, 2], [0, 1, 2], "out of range"),
+            (2, [-1, 0], [0, 1, 2], "out of range"),
+            (2, [0, 0], [0, 1, 2], "self-loop at 0"),
+            (3, [1, 1, 0, 0], [0, 2, 3, 4], "row 0 is not strictly increasing"),
+            (3, [2, 1, 0, 0], [0, 2, 3, 4], "row 0 is not strictly increasing"),
+            (2, [1, 0], [0, 1], "bad CSR offsets"),
+            (2, [1, 0], [0, 2, 1], "bad CSR offsets"),
+        ],
+    )
+    def test_rejects(self, n, flat, ptr, match):
+        with pytest.raises(ValueError, match=match):
+            Graph._from_csr(n, np.array(flat), np.array(ptr))
 
 
 class TestGenRandomRegular:
