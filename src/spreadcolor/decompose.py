@@ -10,7 +10,11 @@ common-neighbor counts over the CSR adjacency
 (`graphs.common_neighbor_blocks`), never from pairwise set
 intersections.  The statistic is one int64 array per graph
 (`neighborhood_complement_edges(g)`), computed once and read by the
-classifier and by `verify_decomposition` alike.
+classifier and by `verify_decomposition` alike.  A graph that
+`graphs.regularize` built arrives with that array already cached:
+regularize derives it from the input's statistic, so only a regular
+input, which regularize returns as it is, gets its statistic counted
+here.
 """
 from __future__ import annotations
 

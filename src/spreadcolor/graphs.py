@@ -20,6 +20,7 @@ __all__ = [
     "Graph",
     "check_proper",
     "common_neighbor_blocks",
+    "count_complement_edges",
     "complete_graph",
     "complete_bipartite",
     "disjoint_union",
@@ -290,18 +291,27 @@ def neighborhood_complement_edges(g: Graph) -> np.ndarray:
 
     Equals C(d(v),2) minus the edges inside N_v, and the latter is half of
     the sum over w in N_v of |N_v ∩ N_w|; this is the sparsity statistic
-    that classifies vertices for the decomposition.
+    that classifies vertices for the decomposition.  A graph built by
+    regularize has it cached from the start (see regularize).
     """
     if g._complement_edges is None:
-        out = np.empty(g.n, dtype=np.int64)
-        for block, cnt in common_neighbor_blocks(g, np.arange(g.n)):
-            lens, mids = g.gather_neighbors(block)
-            row = np.repeat(np.arange(len(block)), lens)
-            twice_inside = np.bincount(row, weights=cnt[row, mids], minlength=len(block))
-            out[block] = lens * (lens - 1) // 2 - twice_inside.astype(np.int64) // 2
+        out = count_complement_edges(g, np.arange(g.n))
         out.flags.writeable = False
         object.__setattr__(g, "_complement_edges", out)
     return g._complement_edges
+
+
+def count_complement_edges(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """The sparsity statistic of each vertex in `rows`, in that order,
+    counted afresh from blocked common-neighbor counts; no cache is read
+    or filled."""
+    out = []
+    for block, cnt in common_neighbor_blocks(g, rows):
+        lens, mids = g.gather_neighbors(block)
+        row = np.repeat(np.arange(len(block)), lens)
+        twice_inside = np.bincount(row, weights=cnt[row, mids], minlength=len(block))
+        out.append(lens * (lens - 1) // 2 - twice_inside.astype(np.int64) // 2)
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +332,23 @@ def regularize(g: Graph) -> Graph:
     emitted once, sorted by (row, column) into one CSR and handed to
     Graph._from_csr.  The offsets are pairwise distinct mod m (2*off < m,
     and m/2 is its own inverse), so no edge is emitted twice.
+
+    The output's sparsity statistic is derived from the input's and cached
+    on it, so neighborhood_complement_edges(out) does not count it again.
+    For copy c of input vertex u, with d_u = deg(u) and f_u = D - d_u,
+
+        nce_out(c*n + u) = C(D,2) - C(d_u,2) + nce_g(u) - t(f_u),
+
+    where t(f) is the number of edges among the neighbors of vertex 0 in
+    the f-regular circulant on Z_m with the offsets above.  N_out(c*n + u)
+    is the copy-c image of N_g(u) together with the f_u circulant
+    neighbors of u, and the edges inside it fall into three cases:
+    between two copy-c neighbors, exactly the edges of N_g(u) (copy c is
+    an induced copy of g); between two circulant neighbors, the t(f_u)
+    circulant edges, since those vertices are copies of u alone; and
+    between a copy-c neighbor w and a circulant neighbor (c', u), none,
+    since an edge of the output either stays inside one copy (and c' != c)
+    or joins two copies of one vertex (and w != u).
     """
     d = g.max_degree
     if d < 1:
@@ -330,13 +357,14 @@ def regularize(g: Graph) -> Graph:
         return g
     n = g.n
     gflat, gptr = g.flat_adjacency()
-    deficiency = d - np.diff(gptr)
+    degree = np.diff(gptr)
+    deficiency = d - degree
     m = d + 2 if (deficiency * (d + 1) % 2).any() else d + 1
     big = n * m
 
     # the m copies of g: row c*n + u, column c*n + w for each w in N(u)
     copies = np.arange(m, dtype=np.int64)[:, None]
-    copy_rows = copies * n + np.repeat(np.arange(n, dtype=np.int64), np.diff(gptr))
+    copy_rows = copies * n + np.repeat(np.arange(n, dtype=np.int64), degree)
     copy_cols = copies * n + gflat
     # the circulants: vertex v's j-th offset, j < f_v, is +(j//2 + 1) for
     # even j and -(j//2 + 1) for odd j, except that the last one is m/2
@@ -366,6 +394,26 @@ def regularize(g: Graph) -> Graph:
     prefix = ov < n
     if not (np.array_equal(ou[prefix], gu) and np.array_equal(ov[prefix], gv)):
         raise VerificationFailed("original graph not induced on vertex prefix")
+
+    # t(f) from the offsets of one vertex of each deficiency f: the pairs
+    # of offsets whose difference is an offset too, counted both ways
+    circulant_edges = np.zeros(d + 1, dtype=np.int64)
+    fs, first = np.unique(deficiency, return_index=True)
+    starts = np.cumsum(deficiency) - deficiency
+    for f, u in zip(fs.tolist(), first.tolist()):
+        own = offset[starts[u] : starts[u] + f] % m
+        is_offset = np.zeros(m, dtype=bool)
+        is_offset[own] = True
+        circulant_edges[f] = is_offset[(own[:, None] - own[None, :]) % m].sum() // 2
+    stat = (
+        d * (d - 1) // 2
+        - degree * (degree - 1) // 2
+        + neighborhood_complement_edges(g)
+        - circulant_edges[deficiency]
+    )
+    stat = np.tile(stat, m)
+    stat.flags.writeable = False
+    object.__setattr__(out, "_complement_edges", stat)
     return out
 
 
@@ -383,6 +431,8 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Grap
     aborts the attempt; after `max_tries` aborted attempts we give up.
     Plain whole-pairing rejection would be hopeless already at d ~ 20.
     """
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     if d >= n:
         raise ValueError(f"need d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:

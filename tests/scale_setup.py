@@ -1,0 +1,64 @@
+"""Set-up at scale: `Pipeline(g)` on large irregular inputs.
+
+Not a pytest module (the name does not match test_*.py), so tier-1 does
+not collect it.  Run it from the repository root:
+
+    PYTHONPATH=src python tests/scale_setup.py [--n 5000 20000] [--rows 200]
+
+Each input is gen_random_regular(n, 20) minus every 50th edge, so
+regularize builds D+2 = 22 copies (110,000 vertices at n = 5,000 and
+440,000 at n = 20,000).  For each n the script times `Pipeline(g)` on a
+fresh graph, then recounts a seeded sample of rows of the sparsity
+statistic of the regularized graph with `count_complement_edges` (the
+blocked common-neighbor count, which reads no cache) and compares them
+with the array that regularize cached.  It exits 1 on a mismatch, or
+when a set-up takes more than the 20 s budget of ROADMAP item 4.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from spreadcolor.clusters import Pipeline
+from spreadcolor.graphs import Graph, count_complement_edges, gen_random_regular
+
+BUDGET_S = 20.0
+
+
+def scale_input(n: int) -> Graph:
+    """gen_random_regular(n, 20) minus every 50th edge."""
+    base = gen_random_regular(n, 20, seed=n)
+    return Graph.from_edges(n, [e for i, e in enumerate(base.edges()) if i % 50])
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", type=int, nargs="+", default=[5000, 20000])
+    ap.add_argument("--rows", type=int, default=200, help="statistic rows recounted per input")
+    args = ap.parse_args(argv)
+    ok = True
+    for n in args.n:
+        g = scale_input(n)
+        t0 = time.perf_counter()
+        pipe = Pipeline(g)
+        setup_s = time.perf_counter() - t0
+        reg = pipe.reg
+        stat = reg._complement_edges
+        rows = np.sort(np.random.default_rng(n).choice(reg.n, min(args.rows, reg.n), replace=False))
+        same = stat is not None and np.array_equal(stat[rows], count_complement_edges(reg, rows))
+        in_budget = setup_s <= BUDGET_S
+        ok &= same and in_budget
+        print(
+            f"n={n}: {reg.n} vertices regularized, Pipeline(g) {setup_s:.2f} s"
+            f"{'' if in_budget else f' OVER the {BUDGET_S:.0f} s budget'}, "
+            f"{len(pipe.dec.sparse)} sparse, {len(pipe.dec.clusters)} clusters, "
+            f"{len(rows)} statistic rows {'match' if same else 'MISMATCH'}"
+        )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

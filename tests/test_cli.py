@@ -42,6 +42,12 @@ def test_gen_parity_usage_error(capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,d", [("10", "-1"), ("-2", "-4")])
+def test_gen_negative_size_usage_error(capsys, n, d):
+    assert main(["gen", "--n", n, "--D", d]) == 2
+    assert "need n >= 0 and d >= 0" in capsys.readouterr().err
+
+
 def test_counterexample_red_thumb(capsys):
     assert main(["counterexample", "red_thumb", "--D", "3"]) == 0
     out = capsys.readouterr().out

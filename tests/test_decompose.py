@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from spreadcolor import decompose, graphs
+from spreadcolor.clusters import Pipeline
 from spreadcolor.decompose import (
     Decomposition,
     DecompositionReport,
@@ -19,6 +20,7 @@ from spreadcolor.graphs import (
     gen_random_regular,
     regularize,
 )
+from spreadcolor.params import Params
 
 
 def test_single_clique_is_one_cluster():
@@ -231,18 +233,23 @@ def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> 
     )
 
 
+def sparse_twin_input() -> Graph:
+    """The irregular graph that sparse_twin() regularizes."""
+    u, a, w, b1, b2 = 0, list(range(1, 21)), 21, 22, 23
+    matched = {(a[i], a[i + 1]) for i in range(0, 18, 2)}
+    edges = [(u, x) for x in a]
+    edges += [(x, y) for i, x in enumerate(a) for y in a[i + 1 :] if (x, y) not in matched]
+    edges += [(x, w) for x in a[:18]] + [(w, b1), (w, b2), (b1, b2)]
+    return Graph.from_edges(24, edges)
+
+
 def sparse_twin() -> Graph:
     """D=20 after regularize: a dense vertex u whose neighborhood A is K_20
     minus a matching on 18 of its vertices A', and a sparse vertex w whose
     neighbors are A' and two vertices b1, b2 off A'.  u and w share 18 =
     (1 - 2*0.05)*20 neighbors, so only the dense mask keeps w out of u's
     friend list."""
-    u, a, w, b1, b2 = 0, list(range(1, 21)), 21, 22, 23
-    matched = {(a[i], a[i + 1]) for i in range(0, 18, 2)}
-    edges = [(u, x) for x in a]
-    edges += [(x, y) for i, x in enumerate(a) for y in a[i + 1 :] if (x, y) not in matched]
-    edges += [(x, w) for x in a[:18]] + [(w, b1), (w, b2), (b1, b2)]
-    return regularize(Graph.from_edges(24, edges))
+    return regularize(sparse_twin_input())
 
 
 def decomposition_cases() -> dict[str, Graph]:
@@ -418,6 +425,50 @@ def test_the_large_case_spans_several_blocks():
     rows_per_block = graphs._BLOCK_CELLS // max(g.n, g.max_degree**2)
     dense = g.n - len(sparse_dense_decompose(g, 0.05).sparse)
     assert rows_per_block < dense < g.n
+
+
+def irregular_pipeline_inputs() -> dict[str, tuple[Graph, Params]]:
+    """Irregular inputs whose regularized statistic regularize derives."""
+    from test_clusters import clique_minus_cycle, swapped_double_clique
+    from test_golden import _irregular
+
+    thinned = gen_random_regular(60, 20, seed=3)
+    thinned = Graph.from_edges(60, [e for i, e in enumerate(thinned.edges()) if i % 10])
+    near_cliques = disjoint_union(
+        disjoint_union(swapped_double_clique(21), clique_minus_cycle(23)), thinned
+    )
+    return {
+        "golden irregular": (_irregular(), Params()),
+        "sparse twin": (sparse_twin_input(), Params(theta=0.05)),
+        "near cliques": (near_cliques, Params(theta=0.05)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(irregular_pipeline_inputs()))
+def test_pipeline_decomposes_as_a_fresh_count_would(name):
+    # the set-up reads the statistic regularize derived; a cache-free copy
+    # of the regularized graph counts it afresh and decomposes the same
+    g, params = irregular_pipeline_inputs()[name]
+    assert not g.is_regular()
+    pipe = Pipeline(g, params)
+    assert pipe.reg._complement_edges is not None
+    cache_free = Graph(pipe.reg.n, pipe.reg.adj)
+    assert pipe.dec == sparse_dense_decompose(cache_free, params.eps, params.theta)
+    copies = pipe.reg.n // g.n
+    if name == "sparse twin":
+        # in every copy, the dense vertex u is in a cluster and w is sparse
+        assert len(pipe.dec.clusters) == copies
+        assert 0 not in pipe.dec.sparse and 21 in pipe.dec.sparse
+    if name == "near cliques":
+        assert len(pipe.dec.clusters) == 3 * copies
+
+
+def test_a_regular_input_is_not_regularized():
+    # regularize returns a regular input itself, before counting anything;
+    # the decomposition then counts the statistic on it
+    g = gen_random_regular(60, 20, seed=3)
+    assert regularize(g) is g and g._complement_edges is None
+    assert Pipeline(g).reg is g
 
 
 def test_json_round_trip():

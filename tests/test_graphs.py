@@ -401,6 +401,83 @@ class TestRegularizeMatchesReference:
         assert self.check(irregular_sparse_bench_input(monkeypatch)).n == 4200
 
 
+def regularized_statistic_cases() -> dict[str, Graph]:
+    """Irregular inputs whose regularized statistic is derived from theirs:
+    the irregular random inputs, the n = 8,000 input, the irregular
+    STATISTIC_CASES and two hand-made ones."""
+    cases = {f"random({i})": g for i, g in enumerate(random_regularize_inputs())}
+    cases["large"] = large_irregular_input()
+    cases.update({k: g for k, g in STATISTIC_CASES.items() if g.max_degree >= 1})
+    # K7 beside K2: D = 6 and f = 5 on the K2, so m = D+2 = 8 and the K2's
+    # copies take the offsets +1, -1, +2, -2 and the antipodal 4
+    cases["odd deficiency"] = disjoint_union(complete_graph(7), complete_graph(2))
+    # K5 beside an isolated vertex: f = D = 4 and m = 5, so the copies of
+    # the isolated vertex form a K5
+    cases["isolated vertex"] = disjoint_union(complete_graph(5), Graph.from_edges(1, []))
+    return {k: g for k, g in cases.items() if not g.is_regular()}
+
+
+REGULARIZED_STATISTIC_CASES = regularized_statistic_cases()
+
+
+class TestRegularizedStatistic:
+    """regularize caches the output's sparsity statistic, derived from the
+    input's; it must equal every independent count on the output."""
+
+    @staticmethod
+    def derived(g: Graph) -> tuple[Graph, np.ndarray]:
+        """(regularize(g), its cached statistic), read-only and a cache hit."""
+        out = regularize(g)
+        stat = out._complement_edges
+        assert stat is not None and not stat.flags.writeable
+        assert stat.dtype == np.int64 and stat.shape == (out.n,)
+        assert neighborhood_complement_edges(out) is stat
+        return out, stat
+
+    def test_the_cases_are_irregular(self):
+        assert len(REGULARIZED_STATISTIC_CASES) > 60
+        assert {"large", "gnp(3)", "odd deficiency", "isolated vertex"} <= set(
+            REGULARIZED_STATISTIC_CASES
+        )
+
+    @pytest.mark.parametrize("name", sorted(REGULARIZED_STATISTIC_CASES))
+    def test_matches_the_blocked_count(self, name):
+        out, stat = self.derived(REGULARIZED_STATISTIC_CASES[name])
+        cache_free = Graph(out.n, out.adj)
+        assert np.array_equal(stat, neighborhood_complement_edges(cache_free))
+
+    @pytest.mark.parametrize("name", sorted(REGULARIZED_STATISTIC_CASES))
+    def test_matches_the_set_oracle(self, name):
+        out, stat = self.derived(REGULARIZED_STATISTIC_CASES[name])
+        assert stat.tolist() == complement_edges_by_sets(out)
+
+    @pytest.mark.parametrize("name", sorted(REGULARIZED_STATISTIC_CASES))
+    def test_matches_networkx_triangles(self, name):
+        nx = pytest.importorskip("networkx")
+        out, stat = self.derived(REGULARIZED_STATISTIC_CASES[name])
+        h = nx.Graph()
+        h.add_nodes_from(range(out.n))
+        h.add_edges_from(out.edges())
+        tri = nx.triangles(h)
+        d = out.max_degree
+        assert stat.tolist() == [comb(d, 2) - tri[v] for v in range(out.n)]
+
+    def test_odd_deficiency(self):
+        # the K2's copies at offsets {1, 7, 2, 6, 4} mod 8 span t(5) = 6
+        # circulant edges: 1-7, 7-6, 2-4, 6-4, 2-6 and 1-2; so a copy of
+        # either K2 vertex has C(6,2) - C(1,2) + 0 - 6 = 9 non-edges
+        _, stat = self.derived(REGULARIZED_STATISTIC_CASES["odd deficiency"])
+        assert len(stat) == 8 * 9
+        assert stat.reshape(8, 9)[:, 7:].tolist() == [[9, 9]] * 8
+        assert stat.reshape(8, 9)[:, :7].tolist() == [[0] * 7] * 8
+
+    def test_isolated_vertex(self):
+        # t(4) = C(4,2) on the K5 of the isolated vertex's copies: 0 non-edges
+        _, stat = self.derived(REGULARIZED_STATISTIC_CASES["isolated vertex"])
+        assert len(stat) == 5 * 6
+        assert not stat.any()
+
+
 class TestFromCsr:
     def test_rows_and_cache(self):
         g = Graph._from_csr(3, np.array([1, 0, 2, 1]), np.array([0, 1, 3, 4]))
@@ -442,6 +519,13 @@ class TestGenRandomRegular:
     def test_degree_too_large(self):
         with pytest.raises(ValueError):
             gen_random_regular(4, 4, seed=0)
+
+    @pytest.mark.parametrize("n,d", [(10, -1), (-2, -4), (-1, -3), (-3, 2)])
+    def test_negative_sizes(self, n, d):
+        # (10, -1) and (-2, -4) pass the d < n and parity checks and used
+        # to spend every attempt before raising MaxTriesExceeded
+        with pytest.raises(ValueError, match="need n >= 0 and d >= 0"):
+            gen_random_regular(n, d, seed=0, max_tries=1)
 
     def test_deterministic(self):
         a = gen_random_regular(30, 7, seed=42)
