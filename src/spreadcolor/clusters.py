@@ -335,7 +335,7 @@ def _greedy_cluster_fallback(g: Graph, members: np.ndarray, colors: np.ndarray) 
     d = g.max_degree
     colors = colors.copy()
     for v in members.tolist():
-        used = {int(colors[w]) for w in g.neighbors(v)}
+        used = set(colors[g.flat[g.ptr[v] : g.ptr[v + 1]]].tolist())
         colors[v] = next(c for c in range(1, d + 2) if c not in used)
     return colors[members]
 

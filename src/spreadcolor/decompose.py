@@ -25,7 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import HypothesisViolated, VerificationFailed
-from .graphs import Graph, common_neighbor_blocks, neighborhood_complement_edges
+from .graphs import (Graph, common_neighbor_blocks, connected_components,
+                     neighborhood_complement_edges)
 
 __all__ = ["Decomposition", "DecompositionReport", "check_vertex_ids",
            "cluster_condition_counts", "sparse_dense_decompose", "verify_decomposition"]
@@ -187,29 +188,17 @@ def sparse_dense_decompose(
 
     # friend graph on the dense vertices: only pairs at distance 2 share a
     # neighbor, and every such pair is a cell of the common-neighbor counts
+    # (a sparse vertex keeps the shared empty row); clusters are its
+    # components, searched from the dense vertices in order
     friend_thr = (1.0 - 2.0 * eps_in) * d
-    friend_adj: dict[int, list[int]] = {}
+    friend_adj: list[list[int]] = [[]] * g.n
     for block, cnt in common_neighbor_blocks(g, dense):
         friend = (cnt >= friend_thr) & ~is_sparse
         friend[np.arange(len(block)), block] = False
         for u, row in zip(block.tolist(), friend):
             friend_adj[u] = np.flatnonzero(row).tolist()
-
-    clusters: list[set[int]] = []
-    seen: set[int] = set()
-    for s in friend_adj:
-        if s in seen:
-            continue
-        comp, stack = set(), [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp.add(u)
-            for w in friend_adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        clusters.append(comp)
+    # the visit order fixes the set order, which the check below reads
+    clusters = [set(comp) for comp in connected_components(friend_adj, dense.tolist())[1]]
 
     # one count per cluster serves both this check, which names the first
     # failing vertex in set order, and the verification, which reads the

@@ -10,6 +10,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "Graph",
     "check_proper",
     "common_neighbor_blocks",
+    "connected_components",
     "count_complement_edges",
     "complete_graph",
     "complete_bipartite",
@@ -32,54 +34,87 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph with sorted adjacency lists.
+    """Immutable simple graph held as CSR arrays: the neighbors of vertex v
+    are flat[ptr[v]:ptr[v+1]], in increasing order.  Both arrays are int64
+    and read-only.
 
     Invariants: no self-loops, no duplicate edges, symmetric adjacency.
-    `from_edges` (and every generator and reader built on it) enforces
-    them; the raw `Graph(n, adj)` checks nothing and trusts its caller.
+    `from_edges` and `_from_csr` (and every generator and reader built on
+    them) enforce them; the raw `Graph(n, flat, ptr)` checks nothing and
+    trusts its caller.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
-    # Lazy caches, empty (None or -1) until first use and then set through
-    # object.__setattr__.  They are declared fields rather than
-    # cached_propertys: a cached_property adds a key to the instance
-    # __dict__ after construction, which sends every later attribute load
-    # on the graph down CPython's slower path.
-    _min_degree: int = field(repr=False, compare=False, default=-1)
-    _max_degree: int = field(repr=False, compare=False, default=-1)
-    _edge_arrays: tuple[np.ndarray, np.ndarray] | None = field(
-        repr=False, compare=False, default=None
-    )
-    _flat_adjacency: tuple[np.ndarray, np.ndarray] | None = field(
-        repr=False, compare=False, default=None
-    )
+    flat: np.ndarray
+    ptr: np.ndarray
+    # Caches, set through object.__setattr__: the degree range on
+    # construction, the rest (None until then) on first use.  They are
+    # declared fields rather than cached_propertys: a cached_property adds a
+    # key to the instance __dict__ after construction, which sends every
+    # later attribute load on the graph down CPython's slower path.
+    _min_degree: int = field(init=False, repr=False)
+    _max_degree: int = field(init=False, repr=False)
+    _edge_arrays: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
     _components: tuple[np.ndarray, tuple[tuple[int, ...], ...]] | None = field(
-        repr=False, compare=False, default=None
+        repr=False, default=None
     )
-    _complement_edges: np.ndarray | None = field(repr=False, compare=False, default=None)
+    _complement_edges: np.ndarray | None = field(repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flat", _frozen(self.flat))
+        object.__setattr__(self, "ptr", _frozen(self.ptr))
+        lens = np.diff(self.ptr) if self.n else np.zeros(1, dtype=np.int64)
+        object.__setattr__(self, "_min_degree", int(lens.min()))
+        object.__setattr__(self, "_max_degree", int(lens.max()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.ptr, other.ptr)
+            and np.array_equal(self.flat, other.flat)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.flat.tobytes(), self.ptr.tobytes()))
+
+    def __reduce__(self):  # unpickled arrays would be writable, and caches can be rebuilt
+        return Graph, (self.n, self.flat, self.ptr)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in adj))
+        """Graph on 0..n-1 with the given edges, repeats merged.  A negative n,
+        an edge out of range or a self-loop is a ValueError naming the first
+        bad edge in input order."""
+        if n < 0:
+            raise ValueError(f"need n >= 0, got n={n}")
+        edges = list(edges)
+        try:
+            ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        except OverflowError:  # an id past int64; clipping keeps it out of range
+            ends = np.fromiter((min(max(x, -1), n) for x in chain.from_iterable(edges)), np.int64)
+        if len(ends) != 2 * len(edges):
+            raise ValueError("every edge must be a pair of vertex ids")
+        u, v = ends[0::2], ends[1::2]
+        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+        if bad.size:
+            a, b = edges[bad[0]]
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(f"self-loop at {a}")
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        return _from_keys(n, keys[np.diff(keys, prepend=-1) > 0])  # 10x faster than np.unique
 
     @staticmethod
     def _from_csr(n: int, flat: np.ndarray, ptr: np.ndarray) -> "Graph":
-        """Graph whose row v is flat[ptr[v]:ptr[v+1]], with both arrays kept
-        as the flat_adjacency() cache.  Checks what from_edges enforces, ids
-        in range, no self-loop and strictly increasing rows (so no duplicate
-        edge), and raises ValueError otherwise.  Symmetry is the caller's
-        duty: every undirected edge must appear once in each row."""
+        """Graph whose row v is flat[ptr[v]:ptr[v+1]].  Checks what
+        from_edges enforces, ids in range, no self-loop and strictly
+        increasing rows (so no duplicate edge), and raises ValueError
+        otherwise.  Symmetry is the caller's duty: every undirected edge
+        must appear once in each row."""
         flat = np.asarray(flat, dtype=np.int64)
         ptr = np.asarray(ptr, dtype=np.int64)
         lens = np.diff(ptr)
@@ -98,47 +133,38 @@ class Graph:
                 f"row {rows[bad[0]]} is not strictly increasing at "
                 f"{flat[bad[0]]}, {flat[bad[0] + 1]} (a duplicate or unsorted neighbor)"
             )
-        cells, bounds = flat.tolist(), ptr.tolist()
-        adj = tuple(tuple(cells[a:b]) for a, b in zip(bounds, bounds[1:]))
-        out = Graph(n=n, adj=adj)
-        object.__setattr__(out, "_flat_adjacency", (flat, ptr))
-        return out
+        return Graph(n, flat, ptr)
 
     # -- basic accessors ---------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def _cache_degree_range(self) -> None:
-        lens = list(map(len, self.adj))
-        object.__setattr__(self, "_min_degree", min(lens, default=0))
-        object.__setattr__(self, "_max_degree", max(lens, default=0))
+        return len(self.neighbors(v))
 
     @property
     def max_degree(self) -> int:
-        if self._max_degree < 0:
-            self._cache_degree_range()
         return self._max_degree
 
     @property
     def min_degree(self) -> int:
-        if self._min_degree < 0:
-            self._cache_degree_range()
         return self._min_degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} not in graph of order {self.n}")
-        return self.adj[v]
+        return tuple(self.flat[self.ptr[v] : self.ptr[v + 1]].tolist())
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Every row as a list of ints, for Python loops over the whole graph; not cached."""
+        cells, bounds = self.flat.tolist(), self.ptr.tolist()
+        return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """The edges (u, v) with u < v, in lexicographic order."""
+        u, v = self.edge_arrays()
+        return zip(u.tolist(), v.tolist())
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.flat) // 2
 
     def is_regular(self, d: int | None = None) -> bool:
         if self.n == 0:
@@ -146,55 +172,25 @@ class Graph:
         return self.min_degree == self.max_degree and d in (None, self.max_degree)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int64 arrays (u < v), in edges() order; cached."""
+        """Edge endpoints (u < v) as two read-only int64 arrays in edges() order; cached."""
         if self._edge_arrays is None:
-            flat, ptr = self.flat_adjacency()
-            u = np.repeat(np.arange(self.n), np.diff(ptr))
-            keep = u < flat
-            object.__setattr__(self, "_edge_arrays", (u[keep], flat[keep]))
+            u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.ptr))
+            keep = u < self.flat
+            object.__setattr__(self, "_edge_arrays", (_frozen(u[keep]), _frozen(self.flat[keep])))
         return self._edge_arrays
-
-    def flat_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (flat neighbor array, offsets of length n+1); cached."""
-        if self._flat_adjacency is None:
-            flat = np.fromiter(
-                (w for a in self.adj for w in a),
-                dtype=np.int64,
-                count=sum(len(a) for a in self.adj),
-            )
-            ptr = np.zeros(self.n + 1, dtype=np.int64)
-            ptr[1:] = np.cumsum([len(a) for a in self.adj])
-            object.__setattr__(self, "_flat_adjacency", (flat, ptr))
-        return self._flat_adjacency
 
     def gather_neighbors(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(degree of each vertex in vs, their sorted neighbor lists
         concatenated in the order of vs)."""
-        flat, ptr = self.flat_adjacency()
+        flat, ptr = self.flat, self.ptr
         lens = ptr[vs + 1] - ptr[vs]
         return lens, flat[np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
 
     def _component_data(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
         if self._components is None:
-            label = [-1] * self.n
-            comps: list[tuple[int, ...]] = []
-            for s in range(self.n):
-                if label[s] >= 0:
-                    continue
-                k = len(comps)
-                comp, stack = [], [s]
-                label[s] = k
-                while stack:
-                    u = stack.pop()
-                    comp.append(u)
-                    for w in self.adj[u]:
-                        if label[w] < 0:
-                            label[w] = k
-                            stack.append(w)
-                comps.append(tuple(sorted(comp)))
-            labels = np.asarray(label, dtype=np.int64)
-            labels.flags.writeable = False
-            object.__setattr__(self, "_components", (labels, tuple(comps)))
+            label, comps = connected_components(self.neighbor_lists(), range(self.n))
+            comps = tuple(tuple(sorted(c)) for c in comps)
+            object.__setattr__(self, "_components", (_frozen(label), comps))
         return self._components
 
     def components(self) -> list[list[int]]:
@@ -216,6 +212,46 @@ class Graph:
     def from_json(text: str) -> "Graph":
         data = json.loads(text)
         return Graph.from_edges(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only int64 view of a; a itself keeps its flags."""
+    view = np.asarray(a, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
+
+
+def _from_keys(n: int, keys: np.ndarray) -> Graph:
+    """Graph._from_csr of the sorted keys u*n + v, one per edge direction."""
+    rows, flat = np.divmod(keys, n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return Graph._from_csr(n, flat, ptr)
+
+
+def connected_components(
+    rows: list[list[int]], roots: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Depth-first search from each root not reached yet, in the graph where
+    u has neighbors rows[u].  Returns (label, comps): comps[k] is the k-th
+    component in visit order, label[v] its k, or -1 if no root reaches v."""
+    label = [-1] * len(rows)
+    comps: list[list[int]] = []
+    for s in roots:
+        if label[s] >= 0:
+            continue
+        k = len(comps)
+        comp, stack = [], [s]
+        label[s] = k
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in rows[u]:
+                if label[w] < 0:
+                    label[w] = k
+                    stack.append(w)
+        comps.append(comp)
+    return label, comps
 
 
 def check_proper(
@@ -295,9 +331,8 @@ def neighborhood_complement_edges(g: Graph) -> np.ndarray:
     regularize has it cached from the start (see regularize).
     """
     if g._complement_edges is None:
-        out = count_complement_edges(g, np.arange(g.n))
-        out.flags.writeable = False
-        object.__setattr__(g, "_complement_edges", out)
+        stat = count_complement_edges(g, np.arange(g.n))
+        object.__setattr__(g, "_complement_edges", _frozen(stat))
     return g._complement_edges
 
 
@@ -356,8 +391,7 @@ def regularize(g: Graph) -> Graph:
     if g.is_regular():
         return g
     n = g.n
-    gflat, gptr = g.flat_adjacency()
-    degree = np.diff(gptr)
+    degree = np.diff(g.ptr)
     deficiency = d - degree
     m = d + 2 if (deficiency * (d + 1) % 2).any() else d + 1
     big = n * m
@@ -365,7 +399,7 @@ def regularize(g: Graph) -> Graph:
     # the m copies of g: row c*n + u, column c*n + w for each w in N(u)
     copies = np.arange(m, dtype=np.int64)[:, None]
     copy_rows = copies * n + np.repeat(np.arange(n, dtype=np.int64), degree)
-    copy_cols = copies * n + gflat
+    copy_cols = copies * n + g.flat
     # the circulants: vertex v's j-th offset, j < f_v, is +(j//2 + 1) for
     # even j and -(j//2 + 1) for odd j, except that the last one is m/2
     # when f_v is odd
@@ -380,10 +414,7 @@ def regularize(g: Graph) -> Graph:
         [(copy_rows * big + copy_cols).ravel(), (circ_rows * big + circ_cols).ravel()]
     )
     keys.sort()
-    rows, flat = np.divmod(keys, big)
-    ptr = np.zeros(big + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=big), out=ptr[1:])
-    out = Graph._from_csr(big, flat, ptr)
+    out = _from_keys(big, keys)
 
     if not out.is_regular(d):
         raise VerificationFailed("regularized graph is not D-regular")
@@ -411,9 +442,7 @@ def regularize(g: Graph) -> Graph:
         + neighborhood_complement_edges(g)
         - circulant_edges[deficiency]
     )
-    stat = np.tile(stat, m)
-    stat.flags.writeable = False
-    object.__setattr__(out, "_complement_edges", stat)
+    object.__setattr__(out, "_complement_edges", _frozen(np.tile(stat, m)))
     return out
 
 

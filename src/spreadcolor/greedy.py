@@ -55,8 +55,9 @@ def slack_greedy_sample(g: Graph, lists: ListAssignment, rng: np.random.Generato
     """
     # None, not 0, marks uncolored: a list may hold color 0
     sigma: list[int | None] = [None] * g.n
+    adj = g.neighbor_lists()
     for v in range(g.n):
-        used = {sigma[w] for w in g.neighbors(v)}
+        used = {sigma[w] for w in adj[v]}
         avail = [c for c in lists[v] if c not in used]
         if not avail:
             raise StuckVertex(f"vertex {v} has no available color")
@@ -73,6 +74,7 @@ def slack_greedy_exact_distribution(
     if order is None:
         order = list(range(g.n))
     out: dict[tuple[int, ...], Fraction] = {}
+    adj = g.neighbor_lists()
 
     def rec(i: int, sigma: Coloring, prob: Fraction):
         if i == len(order):
@@ -80,7 +82,7 @@ def slack_greedy_exact_distribution(
             out[key] = out.get(key, Fraction(0)) + prob
             return
         v = order[i]
-        used = {sigma[w] for w in g.neighbors(v) if w in sigma}
+        used = {sigma[w] for w in adj[v] if w in sigma}
         avail = [c for c in lists[v] if c not in used]
         if not avail:
             raise StuckVertex(f"vertex {v} has no available color")
@@ -118,6 +120,7 @@ def _search(g: Graph, lists: Sequence[Sequence[int]], cap: int) -> Iterator[Colo
     n = g.n
     sigma: Coloring = {}
     avail: list[set[int]] = [set(s) for s in lists]
+    adj = g.neighbor_lists()
     nodes = 0
 
     def pick() -> int:
@@ -138,7 +141,7 @@ def _search(g: Graph, lists: Sequence[Sequence[int]], cap: int) -> Iterator[Colo
         v = pick()
         for c in sorted(avail[v]):
             removed = []
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in sigma and c in avail[w]:
                     avail[w].discard(c)
                     removed.append(w)
@@ -191,11 +194,12 @@ def random_greedy_sample(g: Graph, rng: np.random.Generator) -> np.ndarray:
     palette = range(1, g.max_degree + 2)
     uncolored = list(range(g.n))
     sigma: list[int | None] = [None] * g.n
+    adj = g.neighbor_lists()
     while uncolored:
         i = int(rng.integers(len(uncolored)))
         uncolored[i], uncolored[-1] = uncolored[-1], uncolored[i]
         v = uncolored.pop()
-        used = {sigma[w] for w in g.neighbors(v)}
+        used = {sigma[w] for w in adj[v]}
         avail = [c for c in palette if c not in used]
         sigma[v] = avail[int(rng.integers(len(avail)))]
     return np.array(sigma, dtype=np.int64)
@@ -214,6 +218,7 @@ def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Frac
         raise ValueError("target must color every vertex")
     palette = range(1, g.max_degree + 2)
     full = (1 << n) - 1
+    adj = g.neighbor_lists()
     prob = {0: Fraction(1)}
     for mask in range(full):
         p = prob.get(mask)
@@ -224,7 +229,7 @@ def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Frac
         for v in range(n):
             if mask >> v & 1:
                 continue
-            used = {target[w] for w in g.neighbors(v) if mask >> w & 1}
+            used = {target[w] for w in adj[v] if mask >> w & 1}
             if target[v] in used:
                 continue
             n_avail = sum(1 for c in palette if c not in used)

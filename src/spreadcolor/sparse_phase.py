@@ -55,7 +55,7 @@ def tranquil_mask(g: Graph, tau: np.ndarray) -> np.ndarray:
 
 def _in_t_counts(g: Graph, t_mask: np.ndarray) -> np.ndarray:
     """Per vertex, the number of its neighbors inside the mask."""
-    flat, ptr = g.flat_adjacency()
+    flat, ptr = g.flat, g.ptr
     if len(flat) == 0:
         return np.zeros(g.n, dtype=np.int64)
     vals = t_mask[flat].astype(np.int64)
@@ -77,11 +77,11 @@ def _pair_count(g: Graph, tau: np.ndarray, v: int) -> int:
         if len(group) < 2:
             continue
         for i, u in enumerate(group):
-            u_nbrs = set(g.adj[u])
+            u_nbrs = set(g.neighbors(u))
             for w in group[i + 1 :]:
                 if w in u_nbrs:
                     continue
-                zone = u_nbrs.union(nbrs, g.adj[w]) - {u, w}
+                zone = u_nbrs.union(nbrs, g.neighbors(w)) - {u, w}
                 if all(int(tau[z]) != label for z in zone):
                     count += 1
     return count

@@ -162,7 +162,7 @@ def decide_list_colorable(
     no unfixed singleton, so after a branch it starts from the branched
     vertex alone."""
     n = g.n
-    adj = g.adj
+    adj = g.neighbor_lists()
     avail = []
     for v in range(n):
         lst = lists[v]

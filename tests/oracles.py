@@ -1,7 +1,8 @@
 """Independent dict-based oracles that the array code is checked against."""
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +28,28 @@ def is_proper(
     return True
 
 
+def from_edges_reference(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The set-based Graph.from_edges that the CSR one replaced, kept as the
+    reference it must equal: edges checked one by one in input order into
+    per-vertex neighbor sets, whose sorted rows go to the raw constructor."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        adj[u].add(v)
+        adj[v].add(u)
+    rows = [sorted(s) for s in adj]
+    flat = np.array([w for row in rows for w in row], dtype=np.int64)
+    return Graph(n, flat, np.array([0, *accumulate(map(len, rows))], dtype=np.int64))
+
+
 def regularize_reference(g: Graph) -> Graph:
     """The tuple-and-set regularization that `graphs.regularize` replaced,
     kept verbatim (without its self-checks) as the reference its array
     construction must equal: m copies of g and, per deficient vertex, an
-    f_v-regular circulant on its copies, all through Graph.from_edges."""
+    f_v-regular circulant on its copies, all through from_edges_reference."""
     d = g.max_degree
     if d < 1:
         raise ValueError("regularize requires max degree >= 1")
@@ -62,4 +80,4 @@ def regularize_reference(g: Graph) -> Graph:
                 a, b = c * n + v, c2 * n + v
                 if a != b:
                     edges.append((min(a, b), max(a, b)))
-    return Graph.from_edges(n * m, set(edges))
+    return from_edges_reference(n * m, set(edges))

@@ -12,11 +12,14 @@ fresh graph, then recounts a seeded sample of rows of the sparsity
 statistic of the regularized graph with `count_complement_edges` (the
 blocked common-neighbor count, which reads no cache) and compares them
 with the array that regularize cached.  It exits 1 on a mismatch, or
-when a set-up takes more than the 20 s budget of ROADMAP item 4.
+when a set-up takes more than the 20 s budget of ROADMAP item 4.  Each
+line also gives the process's peak resident set size so far (ru_maxrss),
+so run one n per process to read one input's peak.
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
@@ -51,9 +54,11 @@ def main(argv: list[str] | None = None) -> int:
         same = stat is not None and np.array_equal(stat[rows], count_complement_edges(reg, rows))
         in_budget = setup_s <= BUDGET_S
         ok &= same and in_budget
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
             f"n={n}: {reg.n} vertices regularized, Pipeline(g) {setup_s:.2f} s"
             f"{'' if in_budget else f' OVER the {BUDGET_S:.0f} s budget'}, "
+            f"peak RSS {peak_mb:.0f} MB, "
             f"{len(pipe.dec.sparse)} sparse, {len(pipe.dec.clusters)} clusters, "
             f"{len(rows)} statistic rows {'match' if same else 'MISMATCH'}"
         )

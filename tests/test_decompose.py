@@ -175,7 +175,7 @@ def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> 
     """Frozen copy of the earlier construction: the statistic from neighbor
     sets per vertex, friends by intersecting every pair of dense neighbor
     sets, clusters by DFS, then the repair loop."""
-    sets = [frozenset(a) for a in g.adj]
+    sets = [frozenset(a) for a in g.neighbor_lists()]
 
     def stat(v: int) -> int:
         return comb(len(sets[v]), 2) - sum(len(sets[v] & sets[u]) for u in sets[v]) // 2
@@ -338,7 +338,7 @@ def test_one_count_per_cluster_gives_the_same_report(name, eps_in, theta, monkey
 def reference_verify(g: Graph, dec: Decomposition) -> DecompositionReport:
     """Frozen copy of the set-based verifier: the statistic from neighbor
     sets, and the cluster conditions member by member."""
-    sets = [frozenset(a) for a in g.adj]
+    sets = [frozenset(a) for a in g.neighbor_lists()]
     d = g.max_degree
     parts = [dec.sparse, *map(frozenset, dec.clusters)]
     covered = set().union(*parts)
@@ -452,7 +452,7 @@ def test_pipeline_decomposes_as_a_fresh_count_would(name):
     assert not g.is_regular()
     pipe = Pipeline(g, params)
     assert pipe.reg._complement_edges is not None
-    cache_free = Graph(pipe.reg.n, pipe.reg.adj)
+    cache_free = Graph(pipe.reg.n, pipe.reg.flat, pipe.reg.ptr)
     assert pipe.dec == sparse_dense_decompose(cache_free, params.eps, params.theta)
     copies = pipe.reg.n // g.n
     if name == "sparse twin":

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import pickle
 import random
 from dataclasses import fields
 from math import comb
@@ -24,7 +25,7 @@ from spreadcolor.graphs import (
     regularize,
     write_edge_list,
 )
-from oracles import is_proper, regularize_reference
+from oracles import from_edges_reference, is_proper, regularize_reference
 
 
 def path_graph(n: int) -> Graph:
@@ -38,7 +39,7 @@ def cycle_graph(n: int) -> Graph:
 class TestGraphBasics:
     def test_from_edges_dedupes_and_sorts(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
-        assert g.adj == ((1,), (0, 2), (1,))
+        assert g.neighbor_lists() == [[1], [0, 2], [1]]
         assert g.edge_count() == 2
 
     def test_rejects_self_loop(self):
@@ -49,11 +50,101 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_negative_order(self):
+        # n = -1 used to give a graph with max_degree 0
+        for make in [
+            lambda: Graph.from_edges(-1, []),
+            lambda: Graph.from_json('{"n": -1, "edges": []}'),
+            lambda: read_edge_list("", n=-2),
+        ]:
+            with pytest.raises(ValueError, match="need n >= 0"):
+                make()
+
+    def test_rejects_ids_past_int64_and_non_pairs(self):
+        # the messages are compared with the reference's below
+        with pytest.raises(ValueError, match=rf"edge \(0,{2**70}\) out of range"):
+            read_edge_list(f"0 1\n0 {2**70}\n", n=3)
+        with pytest.raises(ValueError, match="pair"):
+            Graph.from_edges(3, [(0, 1, 2)])
+
+    def test_matches_the_set_reference(self):
+        rng = random.Random(7)
+        cases = [(0, []), (1, []), (5, []), (6, [(0, 1), (1, 0), (0, 1)])]
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            isolated = rng.randint(0, n // 3)  # the top ids never appear
+            m = n - isolated
+            edges = [tuple(rng.sample(range(m), 2)) for _ in range(rng.randint(0, 3 * m))]
+            edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+            cases.append((n, edges))
+        cases.append((8, [(np.int64(u), np.int32(v)) for u, v in cases[-1][1] if max(u, v) < 8]))
+        for n, edges in cases:
+            g, ref = Graph.from_edges(n, edges), from_edges_reference(n, edges)
+            assert [g.neighbors(v) for v in range(n)] == [ref.neighbors(v) for v in range(n)]
+            assert g.neighbor_lists() == ref.neighbor_lists()
+            assert g == ref and hash(g) == hash(ref)
+            assert all(type(w) is int for row in g.neighbor_lists() for w in row)
+
+    def test_equality_compares_the_rows(self):
+        two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
+        assert two_triangles.ptr.tolist() == cycle_graph(6).ptr.tolist()
+        assert two_triangles != cycle_graph(6) and cycle_graph(6) == cycle_graph(6)
+        assert cycle_graph(6) != cycle_graph(7) and cycle_graph(6) != "C6"
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (3, [(0, 1), (0, 3), (2, 2)]),
+            (3, [(0, 1), (2, 2), (0, 3)]),
+            (3, [(-1, 0)]),
+            (3, [(5, 5)]),  # out of range before it is a self-loop
+            (4, [(1, 2), (np.int64(3), np.int64(3))]),
+            (0, [(0, 1)]),
+            (3, [(0, 1), (1, 2**70), (0, 3)]),  # past int64
+            (3, [(0, 3), (1, -(2**70))]),
+        ],
+    )
+    def test_names_the_first_bad_edge_as_the_reference_does(self, n, edges):
+        with pytest.raises(ValueError) as want:
+            from_edges_reference(n, edges)
+        with pytest.raises(ValueError) as got:
+            Graph.from_edges(n, edges)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("copy", [lambda g: g, lambda g: pickle.loads(pickle.dumps(g))])
+    def test_arrays_are_read_only(self, copy):
+        g = path_graph(4)
+        g.edge_arrays()
+        g = copy(g)
+        with pytest.raises(ValueError, match="read-only"):
+            g.flat[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            g.ptr[1] = 0
+        for a in g.edge_arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 2
+        check_proper(g, np.array([1, 2, 1, 2]))
+        assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)] and g == path_graph(4)
+
+    def test_the_raw_constructor_keeps_the_callers_flags(self):
+        flat, ptr = np.array([1, 0]), np.array([0, 1, 2])
+        g = Graph(2, flat, ptr)
+        assert flat.flags.writeable and not g.flat.flags.writeable
+        assert g == Graph.from_edges(2, [(0, 1)])
+
     def test_degree_and_max_degree(self):
         g = complete_bipartite(2, 3)
         assert g.degree(0) == 3
         assert g.degree(4) == 2
         assert g.max_degree == 3
+
+    @pytest.mark.parametrize("v", [-1, 4, 7])
+    def test_degree_and_neighbors_check_the_vertex(self, v):
+        # degree(-1) used to wrap around to the last vertex's degree
+        g = complete_graph(4)
+        for ask in (g.degree, g.neighbors):
+            with pytest.raises(ValueError, match=rf"vertex {v} not in graph of order 4"):
+                ask(v)
 
     def test_json_round_trip(self):
         g = cycle_graph(5)
@@ -93,7 +184,7 @@ class TestGraphBasics:
         g = disjoint_union(complete_graph(3), path_graph(4))
         declared = {f.name for f in fields(Graph)}
         assert set(vars(g)) == declared
-        g.edge_arrays(), g.flat_adjacency(), g.gather_neighbors(np.array([0, 4]))
+        g.edge_arrays(), g.neighbor_lists(), g.gather_neighbors(np.array([0, 4]))
         g.components(), g.component_labels(), g.max_degree, g.min_degree
         g.is_regular(), g.is_regular(2)
         assert set(vars(g)) == declared
@@ -160,7 +251,7 @@ class TestCheckProper:
 def complement_edges_by_sets(g: Graph) -> list[int]:
     """The sparsity statistic from neighbor sets, vertex by vertex: the
     independent oracle for the blocked common-neighbor pass."""
-    sets = [frozenset(a) for a in g.adj]
+    sets = [frozenset(a) for a in g.neighbor_lists()]
     out = []
     for v in range(g.n):
         inside = sum(len(sets[v] & sets[u]) for u in sets[v]) // 2
@@ -247,7 +338,7 @@ class TestNeighborhoodComplement:
     def test_block_counts_are_common_neighbors(self):
         g = STATISTIC_CASES["gnp(4)"]
         rows = np.array([5, 0, 7])
-        sets = [frozenset(a) for a in g.adj]
+        sets = [frozenset(a) for a in g.neighbor_lists()]
         for block, cnt in common_neighbor_blocks(g, rows):
             assert cnt.shape == (len(block), g.n)
             for i, b in enumerate(block):
@@ -273,7 +364,7 @@ class TestRegularize:
         assert out.is_regular(2)
         assert out.n % 3 == 0
         for v in range(3):
-            assert set(out.adj[v]) & frozenset(range(3)) == set(g.adj[v])
+            assert set(out.neighbors(v)) & frozenset(range(3)) == set(g.neighbors(v))
 
     def test_single_edge(self):
         g = path_graph(2)
@@ -286,7 +377,7 @@ class TestRegularize:
             assert out.is_regular(d)
             # original graph induced on the vertex prefix
             for v in range(n):
-                assert set(out.adj[v]) & frozenset(range(n)) == set(g.adj[v])
+                assert set(out.neighbors(v)) & frozenset(range(n)) == set(g.neighbors(v))
             assert out.n <= (d + 2) * n
 
     def test_large_irregular_input_is_an_induced_prefix(self):
@@ -294,7 +385,8 @@ class TestRegularize:
         g = large_irregular_input()
         out = regularize(g)
         assert not g.is_regular() and out.is_regular(4)
-        assert [tuple(w for w in out.adj[v] if w < g.n) for v in range(g.n)] == list(g.adj)
+        rows = out.neighbor_lists()[: g.n]
+        assert [[w for w in row if w < g.n] for row in rows] == g.neighbor_lists()
 
     @staticmethod
     def inject(monkeypatch, change):
@@ -304,7 +396,8 @@ class TestRegularize:
 
         def changed(n, flat, ptr):
             edges = change(set(from_csr(n, flat, ptr).edges()))
-            return from_csr(n, *Graph.from_edges(n, edges).flat_adjacency())
+            changed_graph = from_edges_reference(n, edges)
+            return from_csr(n, changed_graph.flat, changed_graph.ptr)
 
         monkeypatch.setattr(Graph, "_from_csr", staticmethod(changed))
 
@@ -313,15 +406,17 @@ class TestRegularize:
         # joined by the edge (3,11).  Swapping (1,2), (3,11) for (1,3), (2,11)
         # keeps the output 2-regular and the first ends of the prefix edges
         # (0, 1, 2), so only a check of both ends can see it
+        g = path_graph(4)  # built before from_edges goes through the injection
         self.inject(monkeypatch, lambda edges: (edges - {(1, 2), (3, 11)}) | {(1, 3), (2, 11)})
         with pytest.raises(VerificationFailed, match="not induced on vertex prefix"):
-            regularize(path_graph(4))
+            regularize(g)
 
     def test_a_non_regular_output_is_caught(self, monkeypatch):
         # without the antipodal edge (3,11), vertices 3 and 11 have degree 1
+        g = path_graph(4)
         self.inject(monkeypatch, lambda edges: edges - {(3, 11)})
         with pytest.raises(VerificationFailed, match="not D-regular"):
-            regularize(path_graph(4))
+            regularize(g)
 
 
 def random_regularize_inputs():
@@ -357,17 +452,15 @@ def irregular_sparse_bench_input(monkeypatch) -> Graph:
 
 class TestRegularizeMatchesReference:
     """The array-built regularize against the tuple-and-set construction it
-    replaced (tests/oracles.py): the same graph, so the same vertex layout
-    and the same sorted rows, with a symmetric adjacency and a cached CSR
-    equal to one built afresh from the rows."""
+    replaced (tests/oracles.py), whose CSR is built from Python rows: the
+    same graph, so the same vertex layout and the same sorted rows, with a
+    symmetric adjacency."""
 
     @staticmethod
     def check(g: Graph) -> Graph:
         out = regularize(g)
         assert out == regularize_reference(g)
-        flat, ptr = out.flat_adjacency()
-        fresh_flat, fresh_ptr = Graph(out.n, out.adj).flat_adjacency()
-        assert np.array_equal(flat, fresh_flat) and np.array_equal(ptr, fresh_ptr)
+        flat, ptr = out.flat, out.ptr
         rows = np.repeat(np.arange(out.n), np.diff(ptr))
         assert np.array_equal(np.sort(rows * out.n + flat), np.sort(flat * out.n + rows))
         return out
@@ -443,7 +536,7 @@ class TestRegularizedStatistic:
     @pytest.mark.parametrize("name", sorted(REGULARIZED_STATISTIC_CASES))
     def test_matches_the_blocked_count(self, name):
         out, stat = self.derived(REGULARIZED_STATISTIC_CASES[name])
-        cache_free = Graph(out.n, out.adj)
+        cache_free = Graph(out.n, out.flat, out.ptr)
         assert np.array_equal(stat, neighborhood_complement_edges(cache_free))
 
     @pytest.mark.parametrize("name", sorted(REGULARIZED_STATISTIC_CASES))
@@ -482,7 +575,7 @@ class TestFromCsr:
     def test_rows_and_cache(self):
         g = Graph._from_csr(3, np.array([1, 0, 2, 1]), np.array([0, 1, 3, 4]))
         assert g == path_graph(3)
-        flat, ptr = g.flat_adjacency()
+        flat, ptr = g.flat, g.ptr
         assert flat.tolist() == [1, 0, 2, 1] and ptr.tolist() == [0, 1, 3, 4]
 
     @pytest.mark.parametrize(

@@ -217,7 +217,7 @@ class TestCounterexamples:
     def test_clique_minus_clique_shape(self):
         ce = build_counterexample("clique_minus_clique", 3)
         # U = {0,1} is the only non-adjacent pair
-        assert 1 not in ce.graph.adj[0]
+        assert 1 not in ce.graph.neighbors(0)
         assert ce.graph.edge_count() == 5
         assert ce.target == {0: 4, 1: 4}
 

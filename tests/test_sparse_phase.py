@@ -51,13 +51,13 @@ def reference_bad_event(
     bad = {}
     for v in sorted(vstar):
         c = sum(1 for w in g.neighbors(v) if w in t)
-        nbrs = sorted(set(g.adj[v]))
+        nbrs = sorted(set(g.neighbors(v)))
         p = 0
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1 :]:
-                if tau[u] != tau[w] or w in g.adj[u]:
+                if tau[u] != tau[w] or w in g.neighbors(u):
                     continue
-                zone = (set(g.adj[v]) | set(g.adj[u]) | set(g.adj[w])) - {u, w}
+                zone = (set(g.neighbors(v)) | set(g.neighbors(u)) | set(g.neighbors(w))) - {u, w}
                 p += all(tau[z] != tau[u] for z in zone)
         bad[v] = abs(c - d / math.e) > window_halfwidth or p < pair_min
     return bad

@@ -331,7 +331,7 @@ class TestDecisionMatchesReference:
             (complete_graph(4), [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]),
             (complete_graph(4), [[1, 2, 3, 4], [1, 2, 3], [1, 2], [1]]),
             (complete_graph(4), [[1, 2, 3]] * 4),
-            (Graph(1, ((0,),)), [[1, 2]]),  # a self-loop, only through the raw constructor
+            (Graph(1, np.array([0]), np.array([0, 1])), [[1, 2]]),  # a self-loop, only through the raw constructor
         ]
         seen = set()
         for g, lists in cases:
