@@ -46,6 +46,17 @@ class Decomposition:
     clusters: tuple[tuple[int, ...], ...]
     eps: float
     theta: float
+    # cache of sparse_ids(), set through object.__setattr__ on first use
+    _sparse_ids: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def sparse_ids(self) -> np.ndarray:
+        """The sparse set as a sorted read-only int64 array; built once per
+        decomposition, so each sample indexes with it at no conversion cost."""
+        if self._sparse_ids is None:
+            ids = np.array(sorted(self.sparse), dtype=np.int64)
+            ids.flags.writeable = False
+            object.__setattr__(self, "_sparse_ids", ids)
+        return self._sparse_ids
 
     def to_json(self) -> str:
         return json.dumps(

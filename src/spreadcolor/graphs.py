@@ -7,6 +7,7 @@ per line (0-based ids, '#' starts a comment) after an optional first-line
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -32,6 +33,10 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
 ]
+
+
+# the largest n whose edge keys u*n + v (u, v < n) fit int64
+_MAX_ORDER = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +93,12 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Graph on 0..n-1 with the given edges, repeats merged.  A negative n,
         an edge out of range or a self-loop is a ValueError naming the first
-        bad edge in input order."""
+        bad edge in input order.  So is an n past _MAX_ORDER, checked before
+        anything is allocated."""
         if n < 0:
             raise ValueError(f"need n >= 0, got n={n}")
+        if n > _MAX_ORDER:
+            raise ValueError(f"n={n} is too large: the edge keys u*n+v need n <= {_MAX_ORDER}")
         edges = list(edges)
         try:
             ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)

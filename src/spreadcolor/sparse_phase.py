@@ -156,7 +156,9 @@ def sample_conditioned_labeling(
     accept_target: float = 0.5,
 ) -> np.ndarray:
     """Uniform labeling of V conditioned on no sparse vertex being bad,
-    realized by per-component rejection.
+    realized by per-component rejection.  vstar is any iterable of the
+    sparse vertex ids; an id array (Decomposition.sparse_ids()) indexes
+    as it is, with no conversion.
 
     The pair threshold defaults to floor(theta' * D): at desk scale that
     is 0 and the |P_v| clause is vacuous, which is the only regime in
@@ -168,7 +170,7 @@ def sample_conditioned_labeling(
     d = g.max_degree
     n = g.n
     star = np.zeros(n, dtype=bool)
-    star[list(vstar)] = True
+    star[vstar if isinstance(vstar, np.ndarray) else list(vstar)] = True
     window_halfwidth, pair_min = _thresholds(
         d, int(star.sum()), theta_prime, accept_target, window_halfwidth, pair_min
     )
@@ -368,9 +370,10 @@ def sparse_phase_color(
         params.accept_target,
         None if params.t_window is None else params.t_window * d,
     )
+    sparse_ids = dec.sparse_ids()
     tau = sample_conditioned_labeling(
         g,
-        dec.sparse,
+        sparse_ids,
         theta_prime,
         seed,
         max_tries=params.max_tries,
@@ -383,7 +386,7 @@ def sparse_phase_color(
     check_proper(g, np.where(t_mask, tau, 0), what="labeling restricted to T")
 
     star = np.zeros(g.n, dtype=bool)
-    star[list(dec.sparse)] = True
+    star[sparse_ids] = True
     left_mask = star & ~t_mask
     leftovers = np.flatnonzero(left_mask)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,6 +282,13 @@ class SparsificationCurve:
         return True
 
 
+def _draw_lists(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
+    """n uniform k-subsets of the palette 1..d+1, one row per vertex: the
+    colors of the k smallest of d+1 i.i.d. uniform keys, in no set order."""
+    keys = rng.random((n, d + 1))
+    return np.argpartition(keys, k - 1, axis=1)[:, :k] + 1
+
+
 def sparsification_scan(
     g: Graph,
     k_values: Sequence[int],
@@ -291,20 +299,28 @@ def sparsification_scan(
     """For each k: draw uniform k-sublists of [D+1] per vertex, decide
     exact colorability, and record the success rate with a Wilson CI.
     Cap-exceeded decisions count as failures (conservative) and are
-    tallied separately."""
+    tallied separately.  Every k value is checked before the first draw.
+
+    Each (seed, k, trial) has its own generator, which draws the trial's
+    lists as one (n, D+1) block of keys (_draw_lists)."""
     d = g.max_degree
-    palette = np.arange(1, d + 2)
-    if any(k < 1 or k > d + 1 for k in k_values):
-        raise ValueError("k values must lie in [1, D+1]")
+    ks = list(k_values)
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"k values must be integers, got {k!r}")
+        if not 1 <= k <= d + 1:
+            raise ValueError(f"k values must lie in [1, D+1] = [1, {d + 1}], got {k}")
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"k values must be strictly increasing, got {[int(k) for k in ks]}")
     rows = []
-    for k in k_values:
+    for k in map(int, ks):
         successes = 0
         indeterminate = 0
         for t in range(trials):
             rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, int(k), t)))
+                np.random.PCG64(np.random.SeedSequence((seed, k, t)))
             )
-            lists = [rng.choice(palette, size=k, replace=False) for _ in range(g.n)]
+            lists = _draw_lists(rng, g.n, d, k)
             try:
                 if decide_list_colorable(g, lists, cap=cap):
                     successes += 1
@@ -313,7 +329,7 @@ def sparsification_scan(
         lo, hi = wilson_interval(successes, trials)
         rows.append(
             CurveRow(
-                k=int(k),
+                k=k,
                 trials=trials,
                 successes=successes,
                 indeterminate=indeterminate,

@@ -346,6 +346,17 @@ def test_bad_cluster_or_cap_value_is_a_usage_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_graph_order_past_the_int64_keys_is_a_usage_error(tmp_path, capsys):
+    # it used to exit 1 with an OverflowError traceback
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(f"# n={2**70}\n0 1\n")
+    assert main(["decompose", "--graph", str(g_file)]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"error: n={2**70} is too large: the edge keys u*n+v need n <= 3037000499"]
+    assert captured.out == ""
+
+
 def test_audit_pairs_on_a_one_vertex_graph_is_a_usage_error(tmp_path, capsys):
     # a single vertex with palette 1 has one (vertex, color) pair, so no
     # 2-set can be drawn; the run used to hang

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import pickle
 from math import comb
 
+import numpy as np
 import pytest
 
 from spreadcolor import decompose, graphs
@@ -115,6 +117,19 @@ class TestVerifier:
         report = verify_decomposition(g, dec)
         assert report.missing_failures  # every vertex misses a whole clique
         assert not report.ok
+
+    def test_sparse_ids_are_built_once_sorted_and_read_only(self):
+        dec = Decomposition(frozenset({16, 9, 2}), ((1, 3),), eps=0.4, theta=0.001)
+        ids = dec.sparse_ids()
+        assert ids.dtype == np.int64 and ids.tolist() == [2, 9, 16]
+        assert not ids.flags.writeable
+        assert dec.sparse_ids() is ids
+        # the cache is no part of the value
+        assert dec == Decomposition.from_json(dec.to_json())
+        assert hash(dec) == hash(Decomposition.from_json(dec.to_json()))
+        assert "_sparse_ids" not in repr(dec)
+        assert pickle.loads(pickle.dumps(dec)).sparse_ids().tolist() == [2, 9, 16]
+        assert Decomposition(frozenset(), (), 0.4, 0.001).sparse_ids().shape == (0,)
 
     def test_non_partition_detected(self):
         g = complete_graph(4)

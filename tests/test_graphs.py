@@ -60,6 +60,12 @@ class TestGraphBasics:
             with pytest.raises(ValueError, match="need n >= 0"):
                 make()
 
+    def test_rejects_an_order_past_the_int64_keys(self):
+        # the header used to end in an OverflowError; an n near the bound
+        # would allocate O(n) arrays of several GB, so only 2**70 is tried
+        with pytest.raises(ValueError, match=f"n={2**70} is too large"):
+            read_edge_list(f"# n={2**70}\n0 1\n")
+
     def test_rejects_ids_past_int64_and_non_pairs(self):
         # the messages are compared with the reference's below
         with pytest.raises(ValueError, match=rf"edge \(0,{2**70}\) out of range"):

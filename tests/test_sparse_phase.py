@@ -195,6 +195,16 @@ class TestConditionedLabeling:
                 window_halfwidth=5.0, pair_min=2.0,
             )
 
+    def test_any_iterable_of_ids_gives_the_same_labeling(self):
+        # sparse_phase_color hands on Decomposition.sparse_ids(), an array
+        g = gen_random_regular(60, 8, seed=4)
+        ids = range(0, 60, 3)
+        want = sample_conditioned_labeling(g, ids, 1e-4, seed=78)
+        for vstar in (frozenset(ids), list(ids), np.array(ids), Decomposition(
+            frozenset(ids), (), 0.4, 0.001
+        ).sparse_ids()):
+            assert np.array_equal(sample_conditioned_labeling(g, vstar, 1e-4, seed=78), want)
+
     def test_deterministic_given_seed(self):
         g = gen_random_regular(60, 8, seed=4)
         a = sample_conditioned_labeling(g, range(60), 1e-4, seed=77)

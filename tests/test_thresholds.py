@@ -8,11 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spreadcolor import thresholds
 from spreadcolor.errors import CapExceeded
 from spreadcolor.graphs import Graph, complete_graph, gen_random_regular
 from spreadcolor.greedy import enumerate_colorings, uniform_lists
 from spreadcolor.thresholds import (
     Hypergraph,
+    _draw_lists,
     cost_bruteforce,
     decide_list_colorable,
     expense,
@@ -343,14 +345,40 @@ class TestDecisionMatchesReference:
     def test_bench_shape(self):
         # the lists sparsification_scan draws on gen_random_regular(100, 20)
         g = gen_random_regular(100, 20, seed=555)
-        palette = np.arange(1, 22)
         decisions = set()
         for k in (2, 3, 4, 6, 8, 10, 14, 21):
             for t in range(2):
                 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, k, t))))
-                lists = [rng.choice(palette, size=k, replace=False) for _ in range(g.n)]
-                decisions.add(assert_same_search(g, lists)[0])
+                decisions.add(assert_same_search(g, _draw_lists(rng, g.n, 20, k))[0])
         assert decisions == {True, False}
+
+
+class TestDrawLists:
+    @pytest.mark.parametrize("d, k", [(0, 1), (1, 1), (5, 3), (20, 2), (20, 20), (70, 35)])
+    def test_rows_are_k_distinct_palette_colors(self, d, k):
+        lists = _draw_lists(np.random.default_rng(11), 300, d, k)
+        assert lists.shape == (300, k)
+        assert lists.min() >= 1 and lists.max() <= d + 1
+        assert all(len(set(row)) == k for row in lists.tolist())
+
+    @pytest.mark.parametrize("d", [0, 1, 6, 64])
+    def test_k_of_d_plus_one_is_the_full_palette(self, d):
+        lists = _draw_lists(np.random.default_rng(12), 50, d, d + 1)
+        assert (np.sort(lists, axis=1) == np.arange(1, d + 2)).all()
+
+    def test_no_vertices(self):
+        assert _draw_lists(np.random.default_rng(13), 0, 4, 2).shape == (0, 2)
+
+    def test_subsets_and_colors_are_uniform(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(14)
+        subsets = [tuple(row) for row in np.sort(_draw_lists(rng, 20_000, 5, 3), axis=1).tolist()]
+        counts = [subsets.count(s) for s in itertools.combinations(range(1, 7), 3)]
+        assert sum(counts) == 20_000  # all 20 subsets of 3 from 1..6
+        assert stats.chisquare(counts).pvalue > 1e-6
+        colors = np.bincount(_draw_lists(rng, 20_000, 5, 1)[:, 0], minlength=7)
+        assert colors[0] == 0
+        assert stats.chisquare(colors[1:]).pvalue > 1e-6
 
 
 class TestSparsificationScan:
@@ -375,6 +403,36 @@ class TestSparsificationScan:
         g = complete_graph(3)
         with pytest.raises(ValueError):
             sparsification_scan(g, [9], trials=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "k_values, message",
+        [
+            ([True], "must be integers, got True"),
+            ([1, np.True_], "must be integers"),
+            ([2.5], "must be integers, got 2.5"),
+            ([2.0], "must be integers, got 2.0"),
+            (["2"], "must be integers"),
+            ([0], r"must lie in \[1, D\+1\] = \[1, 3\], got 0"),
+            ([1, 4], r"must lie in \[1, D\+1\]"),
+            ([3, 2], "strictly increasing"),
+            ([1, 2, 2], "strictly increasing"),
+        ],
+    )
+    def test_k_values_are_checked_before_any_decision(self, monkeypatch, k_values, message):
+        # bools and floats used to fail inside rng.choice, and an unsorted
+        # list only after every decision had run
+        def fail(*args, **kwargs):
+            raise AssertionError("decided before the k values were checked")
+
+        monkeypatch.setattr(thresholds, "decide_list_colorable", fail)
+        with pytest.raises(ValueError, match=message):
+            sparsification_scan(complete_graph(3), k_values, trials=5, seed=0)
+
+    def test_numpy_k_values_are_accepted(self):
+        g = complete_graph(3)
+        curve = sparsification_scan(g, [np.int32(1), np.int64(3)], trials=5, seed=0)
+        assert [type(r.k) for r in curve.rows] == [int, int]
+        assert curve.to_csv() == sparsification_scan(g, [1, 3], trials=5, seed=0).to_csv()
 
     def test_csv(self):
         g = complete_graph(3)
