@@ -12,7 +12,6 @@ from .audit import (
     SpreadReport,
     SpreadValue,
     check_composition,
-    estimate_containment,
     exact_spread,
     spread_report,
     wilson_interval,

@@ -14,19 +14,19 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, NoKeptSamples
+from .graphs import keyed_rng
 
 __all__ = [
     "wilson_interval",
     "SpreadRow",
-    "estimate_containment",
     "SpreadReport",
     "spread_report",
-    "trial_rng",
     "SpreadValue",
     "ExplicitDistribution",
     "exact_spread",
@@ -51,11 +51,6 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """The stream keyed by (seed, index): trial `index` of an audit."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-
-
 @dataclass
 class SpreadRow:
     """Containment frequency of one set of (vertex, color) pairs with its
@@ -67,27 +62,6 @@ class SpreadRow:
     p_hat: float
     ci_low: float
     ci_high: float
-
-
-def estimate_containment(
-    sampler: Sampler,
-    pairs: Iterable[tuple[int, int]],
-    trials: int,
-    seed: int,
-) -> SpreadRow:
-    """Frequency of {sample contains every (vertex, color) pair} with its
-    Wilson interval.  Per-trial streams are keyed by (seed, index), so the
-    result does not depend on evaluation order."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    pairs = tuple(pairs)
-    hits = 0
-    for t in range(trials):
-        sample = sampler(trial_rng(seed, t))
-        if all(sample[v] == c for v, c in pairs):
-            hits += 1
-    lo, hi = wilson_interval(hits, trials)
-    return SpreadRow(pairs, trials, hits, hits / trials, lo, hi)
 
 
 @dataclass
@@ -156,7 +130,7 @@ def audit_set_family(
                 f"the singletons+pairs family needs two (vertex, color) pairs, "
                 f"got {n * palette_size} (n = {n}, palette {palette_size})"
             )
-        rng = trial_rng(seed, 1 << 40)
+        rng = keyed_rng(seed, 1 << 40)
         while len(sets) < n * palette_size + 10 * n:
             v1, v2 = (int(x) for x in rng.integers(n, size=2))
             c1, c2 = (int(x) for x in rng.integers(1, palette_size + 1, size=2))
@@ -174,13 +148,22 @@ def spread_report_from_samples(
 ) -> SpreadReport:
     """Aggregate containment counts for pre-drawn samples (colors indexed
     by vertex) over the given test sets.  Raises NoKeptSamples when there
-    are none, rather than reporting intervals over zero trials."""
+    are none, rather than reporting intervals over zero trials, and
+    ValueError for an empty test set or one that repeats a (vertex, color)
+    pair, whose root 1/|T| in C_hat would be undefined or wrong."""
     single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
     pair_sets = [s for s in sets if len(s) != 1]
     pair_hits = np.zeros(len(pair_sets), dtype=np.int64)
     if pair_sets:
+        if not min(map(len, pair_sets)):
+            raise ValueError("empty test set")
         pv = np.array([[p[0] for p in s] for s in pair_sets], dtype=np.int64)
         pc = np.array([[p[1] for p in s] for s in pair_sets], dtype=np.int64)
+        for i, j in combinations(range(pv.shape[1]), 2):
+            repeats = (pv[:, i] == pv[:, j]) & (pc[:, i] == pc[:, j])
+            if repeats.any():
+                bad = pair_sets[int(repeats.argmax())]
+                raise ValueError(f"test set {bad} repeats a (vertex, color) pair")
 
     kept = 0
     idx = np.arange(n)
@@ -224,7 +207,7 @@ def spread_report(
     family, with one keyed stream per trial."""
     if sets is None:
         sets = audit_set_family(n, palette_size, seed, family)
-    samples = (sampler(trial_rng(seed, t)) for t in range(trials))
+    samples = (sampler(keyed_rng(seed, t)) for t in range(trials))
     return spread_report_from_samples(samples, n, palette_size, sets)
 
 
@@ -249,10 +232,6 @@ class SpreadValue:
 
     def __lt__(self, other: "SpreadValue") -> bool:
         return self.prob**other.size < other.prob**self.size
-
-    def le_scalar(self, c: Fraction | int) -> bool:
-        """self <= c, exactly."""
-        return self.prob <= Fraction(c) ** self.size
 
 
 @dataclass
@@ -292,8 +271,6 @@ def exact_spread(
         raise CapExceeded(f"ground set of size {len(ground)} exceeds 20")
     if size_cap is None:
         size_cap = len(ground)
-    from itertools import combinations
-
     best_t: frozenset[Hashable] = frozenset()
     best = SpreadValue(Fraction(0), 1)
     for k in range(1, min(size_cap, len(ground)) + 1):
@@ -349,8 +326,6 @@ def check_composition(
 
     m = p_val if q_val <= p_val else q_val
     factor = 1 if disjoint else 2
-    from itertools import combinations
-
     ground = sorted(union.ground(), key=repr)
     holds = True
     worst: frozenset = frozenset()

@@ -3,8 +3,10 @@
 Subcommands: gen, decompose, sample, audit, counterexample, sparsify,
 cost.  All randomness derives from --seed; per-trial streams are keyed
 by trial index, so --jobs (sample, and audit with the pipeline sampler)
-changes wall time but never output.  A JSON config file (--config)
-supplies parameter defaults; explicit flags win.
+changes wall time but never output.  Each subcommand offers a flag for
+each Params field it reads (PARAM_FIELDS), and those that read any also
+take a JSON config file (--config), which may set every field; explicit
+flags win.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
 """
@@ -15,7 +17,7 @@ import json
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -38,29 +40,14 @@ from .greedy import (
 from .params import Params
 from .thresholds import Hypergraph, cost_bruteforce, expense, sparsification_scan
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    jobs: int
-    params: Params
-
-
-def _param_flags() -> list[tuple[str, type]]:
-    """(field name, argparse type) for every Params field; `float | None`
-    parses as float."""
-    hints = typing.get_type_hints(Params)
-    out = []
-    for f in fields(Params):
-        hint = hints[f.name]
-        types = [t for t in typing.get_args(hint) if t is not type(None)] or [hint]
-        out.append((f.name, types[0]))
-    return out
-
-
-_PARAM_FLAGS = _param_flags()
+# the argparse type of each Params field; `float | None` parses as float
+_PARAM_TYPES: dict[str, type] = {
+    name: next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+    for name, hint in typing.get_type_hints(Params).items()
+}
 
 
 def count(text: str) -> int:
@@ -71,30 +58,35 @@ def count(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
+def _add_params(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    """--config and one flag per Params field in `names`."""
     p.add_argument("--config", type=Path, help="JSON file of parameter defaults")
-    for name, typ in _PARAM_FLAGS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+    for name in names:
+        p.add_argument(_flag(name), type=_PARAM_TYPES[name], default=None)
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> Params:
+    """Params from the --config file, with the subcommand's flags winning;
+    the file may set any field."""
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         base.update(json.loads(Path(args.config).read_text()))
-    for name, _ in _PARAM_FLAGS:
+    for name in _PARAM_TYPES:
         val = getattr(args, name, None)
         if val is not None:
             base[name] = val
-    jobs = getattr(args, "jobs", 1)
-    return RunConfig(seed=args.seed, jobs=jobs, params=Params.from_dict(base))
+    return Params.from_dict(base)
 
 
-def _load_graph(args: argparse.Namespace, cfg: RunConfig) -> Graph:
-    if getattr(args, "graph", None):
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if args.graph:
         return read_edge_list(Path(args.graph).read_text())
-    if getattr(args, "n", None) and getattr(args, "D", None):
-        return gen_random_regular(args.n, args.D, seed=cfg.seed)
+    if args.n and args.D:
+        return gen_random_regular(args.n, args.D, seed=args.seed)
     raise SystemExit2("need --graph FILE or both --n and --D")
 
 
@@ -138,8 +130,7 @@ def _run_pipeline_trials(
 
 
 def _cmd_gen(args) -> int:
-    cfg = _build_config(args)
-    g = gen_random_regular(args.n, args.D, seed=cfg.seed)
+    g = gen_random_regular(args.n, args.D, seed=args.seed)
     text = write_edge_list(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -150,9 +141,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    cfg = _build_config(args)
-    g = _load_graph(args, cfg)
-    dec = sparse_dense_decompose(g, cfg.params.eps, cfg.params.theta)
+    params = _build_config(args)
+    g = _load_graph(args)
+    dec = sparse_dense_decompose(g, params.eps, params.theta)
     out = dec.to_json()
     if args.out:
         Path(args.out).write_text(out)
@@ -167,10 +158,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _build_config(args)
-    g = _load_graph(args, cfg)
-    seeds = [cfg.seed + i for i in range(args.seeds)]
-    results = _run_pipeline_trials(g, cfg.params, seeds, cfg.jobs)
+    params = _build_config(args)
+    g = _load_graph(args)
+    seeds = [args.seed + i for i in range(args.seeds)]
+    results = _run_pipeline_trials(g, params, seeds, args.jobs)
     records = []
     for s, (arr, flagged) in zip(seeds, results):
         colors = {str(v): int(c) for v, c in enumerate(arr)}
@@ -196,34 +187,41 @@ def _make_sampler(name: str, g: Graph) -> audit_mod.Sampler:
 
 
 def _cmd_audit(args) -> int:
-    if args.sampler != "pipeline" and args.jobs > 1:
-        raise SystemExit2(
-            f"--jobs {args.jobs}: --sampler {args.sampler} runs in one process; "
-            "only --sampler pipeline takes --jobs"
-        )
-    cfg = _build_config(args)
-    g = _load_graph(args, cfg)
+    if args.sampler != "pipeline":
+        # the greedy samplers run in one process and never build a Pipeline
+        if args.jobs > 1:
+            raise SystemExit2(
+                f"--jobs {args.jobs}: --sampler {args.sampler} runs in one process; "
+                "only --sampler pipeline takes --jobs"
+            )
+        for name in PIPELINE_FIELDS:
+            value = getattr(args, name)
+            if value is not None:
+                raise SystemExit2(
+                    f"{_flag(name)} {value}: --sampler {args.sampler} does not run the "
+                    f"pipeline; only --sampler pipeline takes {_flag(name)}"
+                )
+    params = _build_config(args)
+    g = _load_graph(args)
     palette = g.max_degree + 1
-    sets = audit_mod.audit_set_family(g.n, palette, cfg.seed, args.family)
+    sets = audit_mod.audit_set_family(g.n, palette, args.seed, args.family)
     if args.sampler == "pipeline":
         trial_seeds = [
-            int(np.random.SeedSequence((cfg.seed, t)).generate_state(1)[0])
+            int(np.random.SeedSequence((args.seed, t)).generate_state(1)[0])
             for t in range(args.trials)
         ]
-        results = _run_pipeline_trials(g, cfg.params, trial_seeds, cfg.jobs)
+        results = _run_pipeline_trials(g, params, trial_seeds, args.jobs)
+        samples = [arr for arr, is_flagged in results if not is_flagged]
+        rep = audit_mod.spread_report_from_samples(
+            samples, g.n, palette, sets, flagged_trials=len(results) - len(samples)
+        )
     else:
         sampler = _make_sampler(args.sampler, g)
-        results = [
-            (sampler(audit_mod.trial_rng(cfg.seed, t)), False) for t in range(args.trials)
-        ]
-    samples = [arr for arr, is_flagged in results if not is_flagged]
-    rep = audit_mod.spread_report_from_samples(
-        samples, g.n, palette, sets, flagged_trials=len(results) - len(samples)
-    )
+        rep = audit_mod.spread_report(sampler, g.n, palette, args.trials, args.seed, sets=sets)
     if args.out:
         Path(args.out).write_text(rep.to_csv())
     print(rep.to_json())
-    ceiling = cfg.params.c_hat_ceiling
+    ceiling = params.c_hat_ceiling
     if rep.c_hat > ceiling:
         print(f"C_hat {rep.c_hat:.2f} exceeds ceiling {ceiling}", file=sys.stderr)
         return 1
@@ -231,7 +229,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    cfg = _build_config(args)
+    params = _build_config(args)
     ce = build_counterexample(args.kind, args.D)
     if args.kind == "greedy_boys":
         # the (2D)^-D reference value holds at D = 2 but not at every D;
@@ -240,7 +238,7 @@ def _cmd_counterexample(args) -> int:
         bound = Fraction(1, (2 * args.D) ** args.D)
         print(f"P(random greedy output = target) = {p} (>= {bound}: {p >= bound})")
         return 0
-    p = exact_containment_uniform(ce.graph, ce.lists, ce.target, cap=cfg.params.enum_cap)
+    p = exact_containment_uniform(ce.graph, ce.lists, ce.target, cap=params.enum_cap)
     print(f"P(uniform coloring ⊇ target) = {p}")
     if ce.expected is not None:
         print(f"expected exact value       = {ce.expected}")
@@ -249,11 +247,11 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sparsify(args) -> int:
-    cfg = _build_config(args)
-    g = _load_graph(args, cfg)
+    params = _build_config(args)
+    g = _load_graph(args)
     k_values = [int(k) for k in args.k_values.split(",")]
     curve = sparsification_scan(
-        g, k_values, trials=args.trials, seed=cfg.seed, cap=cfg.params.color_cap
+        g, k_values, trials=args.trials, seed=args.seed, cap=params.color_cap
     )
     text = curve.to_csv()
     if args.out:
@@ -281,6 +279,30 @@ JOBS_HELP = (
     "audit takes it only with --sampler pipeline"
 )
 
+# the Params fields a Pipeline reads: all but the caps and the audit ceiling
+PIPELINE_FIELDS = tuple(
+    name for name in _PARAM_TYPES if name not in ("enum_cap", "color_cap", "c_hat_ceiling")
+)
+
+# The Params fields each subcommand reads, which are the flags it offers;
+# a subcommand that reads any also takes --config.
+PARAM_FIELDS: dict[str, tuple[str, ...]] = {
+    "gen": (),
+    "decompose": ("eps", "theta"),
+    "sample": PIPELINE_FIELDS,
+    "audit": (*PIPELINE_FIELDS, "c_hat_ceiling"),
+    "counterexample": ("enum_cap",),
+    "sparsify": ("color_cap",),
+    "cost": (),
+}
+
+
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", type=Path)
+    p.add_argument("--n", type=int)
+    p.add_argument("--D", type=int)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -292,63 +314,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="random D-regular graph to an edge-list file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", type=Path)
-    _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("decompose", help="sparse-dense decomposition as JSON")
-    p.add_argument("--graph", type=Path)
-    p.add_argument("--n", type=int)
-    p.add_argument("--D", type=int)
+    _add_graph_source(p)
     p.add_argument("--out", type=Path)
-    _add_common(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("sample", help="pipeline colorings for N seeds")
-    p.add_argument("--graph", type=Path)
-    p.add_argument("--n", type=int)
-    p.add_argument("--D", type=int)
+    _add_graph_source(p)
     p.add_argument("--seeds", type=count, default=1)
     p.add_argument("--out", type=Path)
     p.add_argument("--jobs", type=count, default=1, help=JOBS_HELP)
-    _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("audit", help="SpreadReport for a named sampler")
     p.add_argument("--sampler", choices=["pipeline", "random-greedy", "slack-greedy"],
                    default="pipeline")
-    p.add_argument("--graph", type=Path)
-    p.add_argument("--n", type=int)
-    p.add_argument("--D", type=int)
+    _add_graph_source(p)
     p.add_argument("--trials", type=count, default=2000)
     p.add_argument("--family", default="singletons+pairs",
                    choices=["singletons", "singletons+pairs"])
     p.add_argument("--out", type=Path, help="CSV output path")
     p.add_argument("--jobs", type=count, default=1, help=JOBS_HELP)
-    _add_common(p)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("counterexample", help="exact counterexample numbers")
     p.add_argument("kind", choices=["red_thumb", "clique_minus_clique", "greedy_boys"])
     p.add_argument("--D", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("sparsify", help="palette sparsification curve")
-    p.add_argument("--graph", type=Path)
-    p.add_argument("--n", type=int)
-    p.add_argument("--D", type=int)
+    _add_graph_source(p)
     p.add_argument("--k-values", default="2,4,6,8,10,12,14,16,18,20,21")
     p.add_argument("--trials", type=count, default=200)
     p.add_argument("--out", type=Path)
-    _add_common(p)
     p.set_defaults(func=_cmd_sparsify)
 
     p = sub.add_parser("cost", help="expense and cost of a hypergraph file")
     p.add_argument("--hypergraph", type=Path, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_cost)
 
+    for name, names in PARAM_FIELDS.items():
+        if names:
+            _add_params(sub.choices[name], names)
     return top
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NegativeR,
     VerificationFailed,
 )
-from .graphs import Graph, check_proper, regularize
+from .graphs import Graph, check_proper, keyed_rng, regularize
 from .matching import Bigraph, spread_X_perfect_matching
 from .params import Params
 from .sparse_phase import sparse_phase_color
@@ -391,9 +391,7 @@ class Pipeline:
 
         for i, cluster in enumerate(self.dec.clusters):
             shape = self._shape(i)
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, _CLUSTER_TAG, i)))
-            )
+            rng = keyed_rng(seed, _CLUSTER_TAG, i)
             try:
                 ctx = build_cluster_context(self.reg, cluster, colors, params, shape=shape)
                 colors[shape.members], branch = color_cluster(ctx, rng, params)

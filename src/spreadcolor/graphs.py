@@ -30,6 +30,7 @@ __all__ = [
     "neighborhood_complement_edges",
     "regularize",
     "gen_random_regular",
+    "keyed_rng",
     "read_edge_list",
     "write_edge_list",
 ]
@@ -455,8 +456,14 @@ def regularize(g: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Random regular graphs
+# Randomness
 # ---------------------------------------------------------------------------
+
+
+def keyed_rng(*key: int) -> np.random.Generator:
+    """The PCG64 stream keyed by a tuple of ints, such as (seed, trial):
+    each key has its own stream, whatever order the keys are drawn in."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Graph:

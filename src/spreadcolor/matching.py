@@ -100,9 +100,6 @@ class Bigraph:
     def degrees_y(self) -> np.ndarray:
         return np.count_nonzero(self.m, axis=0).astype(np.int64)
 
-    def adj_y(self) -> list[list[int]]:
-        return [list(col) for col in Bigraph(self.m.T).adj_x]
-
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.m))
 

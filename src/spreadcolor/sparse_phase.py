@@ -23,7 +23,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .errors import MaxTriesExceeded, StuckVertex, VerificationFailed
-from .graphs import Graph, check_proper
+from .graphs import Graph, check_proper, keyed_rng
 from .params import Params
 
 __all__ = [
@@ -36,10 +36,6 @@ __all__ = [
 
 _LABEL_TAG = 0xA1
 _GREEDY_TAG = 0xA2
-
-
-def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *tags))))
 
 
 def tranquil_mask(g: Graph, tau: np.ndarray) -> np.ndarray:
@@ -158,7 +154,7 @@ def sample_conditioned_labeling(
     """Uniform labeling of V conditioned on no sparse vertex being bad,
     realized by per-component rejection.  vstar is any iterable of the
     sparse vertex ids; an id array (Decomposition.sparse_ids()) indexes
-    as it is, with no conversion.
+    as it is, with no conversion.  An id outside 0..n-1 is a ValueError.
 
     The pair threshold defaults to floor(theta' * D): at desk scale that
     is 0 and the |P_v| clause is vacuous, which is the only regime in
@@ -169,8 +165,12 @@ def sample_conditioned_labeling(
     """
     d = g.max_degree
     n = g.n
+    ids = vstar if isinstance(vstar, np.ndarray) else np.fromiter(vstar, dtype=np.int64)
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        stray = min(v for v in ids.tolist() if not 0 <= v < n)
+        raise ValueError(f"vertex {stray} not in graph of order {n}")
     star = np.zeros(n, dtype=bool)
-    star[vstar if isinstance(vstar, np.ndarray) else list(vstar)] = True
+    star[ids] = True
     window_halfwidth, pair_min = _thresholds(
         d, int(star.sum()), theta_prime, accept_target, window_halfwidth, pair_min
     )
@@ -181,13 +181,13 @@ def sample_conditioned_labeling(
     labels = g.component_labels()
     # components without a sparse vertex keep their attempt-0 labels
     pending = np.bincount(labels[star], minlength=n_comps) > 0
-    final = _rng(seed, _LABEL_TAG, 0).integers(1, d + 2, size=n)
+    final = keyed_rng(seed, _LABEL_TAG, 0).integers(1, d + 2, size=n)
     tau = final.copy()
     for t in range(max_tries):
         if not pending.any():
             return final
         if t:
-            tau = _rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
+            tau = keyed_rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
         bad = _bad_vertices(g, tau, star & pending[labels], lo, hi, pair_min)
         ok = pending & (np.bincount(labels[bad], minlength=n_comps) == 0)
         take = ok[labels]
@@ -412,7 +412,7 @@ def sparse_phase_color(
     # leftover-to-leftover edges as (earlier, later) positions in `leftovers`
     both = left_mask[eu] & left_mask[ev]
     earlier, later = pos[eu[both]], pos[ev[both]]
-    uniforms = _rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
+    uniforms = keyed_rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
     greedy = _greedy_levels if len(leftovers) >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
     picked = greedy(leftovers, allowed, earlier, later, uniforms)
 

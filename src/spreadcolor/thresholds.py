@@ -23,7 +23,7 @@ import numpy as np
 
 from .audit import wilson_interval
 from .errors import CapExceeded
-from .graphs import Graph
+from .graphs import Graph, keyed_rng
 
 __all__ = [
     "Hypergraph",
@@ -47,10 +47,6 @@ class Hypergraph:
         for e in self.edges:
             if not e <= gset:
                 raise ValueError(f"edge {set(e)} not inside the ground set")
-
-    @property
-    def ell_bound(self) -> int:
-        return max((len(e) for e in self.edges), default=0)
 
     @staticmethod
     def from_json(text: str) -> tuple["Hypergraph", dict[Hashable, Fraction]]:
@@ -161,7 +157,8 @@ def decide_list_colorable(
     vertex left with no color has no branch to try).  Only the root
     propagates from every singleton list; a successful propagation leaves
     no unfixed singleton, so after a branch it starts from the branched
-    vertex alone."""
+    vertex alone.  The search keeps its own stack of branch vertices, so
+    its depth is not bounded by Python's recursion limit."""
     n = g.n
     adj = g.neighbor_lists()
     avail = []
@@ -174,7 +171,6 @@ def decide_list_colorable(
     cnt = [mask.bit_count() for mask in avail]
     fixed = max(cnt, default=0) + 1  # the count of a fixed vertex
     cnt.append(fixed)  # cnt[n]: min(cnt) == fixed iff every vertex is fixed
-    nodes = 0
 
     def propagate(queue: list[int], trail: list[int]) -> bool:
         """Fix every singleton list reachable from `queue`, recording each
@@ -210,32 +206,39 @@ def decide_list_colorable(
                 avail[w] |= x
                 cnt[w] += 1
 
-    def search() -> bool:
-        nonlocal nodes
-        nodes += 1
+    if not propagate([v for v in range(n) if cnt[v] == 1], []):
+        return False
+    # one frame per branch vertex on the current path: [vertex, its mask
+    # and count before branching, the colors left to try, the trail of the
+    # color being tried]
+    stack: list[list] = []
+    nodes = 0
+    while True:
+        nodes += 1  # a search node: the root, or a branch that propagated
         if nodes > cap:
             raise CapExceeded(f"colorability search exceeded {cap} nodes")
         least = min(cnt)
         if least == fixed:
             return True
         v = cnt.index(least)
-        saved = mask = avail[v]
-        trail: list[int] = []
-        while mask:
+        stack.append([v, avail[v], least, avail[v], []])
+        while True:  # the next color of the deepest frame, or backtrack
+            if not stack:
+                return False
+            frame = stack[-1]
+            v, saved, least, mask, trail = frame
+            undo(trail)
+            if not mask:
+                avail[v] = saved
+                cnt[v] = least
+                stack.pop()
+                continue
             bit = mask & -mask
-            mask ^= bit
+            frame[3] = mask ^ bit
             avail[v] = bit
             cnt[v] = 1
-            if propagate([v], trail) and search():
-                return True
-            undo(trail)
-        avail[v] = saved
-        cnt[v] = least
-        return False
-
-    if not propagate([v for v in range(n) if cnt[v] == 1], []):
-        return False
-    return search()
+            if propagate([v], trail):
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +320,7 @@ def sparsification_scan(
         successes = 0
         indeterminate = 0
         for t in range(trials):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, k, t)))
-            )
-            lists = _draw_lists(rng, g.n, d, k)
+            lists = _draw_lists(keyed_rng(seed, k, t), g.n, d, k)
             try:
                 if decide_list_colorable(g, lists, cap=cap):
                     successes += 1

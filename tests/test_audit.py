@@ -11,7 +11,6 @@ from spreadcolor.audit import (
     SpreadRow,
     SpreadValue,
     check_composition,
-    estimate_containment,
     exact_spread,
     spread_report,
     spread_report_from_samples,
@@ -19,7 +18,7 @@ from spreadcolor.audit import (
     wilson_interval,
 )
 from spreadcolor.errors import CapExceeded, NoKeptSamples
-from spreadcolor.graphs import complete_graph
+from spreadcolor.graphs import complete_graph, keyed_rng
 from spreadcolor.greedy import build_counterexample, enumerate_colorings
 
 
@@ -63,47 +62,61 @@ def _uniform_coloring_sampler(g, lists):
     return sampler
 
 
-class TestEstimateContainment:
-    def test_empty_set_probability_one(self):
-        g = complete_graph(2)
-        sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        est = estimate_containment(sampler, [], trials=200, seed=1)
-        assert est.p_hat == 1.0
+def _one_row(sampler, n, palette, trials, seed, pairs) -> SpreadRow:
+    """The row of a one-set audit of `pairs`."""
+    (row,) = spread_report(sampler, n, palette, trials, seed, sets=[tuple(pairs)]).rows
+    return row
 
+
+class TestSpreadReportRow:
     def test_half_on_k2(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        est = estimate_containment(sampler, [(0, 1)], trials=4000, seed=2)
+        est = _one_row(sampler, 2, 2, 4000, 2, [(0, 1)])
         assert est.ci_low <= 0.5 <= est.ci_high
         assert abs(est.p_hat - 0.5) < 0.05
 
     def test_contradictory_pairs_zero(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        est = estimate_containment(sampler, [(0, 1), (0, 2)], trials=300, seed=3)
+        est = _one_row(sampler, 2, 2, 300, 3, [(0, 1), (0, 2)])
         assert est.hits == 0
 
     def test_deterministic_in_seed(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        a = estimate_containment(sampler, [(0, 1)], trials=500, seed=7)
-        b = estimate_containment(sampler, [(0, 1)], trials=500, seed=7)
+        a = _one_row(sampler, 2, 2, 500, 7, [(0, 1)])
+        b = _one_row(sampler, 2, 2, 500, 7, [(0, 1)])
         assert a.hits == b.hits
 
-    def test_minimum_trials(self):
-        g = complete_graph(2)
-        sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        with pytest.raises(ValueError):
-            estimate_containment(sampler, [(0, 1)], trials=50, seed=0)
-
-    def test_is_the_spread_report_row(self):
-        # same keyed trial streams, so the same row as a one-set audit
+    def test_counts_one_keyed_stream_per_trial(self):
+        # trial t samples from the (seed, t) stream, whatever sets are audited
         g = complete_graph(3)
         sampler = _uniform_coloring_sampler(g, [[1, 2, 3]] * 3)
         pairs = ((0, 1), (2, 3))
-        est = estimate_containment(sampler, pairs, trials=300, seed=4)
-        rep = spread_report(sampler, 3, 3, 300, 4, sets=[pairs])
-        assert isinstance(est, SpreadRow) and rep.rows == [est]
+        hits = sum(
+            all(sampler(keyed_rng(4, t))[v] == c for v, c in pairs) for t in range(300)
+        )
+        lo, hi = wilson_interval(hits, 300)
+        assert _one_row(sampler, 3, 3, 300, 4, pairs) == SpreadRow(
+            pairs, 300, hits, hits / 300, lo, hi
+        )
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ([()], "empty test set"),
+            ([((0, 1),), ((0, 1), (1, 2)), ()], "empty test set"),
+            ([((0, 1), (0, 1))], r"test set \(\(0, 1\), \(0, 1\)\) repeats a \(vertex, color\) pair"),
+            ([((0, 1), (1, 2), (0, 1))], "repeats a"),
+        ],
+    )
+    def test_an_empty_or_repeating_test_set_is_a_value_error(self, sets, message):
+        # an empty set made c_hat divide by zero; a repeated pair counted as
+        # |T| = 2 with a singleton's hits
+        samples = [np.array([1, 2, 3])]
+        with pytest.raises(ValueError, match=message):
+            spread_report_from_samples(samples, 3, 3, sets)
 
 
 class TestSpreadReport:
@@ -190,17 +203,12 @@ class TestSpreadValue:
         d = SpreadValue(Fraction(1, 9), 2)   # = 1/3
         assert d < a
 
-    def test_scalar_comparison(self):
-        v = SpreadValue(Fraction(1, 6), 2)
-        assert not v.le_scalar(Fraction(1, 3))
-        assert v.le_scalar(Fraction(1, 2))
-
 
 class TestExactSpread:
     def test_point_mass(self):
         dist = ExplicitDistribution([frozenset({"a", "b"})], [Fraction(1)])
         t, val = exact_spread(dist)
-        assert val.le_scalar(1) and SpreadValue(Fraction(1), 1) <= val
+        assert (val.prob, val.size) == (1, 1)
 
     def test_two_singletons(self):
         dist = ExplicitDistribution(
@@ -255,9 +263,7 @@ class TestExactSpread:
         def sampler(rng: np.random.Generator) -> np.ndarray:
             return arrs[int(rng.integers(3))]
 
-        est = estimate_containment(
-            sampler, [(x, 1) for x in worst_t], trials=4000, seed=13
-        )
+        est = _one_row(sampler, 3, 1, 4000, 13, [(x, 1) for x in worst_t])
         exact = float(dist.containment(worst_t))
         assert est.ci_low <= exact <= est.ci_high
         assert val.prob == dist.containment(worst_t)

@@ -15,6 +15,7 @@ from spreadcolor.graphs import (
     complete_graph,
     disjoint_union,
     gen_random_regular,
+    keyed_rng,
     read_edge_list,
     write_edge_list,
 )
@@ -137,6 +138,12 @@ def test_sparsify(tmp_path):
     assert len(lines) == 4
 
 
+def test_sparsify_a_search_deeper_than_the_recursion_limit(capsys):
+    # full lists branch once per vertex; this exited 1 with a RecursionError
+    assert main(["sparsify", "--n", "1000", "--D", "4", "--k-values", "5", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("5,1,1,1.000000,")
+
+
 def test_cost_command(tmp_path, capsys):
     hg = tmp_path / "h.json"
     hg.write_text(
@@ -229,7 +236,7 @@ def test_greedy_audit_rejects_parallel_jobs(sampler, capsys):
 def test_every_sampler_returns_an_int64_vertex_array():
     g = gen_random_regular(30, 6, seed=2)
     for name in ("random-greedy", "slack-greedy"):
-        colors = _make_sampler(name, g)(audit.trial_rng(0, 0))
+        colors = _make_sampler(name, g)(keyed_rng(0, 0))
         assert colors.dtype == np.int64 and colors.shape == (g.n,), name
     pipe = Pipeline(g)
     for seed in range(3):
@@ -302,21 +309,101 @@ def _flag_value(f) -> str:
     return repr(default * 0.9)
 
 
-def test_every_param_has_exactly_one_flag_and_round_trips():
+PIPELINE = {f.name for f in fields(Params)} - {"enum_cap", "color_cap", "c_hat_ceiling"}
+
+# each subcommand's shortest argv, and the settable values it offers:
+# --seed, --config and a flag for each Params field it reads
+SUBCOMMAND_PARAMS = {
+    "gen": (["gen", "--n", "4", "--D", "2"], {"seed"}),
+    "decompose": (["decompose"], {"seed", "config", "eps", "theta"}),
+    "sample": (["sample"], {"seed", "config", *PIPELINE}),
+    "audit": (["audit"], {"seed", "config", *PIPELINE, "c_hat_ceiling"}),
+    "counterexample": (["counterexample", "red_thumb", "--D", "3"], {"config", "enum_cap"}),
+    "sparsify": (["sparsify"], {"seed", "config", "color_cap"}),
+    "cost": (["cost", "--hypergraph", "h.json"], set()),
+}
+
+
+def test_the_subcommands_offer_43_settable_values_covering_every_param():
     parser = build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command").choices["sample"]
-    dests = [a.dest for a in sub._actions]
-    names = [f.name for f in fields(Params)]
-    for name in names:
-        assert dests.count(name) == 1, name
-    argv = ["sample", "--n", "40", "--D", "8"]
-    for f in fields(Params):
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(subparsers) == set(SUBCOMMAND_PARAMS)
+    assert sum(len(offered) for _, offered in SUBCOMMAND_PARAMS.values()) == 43
+    covered = set().union(*(offered for _, offered in SUBCOMMAND_PARAMS.values()))
+    assert covered >= {f.name for f in fields(Params)}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_PARAMS))
+def test_each_subcommand_offers_exactly_the_params_it_reads_and_round_trips(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    base, offered = SUBCOMMAND_PARAMS[command]
+    settable = {"seed", "config"} | {f.name for f in fields(Params)}
+    dests = [a.dest for a in sub._actions if a.dest in settable]
+    assert sorted(dests) == sorted(offered)
+    if "config" not in offered:
+        return
+    argv = list(base)
+    read = [f for f in fields(Params) if f.name in offered]
+    for f in read:
         argv += [f"--{f.name.replace('_', '-')}", _flag_value(f)]
-    cfg = _build_config(parser.parse_args(argv))
+    params = _build_config(parser.parse_args(argv))
     for f in fields(Params):
-        got, want = getattr(cfg.params, f.name), type(f.default or 0.0)(_flag_value(f))
+        want = type(f.default or 0.0)(_flag_value(f)) if f in read else f.default
+        got = getattr(params, f.name)
         assert (got, type(got)) == (want, type(want)), f.name
-    assert Params.from_dict(cfg.params.to_dict()) == cfg.params
+    assert Params.from_dict(params.to_dict()) == params
+
+
+@pytest.mark.parametrize(
+    "argv, unrecognized",
+    [
+        (["cost", "--hypergraph", "h.json", "--eps", "7", "--config", "/nonexistent.json"],
+         "--eps 7 --config /nonexistent.json"),
+        (["gen", "--n", "20", "--D", "4", "--k-out", "9"], "--k-out 9"),
+        (["counterexample", "red_thumb", "--D", "3", "--seed", "99"], "--seed 99"),
+        (["sparsify", "--n", "20", "--D", "4", "--max-tries", "1", "--h-margin", "3"],
+         "--max-tries 1 --h-margin 3"),
+        (["decompose", "--n", "20", "--D", "4", "--k-out", "9"], "--k-out 9"),
+        (["sample", "--n", "20", "--D", "4", "--color-cap", "5"], "--color-cap 5"),
+    ],
+)
+def test_a_param_the_subcommand_does_not_read_is_a_usage_error(argv, unrecognized, capsys):
+    # each of these used to exit 0 and ignore the flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"error: unrecognized arguments: {unrecognized}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sampler", ["random-greedy", "slack-greedy"])
+@pytest.mark.parametrize("name", sorted(PIPELINE))
+def test_greedy_audit_rejects_pipeline_params(sampler, name, capsys):
+    # the greedy samplers never build a Pipeline, so its flags would do nothing
+    f = next(f for f in fields(Params) if f.name == name)
+    flag = f"--{name.replace('_', '-')}"
+    argv = ["audit", "--sampler", sampler, "--n", "20", "--D", "4", "--trials", "5"]
+    assert main(argv + [flag, _flag_value(f)]) == 2
+    value = type(f.default or 0.0)(_flag_value(f))
+    assert capsys.readouterr().err == (
+        f"error: {flag} {value}: --sampler {sampler} does not run the pipeline; "
+        f"only --sampler pipeline takes {flag}\n"
+    )
+
+
+def test_greedy_audit_takes_pipeline_params_from_a_config_file(tmp_path, capsys):
+    # a config file may carry any field, so one file serves every subcommand
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text('{"k_out": 9}')
+    argv = ["audit", "--sampler", "slack-greedy", "--n", "20", "--D", "4", "--trials", "5",
+            "--family", "singletons"]
+    assert main(argv + ["--config", str(cfgf)]) == 0
+    with_config = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == with_config
+    assert main(argv + ["--k-out", "9"]) == 2
 
 
 def test_bad_matching_param_is_a_usage_error(capsys):
@@ -327,7 +414,8 @@ def test_bad_matching_param_is_a_usage_error(capsys):
 @pytest.mark.parametrize("flag", ["--theta", "--theta-prime", "--t-window", "--c-hat-ceiling"])
 @pytest.mark.parametrize("value", ["nan", "0", "-0.1", "inf"])
 def test_bad_threshold_is_a_usage_error(flag, value, capsys):
-    assert main(["sample", "--n", "40", "--D", "8", flag, value]) == 2
+    command = "audit" if flag == "--c-hat-ceiling" else "sample"  # only audit reads the ceiling
+    assert main([command, "--n", "40", "--D", "8", flag, value]) == 2
     assert "must be finite and > 0" in capsys.readouterr().err
 
 

@@ -20,6 +20,7 @@ from spreadcolor.graphs import (
     disjoint_union,
     common_neighbor_blocks,
     gen_random_regular,
+    keyed_rng,
     neighborhood_complement_edges,
     read_edge_list,
     regularize,
@@ -641,3 +642,12 @@ class TestGenRandomRegular:
         # plain whole-pairing rejection would essentially never succeed here
         g = gen_random_regular(120, 40, seed=9)
         assert g.is_regular(40)
+
+
+def test_keyed_rng_is_the_pcg64_stream_of_its_key():
+    # sparse phase, clusters, audits and sparsification all draw from it, so
+    # a change of stream would move every seeded output
+    for key in [(0,), (3, 7), (5, 0xA1, 2), (9, 1 << 40)]:
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        assert np.array_equal(keyed_rng(*key).random(8), want.random(8))
+    assert not np.array_equal(keyed_rng(3, 7).random(8), keyed_rng(7, 3).random(8))

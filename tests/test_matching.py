@@ -311,7 +311,6 @@ class TestMatrixBigraphAgainstReference:
         b = _random_bigraph(nx, ny, p, seed)
         adj_x = b.adj_x
         assert adj_x == tuple(tuple(int(y) for y in np.flatnonzero(row)) for row in b.m)
-        assert b.adj_y() == _ref_adj_y(nx, ny, adj_x)
         assert np.array_equal(b.degrees_y(), _ref_degrees_y(ny, adj_x))
         assert [b.deg_x(x) for x in range(nx)] == [len(r) for r in adj_x]
         assert b.edge_count() == sum(len(r) for r in adj_x)

@@ -8,7 +8,13 @@ import pytest
 from spreadcolor import sparse_phase
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
 from spreadcolor.errors import MaxTriesExceeded, StuckVertex, VerificationFailed
-from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
+from spreadcolor.graphs import (
+    Graph,
+    complete_graph,
+    disjoint_union,
+    gen_random_regular,
+    keyed_rng,
+)
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
     _GREEDY_TAG,
@@ -19,7 +25,6 @@ from spreadcolor.sparse_phase import (
     _greedy_sequential,
     _in_t_counts,
     _pair_count,
-    _rng,
     default_window_halfwidth,
     sample_conditioned_labeling,
     sparse_phase_color,
@@ -78,7 +83,7 @@ def reference_slack_greedy(g: Graph, dec: Decomposition, res, seed: int) -> dict
     its already colored leftover neighbors."""
     tau, t = res.labeling, res.t_mask
     sigma = {v: int(tau[v]) for v in dec.sparse if t[v]}
-    uniforms = _rng(seed, _GREEDY_TAG).random(g.n)
+    uniforms = keyed_rng(seed, _GREEDY_TAG).random(g.n)
     for v in sorted(dec.sparse - res.t_set):
         used = {int(tau[w]) if t[w] else sigma.get(w) for w in g.neighbors(v)}
         avail = [c for c in range(1, g.max_degree + 2) if c not in used]
@@ -204,6 +209,14 @@ class TestConditionedLabeling:
             frozenset(ids), (), 0.4, 0.001
         ).sparse_ids()):
             assert np.array_equal(sample_conditioned_labeling(g, vstar, 1e-4, seed=78), want)
+
+    @pytest.mark.parametrize("vstar", [[-1], [3, 60], np.array([5, -2, 70])])
+    def test_an_id_outside_the_graph_is_a_value_error(self, vstar):
+        # -1 used to mark vertex 59, and 60 raised IndexError
+        g = gen_random_regular(60, 8, seed=4)
+        stray = min(v for v in np.asarray(vstar).tolist() if not 0 <= v < 60)
+        with pytest.raises(ValueError, match=f"^vertex {stray} not in graph of order 60$"):
+            sample_conditioned_labeling(g, vstar, 1e-4, seed=78)
 
     def test_deterministic_given_seed(self):
         g = gen_random_regular(60, 8, seed=4)

@@ -142,7 +142,7 @@ class TestCost:
         h, q = Hypergraph.from_json(
             '{"ground": ["a", "b"], "edges": [["a"], ["a", "b"]], "q": {"a": "3/10", "b": 0.5}}'
         )
-        assert h.ell_bound == 2
+        assert max(map(len, h.edges)) == 2
         assert q["a"] == Fraction(3, 10)
         assert q["b"] == Fraction(1, 2)
 
@@ -194,6 +194,15 @@ class TestListColorable:
         with pytest.raises(CapExceeded):
             decide_list_colorable(g, lists, cap=6)
         assert not decide_list_colorable(g, lists, cap=7)
+
+    def test_a_branch_per_vertex_is_not_bounded_by_the_recursion_limit(self):
+        # full lists on a 4-regular graph branch once on every vertex: the
+        # recursive search raised RecursionError past about 1,000 of them
+        g = gen_random_regular(2000, 4, seed=1)
+        lists = [range(1, 6)] * g.n
+        assert decide_list_colorable(g, lists, cap=2001)
+        with pytest.raises(CapExceeded):
+            decide_list_colorable(g, lists, cap=2000)
 
     def test_colors_past_62(self):
         # numpy int64 colors: 1 << np.int64(70) is 0 in numpy
@@ -447,6 +456,11 @@ class TestSparsificationScan:
             assert sparsification_scan(complete_graph(n), [n], trials=3, seed=0).rows[0].rate == 1.0
         g = gen_random_regular(200, 64, seed=1)
         assert sparsification_scan(g, [65], trials=3, seed=0).rows[0].rate == 1.0
+
+    def test_a_scan_that_branches_on_2000_vertices(self):
+        # it raised RecursionError
+        curve = sparsification_scan(gen_random_regular(2000, 4, seed=1), [5], trials=1, seed=0)
+        assert curve.rows[0].rate == 1.0
 
     def test_deterministic(self):
         g = gen_random_regular(20, 4, seed=8)
