@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .graphs import keyed_rng
 
 __all__ = [
     "wilson_interval",
-    "SpreadRow",
     "SpreadReport",
     "spread_report",
     "SpreadValue",
@@ -52,50 +51,43 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
 
 
 @dataclass
-class SpreadRow:
-    """Containment frequency of one set of (vertex, color) pairs with its
-    Wilson interval."""
-
-    pairs: tuple[tuple[int, int], ...]
-    trials: int
-    hits: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-
-
-@dataclass
 class SpreadReport:
-    """Containment rows for a family of test sets plus the empirical
-    spread constant C_hat = max over rows of (CI upper)^(1/|T|) * (D+1)."""
+    """Containment hits of each test set in `sets` (an int64 array aligned
+    with it) over `trials` samples, plus the empirical spread constant
+    C_hat = max over sets T of (CI upper)^(1/|T|) * (D+1)."""
 
-    rows: list[SpreadRow]
+    sets: Sequence[tuple[tuple[int, int], ...]]
+    hits: np.ndarray
     palette_size: int
     trials: int
     flagged_trials: int = 0
 
+    def intervals(self) -> np.ndarray:
+        """Each set's Wilson interval, as rows ci_low and ci_high: one
+        wilson_interval call per distinct hit count (at most trials + 1)."""
+        distinct, inverse = np.unique(self.hits, return_inverse=True)
+        bounds = np.array([wilson_interval(h, self.trials) for h in distinct.tolist()])
+        return bounds.reshape(-1, 2)[inverse].T
+
     @property
     def c_hat(self) -> float:
-        best = 0.0
-        for row in self.rows:
-            best = max(best, row.ci_high ** (1.0 / len(row.pairs)))
-        return best * self.palette_size
+        # one root per set size, of its largest bound, in Python floats:
+        # numpy's power can differ from them in the last digit
+        sizes = np.fromiter(map(len, self.sets), np.int64, len(self.sets))
+        ci_high = self.intervals()[1]
+        roots = (float(ci_high[sizes == k].max()) ** (1.0 / k) for k in np.unique(sizes).tolist())
+        return max(roots, default=0.0) * self.palette_size
 
     def to_csv(self) -> str:
+        pairs = (";".join(f"{v}:{c}" for v, c in s) for s in self.sets)
+        p_hat, ci_low, ci_high = (
+            (f"{x:.8f}" for x in column.tolist())
+            for column in (self.hits / self.trials, *self.intervals())
+        )
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["pairs", "trials", "hits", "p_hat", "ci_low", "ci_high"])
-        for row in self.rows:
-            w.writerow(
-                [
-                    ";".join(f"{v}:{c}" for v, c in row.pairs),
-                    row.trials,
-                    row.hits,
-                    f"{row.p_hat:.8f}",
-                    f"{row.ci_low:.8f}",
-                    f"{row.ci_high:.8f}",
-                ]
-            )
+        w.writerows(zip(pairs, repeat(self.trials), self.hits.tolist(), p_hat, ci_low, ci_high))
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -105,7 +97,7 @@ class SpreadReport:
                 "trials": self.trials,
                 "flagged_trials": self.flagged_trials,
                 "c_hat": self.c_hat,
-                "rows": len(self.rows),
+                "rows": len(self.sets),
             }
         )
 
@@ -147,51 +139,53 @@ def spread_report_from_samples(
     flagged_trials: int = 0,
 ) -> SpreadReport:
     """Aggregate containment counts for pre-drawn samples (colors indexed
-    by vertex) over the given test sets.  Raises NoKeptSamples when there
-    are none, rather than reporting intervals over zero trials, and
-    ValueError for an empty test set or one that repeats a (vertex, color)
-    pair, whose root 1/|T| in C_hat would be undefined or wrong."""
-    single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
-    pair_sets = [s for s in sets if len(s) != 1]
-    pair_hits = np.zeros(len(pair_sets), dtype=np.int64)
-    if pair_sets:
-        if not min(map(len, pair_sets)):
-            raise ValueError("empty test set")
-        pv = np.array([[p[0] for p in s] for s in pair_sets], dtype=np.int64)
-        pc = np.array([[p[1] for p in s] for s in pair_sets], dtype=np.int64)
-        for i, j in combinations(range(pv.shape[1]), 2):
-            repeats = (pv[:, i] == pv[:, j]) & (pc[:, i] == pc[:, j])
-            if repeats.any():
-                bad = pair_sets[int(repeats.argmax())]
-                raise ValueError(f"test set {bad} repeats a (vertex, color) pair")
+    by vertex) over test sets of any sizes.  Raises NoKeptSamples when there
+    are none, and ValueError for a set with a vertex outside 0..n-1 or a
+    color outside 0..palette_size, and for an empty set or one that repeats
+    a (vertex, color) pair, whose root 1/|T| in C_hat would be wrong."""
+    sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+    if len(sets) and not sizes.min():
+        raise ValueError("empty test set")
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(sets)), np.int64)
+    if len(flat) != 2 * sizes.sum():
+        raise ValueError("a test set holds a pair that is not (vertex, color)")
+    start = 2 * (np.cumsum(sizes) - sizes)  # where each set's pairs begin in flat
+    # per set size k, (m, k) vertex and color arrays and m hit counters
+    groups = []
+    for k in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == k)
+        at = start[idx, None] + 2 * np.arange(k)
+        v, c = flat[at], flat[at + 1]
+        keys = np.sort(v * (palette_size + 1) + c, axis=1)
+        for bad, why in (
+            ((v < 0) | (v >= n) | (c < 0) | (c > palette_size),
+             f"has a vertex outside 0..{n - 1} or a color outside 0..{palette_size}"),
+            (keys[:, 1:] == keys[:, :-1], "repeats a (vertex, color) pair"),
+        ):
+            if bad.any():
+                raise ValueError(f"test set {sets[int(idx[bad.any(axis=1).argmax()])]} {why}")
+        groups.append((idx, v, c, np.zeros(len(idx), dtype=np.int64)))
 
+    # singletons read a (vertex, color) histogram, whose spare column takes
+    # colors past the palette; each larger size, a gather-and-compare per sample
+    larger = [group for group in groups if group[1].shape[1] > 1]
+    single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
     kept = 0
-    idx = np.arange(n)
-    for sample in samples:
+    vertices = np.arange(n)
+    for kept, sample in enumerate(samples, 1):
         sample = np.asarray(sample)
-        kept += 1
-        single_hits[idx, np.clip(sample, 0, palette_size + 1)] += 1
-        if pair_sets:
-            pair_hits += np.all(sample[pv] == pc, axis=1)
+        single_hits[vertices, np.clip(sample, 0, palette_size + 1)] += 1
+        for _, v, c, group_hits in larger:
+            group_hits += np.all(sample[v] == c, axis=1)
 
     if kept == 0:
         raise NoKeptSamples(
             f"no samples to aggregate ({flagged_trials} flagged no-spread-guarantee)"
         )
-    rows: list[SpreadRow] = []
-    pair_i = 0
-    for s in sets:
-        if len(s) == 1:
-            v, c = s[0]
-            h = int(single_hits[v, c])
-        else:
-            h = int(pair_hits[pair_i])
-            pair_i += 1
-        lo, hi = wilson_interval(h, kept)
-        rows.append(SpreadRow(s, kept, h, h / kept, lo, hi))
-    return SpreadReport(
-        rows=rows, palette_size=palette_size, trials=kept, flagged_trials=flagged_trials
-    )
+    hits = np.zeros(len(sets), dtype=np.int64)
+    for idx, v, c, group_hits in groups:
+        hits[idx] = group_hits if v.shape[1] > 1 else single_hits[v[:, 0], c[:, 0]]
+    return SpreadReport(sets, hits, palette_size, kept, flagged_trials)
 
 
 def spread_report(

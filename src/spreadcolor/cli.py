@@ -141,6 +141,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    # --seed only draws the --n/--D graph, so it has no default here
+    if args.seed is None:
+        args.seed = 0
+    elif args.graph:
+        raise SystemExit2(f"--seed {args.seed}: decompose --graph reads no seed, only --n/--D do")
     params = _build_config(args)
     g = _load_graph(args)
     dec = sparse_dense_decompose(g, params.eps, params.theta)
@@ -229,6 +234,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.kind == "greedy_boys" and args.enum_cap is not None:
+        raise SystemExit2(f"--enum-cap {args.enum_cap}: greedy_boys runs no capped enumeration")
     params = _build_config(args)
     ce = build_counterexample(args.kind, args.D)
     if args.kind == "greedy_boys":
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="sparse-dense decomposition as JSON")
     _add_graph_source(p)
     p.add_argument("--out", type=Path)
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, seed=None)
 
     p = sub.add_parser("sample", help="pipeline colorings for N seeds")
     _add_graph_source(p)

@@ -110,11 +110,6 @@ class Params:
             raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
         return Params(**data)
 
-    def replace(self, **kw) -> "Params":
-        d = self.to_dict()
-        d.update(kw)
-        return Params.from_dict(d)
-
 
 _HINTS = typing.get_type_hints(Params)
 _INT_FIELDS = frozenset(name for name, hint in _HINTS.items() if hint is int)

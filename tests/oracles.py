@@ -1,11 +1,14 @@
-"""Independent dict-based oracles that the array code is checked against."""
+"""Independent reference implementations that the array code is checked against."""
 from __future__ import annotations
 
+import csv
+import io
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from spreadcolor.audit import wilson_interval
 from spreadcolor.graphs import Graph
 
 
@@ -81,3 +84,72 @@ def regularize_reference(g: Graph) -> Graph:
                 if a != b:
                     edges.append((min(a, b), max(a, b)))
     return from_edges_reference(n * m, set(edges))
+
+
+# one row of the row-based audit: (pairs, trials, hits, p_hat, ci_low, ci_high)
+SpreadRowReference = tuple[tuple[tuple[int, int], ...], int, int, float, float, float]
+
+
+def spread_rows_reference(
+    samples: Iterable[np.ndarray],
+    n: int,
+    palette_size: int,
+    sets: Sequence[tuple[tuple[int, int], ...]],
+) -> list[SpreadRowReference]:
+    """The row-per-set aggregation that the array `SpreadReport` replaced,
+    kept (its checks and errors aside) as the reference it must equal:
+    singletons from a (vertex, color) histogram, every other set by one
+    comparison per sample (all of one size), a Wilson interval per row."""
+    single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
+    pair_sets = [s for s in sets if len(s) != 1]
+    pair_hits = np.zeros(len(pair_sets), dtype=np.int64)
+    if pair_sets:
+        pv = np.array([[p[0] for p in s] for s in pair_sets], dtype=np.int64)
+        pc = np.array([[p[1] for p in s] for s in pair_sets], dtype=np.int64)
+    kept = 0
+    idx = np.arange(n)
+    for sample in samples:
+        sample = np.asarray(sample)
+        kept += 1
+        single_hits[idx, np.clip(sample, 0, palette_size + 1)] += 1
+        if pair_sets:
+            pair_hits += np.all(sample[pv] == pc, axis=1)
+    rows: list[SpreadRowReference] = []
+    pair_i = 0
+    for s in sets:
+        if len(s) == 1:
+            v, c = s[0]
+            h = int(single_hits[v, c])
+        else:
+            h = int(pair_hits[pair_i])
+            pair_i += 1
+        lo, hi = wilson_interval(h, kept)
+        rows.append((s, kept, h, h / kept, lo, hi))
+    return rows
+
+
+def c_hat_reference(rows: list[SpreadRowReference], palette_size: int) -> float:
+    """Max over rows of (CI upper)^(1/|T|), times the palette size."""
+    best = 0.0
+    for pairs, *_, ci_high in rows:
+        best = max(best, ci_high ** (1.0 / len(pairs)))
+    return best * palette_size
+
+
+def spread_csv_reference(rows: list[SpreadRowReference]) -> str:
+    """The row-based report's CSV."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["pairs", "trials", "hits", "p_hat", "ci_low", "ci_high"])
+    for pairs, trials, hits, p_hat, ci_low, ci_high in rows:
+        w.writerow(
+            [
+                ";".join(f"{v}:{c}" for v, c in pairs),
+                trials,
+                hits,
+                f"{p_hat:.8f}",
+                f"{ci_low:.8f}",
+                f"{ci_high:.8f}",
+            ]
+        )
+    return buf.getvalue()

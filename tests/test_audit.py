@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from spreadcolor.audit import (
     ExplicitDistribution,
-    SpreadRow,
+    SpreadReport,
     SpreadValue,
     check_composition,
     exact_spread,
@@ -20,6 +22,8 @@ from spreadcolor.audit import (
 from spreadcolor.errors import CapExceeded, NoKeptSamples
 from spreadcolor.graphs import complete_graph, keyed_rng
 from spreadcolor.greedy import build_counterexample, enumerate_colorings
+
+from oracles import c_hat_reference, spread_csv_reference, spread_rows_reference
 
 
 class TestWilson:
@@ -62,32 +66,32 @@ def _uniform_coloring_sampler(g, lists):
     return sampler
 
 
-def _one_row(sampler, n, palette, trials, seed, pairs) -> SpreadRow:
-    """The row of a one-set audit of `pairs`."""
-    (row,) = spread_report(sampler, n, palette, trials, seed, sets=[tuple(pairs)]).rows
-    return row
+def _one_set(sampler, n, palette, trials, seed, pairs) -> SpreadReport:
+    """A one-set audit of `pairs`."""
+    return spread_report(sampler, n, palette, trials, seed, sets=[tuple(pairs)])
 
 
 class TestSpreadReportRow:
     def test_half_on_k2(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        est = _one_row(sampler, 2, 2, 4000, 2, [(0, 1)])
-        assert est.ci_low <= 0.5 <= est.ci_high
-        assert abs(est.p_hat - 0.5) < 0.05
+        est = _one_set(sampler, 2, 2, 4000, 2, [(0, 1)])
+        (ci_low,), (ci_high,) = est.intervals()
+        assert ci_low <= 0.5 <= ci_high
+        assert abs(est.hits[0] / est.trials - 0.5) < 0.05
 
     def test_contradictory_pairs_zero(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        est = _one_row(sampler, 2, 2, 300, 3, [(0, 1), (0, 2)])
-        assert est.hits == 0
+        est = _one_set(sampler, 2, 2, 300, 3, [(0, 1), (0, 2)])
+        assert est.hits[0] == 0
 
     def test_deterministic_in_seed(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        a = _one_row(sampler, 2, 2, 500, 7, [(0, 1)])
-        b = _one_row(sampler, 2, 2, 500, 7, [(0, 1)])
-        assert a.hits == b.hits
+        a = _one_set(sampler, 2, 2, 500, 7, [(0, 1)])
+        b = _one_set(sampler, 2, 2, 500, 7, [(0, 1)])
+        assert a.hits[0] == b.hits[0]
 
     def test_counts_one_keyed_stream_per_trial(self):
         # trial t samples from the (seed, t) stream, whatever sets are audited
@@ -98,9 +102,10 @@ class TestSpreadReportRow:
             all(sampler(keyed_rng(4, t))[v] == c for v, c in pairs) for t in range(300)
         )
         lo, hi = wilson_interval(hits, 300)
-        assert _one_row(sampler, 3, 3, 300, 4, pairs) == SpreadRow(
-            pairs, 300, hits, hits / 300, lo, hi
-        )
+        rep = _one_set(sampler, 3, 3, 300, 4, pairs)
+        assert (rep.sets, rep.trials, rep.hits.tolist()) == ([pairs], 300, [hits])
+        assert rep.hits.dtype == np.int64
+        assert rep.intervals().tolist() == [[lo], [hi]]
 
     @pytest.mark.parametrize(
         "sets, message",
@@ -109,14 +114,97 @@ class TestSpreadReportRow:
             ([((0, 1),), ((0, 1), (1, 2)), ()], "empty test set"),
             ([((0, 1), (0, 1))], r"test set \(\(0, 1\), \(0, 1\)\) repeats a \(vertex, color\) pair"),
             ([((0, 1), (1, 2), (0, 1))], "repeats a"),
+            ([((0, 1, 2),), ((1, 2),)], r"not \(vertex, color\)"),
         ],
     )
     def test_an_empty_or_repeating_test_set_is_a_value_error(self, sets, message):
         # an empty set made c_hat divide by zero; a repeated pair counted as
-        # |T| = 2 with a singleton's hits
+        # |T| = 2 with a singleton's hits; a pair of three numbers would shift
+        # the pairs of every later set
         samples = [np.array([1, 2, 3])]
         with pytest.raises(ValueError, match=message):
             spread_report_from_samples(samples, 3, 3, sets)
+
+
+def _random_sets(rng: np.random.Generator, n: int, palette: int, size: int, count: int):
+    """`count` test sets of `size` distinct (vertex, color) pairs, colors in 0..palette."""
+    sets = []
+    while len(sets) < count:
+        pairs = tuple(
+            (int(v), int(c))
+            for v, c in zip(rng.integers(n, size=size), rng.integers(palette + 1, size=size))
+        )
+        if len(set(pairs)) == size:
+            sets.append(pairs)
+    return sets
+
+
+def _random_samples(rng: np.random.Generator, n: int, palette: int, trials: int):
+    # colors 0..palette + 2: color 0 and colors past the palette both occur
+    return [rng.integers(palette + 3, size=n) for _ in range(trials)]
+
+
+class TestSpreadReportAgainstRows:
+    """The array report against the row-per-set aggregation it replaced."""
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (1, 2), (1, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_hits_csv_c_hat_and_json(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n, palette, trials = 6, 3, 40 + 30 * seed
+        sets = [s for k in sizes for s in _random_sets(rng, n, palette, k, 60)]
+        samples = _random_samples(rng, n, palette, trials)
+        rep = spread_report_from_samples(samples, n, palette, sets, flagged_trials=seed)
+        rows = spread_rows_reference(samples, n, palette, sets)
+        assert rep.hits.tolist() == [hits for _, _, hits, *_ in rows]
+        assert rep.hits.any()
+        assert rep.to_csv() == spread_csv_reference(rows)
+        assert rep.c_hat == c_hat_reference(rows, palette)
+        assert rep.to_json() == json.dumps(
+            {"palette_size": palette, "trials": trials, "flagged_trials": seed,
+             "c_hat": c_hat_reference(rows, palette), "rows": len(rows)}
+        )
+
+    def test_the_default_family_matches(self):
+        rng = np.random.default_rng(3)
+        sets = audit_set_family(8, 4, seed=3)
+        samples = _random_samples(rng, 8, 4, 200)
+        rep = spread_report_from_samples(samples, 8, 4, sets)
+        rows = spread_rows_reference(samples, 8, 4, sets)
+        assert rep.to_csv() == spread_csv_reference(rows)
+        assert rep.c_hat == c_hat_reference(rows, 4)
+
+    def test_a_family_mixing_sizes_counts_each_set(self):
+        # the row-based report could not take 2-sets and 3-sets together
+        rng = np.random.default_rng(4)
+        n, palette = 5, 2
+        pairs = _random_sets(rng, n, palette, 2, 40)
+        triples = _random_sets(rng, n, palette, 3, 40)
+        mixed = [s for both in zip(pairs, triples) for s in both]
+        samples = _random_samples(rng, n, palette, 300)
+        rep = spread_report_from_samples(samples, n, palette, mixed)
+        want = {}
+        for family in (pairs, triples):
+            rows = spread_rows_reference(samples, n, palette, family)
+            want.update((s, hits) for s, _, hits, *_ in rows)
+        assert rep.hits.tolist() == [want[s] for s in mixed]
+        assert sum(want.values()) > 0
+
+    def test_an_empty_family_has_no_rows(self):
+        rep = spread_report_from_samples([np.array([1, 2])], 2, 2, [])
+        assert rep.hits.shape == (0,) and rep.c_hat == 0.0
+        assert rep.to_csv() == "pairs,trials,hits,p_hat,ci_low,ci_high\r\n"
+
+    @pytest.mark.parametrize(
+        "bad", [((-1, 3),), ((0, -1),), ((0, 7),), ((5, 1),), ((0, 1), (3, 2))]
+    )
+    def test_a_vertex_or_color_out_of_range_is_a_value_error(self, bad):
+        # a negative vertex wrapped to vertex n-1, a negative color read the
+        # clip column, and a vertex or color past the end raised IndexError
+        sets = [((0, 1),), ((2, 3), (1, 0)), bad]
+        message = f"test set {bad} has a vertex outside 0..2 or a color outside 0..3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spread_report_from_samples([np.array([1, 2, 3])], 3, 3, sets)
 
 
 class TestSpreadReport:
@@ -128,8 +216,8 @@ class TestSpreadReport:
         rep = spread_report(
             sampler, g.n, d + 1, trials=3000, seed=4, family="singletons"
         )
-        for row in rep.rows:
-            assert abs(row.p_hat - 1 / (d + 1)) < 0.05
+        for p_hat in rep.hits / rep.trials:
+            assert abs(p_hat - 1 / (d + 1)) < 0.05
         assert rep.c_hat < 1.6
 
     def test_red_thumb_c_hat_near_two(self):
@@ -143,8 +231,7 @@ class TestSpreadReport:
             seed=5,
             sets=[((0, 0),)],
         )
-        row = rep.rows[0]
-        assert abs(row.p_hat - 0.5) < 0.05
+        assert abs(rep.hits[0] / rep.trials - 0.5) < 0.05
         assert 1.8 < rep.c_hat < 2.4
 
     def test_family_sizes(self):
@@ -189,7 +276,8 @@ class TestSpreadReport:
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
         rep = spread_report(sampler, 2, 2, trials=300, seed=8, family="singletons")
-        manual = max(r.ci_high ** (1 / len(r.pairs)) for r in rep.rows) * 2
+        _, ci_high = rep.intervals()
+        manual = max(hi ** (1 / len(pairs)) for pairs, hi in zip(rep.sets, ci_high)) * 2
         assert rep.c_hat == pytest.approx(manual)
 
 
@@ -263,9 +351,10 @@ class TestExactSpread:
         def sampler(rng: np.random.Generator) -> np.ndarray:
             return arrs[int(rng.integers(3))]
 
-        est = _one_row(sampler, 3, 1, 4000, 13, [(x, 1) for x in worst_t])
+        est = _one_set(sampler, 3, 1, 4000, 13, [(x, 1) for x in worst_t])
         exact = float(dist.containment(worst_t))
-        assert est.ci_low <= exact <= est.ci_high
+        (ci_low,), (ci_high,) = est.intervals()
+        assert ci_low <= exact <= ci_high
         assert val.prob == dist.containment(worst_t)
 
 

@@ -406,6 +406,37 @@ def test_greedy_audit_takes_pipeline_params_from_a_config_file(tmp_path, capsys)
     assert main(argv + ["--k-out", "9"]) == 2
 
 
+def test_greedy_boys_rejects_enum_cap(tmp_path, capsys):
+    # greedy_boys is a subset DP that never reads the cap; it used to exit 0
+    argv = ["counterexample", "greedy_boys", "--D", "2"]
+    assert main(argv + ["--enum-cap", "1"]) == 2
+    assert capsys.readouterr().err == "error: --enum-cap 1: greedy_boys runs no capped enumeration\n"
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text('{"enum_cap": 1}')
+    assert main(argv + ["--config", str(cfgf)]) == 0
+    assert "7/108" in capsys.readouterr().out
+    assert main(["counterexample", "red_thumb", "--D", "3", "--enum-cap", "1"]) == 1
+    assert "CapExceeded" in capsys.readouterr().err
+
+
+def test_decompose_seed_with_a_graph_file_is_a_usage_error(tmp_path, capsys):
+    # the seed only draws the --n/--D graph; next to --graph it changed nothing
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(write_edge_list(gen_random_regular(30, 6, seed=2)))
+    assert main(["decompose", "--graph", str(g_file), "--seed", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seed 5: decompose --graph reads no seed, only --n/--D do\n"
+    )
+    assert main(["decompose", "--graph", str(g_file)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["decompose", "--n", "30", "--D", "6", "--seed", "2"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(["decompose", "--n", "30", "--D", "6"]) == 0
+    default_seed = capsys.readouterr().out
+    assert main(["decompose", "--n", "30", "--D", "6", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default_seed
+
+
 def test_bad_matching_param_is_a_usage_error(capsys):
     assert main(["sample", "--n", "40", "--D", "8", "--k-out", "0"]) == 2
     assert "k_out" in capsys.readouterr().err
@@ -484,6 +515,17 @@ CLI_GOLDEN = {
         ["audit", "--sampler", "slack-greedy", "--n", "30", "--D", "6", "--trials", "200",
          "--seed", "6"],
         "84b952d23dac374f3a45c88c7d0dc0e8f078d66f33f71781d944e2321b51621a",
+    ),
+    # pinned from the row-per-set SpreadReport, which the array report replaced
+    "audit-singletons": (
+        ["audit", "--sampler", "pipeline", "--n", "30", "--D", "6", "--trials", "200",
+         "--seed", "6", "--family", "singletons"],
+        "9183561f968ad43e29d2a0fd189c8df4980a073d0a5f2cb14aae9f6473b05352",
+    ),
+    "sparsify": (
+        ["sparsify", "--n", "20", "--D", "4", "--k-values", "2,3,5", "--trials", "40",
+         "--seed", "7"],
+        "3a997949711e4ea01e9caa5cfd42008132b5ee4de7f61bc13937e63214f60e52",
     ),
 }
 
