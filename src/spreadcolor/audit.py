@@ -166,15 +166,15 @@ def spread_report_from_samples(
                 raise ValueError(f"test set {sets[int(idx[bad.any(axis=1).argmax()])]} {why}")
         groups.append((idx, v, c, np.zeros(len(idx), dtype=np.int64)))
 
-    # singletons read a (vertex, color) histogram, whose spare column takes
-    # colors past the palette; each larger size, a gather-and-compare per sample
+    # singletons read a (vertex, color) histogram whose last column (index -1
+    # too) takes any color outside 0..palette_size; larger sets gather and compare
     larger = [group for group in groups if group[1].shape[1] > 1]
     single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
     kept = 0
     vertices = np.arange(n)
     for kept, sample in enumerate(samples, 1):
         sample = np.asarray(sample)
-        single_hits[vertices, np.clip(sample, 0, palette_size + 1)] += 1
+        single_hits[vertices, np.clip(sample, -1, palette_size + 1)] += 1
         for _, v, c, group_hits in larger:
             group_hits += np.all(sample[v] == c, axis=1)
 

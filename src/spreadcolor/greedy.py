@@ -3,8 +3,8 @@ counterexample instances showing that the uniform and random-greedy
 distributions need not be well spread.
 
 A list assignment maps each vertex to its allowed colors.  The samplers
-return an int64 color array indexed by vertex; only the exact oracles'
-partial colorings and targets are dicts vertex -> color.  Exact
+and the enumeration give int64 color arrays indexed by vertex; only the
+exact oracles' partial targets are dicts vertex -> color.  Exact
 probabilities are Fractions throughout.
 """
 from __future__ import annotations
@@ -16,8 +16,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, StuckVertex
+from .errors import StuckVertex
 from .graphs import Graph, complete_bipartite, complete_graph
+from .thresholds import list_colorings
 
 __all__ = [
     "ListAssignment",
@@ -110,56 +111,19 @@ class ColoringEnumeration:
     cap: int
     count: int
 
-    def __iter__(self) -> Iterator[Coloring]:
-        yield from _search(self.graph, self.lists, self.cap)
-
-
-def _search(g: Graph, lists: Sequence[Sequence[int]], cap: int) -> Iterator[Coloring]:
-    """Backtracking over vertices, always branching on the vertex with the
-    fewest remaining colors.  Counts search nodes against `cap`."""
-    n = g.n
-    sigma: Coloring = {}
-    avail: list[set[int]] = [set(s) for s in lists]
-    adj = g.neighbor_lists()
-    nodes = 0
-
-    def pick() -> int:
-        best, best_len = -1, 1 << 60
-        for v in range(n):
-            if v not in sigma and len(avail[v]) < best_len:
-                best, best_len = v, len(avail[v])
-        return best
-
-    def rec() -> Iterator[Coloring]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise CapExceeded(f"enumeration exceeded {cap} nodes")
-        if len(sigma) == n:
-            yield dict(sigma)
-            return
-        v = pick()
-        for c in sorted(avail[v]):
-            removed = []
-            for w in adj[v]:
-                if w not in sigma and c in avail[w]:
-                    avail[w].discard(c)
-                    removed.append(w)
-            sigma[v] = c
-            yield from rec()
-            del sigma[v]
-            for w in removed:
-                avail[w].add(c)
-
-    yield from rec()
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Each coloring once, as an int64 color array indexed by vertex."""
+        for masks in list_colorings(self.graph, self.lists, self.cap):
+            yield np.array([m.bit_length() - 1 for m in masks], dtype=np.int64)
 
 
 def enumerate_colorings(
     g: Graph, lists: ListAssignment, cap: int = 10**8
 ) -> ColoringEnumeration:
-    """Exact count of proper list colorings (CapExceeded beyond `cap`
-    search nodes), plus an iterator that yields each coloring once."""
-    count = sum(1 for _ in _search(g, lists, cap))
+    """Exact count of proper list colorings: the stops of
+    thresholds.list_colorings, which raises CapExceeded beyond `cap`
+    search nodes.  Also an iterator that yields each coloring once."""
+    count = sum(1 for _ in list_colorings(g, lists, cap))
     return ColoringEnumeration(
         graph=g, lists=tuple(tuple(s) for s in lists), cap=cap, count=count
     )
@@ -169,7 +133,10 @@ def exact_containment_uniform(
     g: Graph, lists: ListAssignment, tau: Mapping[int, int], cap: int = 10**8
 ) -> Fraction:
     """P(sigma ⊇ tau) for sigma uniform over all proper list colorings,
-    as an exact rational."""
+    as an exact rational.  Raises ValueError for a target vertex outside
+    0..n-1."""
+    if any(not 0 <= v < g.n for v in tau):
+        raise ValueError(f"target {dict(tau)} has a vertex outside 0..{g.n - 1}")
     total = enumerate_colorings(g, lists, cap).count
     if total == 0:
         raise ValueError("no proper colorings exist; containment undefined")

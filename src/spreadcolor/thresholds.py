@@ -1,12 +1,14 @@
-"""Hypergraph expense/cost, exact list-colorability, and the palette
-sparsification harness.
+"""Hypergraph expense/cost, the exact list-coloring search, and the
+palette sparsification harness.
 
 The cost of a hypergraph F under weights q is the cheapest expense of
 any hypergraph G covering F (every edge of F contains an edge of G).
 Minimal covers are antichains of subsets of F's edges, which the
-branch-and-bound search below exploits.  The sparsification harness
-draws uniform k-sublists of the palette per vertex and measures the
-exact colorability rate.
+branch-and-bound search below exploits.  `list_colorings` is the one
+exact search over list colorings: `decide_list_colorable` takes its
+first stop, and `greedy.enumerate_colorings` counts its stops.  The
+sparsification harness draws uniform k-sublists of the palette per
+vertex and measures the exact colorability rate.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "Hypergraph",
     "expense",
     "cost_bruteforce",
+    "list_colorings",
     "decide_list_colorable",
     "SparsificationCurve",
     "sparsification_scan",
@@ -142,15 +145,21 @@ def cost_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def decide_list_colorable(
+def list_colorings(
     g: Graph, lists: Sequence[Sequence[int]], cap: int = 2_000_000
-) -> bool:
-    """Exact decision by backtracking with unit propagation, branching on
-    the vertex with the fewest remaining colors (lowest index on ties) and
-    trying its colors lowest first.  Raises CapExceeded past `cap` search
-    nodes.
+) -> Iterator[list[int]]:
+    """Every proper coloring of g from the lists, once each, by
+    backtracking with unit propagation, branching on the vertex with the
+    fewest remaining colors (lowest index on ties) and trying its colors
+    lowest first.  Raises CapExceeded past `cap` search nodes: the root
+    and each branch whose propagation succeeds.  Raises ValueError unless
+    there is one list per vertex, with no negative color.
 
-    Colors are kept as bitmasks of Python ints, so any color >= 0 fits.
+    At every full assignment the search yields its live color masks:
+    Python ints, so any color >= 0 fits, with one bit set (vertex v has
+    color masks[v].bit_length() - 1).  Read them before resuming: the
+    search then backtracks as after a failed branch.
+
     The remaining-color counts are kept in step with the masks: propagation
     and undo update both, and a fixed vertex holds a sentinel above every
     count.  So the branch vertex is the first minimum of the counts (a
@@ -160,13 +169,18 @@ def decide_list_colorable(
     vertex alone.  The search keeps its own stack of branch vertices, so
     its depth is not bounded by Python's recursion limit."""
     n = g.n
+    if len(lists) != n:
+        raise ValueError(f"{len(lists)} lists for a graph on {n} vertices")
     adj = g.neighbor_lists()
     avail = []
     for v in range(n):
         lst = lists[v]
         mask = 0
-        for c in lst.tolist() if isinstance(lst, np.ndarray) else map(operator.index, lst):
-            mask |= 1 << c
+        try:
+            for c in lst.tolist() if isinstance(lst, np.ndarray) else map(operator.index, lst):
+                mask |= 1 << c
+        except ValueError:  # a negative shift count
+            raise ValueError(f"vertex {v} has the negative color {c}") from None
         avail.append(mask)
     cnt = [mask.bit_count() for mask in avail]
     fixed = max(cnt, default=0) + 1  # the count of a fixed vertex
@@ -207,7 +221,7 @@ def decide_list_colorable(
                 cnt[w] += 1
 
     if not propagate([v for v in range(n) if cnt[v] == 1], []):
-        return False
+        return
     # one frame per branch vertex on the current path: [vertex, its mask
     # and count before branching, the colors left to try, the trail of the
     # color being tried]
@@ -216,15 +230,16 @@ def decide_list_colorable(
     while True:
         nodes += 1  # a search node: the root, or a branch that propagated
         if nodes > cap:
-            raise CapExceeded(f"colorability search exceeded {cap} nodes")
+            raise CapExceeded(f"list-coloring search exceeded {cap} nodes")
         least = min(cnt)
         if least == fixed:
-            return True
-        v = cnt.index(least)
-        stack.append([v, avail[v], least, avail[v], []])
+            yield avail
+        else:
+            v = cnt.index(least)
+            stack.append([v, avail[v], least, avail[v], []])
         while True:  # the next color of the deepest frame, or backtrack
             if not stack:
-                return False
+                return
             frame = stack[-1]
             v, saved, least, mask, trail = frame
             undo(trail)
@@ -239,6 +254,14 @@ def decide_list_colorable(
             cnt[v] = 1
             if propagate([v], trail):
                 break
+
+
+def decide_list_colorable(
+    g: Graph, lists: Sequence[Sequence[int]], cap: int = 2_000_000
+) -> bool:
+    """Exact decision: whether list_colorings stops at all (n = 0 stops
+    once, on the empty coloring)."""
+    return next(list_colorings(g, lists, cap), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from __future__ import annotations
 import csv
 import io
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from spreadcolor.audit import wilson_interval
+from spreadcolor.errors import CapExceeded
 from spreadcolor.graphs import Graph
 
 
@@ -29,6 +30,51 @@ def is_proper(
             if w in sigma and sigma[w] == c:
                 return False
     return True
+
+
+def search_reference(
+    g: Graph, lists: Sequence[Sequence[int]], cap: int = 10**8
+) -> Iterator[dict[int, int]]:
+    """The recursive set-based enumeration that `thresholds.list_colorings`
+    replaced, kept verbatim as the reference its colorings must equal:
+    branch on the vertex with the fewest remaining colors, try them in
+    sorted order, no propagation; each search node counts against `cap`.
+    Recursion depth grows with n, so small graphs only."""
+    n = g.n
+    sigma: dict[int, int] = {}
+    avail: list[set[int]] = [set(s) for s in lists]
+    adj = g.neighbor_lists()
+    nodes = 0
+
+    def pick() -> int:
+        best, best_len = -1, 1 << 60
+        for v in range(n):
+            if v not in sigma and len(avail[v]) < best_len:
+                best, best_len = v, len(avail[v])
+        return best
+
+    def rec() -> Iterator[dict[int, int]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"enumeration exceeded {cap} nodes")
+        if len(sigma) == n:
+            yield dict(sigma)
+            return
+        v = pick()
+        for c in sorted(avail[v]):
+            removed = []
+            for w in adj[v]:
+                if w not in sigma and c in avail[w]:
+                    avail[w].discard(c)
+                    removed.append(w)
+            sigma[v] = c
+            yield from rec()
+            del sigma[v]
+            for w in removed:
+                avail[w].add(c)
+
+    yield from rec()
 
 
 def from_edges_reference(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -56,9 +56,7 @@ class TestWilson:
 
 
 def _uniform_coloring_sampler(g, lists):
-    colorings = [
-        np.array([s[v] for v in range(g.n)]) for s in enumerate_colorings(g, lists)
-    ]
+    colorings = list(enumerate_colorings(g, lists))
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         return colorings[int(rng.integers(len(colorings)))]
@@ -205,6 +203,12 @@ class TestSpreadReportAgainstRows:
         message = f"test set {bad} has a vertex outside 0..2 or a color outside 0..3"
         with pytest.raises(ValueError, match=re.escape(message)):
             spread_report_from_samples([np.array([1, 2, 3])], 3, 3, sets)
+
+    def test_a_sample_color_outside_the_palette_hits_no_set(self):
+        # -1 was clipped to column 0: a hit on ((0, 0),) but on no larger set
+        sets = [((0, 0),), ((0, 0), (1, 2)), ((0, 0), (2, 3), (1, 2))]
+        rep = spread_report_from_samples([np.array([-1, 2, 3])], 3, 3, sets)
+        assert rep.hits.tolist() == [0, 0, 0]
 
 
 class TestSpreadReport:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from spreadcolor.greedy import (
     slack_greedy_sample,
     uniform_lists,
 )
-from oracles import is_proper
+from oracles import is_proper, search_reference
 
 
 def path_graph(n: int) -> Graph:
@@ -110,7 +111,8 @@ class TestEnumeration:
         seen = list(enum)
         assert len(seen) == enum.count == 6
         assert all(is_proper(g, s, lists) for s in seen)
-        assert len({tuple(sorted(s.items())) for s in seen}) == len(seen)
+        assert all(s.dtype == np.int64 and s.shape == (g.n,) for s in seen)
+        assert len({tuple(s.tolist()) for s in seen}) == len(seen)
 
     def test_cap_exceeded(self):
         g = complete_graph(6)
@@ -120,6 +122,59 @@ class TestEnumeration:
     def test_clique_minus_clique_total(self):
         ce = build_counterexample("clique_minus_clique", 3)
         assert enumerate_colorings(ce.graph, ce.lists).count == 48
+
+    def test_same_colorings_as_the_recursive_search(self):
+        # n from 0 to 8, lists drawn with replacement from 0..4: empty
+        # lists, duplicate entries and color 0 all occur
+        rng = random.Random(18)
+        sizes = (0,) + (1, 2, 3, 3, 4) * 5  # an empty list 1 time in 26
+        counts = []
+        for _ in range(500):
+            n = rng.randint(0, 8)
+            p = rng.random() * 0.6
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            lists = [rng.choices(range(5), k=rng.choice(sizes)) for _ in range(n)]
+            enum = enumerate_colorings(g, lists)
+            got = [tuple(s.tolist()) for s in enum]
+            want = {tuple(s[v] for v in range(n)) for s in search_reference(g, lists)}
+            assert enum.count == len(got) == len(set(got)) == len(want)
+            assert set(got) == want
+            counts.append(enum.count)
+        assert counts.count(0) >= 50 and sum(c > 1 for c in counts) >= 250
+
+    def test_cap_counts_the_search_nodes(self):
+        # the root, one node per color of vertex 0, and one per coloring:
+        # branching on vertex 1 propagates vertex 2's last color
+        g = complete_graph(3)
+        assert enumerate_colorings(g, uniform_lists(g, 3), cap=10).count == 6
+        with pytest.raises(CapExceeded):
+            enumerate_colorings(g, uniform_lists(g, 3), cap=9)
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        # the recursive search raised RecursionError here
+        g = path_graph(3000)
+        lists = [[1 + v % 2] for v in range(g.n)]
+        enum = enumerate_colorings(g, lists)
+        assert enum.count == 1
+        (sigma,) = enum
+        assert sigma.tolist() == [1 + v % 2 for v in range(g.n)]
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ([[1, 2], [1, 2]], "2 lists for a graph on 3 vertices"),
+            ([[1, 2]] * 4, "4 lists for a graph on 3 vertices"),
+            ([[1, 2], [3, -2], [1]], "vertex 1 has the negative color -2"),
+            ([[1], [2], np.array([0, -1])], "vertex 2 has the negative color -1"),
+        ],
+    )
+    def test_bad_lists_are_a_value_error(self, lists, message):
+        # a short list raised IndexError, extra lists were ignored, and a
+        # negative color was enumerated
+        with pytest.raises(ValueError, match=message):
+            enumerate_colorings(complete_graph(3), lists)
 
 
 class TestExactContainment:
@@ -144,6 +199,13 @@ class TestExactContainment:
     def test_target_outside_list_is_zero(self):
         g = complete_graph(2)
         assert exact_containment_uniform(g, [[1, 2], [1, 2]], {0: 7}) == 0
+
+    @pytest.mark.parametrize("tau", [{-1: 1}, {5: 1}, {0: 1, 2: 2}])
+    def test_target_vertex_out_of_range(self, tau):
+        # {-1: 1} returned 1 and {5: 1} raised IndexError
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="has a vertex outside 0..1"):
+            exact_containment_uniform(g, [[1, 2], [1, 2]], tau)
 
     def test_sums_to_one_over_domain_extensions(self):
         g = complete_graph(3)

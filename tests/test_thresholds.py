@@ -11,7 +11,7 @@ import pytest
 from spreadcolor import thresholds
 from spreadcolor.errors import CapExceeded
 from spreadcolor.graphs import Graph, complete_graph, gen_random_regular
-from spreadcolor.greedy import enumerate_colorings, uniform_lists
+from spreadcolor.greedy import uniform_lists
 from spreadcolor.thresholds import (
     Hypergraph,
     _draw_lists,
@@ -20,6 +20,7 @@ from spreadcolor.thresholds import (
     expense,
     sparsification_scan,
 )
+from oracles import search_reference
 
 
 class TestExpense:
@@ -175,7 +176,7 @@ class TestListColorable:
             lists = [
                 rng.sample(range(1, 6), rng.randint(1, 4)) for _ in range(n)
             ]
-            expected = enumerate_colorings(g, lists).count > 0
+            expected = next(search_reference(g, lists), None) is not None
             assert decide_list_colorable(g, lists) == expected
 
     def test_cap(self):
@@ -210,6 +211,21 @@ class TestListColorable:
         assert not decide_list_colorable(complete_graph(2), [np.array([70]), np.array([70])])
         g = complete_graph(66)
         assert decide_list_colorable(g, [np.arange(1, 67)] * 66)
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ([[1, 2], [1, 2]], "2 lists for a graph on 3 vertices"),
+            ([[1, 2]] * 4, "4 lists for a graph on 3 vertices"),
+            ([[1, 2], [3, -2], [1]], "vertex 1 has the negative color -2"),
+            ([[1], [2], np.array([0, -1])], "vertex 2 has the negative color -1"),
+        ],
+    )
+    def test_bad_lists_are_a_value_error(self, lists, message):
+        # a short list raised IndexError, extra lists were ignored, and a
+        # negative color raised "negative shift count"
+        with pytest.raises(ValueError, match=message):
+            decide_list_colorable(complete_graph(3), lists)
 
 
 def reference_decide(g: Graph, lists) -> tuple[bool, int]:
