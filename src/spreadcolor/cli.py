@@ -8,7 +8,8 @@ each Params field it reads (PARAM_FIELDS), and those that read any also
 take a JSON config file (--config), which may set every field; explicit
 flags win.
 
-Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
+Exit codes: 0 success, 1 assertion/verification failure, 2 usage error
+(a bad value, or a file that cannot be read or written).
 """
 from __future__ import annotations
 
@@ -70,11 +71,14 @@ def _add_params(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> Params:
-    """Params from the --config file, with the subcommand's flags winning;
-    the file may set any field."""
+    """Params from the --config file, a JSON object, with the subcommand's
+    flags winning; the file may set any field."""
     base: dict = {}
     if args.config:
-        base.update(json.loads(Path(args.config).read_text()))
+        base = json.loads(Path(args.config).read_text())
+        if not isinstance(base, dict):
+            got = json.dumps(base)
+            raise SystemExit2(f"--config {args.config}: expected a JSON object, got {got:.40}")
     for name in _PARAM_TYPES:
         val = getattr(args, name, None)
         if val is not None:
@@ -381,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpreadColorError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad values, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

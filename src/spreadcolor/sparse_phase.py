@@ -5,6 +5,14 @@ sparse vertex seeing a typical number of locally-unique labels, keep the
 labels on the conflict-free set T as colors, then finish the remaining
 sparse vertices by slack greedy on the leftover lists.
 
+Each quantity is computed once.  The window and the pair threshold come
+from Params through _thresholds.  Rejection accepts each component with
+the T of its accepting attempt and hands that T forward; no edge leaves
+a component, so it is the T of the final labeling.  The hand-off counts
+(|N_v ∩ T| and the leftover degree of each leftover) come from the edge
+pass that builds the greedy's ban matrix and edge list, so the window
+the rejection accepted is checked again on a second, separate count.
+
 Randomness is keyed: attempt t of the rejection loop uses the stream
 (seed, LABEL_TAG, t) and the greedy stage uses (seed, GREEDY_TAG), one
 uniform per vertex.  Because acceptance is decided per connected
@@ -83,29 +91,35 @@ def _pair_count(g: Graph, tau: np.ndarray, v: int) -> int:
     return count
 
 
+def _outside(counts: np.ndarray, d: int, halfwidth: float) -> np.ndarray:
+    """Mask of the |N_v ∩ T| counts outside the accepted window, the closed
+    interval D/e ± halfwidth."""
+    center = d / math.e
+    return (counts < center - halfwidth) | (counts > center + halfwidth)
+
+
 def _bad_vertices(
     g: Graph,
     tau: np.ndarray,
+    t_mask: np.ndarray,
     where: np.ndarray,
-    lo: float,
-    hi: float,
+    d: int,
+    halfwidth: float,
     pair_min: float,
 ) -> np.ndarray:
     """Mask of the vertices in `where` hit by the bad event of the labeling
-    tau: |N_v ∩ T| outside [lo, hi], or |P_v| < pair_min.  The pair clause
-    is evaluated only when pair_min > 0, and only on the vertices of
-    `where` that the window has not already marked."""
-    counts = _in_t_counts(g, tranquil_mask(g, tau))
-    bad = where & ((counts < lo) | (counts > hi))
+    tau, whose conflict-free set is t_mask: |N_v ∩ T| outside the window,
+    or |P_v| < pair_min.  The pair clause is evaluated only when
+    pair_min > 0, and only on the vertices of `where` that the window has
+    not already marked."""
+    bad = where & _outside(_in_t_counts(g, t_mask), d, halfwidth)
     if pair_min > 0:
         for v in np.flatnonzero(where & ~bad).tolist():
             bad[v] = _pair_count(g, tau, v) < pair_min
     return bad
 
 
-def default_window_halfwidth(
-    d: int, n_star: int, accept_target: float = 0.5
-) -> float:
+def default_window_halfwidth(d: int, n_star: int, accept_target: float) -> float:
     """Halfwidth (absolute units) of the accepted |N_v ∩ T| window around
     e^-1 * D, sized so that all n_star sparse vertices land inside with
     probability about accept_target.
@@ -122,46 +136,44 @@ def default_window_halfwidth(
     return abs(mu - d / math.e) + z * sigma
 
 
-def _thresholds(
-    d: int,
-    n_star: int,
-    theta_prime: float,
-    accept_target: float,
-    window_halfwidth: float | None = None,
-    pair_min: float | None = None,
-) -> tuple[float, float]:
-    """(window halfwidth, pair threshold) of the accepted labelings, each
-    defaulting to its desk-scale calibration when not given."""
-    if window_halfwidth is None:
-        window_halfwidth = max(
-            default_window_halfwidth(d, n_star, accept_target), theta_prime / 3.0 * d
+def _thresholds(d: int, n_star: int, params: Params) -> tuple[float, float]:
+    """(window halfwidth, pair threshold) of the accepted labelings.
+
+    The window is t_window * D when set, else the calibrated one (see
+    default_window_halfwidth), never narrower than the theta'/3 * D of
+    the asymptotic statement.  The pair threshold is floor(theta' * D):
+    at desk scale that is 0 and the |P_v| clause is vacuous, which is the
+    only regime in which the conditioned measure is reachable at all
+    (E|P_v| is O(1) for any feasible D here, while the asymptotic
+    statement wants Theta(theta * D) of them)."""
+    theta_prime = params.theta_prime_value()
+    if params.t_window is not None:
+        window = params.t_window * d
+    else:
+        window = max(
+            default_window_halfwidth(d, n_star, params.accept_target), theta_prime / 3.0 * d
         )
-    if pair_min is None:
-        pair_min = float(math.floor(theta_prime * d))
-    return window_halfwidth, pair_min
+    return window, float(math.floor(theta_prime * d))
 
 
 def sample_conditioned_labeling(
     g: Graph,
     vstar,
-    theta_prime: float,
     seed: int,
-    max_tries: int = 10_000,
-    window_halfwidth: float | None = None,
-    pair_min: float | None = None,
-    accept_target: float = 0.5,
-) -> np.ndarray:
-    """Uniform labeling of V conditioned on no sparse vertex being bad,
-    realized by per-component rejection.  vstar is any iterable of the
-    sparse vertex ids; an id array (Decomposition.sparse_ids()) indexes
-    as it is, with no conversion.  An id outside 0..n-1 is a ValueError.
+    window_halfwidth: float,
+    pair_min: float,
+    max_tries: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(labeling, T mask): a uniform labeling of V conditioned on no sparse
+    vertex being bad, realized by per-component rejection, and its
+    conflict-free set T.  vstar is any iterable of the sparse vertex ids;
+    an id array (Decomposition.sparse_ids()) indexes as it is, with no
+    conversion.  An id outside 0..n-1 is a ValueError.
 
-    The pair threshold defaults to floor(theta' * D): at desk scale that
-    is 0 and the |P_v| clause is vacuous, which is the only regime in
-    which the conditioned measure is reachable at all (E|P_v| is O(1)
-    for any feasible D here, while the asymptotic statement wants
-    Theta(theta * D) of them).  The window defaults to the calibrated
-    one; see default_window_halfwidth.
+    Each component keeps the labels and the T of the attempt that
+    accepted it, and a component without a sparse vertex those of
+    attempt 0.  No edge leaves a component, so the mask returned is
+    tranquil_mask(g, labeling).
     """
     d = g.max_degree
     n = g.n
@@ -171,34 +183,28 @@ def sample_conditioned_labeling(
         raise ValueError(f"vertex {stray} not in graph of order {n}")
     star = np.zeros(n, dtype=bool)
     star[ids] = True
-    window_halfwidth, pair_min = _thresholds(
-        d, int(star.sum()), theta_prime, accept_target, window_halfwidth, pair_min
-    )
-    center = d / math.e
-    lo, hi = center - window_halfwidth, center + window_halfwidth
 
     n_comps = len(g.components())
     labels = g.component_labels()
-    # components without a sparse vertex keep their attempt-0 labels
     pending = np.bincount(labels[star], minlength=n_comps) > 0
-    final = keyed_rng(seed, _LABEL_TAG, 0).integers(1, d + 2, size=n)
-    tau = final.copy()
     for t in range(max_tries):
-        if not pending.any():
-            return final
-        if t:
-            tau = keyed_rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
-        bad = _bad_vertices(g, tau, star & pending[labels], lo, hi, pair_min)
+        tau = keyed_rng(seed, _LABEL_TAG, t).integers(1, d + 2, size=n)
+        tau_t = tranquil_mask(g, tau)
+        bad = _bad_vertices(g, tau, tau_t, star & pending[labels], d, window_halfwidth, pair_min)
         ok = pending & (np.bincount(labels[bad], minlength=n_comps) == 0)
-        take = ok[labels]
-        final[take] = tau[take]
+        if t == 0:
+            labeling, t_mask = tau, tau_t
+        else:
+            take = ok[labels]
+            labeling[take] = tau[take]
+            t_mask[take] = tau_t[take]
         pending &= ~ok
-    if pending.any():
-        raise MaxTriesExceeded(
-            f"conditioned labeling not found in {max_tries} attempts "
-            f"(window halfwidth {window_halfwidth:.2f}, pair_min {pair_min})"
-        )
-    return final
+        if not pending.any():
+            return labeling, t_mask
+    raise MaxTriesExceeded(
+        f"conditioned labeling not found in {max_tries} attempts "
+        f"(window halfwidth {window_halfwidth:.2f}, pair_min {pair_min})"
+    )
 
 
 @dataclass
@@ -230,10 +236,10 @@ def _check_hand_off(
     colors (plus pair_min when the pair clause is live)."""
     slack = d + 1 - in_t
     for bad, what in (
-        (np.abs(in_t - d / math.e) > window + 1e-9, "escaped the accepted window"),
+        (_outside(in_t, d, window), "escaped the accepted window"),
         (d_rest > d - in_t, "has leftover degree exceeding D - |N_v ∩ T|"),
         (
-            (n_list < slack - 1e-9) | ((pair_min > 0) & (n_list < slack + pair_min)),
+            (n_list < slack) | ((pair_min > 0) & (n_list < slack + pair_min)),
             "has a hand-off list shorter than the window implies",
         ),
     ):
@@ -362,61 +368,53 @@ def sparse_phase_color(
     d = g.max_degree
     if not g.is_regular(d):
         raise ValueError("sparse phase expects the regularized (D-regular) graph")
-    theta_prime = params.theta_prime_value()
-    window, pair_min = _thresholds(
-        d,
-        len(dec.sparse),
-        theta_prime,
-        params.accept_target,
-        None if params.t_window is None else params.t_window * d,
-    )
+    window, pair_min = _thresholds(d, len(dec.sparse), params)
     sparse_ids = dec.sparse_ids()
-    tau = sample_conditioned_labeling(
-        g,
-        sparse_ids,
-        theta_prime,
-        seed,
-        max_tries=params.max_tries,
-        window_halfwidth=window,
-        pair_min=pair_min,
-        accept_target=params.accept_target,
+    tau, t_mask = sample_conditioned_labeling(
+        g, sparse_ids, seed, window, pair_min, params.max_tries
     )
-    t_mask = tranquil_mask(g, tau)
     # sigma restricted to T is proper by the definition of T
     check_proper(g, np.where(t_mask, tau, 0), what="labeling restricted to T")
 
-    star = np.zeros(g.n, dtype=bool)
-    star[sparse_ids] = True
-    left_mask = star & ~t_mask
-    leftovers = np.flatnonzero(left_mask)
+    leftovers = sparse_ids[~t_mask[sparse_ids]]
+    k = len(leftovers)
+    # each edge end's position in `leftovers`, -1 off them
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[leftovers] = np.arange(k)
+    eu, ev = g.edge_arrays()
+    pu, pv = pos[eu], pos[ev]
 
     # allowed[i, c]: no T-neighbor of leftover i has label c; column 0 is
-    # no color
-    pos = np.cumsum(left_mask) - 1
-    eu, ev = g.edge_arrays()
-    allowed = np.ones((len(leftovers), d + 2), dtype=bool)
+    # no color.  Each leftover-to-T edge bans a color in its leftover's row
+    # and adds one to the row's |N_v ∩ T|.
+    allowed = np.ones((k, d + 2), dtype=bool)
     allowed[:, 0] = False
-    for a, b in ((eu, ev), (ev, eu)):
-        hit = left_mask[a] & t_mask[b]
-        allowed[pos[a[hit]], tau[b[hit]]] = False
+    in_t = np.zeros(k, dtype=np.int64)
+    for p, b in ((pu, ev), (pv, eu)):
+        hit = (p >= 0) & t_mask[b]
+        rows = p[hit]
+        allowed[rows, tau[b[hit]]] = False
+        in_t += np.bincount(rows, minlength=k)
+    # leftover-to-leftover edges as (earlier, later) positions in `leftovers`
+    both = (pu >= 0) & (pv >= 0)
+    earlier, later = pu[both], pv[both]
     _check_hand_off(
         leftovers,
-        _in_t_counts(g, t_mask)[leftovers],
-        _in_t_counts(g, left_mask)[leftovers],
+        in_t,
+        np.bincount(earlier, minlength=k) + np.bincount(later, minlength=k),
         allowed.sum(axis=1),
         d,
         window,
         pair_min,
     )
 
-    # leftover-to-leftover edges as (earlier, later) positions in `leftovers`
-    both = left_mask[eu] & left_mask[ev]
-    earlier, later = pos[eu[both]], pos[ev[both]]
     uniforms = keyed_rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
-    greedy = _greedy_levels if len(leftovers) >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
+    greedy = _greedy_levels if k >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
     picked = greedy(leftovers, allowed, earlier, later, uniforms)
 
-    colors = np.where(star & t_mask, tau, 0)
+    # labels on T \ V* banned colors above and are dropped here
+    colors = np.zeros_like(tau)
+    colors[sparse_ids] = tau[sparse_ids]
     colors[leftovers] = picked
     check_proper(g, colors, what="sparse-phase coloring")
     return SparsePhaseResult(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -372,6 +373,25 @@ def _random_distribution(rng: random.Random, ground: list, max_outcomes: int = 4
     return ExplicitDistribution(outcomes, [Fraction(w, total) for w in weights])
 
 
+def _union(s: ExplicitDistribution, conds) -> ExplicitDistribution:
+    """The law of S ∪ T_S, with T_S drawn from conds[S]."""
+    law: dict[frozenset, Fraction] = {}
+    for s0, ps in zip(s.outcomes, s.probs):
+        for t0, pt in zip(conds[s0].outcomes, conds[s0].probs):
+            law[s0 | t0] = law.get(s0 | t0, Fraction(0)) + ps * pt
+    return ExplicitDistribution(list(law), list(law.values()))
+
+
+def _bound_holds_per_set(union: ExplicitDistribution, m: SpreadValue, factor: int) -> bool:
+    """P(U) <= (factor * m)^|U| for every nonempty U, set by set."""
+    ground = sorted(union.ground(), key=repr)
+    return all(
+        union.containment(frozenset(u)) ** m.size <= Fraction(factor) ** (k * m.size) * m.prob**k
+        for k in range(1, len(ground) + 1)
+        for u in itertools.combinations(ground, k)
+    )
+
+
 class TestComposition:
     def test_independent_disjoint_is_max(self):
         s = ExplicitDistribution(
@@ -402,6 +422,7 @@ class TestComposition:
             conds = {s0: _random_distribution(rng, ground_t) for s0 in set(s.outcomes)}
             rep = check_composition(s, lambda s0: conds[s0])
             assert rep.bound_holds, f"instance {i} violated the 2*max bound"
+            self._assert_union_read_from_exact_spread(rep, _union(s, conds))
 
     def test_disjoint_random_search(self):
         rng = random.Random(123)
@@ -412,6 +433,25 @@ class TestComposition:
             conds = {s0: _random_distribution(rng, ground_t) for s0 in set(s.outcomes)}
             rep = check_composition(s, lambda s0: conds[s0], disjoint=True)
             assert rep.bound_holds, f"instance {i} violated the max bound"
+            self._assert_union_read_from_exact_spread(rep, _union(s, conds))
+
+    @staticmethod
+    def _assert_union_read_from_exact_spread(rep, union):
+        # union_worst is the union's worst set, and the one comparison of
+        # the union's spread agrees with the bound checked set by set
+        worst, value = exact_spread(union)
+        assert rep.union_worst == worst
+        if union.ground():
+            assert worst and union.containment(worst) == value.prob
+        m = max(rep.p_spread, rep.q_spread)
+        assert rep.bound_holds == _bound_holds_per_set(union, m, rep.factor)
+
+    def test_a_union_ground_above_20_is_capped(self):
+        # each side alone is within the cap; the union's 21 elements are not
+        s = ExplicitDistribution([frozenset(f"x{j}" for j in range(11))], [Fraction(1)])
+        t = ExplicitDistribution([frozenset(f"y{j}" for j in range(10))], [Fraction(1)])
+        with pytest.raises(CapExceeded, match="ground set of size 21 exceeds 20"):
+            check_composition(s, lambda s0: t, disjoint=True)
 
     def test_disjoint_requires_disjoint_grounds(self):
         s = ExplicitDistribution([frozenset({"a"})], [Fraction(1)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -179,6 +180,44 @@ def test_wrongly_typed_config_exit_2(tmp_path, capsys, config, message):
     rc = main(["sample", "--n", "20", "--D", "4", "--config", str(cfgf)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["null", "[1]", '[["eps", 0.04]]', '"eps"', "0.04", "true"])
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, config):
+    # a list of [name, value] pairs is not an object either
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(config)
+    assert main(["decompose", "--n", "20", "--D", "4", "--config", str(cfgf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: --config {cfgf}: expected a JSON object, got {config}"
+    ]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["decompose", "--n", "20", "--D", "4", "--config", "{missing}"],
+         "No such file or directory"),
+        (["decompose", "--n", "20", "--D", "4", "--config", "{dir}"], "Is a directory"),
+        (["sample", "--graph", "{missing}"], "No such file or directory"),
+        (["cost", "--hypergraph", "{missing}"], "No such file or directory"),
+        (["gen", "--n", "10", "--D", "3", "--out", "{missing}/g.txt"],
+         "No such file or directory"),
+        (["decompose", "--n", "20", "--D", "4", "--out", "{dir}"], "Is a directory"),
+        (["sample", "--n", "20", "--D", "4", "--out", "{dir}"], "Is a directory"),
+        (["audit", "--sampler", "slack-greedy", "--n", "20", "--D", "4", "--trials", "5",
+          "--out", "{dir}"], "Is a directory"),
+        (["sparsify", "--n", "20", "--D", "4", "--k-values", "5", "--trials", "2",
+          "--out", "{dir}"], "Is a directory"),
+    ],
+)
+def test_a_file_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, argv, why):
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(rf"error: \[Errno \d+\] {why}: '{re.escape(argv[-1])}'", line)
 
 
 def test_usage_error_exit_2():

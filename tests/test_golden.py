@@ -16,7 +16,7 @@ import pytest
 from spreadcolor.clusters import Pipeline
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
 from spreadcolor.params import Params
-from spreadcolor.sparse_phase import sample_conditioned_labeling
+from spreadcolor.sparse_phase import sample_conditioned_labeling, tranquil_mask
 from test_clusters import clique_minus_cycle, swapped_double_clique
 
 SEEDS = range(20)
@@ -116,9 +116,9 @@ def test_labeling_with_live_pair_clause_is_bit_identical_per_seed():
     g = disjoint_union(disjoint_union(c4, c4), c4)
     h = hashlib.sha256()
     for seed in range(10):
-        tau = sample_conditioned_labeling(
-            g, range(12), theta_prime=0.5, seed=seed, max_tries=500,
-            window_halfwidth=5.0, pair_min=1.0,
+        tau, t_mask = sample_conditioned_labeling(
+            g, range(12), seed=seed, window_halfwidth=5.0, pair_min=1.0, max_tries=500
         )
+        assert np.array_equal(t_mask, tranquil_mask(g, tau))
         h.update(np.asarray(tau, dtype=np.int64).tobytes())
     assert h.hexdigest() == "d4aa4e7a0d1ec43206ab60a62884757d30f6c58504f60d7aa4e9154678865f9b"

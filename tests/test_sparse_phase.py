@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadcolor import sparse_phase
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
@@ -18,6 +21,7 @@ from spreadcolor.graphs import (
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
     _GREEDY_TAG,
+    _LABEL_TAG,
     _LEVEL_MIN_LEFTOVERS,
     _bad_vertices,
     _check_hand_off,
@@ -25,6 +29,7 @@ from spreadcolor.sparse_phase import (
     _greedy_sequential,
     _in_t_counts,
     _pair_count,
+    _thresholds,
     default_window_halfwidth,
     sample_conditioned_labeling,
     sparse_phase_color,
@@ -72,9 +77,17 @@ def _literal_bad(g: Graph, tau: np.ndarray, theta_prime: float) -> np.ndarray:
     """The literal bad event on every vertex: window (e^-1 ± theta'/3)D and
     pair_min theta'*D."""
     d = g.max_degree
-    w = theta_prime / 3.0 * d
     every = np.ones(g.n, dtype=bool)
-    return _bad_vertices(g, tau, every, d / math.e - w, d / math.e + w, theta_prime * d)
+    return _bad_vertices(
+        g, tau, tranquil_mask(g, tau), every, d, theta_prime / 3.0 * d, theta_prime * d
+    )
+
+
+def label(g: Graph, vstar, seed: int, theta_prime: float | None = None, max_tries: int = 10_000):
+    """sample_conditioned_labeling with the thresholds sparse_phase_color
+    derives for |vstar| sparse vertices under Params(theta_prime=...)."""
+    window, pair_min = _thresholds(g.max_degree, len(vstar), Params(theta_prime=theta_prime))
+    return sample_conditioned_labeling(g, vstar, seed, window, pair_min, max_tries)
 
 
 def reference_slack_greedy(g: Graph, dec: Decomposition, res, seed: int) -> dict[int, int]:
@@ -128,10 +141,36 @@ class TestLabelStatistics:
     def test_only_where_is_evaluated(self):
         g = cycle_graph(5)
         tau = np.array([1, 1, 2, 3, 4])
+        t_mask = tranquil_mask(g, tau)
         where = np.array([False, True, False, True, False])
-        assert (_bad_vertices(g, tau, where, 0.0, 0.5, 1.0) == where).all()
+        # the window D/e ± 0.2 = [0.54, 0.94] holds no count (each is 1 or 2)
+        assert (_bad_vertices(g, tau, t_mask, where, 2, 0.2, 1.0) == where).all()
         # the pair clause never runs off `where`
-        assert not _bad_vertices(g, tau, np.zeros(5, dtype=bool), 0.0, 9.0, 1.0).any()
+        assert not _bad_vertices(g, tau, t_mask, np.zeros(5, dtype=bool), 2, 9.0, 1.0).any()
+
+    # D = 10: a halfwidth that puts one end of the window D/e ± halfwidth
+    # exactly on an integer count, and the step that leaves the window there
+    @pytest.mark.parametrize(
+        "halfwidth, end, step", [(10 / math.e - 2, 2, -1), (5 - 10 / math.e, 5, 1)]
+    )
+    def test_a_count_on_the_window_end_is_inside_for_both_checks(self, halfwidth, end, step):
+        d = 10
+        assert end in (d / math.e - halfwidth, d / math.e + halfwidth)
+        star = Graph.from_edges(d + 1, [(0, i) for i in range(1, d + 1)])
+        where = np.arange(d + 1) == 0
+        for count, inside in ((end, True), (end + step, False)):
+            # vertex 0 has `count` neighbors in T; its list meets the slack
+            # D + 1 - count with equality, and it has no leftover neighbor
+            t_mask = np.arange(d + 1) <= count
+            t_mask[0] = False
+            tau = np.arange(1, d + 2)
+            assert _bad_vertices(star, tau, t_mask, where, d, halfwidth, 0.0)[0] != inside
+            args = (np.array([0]), np.array([count]), np.array([0]), np.array([d + 1 - count]))
+            if inside:
+                _check_hand_off(*args, d, halfwidth, 0.0)
+            else:
+                with pytest.raises(VerificationFailed, match="^vertex 0 escaped the accepted"):
+                    _check_hand_off(*args, d, halfwidth, 0.0)
 
     @pytest.mark.parametrize("pair_min", [0.0, 1.0, 2.0])
     def test_matches_the_per_vertex_reference(self, pair_min):
@@ -153,7 +192,7 @@ class TestLabelStatistics:
                 tau = rng.integers(1, int(rng.integers(2, d + 3)), size=g.n)
                 where = rng.random(g.n) < 0.7
                 w = float(rng.uniform(0.2, d / 2))
-                got = _bad_vertices(g, tau, where, d / math.e - w, d / math.e + w, pair_min)
+                got = _bad_vertices(g, tau, tranquil_mask(g, tau), where, d, w, pair_min)
                 want = reference_bad_event(g, tau, np.flatnonzero(where), w, pair_min)
                 assert got[~where].sum() == 0
                 assert {v: bool(got[v]) for v in want} == want
@@ -164,19 +203,18 @@ class TestLabelStatistics:
 class TestConditionedLabeling:
     def test_empty_vstar_single_draw(self):
         g = complete_graph(4)
-        tau = sample_conditioned_labeling(g, [], theta_prime=0.001, seed=5)
+        tau, t_mask = label(g, [], seed=5, theta_prime=0.001)
         assert tau.shape == (4,)
         assert set(tau) <= set(range(1, 6))
+        # no sparse vertex: attempt 0's labels and its T
+        assert np.array_equal(tau, keyed_rng(5, _LABEL_TAG, 0).integers(1, 6, size=4))
+        assert np.array_equal(t_mask, tranquil_mask(g, tau))
 
     def test_acceptance_rate_at_desk_scale(self):
         g = gen_random_regular(500, 50, seed=21)
-        params = Params()
-        tries = 0
         runs = 30
         for s in range(runs):
-            tau = sample_conditioned_labeling(
-                g, range(500), params.theta_prime_value(), seed=s, max_tries=200
-            )
+            tau, _ = label(g, range(500), seed=s, max_tries=200)
             assert tau.shape == (500,)
         # acceptance target is 50%; just require the default window to make
         # the conditioning routinely reachable
@@ -186,29 +224,29 @@ class TestConditionedLabeling:
         g = gen_random_regular(100, 16, seed=2)
         d = 16
         w = default_window_halfwidth(d, 100, 0.5)
-        tau = sample_conditioned_labeling(g, range(100), 1e-5, seed=3)
+        tau, t_mask = label(g, range(100), seed=3, theta_prime=1e-5)
         every = np.ones(100, dtype=bool)
-        assert not _bad_vertices(g, tau, every, d / math.e - w, d / math.e + w, 0.0).any()
+        assert not _bad_vertices(g, tau, t_mask, every, d, w, 0.0).any()
 
     def test_adversarial_theta_prime_exhausts(self):
-        # theta' = 1 wants |P_v| >= D pairs; a 5-cycle has at most one
+        # a pair threshold of 2 on a 5-cycle, which has at most one
         # candidate pair per vertex, so rejection can never accept.
         g = cycle_graph(5)
         with pytest.raises(MaxTriesExceeded):
             sample_conditioned_labeling(
-                g, range(5), theta_prime=1.0, seed=0, max_tries=50,
-                window_halfwidth=5.0, pair_min=2.0,
+                g, range(5), seed=0, window_halfwidth=5.0, pair_min=2.0, max_tries=50
             )
 
     def test_any_iterable_of_ids_gives_the_same_labeling(self):
         # sparse_phase_color hands on Decomposition.sparse_ids(), an array
         g = gen_random_regular(60, 8, seed=4)
         ids = range(0, 60, 3)
-        want = sample_conditioned_labeling(g, ids, 1e-4, seed=78)
+        want = label(g, ids, seed=78, theta_prime=1e-4)
         for vstar in (frozenset(ids), list(ids), np.array(ids), Decomposition(
             frozenset(ids), (), 0.4, 0.001
         ).sparse_ids()):
-            assert np.array_equal(sample_conditioned_labeling(g, vstar, 1e-4, seed=78), want)
+            got = label(g, vstar, seed=78, theta_prime=1e-4)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("vstar", [[-1], [3, 60], np.array([5, -2, 70])])
     def test_an_id_outside_the_graph_is_a_value_error(self, vstar):
@@ -216,28 +254,65 @@ class TestConditionedLabeling:
         g = gen_random_regular(60, 8, seed=4)
         stray = min(v for v in np.asarray(vstar).tolist() if not 0 <= v < 60)
         with pytest.raises(ValueError, match=f"^vertex {stray} not in graph of order 60$"):
-            sample_conditioned_labeling(g, vstar, 1e-4, seed=78)
+            label(g, vstar, seed=78, theta_prime=1e-4)
 
     def test_deterministic_given_seed(self):
         g = gen_random_regular(60, 8, seed=4)
-        a = sample_conditioned_labeling(g, range(60), 1e-4, seed=77)
-        b = sample_conditioned_labeling(g, range(60), 1e-4, seed=77)
-        assert np.array_equal(a, b)
+        a = label(g, range(60), seed=77, theta_prime=1e-4)
+        b = label(g, range(60), seed=77, theta_prime=1e-4)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_first_try_acceptance_rate(self):
         # calibration targets 50% acceptance of the whole-graph window event
         g = gen_random_regular(500, 50, seed=21)
-        params = Params()
         ok = 0
         for s in range(60):
             try:
-                sample_conditioned_labeling(
-                    g, range(500), params.theta_prime_value(), seed=s, max_tries=1
-                )
+                label(g, range(500), seed=s, max_tries=1)
                 ok += 1
             except MaxTriesExceeded:
                 pass
         assert ok / 60 >= 0.5
+
+    def test_a_component_without_sparse_vertex_keeps_attempt_0(self):
+        # the second cycle has no sparse vertex; in the first, the window
+        # 2/e ± 1 rejects a vertex with both neighbors in T, and at seed 4
+        # attempt 0 has one
+        g = disjoint_union(cycle_graph(6), cycle_graph(6))
+        seed = 4
+        tau, t_mask = sample_conditioned_labeling(g, range(6), seed, 1.0, 0.0, 1000)
+        first = keyed_rng(seed, _LABEL_TAG, 0).integers(1, 4, size=12)
+        assert np.array_equal(tau[6:], first[6:])
+        assert not np.array_equal(tau[:6], first[:6])
+        assert np.array_equal(t_mask, tranquil_mask(g, tau))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(st.sampled_from([(6, 3), (8, 3), (10, 4), (12, 5)]), st.integers(0, 999)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        halfwidth=st.floats(1.2, 4.0),
+        data=st.data(),
+    )
+    def test_the_returned_t_is_the_t_of_the_labeling(self, parts, seed, halfwidth, data):
+        # T is kept per component from the attempt that accepted it; the
+        # union is the T of the labeling those attempts assemble, also for
+        # components with no sparse vertex and for no sparse vertex at all
+        g, vstar = None, []
+        for (n, d), s in parts:
+            base = 0 if g is None else g.n
+            vstar += [base + v for v in data.draw(st.sets(st.integers(0, n - 1)))]
+            h = gen_random_regular(n, d, seed=s)
+            g = h if g is None else disjoint_union(g, h)
+        tau, t_mask = sample_conditioned_labeling(g, vstar, seed, halfwidth, 0.0, 10_000)
+        assert t_mask.dtype == bool
+        assert np.array_equal(t_mask, tranquil_mask(g, tau))
+        every = np.zeros(g.n, dtype=bool)
+        every[vstar] = True
+        assert not _bad_vertices(g, tau, t_mask, every, g.max_degree, halfwidth, 0.0).any()
 
 
 def _decompose_all_sparse(g: Graph) -> Decomposition:
@@ -316,7 +391,9 @@ class TestSparsePhaseColor:
         g = gen_random_regular(100, 50, seed=3)
         dec = _decompose_all_sparse(g)
         monkeypatch.setattr(
-            sparse_phase, "sample_conditioned_labeling", lambda *a, **k: np.ones(g.n, dtype=np.int64)
+            sparse_phase,
+            "sample_conditioned_labeling",
+            lambda *a: (np.ones(g.n, dtype=np.int64), np.zeros(g.n, dtype=bool)),
         )
         with pytest.raises(VerificationFailed, match="vertex 0 escaped the accepted window"):
             sparse_phase_color(g, dec, seed=0)
@@ -326,9 +403,10 @@ class TestSparsePhaseColor:
         g = gen_random_regular(100, 50, seed=3)
         dec = _decompose_all_sparse(g)
         monkeypatch.setattr(
-            sparse_phase, "sample_conditioned_labeling", lambda *a, **k: np.ones(g.n, dtype=np.int64)
+            sparse_phase,
+            "sample_conditioned_labeling",
+            lambda *a: (np.ones(g.n, dtype=np.int64), np.ones(g.n, dtype=bool)),
         )
-        monkeypatch.setattr(sparse_phase, "tranquil_mask", lambda g, tau: np.ones(g.n, dtype=bool))
         with pytest.raises(
             VerificationFailed, match=r"labeling restricted to T is not proper: edge \(\d+,\d+\) has both ends colored 1"
         ):
@@ -352,6 +430,51 @@ class TestSparsePhaseColor:
             res = sparse_phase_color(g, dec, seed=seed)
             assert [w for w, _ in seen] == ["labeling restricted to T", "sparse-phase coloring"]
             assert np.array_equal(seen[1][1], res.colors)
+
+    def test_each_quantity_is_computed_once(self, monkeypatch):
+        # per sample: T and its CSR counts once per rejection attempt and
+        # nowhere else, the thresholds once, and the two properness checks
+        calls: Counter = Counter()  # (name, called inside the rejection?)
+        inside = [False]
+
+        def spy(name, rejection=False):
+            real = getattr(sparse_phase, name)
+
+            def wrapped(*a, **k):
+                calls[name, inside[-1]] += 1
+                inside.append(inside[-1] or rejection)
+                try:
+                    return real(*a, **k)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(sparse_phase, name, wrapped)
+
+        for name in ("tranquil_mask", "_in_t_counts", "_thresholds", "check_proper", "keyed_rng"):
+            spy(name)
+        spy("sample_conditioned_labeling", rejection=True)
+        cases = [
+            (gen_random_regular(100, 12, seed=7), range(4)),
+            (complete_graph(17), range(1)),  # no sparse vertex: one attempt
+        ]
+        samples = 0
+        for g, seeds in cases:
+            dec = _decompose_all_sparse(g)
+            for seed in seeds:
+                sparse_phase_color(g, dec, seed=seed)
+                samples += 1
+        # inside the rejection, keyed_rng draws each attempt's labels
+        attempts = calls["keyed_rng", True]
+        assert attempts > samples  # some sample took more than one attempt
+        assert calls == Counter({
+            ("sample_conditioned_labeling", False): samples,
+            ("keyed_rng", True): attempts,
+            ("tranquil_mask", True): attempts,
+            ("_in_t_counts", True): attempts,
+            ("keyed_rng", False): samples,  # the greedy's uniforms
+            ("_thresholds", False): samples,
+            ("check_proper", False): 2 * samples,
+        })
 
     def test_each_hand_off_invariant_fires(self):
         # D = 10, window 2 around 3.68: in_t = 4 is inside, and the lists
