@@ -109,7 +109,16 @@ def audit_set_family(
     family: str = "singletons+pairs",
 ) -> list[tuple[tuple[int, int], ...]]:
     """The default audit family: every (vertex, color) singleton, plus 10n
-    random genuine 2-sets when requested."""
+    random genuine 2-sets when requested.
+
+    The pairs come from the keyed stream (seed, 2^40) in blocks: one
+    array-bounded `integers` call draws (v1, v2, c1, c2) for each candidate
+    of a block, element by element from the same stream as one
+    `integers(n, size=2)` and one `integers(1, palette_size + 1, size=2)`
+    call per candidate would.  Candidates with (v1, c1) == (v2, c2) are
+    dropped and the first 10n kept, in order, so the family equals the
+    per-candidate loop's; a block that comes up short is followed by
+    another from the same stream."""
     if family not in ("singletons", "singletons+pairs"):
         raise ValueError(f"unknown family {family!r}")
     sets: list[tuple[tuple[int, int], ...]] = [
@@ -117,17 +126,24 @@ def audit_set_family(
     ]
     if family == "singletons+pairs":
         if n and n * palette_size < 2:
-            # every drawn 2-set would repeat its one pair: the loop never ends
+            # every drawn 2-set would repeat its one pair: no block ever fills
             raise ValueError(
                 f"the singletons+pairs family needs two (vertex, color) pairs, "
                 f"got {n * palette_size} (n = {n}, palette {palette_size})"
             )
         rng = keyed_rng(seed, 1 << 40)
-        while len(sets) < n * palette_size + 10 * n:
-            v1, v2 = (int(x) for x in rng.integers(n, size=2))
-            c1, c2 = (int(x) for x in rng.integers(1, palette_size + 1, size=2))
-            if (v1, c1) != (v2, c2):
-                sets.append(((v1, c1), (v2, c2)))
+        low = np.array([0, 0, 1, 1])
+        high = np.array([n, n, palette_size + 1, palette_size + 1])
+        pairs = np.empty((0, 4), dtype=np.int64)
+        while len(pairs) < 10 * n:
+            # the missing pairs, the repeats expected among them (1 in n P) and a margin
+            missing = 10 * n - len(pairs)
+            candidates = missing + missing // (n * palette_size - 1) + 8
+            draws = rng.integers(np.tile(low, candidates), np.tile(high, candidates))
+            draws = draws.reshape(-1, 4)
+            keep = (draws[:, 0] != draws[:, 1]) | (draws[:, 2] != draws[:, 3])
+            pairs = np.concatenate([pairs, draws[keep]])
+        sets.extend(((v1, c1), (v2, c2)) for v1, v2, c1, c2 in pairs[: 10 * n].tolist())
     return sets
 
 

@@ -528,9 +528,14 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Grap
 def read_edge_list(text: str, n: int | None = None) -> Graph:
     """Parse an edge-list file.  The vertex count is `n` if given, else the
     first-line header "# n=<count>" that write_edge_list writes, else one
-    more than the largest id.  An edge outside the count is a ValueError."""
+    more than the largest id.  An edge outside the count is a ValueError,
+    and so is a first line that starts like the header, "# n=", but is not
+    one."""
     lines = text.splitlines()
-    header = re.fullmatch(r"#\s*n=(\d+)", lines[0].strip()) if lines else None
+    first = lines[0].strip() if lines else ""
+    header = re.fullmatch(r"#\s*n=(\d+)", first)
+    if header is None and re.match(r"#\s*n=", first):
+        raise ValueError(f"bad edge-list header: {first!r} (expected '# n=<count>')")
     if n is None and header:
         n = int(header.group(1))
     edges: list[tuple[int, int]] = []

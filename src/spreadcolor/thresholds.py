@@ -53,19 +53,40 @@ class Hypergraph:
 
     @staticmethod
     def from_json(text: str) -> tuple["Hypergraph", dict[Hashable, Fraction]]:
-        """Parse {ground: [...], edges: [[...]], q: {x: w}}; q values may be
-        floats or strings like "3/10" (kept exact)."""
+        """Parse {ground: [...], edges: [[...]], q: {x: w}}, q optional; q
+        values may be floats or strings like "3/10" (kept exact).  Any
+        other shape is a ValueError."""
         data = json.loads(text)
+
+        def is_list_of_scalars(xs) -> bool:
+            return isinstance(xs, list) and not any(isinstance(x, (list, dict)) for x in xs)
+
+        if not (
+            isinstance(data, dict)
+            and is_list_of_scalars(data.get("ground"))
+            and isinstance(data.get("edges"), list)
+            and all(map(is_list_of_scalars, data["edges"]))
+            and isinstance(data.get("q", {}), dict)
+        ):
+            raise ValueError(
+                'a hypergraph is a JSON object {"ground": [...], "edges": [[...], ...]} '
+                f'with an optional object "q", got {text.strip()[:80]}'
+            )
         ground = tuple(data["ground"])
         edges = tuple(frozenset(e) for e in data["edges"])
         q: dict[Hashable, Fraction] = {}
         for x, w in data.get("q", {}).items():
-            q[x] = Fraction(w) if isinstance(w, str) else Fraction(str(w))
+            try:
+                q[x] = Fraction(w) if isinstance(w, str) else Fraction(str(w))
+            except ZeroDivisionError:
+                raise ValueError(f"weight q[{x!r}] = {w!r} divides by zero") from None
         return Hypergraph(ground, edges), q
 
 
 def _weight_of(q: Mapping[Hashable, Fraction | float]):
     def get(x: Hashable) -> Fraction:
+        if x not in q:
+            raise ValueError(f"no weight q[{x!r}]")
         w = Fraction(q[x]) if not isinstance(q[x], Fraction) else q[x]
         if not 0 <= w <= 1:
             raise ValueError(f"weight q[{x!r}] = {w} outside [0, 1]")

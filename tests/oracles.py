@@ -10,7 +10,7 @@ import numpy as np
 
 from spreadcolor.audit import wilson_interval
 from spreadcolor.errors import CapExceeded
-from spreadcolor.graphs import Graph
+from spreadcolor.graphs import Graph, keyed_rng
 
 
 def is_proper(
@@ -130,6 +130,27 @@ def regularize_reference(g: Graph) -> Graph:
                 if a != b:
                     edges.append((min(a, b), max(a, b)))
     return from_edges_reference(n * m, set(edges))
+
+
+def set_family_reference(n: int, palette_size: int, seed: int) -> list[tuple[tuple[int, int], ...]]:
+    """The singletons+pairs family as `audit.audit_set_family` built it
+    before its keyed blocks, the per-candidate loop kept verbatim as the
+    reference the blocks must equal: every singleton, then two
+    `integers(size=2)` calls per candidate pair from the keyed stream
+    (seed, 2^40), keeping the first 10n whose two pairs differ."""
+    sets: list[tuple[tuple[int, int], ...]] = [
+        ((v, c),) for v in range(n) for c in range(1, palette_size + 1)
+    ]
+    if n and n * palette_size < 2:
+        # every drawn 2-set would repeat its one pair: the loop never ends
+        raise ValueError(f"needs two (vertex, color) pairs, got {n * palette_size}")
+    rng = keyed_rng(seed, 1 << 40)
+    while len(sets) < n * palette_size + 10 * n:
+        v1, v2 = (int(x) for x in rng.integers(n, size=2))
+        c1, c2 = (int(x) for x in rng.integers(1, palette_size + 1, size=2))
+        if (v1, c1) != (v2, c2):
+            sets.append(((v1, c1), (v2, c2)))
+    return sets
 
 
 # one row of the row-based audit: (pairs, trials, hits, p_hat, ci_low, ci_high)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spreadcolor import audit
 from spreadcolor.audit import (
     ExplicitDistribution,
     SpreadReport,
@@ -24,7 +25,12 @@ from spreadcolor.errors import CapExceeded, NoKeptSamples
 from spreadcolor.graphs import complete_graph, keyed_rng
 from spreadcolor.greedy import build_counterexample, enumerate_colorings
 
-from oracles import c_hat_reference, spread_csv_reference, spread_rows_reference
+from oracles import (
+    c_hat_reference,
+    set_family_reference,
+    spread_csv_reference,
+    spread_rows_reference,
+)
 
 
 class TestWilson:
@@ -250,8 +256,9 @@ class TestSpreadReport:
     def test_pairs_need_two_vertex_color_pairs(self):
         # one vertex with a one-color palette: every 2-set would repeat its
         # only pair, and drawing used to loop forever
-        with pytest.raises(ValueError, match="needs two"):
-            audit_set_family(1, 1, seed=0)
+        for n, palette in ((1, 1), (1, 0), (5, 0)):
+            with pytest.raises(ValueError, match="needs two"):
+                audit_set_family(n, palette, seed=0)
         assert audit_set_family(1, 1, seed=0, family="singletons") == [((0, 1),)]
         assert len(audit_set_family(1, 2, seed=0)) == 2 + 10
         assert audit_set_family(0, 1, seed=0) == []
@@ -284,6 +291,58 @@ class TestSpreadReport:
         _, ci_high = rep.intervals()
         manual = max(hi ** (1 / len(pairs)) for pairs, hi in zip(rep.sets, ci_high)) * 2
         assert rep.c_hat == pytest.approx(manual)
+
+
+class TestSetFamilyBlocks:
+    """The pairs drawn in keyed blocks equal the per-candidate loop's."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 100])
+    def test_the_same_sets_in_the_same_order_as_the_loop(self, n):
+        for palette in (1, 2, 3, 17):
+            for seed in range(25):
+                if n * palette == 1:
+                    continue  # needs two: test_pairs_need_two_vertex_color_pairs
+                assert audit_set_family(n, palette, seed) == set_family_reference(
+                    n, palette, seed
+                ), (n, palette, seed)
+
+    def test_the_grid_has_families_that_need_a_second_block(self, monkeypatch):
+        blocks = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, **kwargs):
+                blocks.append(args)
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(audit, "keyed_rng", lambda *key: Counting(keyed_rng(*key)))
+        most = 0
+        for n, palette in itertools.product((1, 2, 3), (1, 2, 3)):
+            for seed in range(25):
+                if n * palette > 1:
+                    blocks.clear()
+                    audit_set_family(n, palette, seed)
+                    most = max(most, len(blocks))
+        assert most >= 2
+
+    @pytest.mark.parametrize("a, b", [(2**31 + 1, 17), (100, 2**33), (2**31 + 1, 2**33)])
+    def test_array_bounds_draw_from_the_stream_as_scalar_calls_do(self, a, b):
+        # the property the blocks rely on: each element of an array-bounded
+        # call is drawn in turn, as alternating scalar-bounded calls draw;
+        # at 2^31 + 1 about half the 32-bit draws are rejected, and 2^33
+        # takes 64-bit draws
+        candidates = 500
+        block = keyed_rng(9, 1 << 40).integers(
+            np.tile([0, 0, 1, 1], candidates), np.tile([a, a, b + 1, b + 1], candidates)
+        )
+        rng = keyed_rng(9, 1 << 40)
+        calls = [
+            (rng.integers(a, size=2), rng.integers(1, b + 1, size=2))
+            for _ in range(candidates)
+        ]
+        assert np.array_equal(block, np.concatenate([np.concatenate(c) for c in calls]))
 
 
 class TestSpreadValue:

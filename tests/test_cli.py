@@ -155,6 +155,32 @@ def test_cost_command(tmp_path, capsys):
     assert "cost    = 81/100" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "a hypergraph is a JSON object"),
+        ('{"ground": ["a"]}', "a hypergraph is a JSON object"),
+        # a string edge used to be split into its characters
+        ('{"ground": ["a", "b"], "edges": "ab"}', "a hypergraph is a JSON object"),
+        ('{"ground": ["a", "b"], "edges": ["ab"]}', "a hypergraph is a JSON object"),
+        ('{"ground": [["a"]], "edges": []}', "a hypergraph is a JSON object"),
+        ('{"ground": ["a"], "edges": [["a"]], "q": [0.5]}', "a hypergraph is a JSON object"),
+        ('{"ground": ["a"], "edges": [["a"]], "q": {}}', "no weight q['a']"),
+        ('{"ground": ["a"], "edges": [["a"]], "q": {"a": "1/0"}}', "divides by zero"),
+        ('{"ground": ["a"], "edges": [["b"]], "q": {"a": 0.5}}', "not inside the ground set"),
+    ],
+)
+def test_a_hypergraph_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message):
+    # all but the last ended in a traceback, or read the string edge as its characters
+    hg = tmp_path / "h.json"
+    hg.write_text(text)
+    assert main(["cost", "--hypergraph", str(hg)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert captured.out == ""
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text('{"eps": 0.04, "d_min": 2}')
@@ -515,6 +541,18 @@ def test_graph_order_past_the_int64_keys_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_a_malformed_edge_list_header_exits_2(tmp_path, capsys):
+    # "# n=x" was read as a comment, and the graph silently took n = 2
+    g_file = tmp_path / "g.txt"
+    g_file.write_text("# n=x\n0 1\n")
+    assert main(["decompose", "--graph", str(g_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: bad edge-list header: '# n=x' (expected '# n=<count>')"
+    ]
+    assert captured.out == ""
+
+
 def test_audit_pairs_on_a_one_vertex_graph_is_a_usage_error(tmp_path, capsys):
     # a single vertex with palette 1 has one (vertex, color) pair, so no
     # 2-set can be drawn; the run used to hang
@@ -531,6 +569,15 @@ def test_audit_with_a_nan_ceiling_is_a_usage_error(capsys):
     argv = ["audit", "--n", "20", "--D", "4", "--trials", "100", "--c-hat-ceiling", "nan"]
     assert main(argv) == 2
     assert "c_hat_ceiling must be finite and > 0" in capsys.readouterr().err
+
+
+def test_audit_over_the_ceiling_exits_1(capsys):
+    # reads C_hat 2.59 against a ceiling of 1
+    argv = ["audit", "--n", "20", "--D", "4", "--trials", "50", "--c-hat-ceiling", "1.0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["C_hat 2.59 exceeds ceiling 1.0"]
+    assert json.loads(captured.out)["c_hat"] > 1.0
 
 
 # sha256 of each command's --out file followed by its stdout, pinned from

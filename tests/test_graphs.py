@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import pickle
 import random
+import re
 from dataclasses import fields
 from math import comb
 from pathlib import Path
@@ -175,6 +176,16 @@ class TestGraphBasics:
         assert read_edge_list(text, n=7).n == 7  # an explicit n wins
         with pytest.raises(ValueError, match="out of range"):
             read_edge_list("# n=3\n0 1\n2 3\n")
+
+    @pytest.mark.parametrize("first", ["# n=x", "# n=", "#n=-3", "# n=5 vertices", "# n=5.0"])
+    def test_a_malformed_header_is_an_error(self, first):
+        # it used to be read as a comment, so n became the largest id + 1
+        with pytest.raises(ValueError, match=re.escape(f"bad edge-list header: {first!r}")):
+            read_edge_list(f"{first}\n0 1\n")
+
+    def test_a_header_like_line_after_the_first_is_a_comment(self):
+        assert read_edge_list("0 1\n# n=x\n") == Graph.from_edges(2, [(0, 1)])
+        assert read_edge_list("# n = 5\n0 1\n").n == 2  # not the header's form
 
     def test_components(self):
         g = disjoint_union(complete_graph(3), path_graph(2))

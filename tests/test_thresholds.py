@@ -478,6 +478,13 @@ class TestSparsificationScan:
         curve = sparsification_scan(gen_random_regular(2000, 4, seed=1), [5], trials=1, seed=0)
         assert curve.rows[0].rate == 1.0
 
+    def test_a_cap_that_every_decision_exceeds_tallies_them_all(self):
+        # full or near-full lists on 20 vertices branch past the root, so a
+        # cap of one node stops every decision before it finds a coloring
+        g = gen_random_regular(20, 4, seed=1)
+        curve = sparsification_scan(g, [3, 5], trials=10, seed=0, cap=1)
+        assert [(r.successes, r.indeterminate, r.rate) for r in curve.rows] == [(0, 10, 0.0)] * 2
+
     def test_deterministic(self):
         g = gen_random_regular(20, 4, seed=8)
         a = sparsification_scan(g, [2, 3], trials=40, seed=9)
