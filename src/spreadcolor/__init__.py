@@ -54,7 +54,6 @@ from .greedy import (
     slack_greedy_sample,
 )
 from .matching import (
-    Bigraph,
     Matching,
     kout_subgraph,
     perfect_matching,

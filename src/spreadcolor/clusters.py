@@ -26,7 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .graphs import Graph, check_proper, keyed_rng, regularize
-from .matching import Bigraph, spread_X_perfect_matching
+from .matching import spread_X_perfect_matching
 from .params import Params
 from .sparse_phase import sparse_phase_color
 
@@ -112,14 +112,15 @@ def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
 @dataclass
 class ClusterContext:
     """Everything needed to color one cluster against a fixed outside
-    coloring: its shape (H, zeta) and the legal-color bigraph B
-    (x-index = position in `cluster`, y-index = color - 1)."""
+    coloring: its shape (H, zeta) and the legal-color bigraph B, held as
+    its read-only |C|-by-(D+1) boolean matrix `b`: b[x, y] is true when
+    color y + 1 is legal for the vertex at position x in `cluster`."""
 
     graph: Graph
     shape: ClusterShape
     sigma_out: np.ndarray  # outside colors indexed by vertex, 0 = uncolored
     zeta0: float
-    b: Bigraph
+    b: np.ndarray
 
     @property
     def cluster(self) -> tuple[int, ...]:
@@ -171,12 +172,14 @@ def build_cluster_context(
         raise ValueError(f"sigma_out colors must lie in 0..D+1 = {d + 1}")
     banned = np.zeros((len(shape.cluster), d + 2), dtype=bool)  # column 0: uncolored
     banned[shape.out_pos, seen] = True
+    legal = ~banned[:, 1:]
+    legal.flags.writeable = False
     return ClusterContext(
         graph=g,
         shape=shape,
         sigma_out=out,
         zeta0=params.zeta0_value(d),
-        b=Bigraph(~banned[:, 1:]),
+        b=legal,
     )
 
 
@@ -231,7 +234,6 @@ def process_pair_coloring(
     if rounds is None or eta is None:
         eta, rounds = _eta_rounds(ctx, params)
     d, eps, cl = ctx.d, ctx.eps, ctx.cluster
-    legal = ctx.b.m
     hu, hv = ctx.shape.h_pairs.T  # positions
     alive = np.ones(len(cl), dtype=bool)
     gamma = np.ones(d + 1, dtype=bool)  # y-indices
@@ -250,7 +252,7 @@ def process_pair_coloring(
         e = edges[int(rng.integers(edges.size))]
         p, q = int(hu[e]), int(hv[e])
         u, v = cl[p], cl[q]
-        common = np.flatnonzero(legal[p] & legal[q] & gamma)
+        common = np.flatnonzero(ctx.b[p] & ctx.b[q] & gamma)
         if not common.size:
             raise EmptyChoiceSet(f"no common legal color for pair ({u},{v})")
         if not common.size > color_floor:
@@ -300,11 +302,10 @@ def color_cluster(
     free = np.ones(d + 2, dtype=bool)
     free[colors] = False
     rest_y = np.flatnonzero(free[1:])
-    b = ctx.b.subgraph(x_idx, rest_y)
-    if b.ny - b.nx != big_r:
+    if len(rest_y) - len(x_idx) != big_r:
         raise VerificationFailed(f"{branch}-zeta bookkeeping: |Y| - |X| != R")
     m = spread_X_perfect_matching(
-        b,
+        ctx.b[np.ix_(x_idx, rest_y)],
         z,
         rng,
         r_x=[ctx.shape.h_deg[i] - rounds for i in x_idx.tolist()],
@@ -313,8 +314,8 @@ def color_cluster(
         lambda_max=params.lambda_max,
         k_max=params.k_out_max,
     )
-    for x, y in m.pairs.items():
-        colors[x_idx[x]] = rest_y[y] + 1
+    hit = m.match >= 0
+    colors[x_idx[hit]] = rest_y[m.match[hit]] + 1
 
     _assert_cluster_proper(ctx, colors)
     return colors, branch

@@ -1,5 +1,11 @@
 """Bipartite matching machinery.
 
+A bigraph on parts X (size nx) and Y (size ny), both 0-indexed, is its
+nx-by-ny boolean biadjacency matrix; each entry point coerces its input
+with np.asarray(m, dtype=bool) and rejects anything but a 2-D result.
+A matching is one int64 array giving the y of each x, or -1 where x is
+unmatched.
+
 Deterministic Hopcroft-Karp maximum matching, random k-out subgraphs,
 rejection-sampled perfect matchings in dense bigraphs, and the
 two-phase X-perfect matcher (greedy on unpopular right-vertices, then
@@ -10,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Bigraph",
     "Matching",
     "perfect_matching",
     "kout_subgraph",
@@ -31,118 +36,64 @@ __all__ = [
     "spread_X_perfect_matching",
 ]
 
-INF = -1
+INF = -1  # an unmatched vertex, and an unreached one in the search
 
 
-def _csr(m: np.ndarray) -> tuple[list[int], list[int]]:
-    """(column of each True entry of a boolean matrix, row by row and
-    ascending within a row; offsets of each row's run, length nrows+1)."""
-    ncols = m.shape[1]
-    flat = np.flatnonzero(m)
-    ptr = np.searchsorted(flat, np.arange(m.shape[0] + 1) * ncols)
-    return (flat % ncols).tolist() if ncols else [], ptr.tolist()
-
-
-class Bigraph:
-    """Bipartite graph on parts X (size nx) and Y (size ny), both 0-indexed,
-    held as its read-only nx-by-ny boolean biadjacency matrix `m`."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: np.ndarray):
-        m = np.asarray(m, dtype=bool).view()
-        if m.ndim != 2:
-            raise ValueError(f"biadjacency matrix must be 2-D, got shape {m.shape}")
-        m.flags.writeable = False
-        self.m = m
-
-    @staticmethod
-    def from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> "Bigraph":
-        m = np.zeros((nx, ny), dtype=bool)
-        for x, y in edges:
-            if not (0 <= x < nx and 0 <= y < ny):
-                raise ValueError(f"edge ({x},{y}) out of range")
-            m[x, y] = True
-        return Bigraph(m)
-
-    @staticmethod
-    def complete(nx: int, ny: int) -> "Bigraph":
-        return Bigraph(np.ones((nx, ny), dtype=bool))
-
-    @property
-    def nx(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.m.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bigraph):
-            return NotImplemented
-        return self.m.shape == other.m.shape and bool(np.array_equal(self.m, other.m))
-
-    def __hash__(self) -> int:
-        return hash((self.m.shape, self.m.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Bigraph(nx={self.nx}, ny={self.ny}, edges={self.edge_count()})"
-
-    @property
-    def adj_x(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbors of each x."""
-        cols, ptr = _csr(self.m)
-        return tuple(tuple(cols[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    def deg_x(self, x: int) -> int:
-        return int(np.count_nonzero(self.m[x]))
-
-    def degrees_y(self) -> np.ndarray:
-        return np.count_nonzero(self.m, axis=0).astype(np.int64)
-
-    def edge_count(self) -> int:
-        return int(np.count_nonzero(self.m))
-
-    def subgraph(self, xs: Sequence[int], ys: Sequence[int]) -> "Bigraph":
-        """Induced bigraph on (xs, ys), reindexed in the given order."""
-        return Bigraph(self.m[np.ix_(xs, ys)])
+def _biadjacency(m) -> np.ndarray:
+    """The boundary check of every entry point: m as a 2-D boolean matrix."""
+    m = np.asarray(m, dtype=bool)
+    if m.ndim != 2:
+        raise ValueError(f"biadjacency matrix must be 2-D, got shape {m.shape}")
+    return m
 
 
 @dataclass
 class Matching:
-    """Set of disjoint edges, stored as x -> y."""
+    """Disjoint edges of a bigraph: match[x] is the y matched to x, or -1
+    where x is unmatched."""
 
-    pairs: dict[int, int]
+    match: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ys = list(self.pairs.values())
-        if len(set(ys)) != len(ys):
+        self.match = np.asarray(self.match, dtype=np.int64)
+        ys = self.match[self.match >= 0]
+        if np.unique(ys).size != ys.size:
             raise VerificationFailed("matching reuses a right vertex")
 
-    def is_x_perfect(self, b: Bigraph) -> bool:
-        return set(self.pairs) == set(range(b.nx))
+    def is_x_perfect(self) -> bool:
+        return bool((self.match >= 0).all())
 
-    def validate(self, b: Bigraph) -> None:
-        m, nx, ny = b.m, b.nx, b.ny
-        for x, y in self.pairs.items():
-            if not (0 <= x < nx and 0 <= y < ny and m[x, y]):
-                raise VerificationFailed(f"matched pair ({x},{y}) is not an edge")
+    def validate(self, m: np.ndarray) -> None:
+        """Raise VerificationFailed unless match has one entry per row of
+        the biadjacency matrix m and every matched pair is an edge of m."""
+        m, match = _biadjacency(m), self.match
+        if match.shape != m.shape[:1] or not ((INF <= match) & (match < m.shape[1])).all():
+            raise VerificationFailed(f"matching does not fit a {m.shape} bigraph: {match}")
+        xs = np.flatnonzero(match >= 0)
+        bad = xs[~m[xs, match[xs]]]
+        if bad.size:
+            raise VerificationFailed(f"matched pair ({bad[0]},{match[bad[0]]}) is not an edge")
 
 
-def perfect_matching(b: Bigraph) -> Matching:
-    """Deterministic maximum matching via Hopcroft-Karp; check
-    .is_x_perfect(b) on the result for X-perfection.
+def perfect_matching(m: np.ndarray) -> Matching:
+    """Deterministic maximum matching of the nx-by-ny boolean biadjacency
+    matrix m via Hopcroft-Karp; check .is_x_perfect() on the result for
+    X-perfection.
 
     The neighbors of x are cols[ptr[x]:ptr[x+1]], in ascending order."""
-    cols, ptr = _csr(b.m)
-    pair_x = [INF] * b.nx
-    pair_y = [INF] * b.ny
-    dist = [0] * b.nx
+    m = _biadjacency(m)
+    nx, ny = m.shape
+    flat = np.flatnonzero(m)
+    cols = (flat % ny).tolist() if ny else []
+    ptr = np.searchsorted(flat, np.arange(nx + 1) * ny).tolist()
+    pair_x = [INF] * nx
+    pair_y = [INF] * ny
+    dist = [0] * nx
 
     def bfs() -> bool:
         q: deque[int] = deque()
-        for x in range(b.nx):
+        for x in range(nx):
             if pair_x[x] == INF:
                 dist[x] = 0
                 q.append(x)
@@ -174,13 +125,13 @@ def perfect_matching(b: Bigraph) -> Matching:
         return False
 
     while bfs():
-        for x in range(b.nx):
+        for x in range(nx):
             if pair_x[x] == INF:
                 dfs(x)
-    return Matching({x: y for x, y in enumerate(pair_x) if y != INF})
+    return Matching(np.array(pair_x, dtype=np.int64))
 
 
-def kout_subgraph(b: Bigraph, k: int, rng: np.random.Generator) -> Bigraph:
+def kout_subgraph(m: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Each vertex on BOTH sides keeps min(k, deg) uniformly chosen
     incident edges; the subgraph is their union.  Two-sided selection is
     what kills isolated vertices, the main obstruction to a perfect
@@ -190,10 +141,11 @@ def kout_subgraph(b: Bigraph, k: int, rng: np.random.Generator) -> Bigraph:
     rows, each in index order) get one block of uniform keys, one key per
     matrix entry; a row keeps the k neighbors with the smallest keys,
     which is a uniform k-subset of its neighbors."""
+    m = _biadjacency(m)
     if k < 1:
         raise ValueError("need k >= 1")
-    out = np.zeros(b.m.shape, dtype=bool)
-    for adj, kept in ((b.m, out), (b.m.T, out.T)):  # rows of X, then rows of Y
+    out = np.zeros(m.shape, dtype=bool)
+    for adj, kept in ((m, out), (m.T, out.T)):  # rows of X, then rows of Y
         deg = np.count_nonzero(adj, axis=1)
         small = deg <= k
         kept[small] |= adj[small]
@@ -202,11 +154,11 @@ def kout_subgraph(b: Bigraph, k: int, rng: np.random.Generator) -> Bigraph:
             keys = rng.random((big.size, adj.shape[1]))
             keys += ~adj[big]  # non-edges key above 1, after every neighbor
             kept[big[:, None], np.argpartition(keys, k - 1, axis=1)[:, :k]] = True
-    return Bigraph(out)
+    return out
 
 
 def spread_matching_dense(
-    f: Bigraph,
+    f: np.ndarray,
     lam: float,
     k: int,
     rng: np.random.Generator,
@@ -222,24 +174,22 @@ def spread_matching_dense(
     keeps it spread, so the retries do not spoil the distribution.  k
     doubles (up to k_max) when acceptance looks hopeless.
     """
-    if f.nx != f.ny:
-        raise HypothesisViolated(f"parts must have equal size, got {f.nx} vs {f.ny}")
-    i_size = f.nx
+    f = _biadjacency(f)
+    i_size, ny = f.shape
+    if i_size != ny:
+        raise HypothesisViolated(f"parts must have equal size, got {i_size} vs {ny}")
     if not 0 <= lam <= lambda_max:
         raise HypothesisViolated(f"lambda = {lam:.4f} exceeds lambda_max = {lambda_max}")
     need = (1.0 - lam) * i_size
-    min_x = int(np.count_nonzero(f.m, axis=1).min()) if f.nx else 0
-    min_y = int(f.degrees_y().min()) if f.ny else 0
-    if min(min_x, min_y) < need:
-        raise HypothesisViolated(
-            f"min degree {min(min_x, min_y)} < (1-lambda)I = {need:.2f}"
-        )
+    if i_size:
+        low = int(min(np.count_nonzero(f, axis=1).min(), np.count_nonzero(f, axis=0).min()))
+        if low < need:
+            raise HypothesisViolated(f"min degree {low} < (1-lambda)I = {need:.2f}")
 
     failures_at_k = 0
     for t in range(max_tries):
-        sub = kout_subgraph(f, k, rng)
-        m = perfect_matching(sub)
-        if len(m.pairs) == i_size:
+        m = perfect_matching(kout_subgraph(f, k, rng))
+        if m.is_x_perfect():
             m.meta.update(tries=t + 1, k=k)
             m.validate(f)
             return m
@@ -253,7 +203,7 @@ def spread_matching_dense(
 
 
 def spread_X_perfect_matching(
-    b: Bigraph,
+    b: np.ndarray,
     z: float,
     rng: np.random.Generator,
     r_x: Sequence[float] | None = None,
@@ -274,11 +224,12 @@ def spread_X_perfect_matching(
     edge-count lower bounds that make phase 1 work are asserted at every
     step; they are finite-D floors, so a miss raises FloorNotMet.
     """
-    j = b.nx
-    big_r = b.ny - b.nx
+    b = _biadjacency(b)
+    j, ny = b.shape
+    big_r = ny - j
     if j == 0:
-        return Matching({}, meta={"branch": "empty"})
-    deg_x = np.count_nonzero(b.m, axis=1)
+        return Matching(np.zeros(0, dtype=np.int64), meta={"branch": "empty"})
+    deg_x = np.count_nonzero(b, axis=1)
     if r_x is None:
         r_x = (j - deg_x).tolist()
     if len(r_x) != j:
@@ -302,7 +253,7 @@ def spread_X_perfect_matching(
         )
 
     delta = 5.0 * z**0.5
-    degs_y = b.degrees_y()
+    degs_y = np.count_nonzero(b, axis=0)
     unpopular = degs_y < (1.0 - delta) * j
     n_unpop = int(np.count_nonzero(unpopular))
     # consequence of the hypotheses; catches instance-construction bugs
@@ -312,16 +263,15 @@ def spread_X_perfect_matching(
         )
     r = n_unpop - big_r
 
-    greedy_pairs: dict[int, int] = {}
+    match = np.full(j, INF, dtype=np.int64)
     meta: dict = {"branch": "dense", "unpopular": n_unpop, "r": r}
     if r > 0:
         meta["branch"] = "greedy+dense"
-        live_x = np.ones(j, dtype=bool)
         u_live = unpopular.copy()
         floor_target = r * delta * j / 2.0
         for step in range(r):
             # edges into live unpopular colors, ordered by color, then by x
-            ys, xs = np.nonzero((b.m & live_x[:, None] & u_live).T)
+            ys, xs = np.nonzero((b & (match == INF)[:, None] & u_live).T)
             count_before = len(ys)
             if count_before < floor_target - 1e-9:
                 raise FloorNotMet(
@@ -334,10 +284,9 @@ def spread_X_perfect_matching(
                 )
             e = int(rng.integers(count_before))
             x, y = int(xs[e]), int(ys[e])
-            live_x[x] = False
+            match[x] = y
             u_live[y] = False
-            greedy_pairs[x] = y
-            count_after = int(np.count_nonzero(b.m & live_x[:, None] & u_live))
+            count_after = int(np.count_nonzero(b & (match == INF)[:, None] & u_live))
             if count_after < count_before - n_unpop - (1.0 - delta) * j - 1e-9:
                 raise VerificationFailed(
                     "greedy step removed more edges than |U| + (1-delta)J"
@@ -347,7 +296,7 @@ def spread_X_perfect_matching(
                     f"greedy-phase edge count {count_after} fell below "
                     f"r*delta*J/2 = {floor_target:.2f} after the last step"
                 )
-        v0 = np.flatnonzero(live_x)
+        v0 = np.flatnonzero(match == INF)
         v1 = np.flatnonzero(~unpopular)
     else:
         # drop the R least-popular colors, ties broken by id
@@ -358,20 +307,17 @@ def spread_X_perfect_matching(
     if len(v1) != i_size:
         raise VerificationFailed(f"dense phase sizes differ: {i_size} vs {len(v1)}")
     dense_meta = {}
-    dense_pairs = {}
     if i_size:
-        f = b.subgraph(v0, v1)
         lam = min(2.0 * delta, lambda_max)
         m_dense = spread_matching_dense(
-            f, lam, k, rng, max_tries=max_tries, lambda_max=lambda_max, k_max=k_max
+            b[np.ix_(v0, v1)], lam, k, rng, max_tries=max_tries, lambda_max=lambda_max, k_max=k_max
         )
         dense_meta = m_dense.meta
-        xs, ys = v0.tolist(), v1.tolist()
-        dense_pairs = {xs[x]: ys[y] for x, y in m_dense.pairs.items()}
+        hit = m_dense.match >= 0
+        match[v0[hit]] = v1[m_dense.match[hit]]
 
-    pairs = {**greedy_pairs, **dense_pairs}
-    out = Matching(pairs, meta={**meta, "dense": dense_meta})
+    out = Matching(match, meta={**meta, "dense": dense_meta})
     out.validate(b)
-    if not out.is_x_perfect(b):
+    if not out.is_x_perfect():
         raise VerificationFailed("result is not X-perfect")
     return out

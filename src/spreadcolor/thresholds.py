@@ -54,8 +54,11 @@ class Hypergraph:
     @staticmethod
     def from_json(text: str) -> tuple["Hypergraph", dict[Hashable, Fraction]]:
         """Parse {ground: [...], edges: [[...]], q: {x: w}}, q optional; q
-        values may be floats or strings like "3/10" (kept exact).  Any
-        other shape is a ValueError."""
+        values may be floats or strings like "3/10" (kept exact).  JSON
+        keys are strings, so a key of q names the ground element whose
+        JSON text it is: "a" for "a", "1" for 1, "true" for true.  Any
+        other shape, two ground elements with one key, or a key that
+        names no ground element is a ValueError."""
         data = json.loads(text)
 
         def is_list_of_scalars(xs) -> bool:
@@ -72,15 +75,20 @@ class Hypergraph:
                 'a hypergraph is a JSON object {"ground": [...], "edges": [[...], ...]} '
                 f'with an optional object "q", got {text.strip()[:80]}'
             )
-        ground = tuple(data["ground"])
-        edges = tuple(frozenset(e) for e in data["edges"])
+        h = Hypergraph(tuple(data["ground"]), tuple(frozenset(e) for e in data["edges"]))
+        named = {x if isinstance(x, str) else json.dumps(x): x for x in h.ground}
+        if len(named) != len(h.ground):
+            raise ValueError('two ground elements share a q key, as 1 and "1" do')
         q: dict[Hashable, Fraction] = {}
-        for x, w in data.get("q", {}).items():
+        for key, w in data.get("q", {}).items():
+            if key not in named:
+                raise ValueError(f"q key {key!r} names no ground element")
+            x = named[key]
             try:
                 q[x] = Fraction(w) if isinstance(w, str) else Fraction(str(w))
             except ZeroDivisionError:
                 raise ValueError(f"weight q[{x!r}] = {w!r} divides by zero") from None
-        return Hypergraph(ground, edges), q
+        return h, q
 
 
 def _weight_of(q: Mapping[Hashable, Fraction | float]):

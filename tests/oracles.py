@@ -94,6 +94,21 @@ def from_edges_reference(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, flat, np.array([0, *accumulate(map(len, rows))], dtype=np.int64))
 
 
+def bigraph_from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The nx-by-ny boolean biadjacency matrix of a list of (x, y) edges."""
+    m = np.zeros((nx, ny), dtype=bool)
+    for x, y in edges:
+        if not (0 <= x < nx and 0 <= y < ny):
+            raise ValueError(f"edge ({x},{y}) out of range")
+        m[x, y] = True
+    return m
+
+
+def adjacency_rows(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbors of each x of a biadjacency matrix."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in m)
+
+
 def regularize_reference(g: Graph) -> Graph:
     """The tuple-and-set regularization that `graphs.regularize` replaced,
     kept verbatim (without its self-checks) as the reference its array

@@ -155,6 +155,15 @@ def test_cost_command(tmp_path, capsys):
     assert "cost    = 81/100" in out
 
 
+def test_cost_command_weights_numeric_ground_elements(tmp_path, capsys):
+    # JSON keys are strings: the key "1" names the ground element 1
+    hg = tmp_path / "h.json"
+    hg.write_text('{"ground": [1, 2], "edges": [[1, 2]], "q": {"1": "1/2", "2": "1/3"}}')
+    assert main(["cost", "--hypergraph", str(hg)]) == 0
+    captured = capsys.readouterr()
+    assert "expense = 1/6" in captured.out and captured.err == ""
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -168,10 +177,14 @@ def test_cost_command(tmp_path, capsys):
         ('{"ground": ["a"], "edges": [["a"]], "q": {}}', "no weight q['a']"),
         ('{"ground": ["a"], "edges": [["a"]], "q": {"a": "1/0"}}', "divides by zero"),
         ('{"ground": ["a"], "edges": [["b"]], "q": {"a": 0.5}}', "not inside the ground set"),
+        # JSON keys are strings, so 1 and "1" would share the key "1"
+        ('{"ground": [1, "1"], "edges": [[1]], "q": {"1": 0.5}}', "share a q key"),
+        ('{"ground": ["a"], "edges": [["a"]], "q": {"a": 0.5, "b": 0.5}}', "q key 'b' names no"),
     ],
 )
 def test_a_hypergraph_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message):
-    # all but the last ended in a traceback, or read the string edge as its characters
+    # the first eight ended in a traceback, or read the string edge as its
+    # characters; the last two took q's keys for ground elements as they stood
     hg = tmp_path / "h.json"
     hg.write_text(text)
     assert main(["cost", "--hypergraph", str(hg)]) == 2
@@ -358,7 +371,7 @@ def test_sample_with_broken_matcher_exits_1(tmp_path, monkeypatch, capsys):
     g_file.write_text(write_edge_list(complete_graph(17)))
     monkeypatch.setattr(
         clusters, "spread_X_perfect_matching",
-        lambda b, *a, **k: Matching({x: x for x in range(b.nx - 1)}),
+        lambda b, *a, **k: Matching(np.r_[np.arange(len(b) - 1), -1]),
     )
     assert main(["sample", "--graph", str(g_file)]) == 1
     assert "VerificationFailed: cluster coloring does not cover" in capsys.readouterr().err

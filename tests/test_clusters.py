@@ -23,7 +23,7 @@ from spreadcolor.graphs import (
 )
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
-from oracles import is_proper
+from oracles import adjacency_rows, is_proper
 
 
 def clique_minus_cycle(n: int) -> Graph:
@@ -59,7 +59,7 @@ class TestBuildContext:
         g = complete_graph(d + 1)
         ctx = build_cluster_context(g, range(d + 1), outside_colors(g), Params())
         assert ctx.zeta == 0.0
-        assert all(len(row) == d + 1 for row in ctx.b.adj_x)
+        assert ctx.b.shape == (d + 1, d + 1) and ctx.b.all()
 
     def test_one_nonedge_zeta(self):
         d = 16
@@ -81,13 +81,21 @@ class TestBuildContext:
         cluster = [v for v in range(2, 17)]  # K_17 minus the swapped pair {0,1}
         sigma_out = {0: 3, 1: 5}
         ctx = build_cluster_context(g, cluster, outside_colors(g, sigma_out), Params())
-        for row in ctx.b.adj_x:
-            assert 2 not in row and 4 not in row  # y-indices of colors 3 and 5
+        assert ctx.b.dtype == bool and ctx.b.shape == (15, 17)
+        assert not ctx.b[:, [2, 4]].any()  # y-indices of colors 3 and 5
+        assert np.count_nonzero(ctx.b) == 15 * 15
 
     def test_invariant_violation_raises(self):
         g = disjoint_union(complete_graph(17), complete_graph(17))
         with pytest.raises(HypothesisViolated):
             build_cluster_context(g, range(34), outside_colors(g), Params())
+
+    def test_default_params(self):
+        g = clique_minus_cycle(19)
+        ctx = build_cluster_context(g, range(19), outside_colors(g))
+        want = build_cluster_context(g, range(19), outside_colors(g), Params())
+        assert ctx.zeta0 == want.zeta0 and ctx.eps == want.eps
+        assert np.array_equal(ctx.b, want.b)
 
     def test_sigma_out_on_cluster_rejected(self):
         g = complete_graph(17)
@@ -121,8 +129,8 @@ class TestClusterShape:
             sigma_out = {v: int(rng.integers(0, 18)) for v in range(19, 38)}
             arr = outside_colors(g2, sigma_out)
             ctx = build_cluster_context(g2, cluster, arr, Params(), shape=shape)
-            assert ctx.b.adj_x == _reference_legal_rows(g2, cluster, sigma_out)
-            assert ctx.b == build_cluster_context(g2, cluster, arr, Params()).b
+            assert adjacency_rows(ctx.b) == _reference_legal_rows(g2, cluster, sigma_out)
+            assert np.array_equal(ctx.b, build_cluster_context(g2, cluster, arr, Params()).b)
         # the cluster check reads every edge with an end in the cluster
         touching = {(u, v) for u, v in g2.edges() if u in cluster or v in cluster}
         got = {tuple(sorted(e)) for e in zip(*(a.tolist() for a in shape.edges))}
@@ -340,15 +348,16 @@ class TestClusterCheck:
         # x -> y = x + 2 gives vertex 2 color 3, the color of its neighbor 0
         monkeypatch.setattr(
             clusters, "spread_X_perfect_matching",
-            lambda b, *a, **k: Matching({x: x + 2 for x in range(b.nx)}),
+            lambda b, *a, **k: Matching(np.arange(len(b)) + 2),
         )
         with pytest.raises(VerificationFailed, match=r"cluster coloring is not proper: edge \(0,2\)"):
             color_cluster(self._ctx(), np.random.default_rng(0))
 
     def test_uncovered_vertex_caught(self, monkeypatch):
+        # the last x is unmatched: its -1 must not color it with rest_y[-1]
         monkeypatch.setattr(
             clusters, "spread_X_perfect_matching",
-            lambda b, *a, **k: Matching({x: x + 1 for x in range(b.nx - 1)}),
+            lambda b, *a, **k: Matching(np.r_[np.arange(len(b) - 1) + 1, -1]),
         )
         with pytest.raises(VerificationFailed, match="does not cover the cluster"):
             color_cluster(self._ctx(), np.random.default_rng(0))
@@ -358,7 +367,9 @@ class TestClusterCheck:
         arr = outside_colors(g, {0: 3, 1: 5})
         ctx = build_cluster_context(g, range(2, 17), arr, Params())
         arr[0] = 7  # the context keeps its own copy
-        assert ctx.sigma_out[0] == 3 and ctx.b == self._ctx().b
+        assert ctx.sigma_out[0] == 3 and np.array_equal(ctx.b, self._ctx().b)
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.b[0, 0] = False
         with pytest.raises(ValueError, match=r"shape \(34,\)"):
             build_cluster_context(g, range(2, 17), arr[:-1], Params())
         with pytest.raises(TypeError):
@@ -378,7 +389,7 @@ class TestPipelineCheck:
         # a matcher result that leaves a vertex out is a bug, not a flagged run
         monkeypatch.setattr(
             clusters, "spread_X_perfect_matching",
-            lambda b, *a, **k: Matching({x: x for x in range(b.nx - 1)}),
+            lambda b, *a, **k: Matching(np.r_[np.arange(len(b) - 1), -1]),
         )
         with pytest.raises(VerificationFailed, match="does not cover the cluster"):
             Pipeline(complete_graph(17)).sample(0)
@@ -400,6 +411,14 @@ class TestPipeline:
         assert sorted(res.coloring.tolist()) == list(range(1, d + 2))
         assert res.cluster_paths == ["small"]
         assert not res.flagged
+
+    def test_sample_array_is_the_sample_without_its_paths(self):
+        pipe = Pipeline(disjoint_union(clique_minus_cycle(19), complete_graph(17)))
+        for seed in range(3):
+            res = pipe.sample(seed)
+            arr, flagged = pipe.sample_array(seed)
+            assert np.array_equal(arr, res.coloring) and flagged == res.flagged
+            assert res.cluster_paths and not res.flagged
 
     def test_random_regular_all_sparse(self):
         g = gen_random_regular(200, 16, seed=17)

@@ -147,6 +147,17 @@ class TestCost:
         assert q["a"] == Fraction(3, 10)
         assert q["b"] == Fraction(1, 2)
 
+    def test_json_keys_name_ground_elements_by_their_json_text(self):
+        h, q = Hypergraph.from_json(
+            '{"ground": ["a", 2, true, null, 1.5], "edges": [[2, true]], '
+            '"q": {"a": 0.1, "2": "1/2", "true": "1/3", "null": 0, "1.5": 1}}'
+        )
+        assert h.ground == ("a", 2, True, None, 1.5)
+        assert q == {"a": Fraction(1, 10), 2: Fraction(1, 2), True: Fraction(1, 3),
+                     None: 0, 1.5: 1}
+        assert [type(x) for x in q] == [str, int, bool, type(None), float]
+        assert expense(h, q) == Fraction(1, 6)
+
 
 class TestListColorable:
     def test_full_palette_always_colorable(self):
