@@ -43,6 +43,9 @@ __all__ = [
 
 _CLUSTER_TAG = 0xC1
 
+H_MARGIN = 1.25  # the numeric margin standing in for "<<" in the eta hierarchy
+D_MIN = 4  # the smallest max degree a Pipeline takes
+
 
 @dataclass(frozen=True)
 class ClusterShape:
@@ -197,15 +200,15 @@ def _eta_rounds(ctx: ClusterContext, params: Params) -> tuple[float, int]:
     return rounds / d, rounds
 
 
-def _check_hierarchy(ctx: ClusterContext, eta: float, h: float) -> None:
+def _check_hierarchy(ctx: ClusterContext, eta: float) -> None:
     d = ctx.d
     if not 1.0 / d < eta:
         raise HypothesisViolated(f"hierarchy: 1/D = {1/d:.4f} !< eta = {eta:.4f}")
-    if not ctx.zeta <= eta * h:
+    if not ctx.zeta <= eta * H_MARGIN:
         raise HypothesisViolated(
-            f"hierarchy: zeta = {ctx.zeta:.4f} !<= eta*h_margin = {eta * h:.4f}"
+            f"hierarchy: zeta = {ctx.zeta:.4f} !<= eta*h_margin = {eta * H_MARGIN:.4f}"
         )
-    cap = min(ctx.zeta / ctx.eps, 1.0) / h
+    cap = min(ctx.zeta / ctx.eps, 1.0) / H_MARGIN
     if not eta <= cap:
         raise HypothesisViolated(
             f"hierarchy: eta = {eta:.4f} !<= min(zeta/eps,1)/h_margin = {cap:.4f}"
@@ -290,7 +293,7 @@ def color_cluster(
     else:
         branch = "large"
         eta, rounds = _eta_rounds(ctx, params)
-        _check_hierarchy(ctx, eta, params.h_margin)
+        _check_hierarchy(ctx, eta)
         pi = process_pair_coloring(ctx, rng, rounds=rounds, eta=eta, params=params)
         colors[np.searchsorted(ctx.shape.members, list(pi))] = list(pi.values())
         z = 2.0 * (eps + eta)
@@ -309,10 +312,7 @@ def color_cluster(
         z,
         rng,
         r_x=[ctx.shape.h_deg[i] - rounds for i in x_idx.tolist()],
-        k=params.k_out,
         max_tries=params.match_max_tries,
-        lambda_max=params.lambda_max,
-        k_max=params.k_out_max,
     )
     hit = m.match >= 0
     colors[x_idx[hit]] = rest_y[m.match[hit]] + 1
@@ -363,11 +363,9 @@ class Pipeline:
 
     def __init__(self, g: Graph, params: Params | None = None):
         self.params = params or Params()
-        d = g.max_degree
-        if d < self.params.d_min:
-            raise ValueError(f"max degree {d} below d_min = {self.params.d_min}")
+        if g.max_degree < D_MIN:
+            raise ValueError(f"max degree {g.max_degree} below d_min = {D_MIN}")
         self.original = g
-        self.d = d
         self.reg = regularize(g)
         self.dec = sparse_dense_decompose(
             self.reg, self.params.eps, self.params.theta

@@ -482,8 +482,6 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Grap
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = random.Random(seed)
-    if d == 0:
-        return Graph.from_edges(n, [])
 
     def attempt() -> set[tuple[int, int]] | None:
         edges: set[tuple[int, int]] = set()

@@ -178,31 +178,33 @@ def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Frac
 
     Along any order consistent with producing `target`, the partial
     coloring is target restricted to the colored set, so a subset-DP
-    over colored sets is exact.  2^n states; small graphs only.
+    over colored sets is exact.  2^n states; small graphs only.  A
+    target random greedy never outputs (a color off the palette 1..D+1,
+    or an edge whose ends share one) has probability 0.
     """
     n = g.n
     if set(target) != set(range(n)):
         raise ValueError("target must color every vertex")
     palette = range(1, g.max_degree + 2)
+    if any(c not in palette for c in target.values()) or any(
+        target[u] == target[v] for u, v in g.edges()
+    ):
+        return Fraction(0)
     full = (1 << n) - 1
     adj = g.neighbor_lists()
     prob = {0: Fraction(1)}
     for mask in range(full):
-        p = prob.get(mask)
-        if p is None or p == 0:
-            continue
+        p = prob[mask]
         uncolored = n - bin(mask).count("1")
         pick = Fraction(1, uncolored)
         for v in range(n):
             if mask >> v & 1:
                 continue
             used = {target[w] for w in adj[v] if mask >> w & 1}
-            if target[v] in used:
-                continue
             n_avail = sum(1 for c in palette if c not in used)
             nxt = mask | 1 << v
             prob[nxt] = prob.get(nxt, Fraction(0)) + p * pick / n_avail
-    return prob.get(full, Fraction(0))
+    return prob[full]
 
 
 # ---------------------------------------------------------------------------

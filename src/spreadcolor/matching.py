@@ -38,6 +38,8 @@ __all__ = [
 
 INF = -1  # an unmatched vertex, and an unreached one in the search
 
+LAMBDA_MAX = 0.25  # the largest lambda (degrees >= (1-lambda)I) the dense matcher takes
+
 
 def _biadjacency(m) -> np.ndarray:
     """The boundary check of every entry point: m as a 2-D boolean matrix."""
@@ -163,7 +165,6 @@ def spread_matching_dense(
     k: int,
     rng: np.random.Generator,
     max_tries: int = 200,
-    lambda_max: float = 0.25,
     k_max: int = 16,
 ) -> Matching:
     """Perfect matching in a bigraph with both sides of size I and all
@@ -172,14 +173,17 @@ def spread_matching_dense(
 
     Conditioning a spread edge set on an event of constant probability
     keeps it spread, so the retries do not spoil the distribution.  k
-    doubles (up to k_max) when acceptance looks hopeless.
+    doubles (up to k_max) when acceptance looks hopeless; k outside
+    1..k_max is a ValueError.
     """
     f = _biadjacency(f)
+    if not 1 <= k <= k_max:
+        raise ValueError(f"need 1 <= k <= k_max, got k={k}, k_max={k_max}")
     i_size, ny = f.shape
     if i_size != ny:
         raise HypothesisViolated(f"parts must have equal size, got {i_size} vs {ny}")
-    if not 0 <= lam <= lambda_max:
-        raise HypothesisViolated(f"lambda = {lam:.4f} exceeds lambda_max = {lambda_max}")
+    if not 0 <= lam <= LAMBDA_MAX:
+        raise HypothesisViolated(f"lambda = {lam:.4f} exceeds lambda_max = {LAMBDA_MAX}")
     need = (1.0 - lam) * i_size
     if i_size:
         low = int(min(np.count_nonzero(f, axis=1).min(), np.count_nonzero(f, axis=0).min()))
@@ -194,7 +198,7 @@ def spread_matching_dense(
             m.validate(f)
             return m
         failures_at_k += 1
-        if failures_at_k >= 100 and k < k_max:
+        if failures_at_k >= 100:
             k = min(2 * k, k_max)
             failures_at_k = 0
     raise MaxTriesExceeded(
@@ -209,7 +213,6 @@ def spread_X_perfect_matching(
     r_x: Sequence[float] | None = None,
     k: int = 3,
     max_tries: int = 200,
-    lambda_max: float = 0.25,
     k_max: int = 16,
 ) -> Matching:
     """X-perfect matching in a bigraph on (X, Y) with |X| = J,
@@ -222,9 +225,12 @@ def spread_X_perfect_matching(
     < (1-delta)J, delta = 5*sqrt(z)) and remove both endpoints.  Phase 2
     matches the rest against the surviving high-degree colors.  The
     edge-count lower bounds that make phase 1 work are asserted at every
-    step; they are finite-D floors, so a miss raises FloorNotMet.
+    step; they are finite-D floors, so a miss raises FloorNotMet.  As in
+    spread_matching_dense, k outside 1..k_max is a ValueError.
     """
     b = _biadjacency(b)
+    if not 1 <= k <= k_max:
+        raise ValueError(f"need 1 <= k <= k_max, got k={k}, k_max={k_max}")
     j, ny = b.shape
     big_r = ny - j
     if j == 0:
@@ -308,9 +314,9 @@ def spread_X_perfect_matching(
         raise VerificationFailed(f"dense phase sizes differ: {i_size} vs {len(v1)}")
     dense_meta = {}
     if i_size:
-        lam = min(2.0 * delta, lambda_max)
+        lam = min(2.0 * delta, LAMBDA_MAX)
         m_dense = spread_matching_dense(
-            b[np.ix_(v0, v1)], lam, k, rng, max_tries=max_tries, lambda_max=lambda_max, k_max=k_max
+            b[np.ix_(v0, v1)], lam, k, rng, max_tries=max_tries, k_max=k_max
         )
         dense_meta = m_dense.meta
         hit = m_dense.match >= 0

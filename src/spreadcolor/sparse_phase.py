@@ -44,6 +44,7 @@ __all__ = [
 
 _LABEL_TAG = 0xA1
 _GREEDY_TAG = 0xA2
+ACCEPT_TARGET = 0.5  # the calibrated window accepts a whole labeling about this often
 
 
 def tranquil_mask(g: Graph, tau: np.ndarray) -> np.ndarray:
@@ -60,8 +61,6 @@ def tranquil_mask(g: Graph, tau: np.ndarray) -> np.ndarray:
 def _in_t_counts(g: Graph, t_mask: np.ndarray) -> np.ndarray:
     """Per vertex, the number of its neighbors inside the mask."""
     flat, ptr = g.flat, g.ptr
-    if len(flat) == 0:
-        return np.zeros(g.n, dtype=np.int64)
     vals = t_mask[flat].astype(np.int64)
     counts = np.zeros(g.n, dtype=np.int64)
     nonempty = ptr[:-1] < ptr[1:]
@@ -119,10 +118,10 @@ def _bad_vertices(
     return bad
 
 
-def default_window_halfwidth(d: int, n_star: int, accept_target: float) -> float:
+def default_window_halfwidth(d: int, n_star: int) -> float:
     """Halfwidth (absolute units) of the accepted |N_v ∩ T| window around
     e^-1 * D, sized so that all n_star sparse vertices land inside with
-    probability about accept_target.
+    probability about ACCEPT_TARGET.
 
     |N_v ∩ T| behaves like Binomial(D, p) with p = (1 - 1/(D+1))^D, whose
     fluctuation scale sqrt(D p (1-p)) dwarfs the theta'/3 window of the
@@ -131,7 +130,7 @@ def default_window_halfwidth(d: int, n_star: int, accept_target: float) -> float
     p = (1.0 - 1.0 / (d + 1)) ** d
     mu = d * p
     sigma = math.sqrt(d * p * (1.0 - p))
-    beta = (1.0 - accept_target) / max(n_star, 1)
+    beta = (1.0 - ACCEPT_TARGET) / max(n_star, 1)
     z = NormalDist().inv_cdf(1.0 - min(beta, 0.5) / 2.0)
     return abs(mu - d / math.e) + z * sigma
 
@@ -141,8 +140,8 @@ def _thresholds(d: int, n_star: int, params: Params) -> tuple[float, float]:
 
     The window is t_window * D when set, else the calibrated one (see
     default_window_halfwidth), never narrower than the theta'/3 * D of
-    the asymptotic statement.  The pair threshold is floor(theta' * D):
-    at desk scale that is 0 and the |P_v| clause is vacuous, which is the
+    the asymptotic statement (theta' = e^-3 * theta / 2, derived by
+    Params).  The pair threshold is floor(theta' * D): at desk scale that is 0 and the |P_v| clause is vacuous, which is the
     only regime in which the conditioned measure is reachable at all
     (E|P_v| is O(1) for any feasible D here, while the asymptotic
     statement wants Theta(theta * D) of them)."""
@@ -150,9 +149,7 @@ def _thresholds(d: int, n_star: int, params: Params) -> tuple[float, float]:
     if params.t_window is not None:
         window = params.t_window * d
     else:
-        window = max(
-            default_window_halfwidth(d, n_star, params.accept_target), theta_prime / 3.0 * d
-        )
+        window = max(default_window_halfwidth(d, n_star), theta_prime / 3.0 * d)
     return window, float(math.floor(theta_prime * d))
 
 

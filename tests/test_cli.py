@@ -22,6 +22,8 @@ from spreadcolor.graphs import (
 )
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
+from spreadcolor.thresholds import CurveRow, SparsificationCurve
+from test_params import REMOVED_FIELDS
 
 
 def test_gen_writes_edge_list(tmp_path, capsys):
@@ -30,6 +32,11 @@ def test_gen_writes_edge_list(tmp_path, capsys):
     g = read_edge_list(out.read_text())
     assert g.n == 20
     assert g.is_regular(4)
+
+
+def test_gen_without_out_writes_the_edge_list_to_stdout(capsys):
+    assert main(["gen", "--n", "20", "--D", "4", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == write_edge_list(gen_random_regular(20, 4, seed=3))
 
 
 def test_gen_deterministic(tmp_path):
@@ -79,6 +86,16 @@ def test_sample_pipeline(tmp_path, capsys):
     assert data["palette"] == 9
     for run in data["runs"]:
         assert len(run["coloring"]) == 40
+
+
+def test_sample_without_out_prints_the_json(tmp_path, capsys):
+    argv = ["sample", "--n", "40", "--D", "8", "--seeds", "2", "--seed", "1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "2 colorings, 0 flagged no-spread-guarantee\n"
+    out = tmp_path / "runs.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed.out == out.read_text() + "\n"
 
 
 def test_decompose_json(tmp_path, capsys):
@@ -139,6 +156,17 @@ def test_sparsify(tmp_path):
     assert len(lines) == 4
 
 
+def test_sparsify_exits_1_when_the_curve_decreases(monkeypatch, capsys):
+    curve = SparsificationCurve(
+        [CurveRow(2, 10, 9, 0, 0.9, 0.6, 0.98), CurveRow(3, 10, 1, 0, 0.1, 0.02, 0.4)]
+    )
+    monkeypatch.setattr("spreadcolor.cli.sparsification_scan", lambda *a, **k: curve)
+    assert main(["sparsify", "--n", "20", "--D", "4", "--k-values", "2,3"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == curve.to_csv()
+    assert printed.err == "warning: curve not nondecreasing within CI\n"
+
+
 def test_sparsify_a_search_deeper_than_the_recursion_limit(capsys):
     # full lists branch once per vertex; this exited 1 with a RecursionError
     assert main(["sparsify", "--n", "1000", "--D", "4", "--k-values", "5", "--trials", "1"]) == 0
@@ -196,7 +224,7 @@ def test_a_hypergraph_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text('{"eps": 0.04, "d_min": 2}')
+    cfgf.write_text('{"eps": 0.04, "max_tries": 2}')
     g_file = tmp_path / "g.txt"
     main(["gen", "--n", "30", "--D", "6", "--seed", "2", "--out", str(g_file)])
     capsys.readouterr()
@@ -402,11 +430,11 @@ SUBCOMMAND_PARAMS = {
 }
 
 
-def test_the_subcommands_offer_43_settable_values_covering_every_param():
+def test_the_subcommands_offer_29_settable_values_covering_every_param():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command").choices
     assert set(subparsers) == set(SUBCOMMAND_PARAMS)
-    assert sum(len(offered) for _, offered in SUBCOMMAND_PARAMS.values()) == 43
+    assert sum(len(offered) for _, offered in SUBCOMMAND_PARAMS.values()) == 29
     covered = set().union(*(offered for _, offered in SUBCOMMAND_PARAMS.values()))
     assert covered >= {f.name for f in fields(Params)}
 
@@ -438,11 +466,11 @@ def test_each_subcommand_offers_exactly_the_params_it_reads_and_round_trips(comm
     [
         (["cost", "--hypergraph", "h.json", "--eps", "7", "--config", "/nonexistent.json"],
          "--eps 7 --config /nonexistent.json"),
-        (["gen", "--n", "20", "--D", "4", "--k-out", "9"], "--k-out 9"),
+        (["gen", "--n", "20", "--D", "4", "--eta", "0.5"], "--eta 0.5"),
         (["counterexample", "red_thumb", "--D", "3", "--seed", "99"], "--seed 99"),
-        (["sparsify", "--n", "20", "--D", "4", "--max-tries", "1", "--h-margin", "3"],
-         "--max-tries 1 --h-margin 3"),
-        (["decompose", "--n", "20", "--D", "4", "--k-out", "9"], "--k-out 9"),
+        (["sparsify", "--n", "20", "--D", "4", "--max-tries", "1", "--zeta0", "3"],
+         "--max-tries 1 --zeta0 3"),
+        (["decompose", "--n", "20", "--D", "4", "--eta", "0.5"], "--eta 0.5"),
         (["sample", "--n", "20", "--D", "4", "--color-cap", "5"], "--color-cap 5"),
     ],
 )
@@ -474,14 +502,14 @@ def test_greedy_audit_rejects_pipeline_params(sampler, name, capsys):
 def test_greedy_audit_takes_pipeline_params_from_a_config_file(tmp_path, capsys):
     # a config file may carry any field, so one file serves every subcommand
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text('{"k_out": 9}')
+    cfgf.write_text('{"eta": 0.5}')
     argv = ["audit", "--sampler", "slack-greedy", "--n", "20", "--D", "4", "--trials", "5",
             "--family", "singletons"]
     assert main(argv + ["--config", str(cfgf)]) == 0
     with_config = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == with_config
-    assert main(argv + ["--k-out", "9"]) == 2
+    assert main(argv + ["--eta", "0.5"]) == 2
 
 
 def test_greedy_boys_rejects_enum_cap(tmp_path, capsys):
@@ -516,11 +544,25 @@ def test_decompose_seed_with_a_graph_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_bad_matching_param_is_a_usage_error(capsys):
-    assert main(["sample", "--n", "40", "--D", "8", "--k-out", "0"]) == 2
-    assert "k_out" in capsys.readouterr().err
+    assert main(["sample", "--n", "40", "--D", "8", "--match-max-tries", "0"]) == 2
+    assert "match_max_tries must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--theta", "--theta-prime", "--t-window", "--c-hat-ceiling"])
+@pytest.mark.parametrize("command", ["sample", "audit"])
+@pytest.mark.parametrize("name", REMOVED_FIELDS)
+def test_a_removed_knob_exits_2_as_a_flag_and_in_a_config_file(command, name, tmp_path, capsys):
+    # these values are constants of the construction, not Params fields
+    flag = f"--{name.replace('_', '-')}"
+    argv = [command, "--n", "20", "--D", "4"]  # both exit before any trial runs
+    assert main(argv + [flag, "2"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 2\n")
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({name: 2}))
+    assert main(argv + ["--config", str(cfgf)]) == 2
+    assert capsys.readouterr().err == f"error: unknown parameter(s): ['{name}']\n"
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--t-window", "--c-hat-ceiling"])
 @pytest.mark.parametrize("value", ["nan", "0", "-0.1", "inf"])
 def test_bad_threshold_is_a_usage_error(flag, value, capsys):
     command = "audit" if flag == "--c-hat-ceiling" else "sample"  # only audit reads the ceiling
@@ -531,7 +573,6 @@ def test_bad_threshold_is_a_usage_error(flag, value, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sample", "--n", "40", "--D", "8", "--h-margin", "nan"], "h_margin must be finite and > 1"),
         (["sample", "--n", "40", "--D", "8", "--zeta0", "-1"], "zeta0 must be finite and >= 0"),
         (["sample", "--n", "40", "--D", "8", "--eta", "2"], "eta must be finite and in (0, 1]"),
         (["sparsify", "--n", "20", "--D", "4", "--color-cap", "0"], "color_cap must be >= 1"),

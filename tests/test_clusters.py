@@ -474,8 +474,9 @@ class TestPipeline:
         assert is_proper(g, res.coloring)
 
     def test_d_min_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max degree 2 below d_min = 4$"):
             Pipeline(complete_graph(3))
+        Pipeline(gen_random_regular(20, 4, seed=1))  # max degree 4 = D_MIN
 
     def test_irregular_input_regularized(self):
         # star-ish irregular graph: pipeline must still produce a proper

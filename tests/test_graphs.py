@@ -654,6 +654,13 @@ class TestGenRandomRegular:
         g = gen_random_regular(120, 40, seed=9)
         assert g.is_regular(40)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_degree_zero_is_the_edgeless_graph(self, n):
+        # the pairing loop has no stubs to place and returns no edges
+        g = gen_random_regular(n, 0, seed=3)
+        assert g == Graph.from_edges(n, [])
+        assert g.n == n and g.edge_count() == 0 and g.is_regular(0)
+
 
 def test_keyed_rng_is_the_pcg64_stream_of_its_key():
     # sparse phase, clusters, audits and sparsification all draw from it, so

@@ -255,6 +255,17 @@ class TestRandomGreedy:
         )
         assert total == 1
 
+    @pytest.mark.parametrize(
+        "target, p",
+        [({0: 1, 1: 2}, Fraction(1, 2)),
+         ({0: 1, 1: 99}, Fraction(0)),  # 99 is off the palette {1, 2}
+         ({0: 0, 1: 1}, Fraction(0)),   # so is 0
+         ({0: 1, 1: 1}, Fraction(0))],  # the edge's ends share a color
+    )
+    def test_a_target_greedy_never_outputs_has_probability_0(self, target, p):
+        # off-palette targets used to get 3/8 on one edge (D = 1)
+        assert random_greedy_exact_probability(complete_graph(2), target) == p
+
     def test_exact_matches_sampler_frequency(self):
         ce = build_counterexample("greedy_boys", 2)
         rng = np.random.default_rng(11)

@@ -154,6 +154,10 @@ class TestDenseMatching:
         b = complete(10, 10)
         with pytest.raises(HypothesisViolated):
             spread_matching_dense(b, lam=0.5, k=3, rng=np.random.default_rng(7))
+        # the ceiling is 1/4, inclusive
+        spread_matching_dense(b, lam=0.25, k=3, rng=np.random.default_rng(7))
+        with pytest.raises(HypothesisViolated, match="^lambda = 0.2600 exceeds lambda_max = 0.25$"):
+            spread_matching_dense(b, lam=0.26, k=3, rng=np.random.default_rng(7))
 
     def test_unequal_parts_rejected(self):
         with pytest.raises(HypothesisViolated):
@@ -228,6 +232,23 @@ class TestKDoubling:
         with pytest.raises(MaxTriesExceeded, match=r"in 200 k-out draws \(final k=16\)"):
             spread_matching_dense(complete(20, 20), lam=0.1, k=16, rng=np.random.default_rng(32))
         assert ks == [16] * 200
+
+    @pytest.mark.parametrize("k, k_max", [(0, 16), (17, 16), (3, 2)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k, k_max: spread_matching_dense(
+                complete(4, 4), lam=0.1, k=k, rng=np.random.default_rng(0), k_max=k_max
+            ),
+            lambda k, k_max: spread_X_perfect_matching(
+                complete(4, 4), z=0.1, rng=np.random.default_rng(0), k=k, k_max=k_max
+            ),
+        ],
+        ids=["spread_matching_dense", "spread_X"],
+    )
+    def test_k_outside_1_to_k_max_is_a_value_error(self, call, k, k_max):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= k_max, got k={k}, k_max={k_max}$"):
+            call(k, k_max)
 
 
 def _instance_r_le_0(j: int, big_r: int) -> np.ndarray:

@@ -1,30 +1,24 @@
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spreadcolor import matching
-from spreadcolor.clusters import Pipeline
-from spreadcolor.graphs import complete_graph
 from spreadcolor.params import Params
+
+# fields the construction fixes, now constants where they are read
+REMOVED_FIELDS = ["theta_prime", "accept_target", "k_out", "k_out_max", "lambda_max",
+                  "h_margin", "d_min"]
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        {"k_out": 0},
-        {"k_out": -1},
-        {"k_out": 17},  # above the default k_out_max = 16
-        {"k_out": 3, "k_out_max": 2},
         {"max_tries": 0},
         {"max_tries": -1},
         {"match_max_tries": 0},
-        {"lambda_max": 0.0},
-        {"lambda_max": 1.0},
-        {"lambda_max": 5.0},
-        {"lambda_max": -0.1},
     ],
 )
 def test_bad_matching_params_rejected(bad):
@@ -34,7 +28,7 @@ def test_bad_matching_params_rejected(bad):
         Params.from_dict(bad)
 
 
-@pytest.mark.parametrize("name", ["theta", "theta_prime", "t_window", "c_hat_ceiling"])
+@pytest.mark.parametrize("name", ["theta", "t_window", "c_hat_ceiling"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -0.01])
 def test_bad_thresholds_rejected(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
@@ -48,8 +42,7 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize(
     "name, value, message",
-    [("h_margin", v, "h_margin must be finite and > 1") for v in (NAN, INF, -INF, 1.0, 0.5)]
-    + [("zeta0", v, "zeta0 must be finite and >= 0") for v in (NAN, INF, -INF, -1.0, -1e-9)]
+    [("zeta0", v, "zeta0 must be finite and >= 0") for v in (NAN, INF, -INF, -1.0, -1e-9)]
     + [("eta", v, r"eta must be finite and in \(0, 1\]") for v in (NAN, INF, -INF, 0.0, -0.5, 2.0, 1.0001)]
     + [(name, v, f"{name} must be >= 1") for name in ("enum_cap", "color_cap") for v in (0, -1)],
 )
@@ -60,9 +53,8 @@ def test_bad_cluster_and_cap_values_rejected(name, value, message):
         Params.from_dict({name: value})
 
 
-INT_FIELDS = ["k_out", "k_out_max", "max_tries", "match_max_tries", "d_min", "enum_cap", "color_cap"]
-FLOAT_FIELDS = ["eps", "theta", "theta_prime", "t_window", "accept_target", "lambda_max",
-                "zeta0", "eta", "h_margin", "c_hat_ceiling"]
+INT_FIELDS = ["max_tries", "match_max_tries", "enum_cap", "color_cap"]
+FLOAT_FIELDS = ["eps", "theta", "t_window", "zeta0", "eta", "c_hat_ceiling"]
 
 
 @pytest.mark.parametrize("name", INT_FIELDS)
@@ -83,7 +75,7 @@ def test_non_real_rejected(name, value):
         Params.from_dict({name: value})
 
 
-@pytest.mark.parametrize("name", ["eps", "accept_target", "lambda_max", "h_margin", "c_hat_ceiling"])
+@pytest.mark.parametrize("name", ["eps", "c_hat_ceiling"])
 def test_none_rejected_where_no_default_is_derived(name):
     with pytest.raises(ValueError, match=f"{name} must be a real number, got None"):
         Params(**{name: None})
@@ -91,6 +83,7 @@ def test_none_rejected_where_no_default_is_derived(name):
 
 def test_field_kinds_cover_every_field():
     assert sorted(INT_FIELDS + FLOAT_FIELDS) == sorted(f.name for f in fields(Params))
+    assert len(fields(Params)) == 10
 
 
 def test_numpy_scalars_and_ints_accepted():
@@ -99,31 +92,24 @@ def test_numpy_scalars_and_ints_accepted():
 
 
 def test_boundary_values_accepted():
-    Params(k_out=1, k_out_max=1, max_tries=1, match_max_tries=1, lambda_max=0.999)
-    Params(k_out=16)
-    Params(theta=1e-300, theta_prime=1e-300)
-    Params(theta=1.0, theta_prime=1.0)
+    Params(max_tries=1, match_max_tries=1)
+    Params(theta=1e-300)
+    Params(theta=1.0)
     Params(t_window=1e-300, c_hat_ceiling=1e-300)
     Params(t_window=None)
-    Params(h_margin=1.0000001, zeta0=0.0, eta=1.0, enum_cap=1, color_cap=1)
+    Params(zeta0=0.0, eta=1.0, enum_cap=1, color_cap=1)
     Params(zeta0=1e300, eta=1e-300)
 
 
-def test_removed_knob_is_an_unknown_parameter():
-    with pytest.raises(ValueError, match="unknown parameter"):
-        Params.from_dict({"dense_edge_ceiling": 10.0})
+@pytest.mark.parametrize("name", ["dense_edge_ceiling", *REMOVED_FIELDS])
+def test_removed_knob_is_an_unknown_parameter(name):
+    with pytest.raises(ValueError, match=rf"^unknown parameter\(s\): \['{name}'\]$"):
+        Params.from_dict({name: 1})
+    with pytest.raises(TypeError):
+        Params(**{name: 1})
 
 
-def test_k_out_max_reaches_the_dense_matcher(monkeypatch):
-    seen = []
-    real = matching.spread_matching_dense
+def test_theta_prime_is_derived_from_theta():
+    assert Params().theta_prime_value() == 0.5 * math.exp(-3.0) * 0.05**2 / 16
+    assert Params(theta=0.05).theta_prime_value() == 0.5 * math.exp(-3.0) * 0.05
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["k_max"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(matching, "spread_matching_dense", spy)
-    Pipeline(complete_graph(17), Params(k_out_max=5)).sample(0)
-    assert seen == [5]
-    res = Pipeline(complete_graph(17), Params(k_out=2, k_out_max=4)).sample(0)
-    assert seen == [5, 4] and sorted(res.coloring.tolist()) == list(range(1, 18))

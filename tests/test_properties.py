@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spreadcolor.cli import main  # noqa: E402
-from spreadcolor.clusters import Pipeline  # noqa: E402
+from spreadcolor.clusters import D_MIN, Pipeline  # noqa: E402
 from spreadcolor.errors import HypothesisViolated  # noqa: E402
 from spreadcolor.graphs import (  # noqa: E402
     Graph,
@@ -46,11 +46,11 @@ def small_part(draw) -> Graph:
 
 @st.composite
 def small_graphs(draw) -> Graph:
-    """Disjoint union of one to four small parts, max degree >= d_min."""
+    """Disjoint union of one to four small parts, max degree >= D_MIN."""
     g = draw(small_part())
     for part in draw(st.lists(small_part(), max_size=3)):
         g = disjoint_union(g, part)
-    assume(g.max_degree >= Params().d_min)
+    assume(g.max_degree >= D_MIN)
     return g
 
 

@@ -83,10 +83,12 @@ def _literal_bad(g: Graph, tau: np.ndarray, theta_prime: float) -> np.ndarray:
     )
 
 
-def label(g: Graph, vstar, seed: int, theta_prime: float | None = None, max_tries: int = 10_000):
+def label(g: Graph, vstar, seed: int, max_tries: int = 10_000):
     """sample_conditioned_labeling with the thresholds sparse_phase_color
-    derives for |vstar| sparse vertices under Params(theta_prime=...)."""
-    window, pair_min = _thresholds(g.max_degree, len(vstar), Params(theta_prime=theta_prime))
+    derives for |vstar| sparse vertices under Params(): the calibrated
+    window, and no pair clause (theta' * D < 1 at every D here)."""
+    window, pair_min = _thresholds(g.max_degree, len(vstar), Params())
+    assert pair_min == 0
     return sample_conditioned_labeling(g, vstar, seed, window, pair_min, max_tries)
 
 
@@ -120,6 +122,11 @@ class TestLabelStatistics:
         t_mask = tranquil_mask(g, tau)
         assert np.flatnonzero(t_mask).tolist() == [2, 3, 4]
         assert _in_t_counts(g, t_mask).tolist() == [1, 1, 1, 2, 1]
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_in_t_counts_on_an_edgeless_graph_are_zero(self, n):
+        counts = _in_t_counts(Graph.from_edges(n, []), np.ones(n, dtype=bool))
+        assert counts.dtype == np.int64 and counts.tolist() == [0] * n
 
     def test_pair_count_definition(self):
         # star center: leaves are mutually non-adjacent; two leaves sharing a
@@ -203,7 +210,7 @@ class TestLabelStatistics:
 class TestConditionedLabeling:
     def test_empty_vstar_single_draw(self):
         g = complete_graph(4)
-        tau, t_mask = label(g, [], seed=5, theta_prime=0.001)
+        tau, t_mask = label(g, [], seed=5)
         assert tau.shape == (4,)
         assert set(tau) <= set(range(1, 6))
         # no sparse vertex: attempt 0's labels and its T
@@ -223,8 +230,8 @@ class TestConditionedLabeling:
     def test_conditioning_enforces_window(self):
         g = gen_random_regular(100, 16, seed=2)
         d = 16
-        w = default_window_halfwidth(d, 100, 0.5)
-        tau, t_mask = label(g, range(100), seed=3, theta_prime=1e-5)
+        w = default_window_halfwidth(d, 100)
+        tau, t_mask = label(g, range(100), seed=3)
         every = np.ones(100, dtype=bool)
         assert not _bad_vertices(g, tau, t_mask, every, d, w, 0.0).any()
 
@@ -241,11 +248,11 @@ class TestConditionedLabeling:
         # sparse_phase_color hands on Decomposition.sparse_ids(), an array
         g = gen_random_regular(60, 8, seed=4)
         ids = range(0, 60, 3)
-        want = label(g, ids, seed=78, theta_prime=1e-4)
+        want = label(g, ids, seed=78)
         for vstar in (frozenset(ids), list(ids), np.array(ids), Decomposition(
             frozenset(ids), (), 0.4, 0.001
         ).sparse_ids()):
-            got = label(g, vstar, seed=78, theta_prime=1e-4)
+            got = label(g, vstar, seed=78)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("vstar", [[-1], [3, 60], np.array([5, -2, 70])])
@@ -254,12 +261,12 @@ class TestConditionedLabeling:
         g = gen_random_regular(60, 8, seed=4)
         stray = min(v for v in np.asarray(vstar).tolist() if not 0 <= v < 60)
         with pytest.raises(ValueError, match=f"^vertex {stray} not in graph of order 60$"):
-            label(g, vstar, seed=78, theta_prime=1e-4)
+            label(g, vstar, seed=78)
 
     def test_deterministic_given_seed(self):
         g = gen_random_regular(60, 8, seed=4)
-        a = label(g, range(60), seed=77, theta_prime=1e-4)
-        b = label(g, range(60), seed=77, theta_prime=1e-4)
+        a = label(g, range(60), seed=77)
+        b = label(g, range(60), seed=77)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_first_try_acceptance_rate(self):

@@ -13,7 +13,9 @@ from spreadcolor.errors import CapExceeded
 from spreadcolor.graphs import Graph, complete_graph, gen_random_regular
 from spreadcolor.greedy import uniform_lists
 from spreadcolor.thresholds import (
+    CurveRow,
     Hypergraph,
+    SparsificationCurve,
     _draw_lists,
     cost_bruteforce,
     decide_list_colorable,
@@ -434,6 +436,19 @@ class TestSparsificationScan:
         curve = sparsification_scan(g, [2, 3, 4, 5, 7], trials=60, seed=6)
         assert curve.nondecreasing_within_ci()
         assert curve.rows[-1].rate == 1.0
+
+    def test_nondecreasing_within_ci(self):
+        def row(k, lo, hi):
+            return CurveRow(k, 10, 5, 0, 0.5, lo, hi)
+
+        # each row's upper bound must reach the previous row's lower bound
+        assert SparsificationCurve([row(2, 0.4, 0.6), row(3, 0.1, 0.4)]).nondecreasing_within_ci()
+        assert not SparsificationCurve(
+            [row(2, 0.4, 0.6), row(3, 0.1, 0.39)]
+        ).nondecreasing_within_ci()
+        assert not SparsificationCurve(
+            [row(2, 0.0, 0.2), row(3, 0.5, 0.9), row(4, 0.1, 0.3)]
+        ).nondecreasing_within_ci()
 
     def test_k_range_validated(self):
         g = complete_graph(3)
