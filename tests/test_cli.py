@@ -548,12 +548,24 @@ def test_bad_matching_param_is_a_usage_error(capsys):
     assert "match_max_tries must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["sample", "audit"])
+# every subcommand that takes --config, each exiting before it does any work
+CONFIG_COMMANDS = {
+    "sample": ["sample", "--n", "20", "--D", "4"],
+    "audit": ["audit", "--n", "20", "--D", "4"],
+    "audit-random-greedy": ["audit", "--sampler", "random-greedy", "--n", "20", "--D", "4"],
+    "audit-slack-greedy": ["audit", "--sampler", "slack-greedy", "--n", "20", "--D", "4"],
+    "decompose": ["decompose", "--n", "20", "--D", "4"],
+    "counterexample": ["counterexample", "red_thumb", "--D", "3"],
+    "sparsify": ["sparsify", "--n", "20", "--D", "4"],
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("name", REMOVED_FIELDS)
 def test_a_removed_knob_exits_2_as_a_flag_and_in_a_config_file(command, name, tmp_path, capsys):
     # these values are constants of the construction, not Params fields
     flag = f"--{name.replace('_', '-')}"
-    argv = [command, "--n", "20", "--D", "4"]  # both exit before any trial runs
+    argv = CONFIG_COMMANDS[command]
     assert main(argv + [flag, "2"]) == 2
     assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 2\n")
     cfgf = tmp_path / "cfg.json"

@@ -233,8 +233,8 @@ class TestKDoubling:
             spread_matching_dense(complete(20, 20), lam=0.1, k=16, rng=np.random.default_rng(32))
         assert ks == [16] * 200
 
-    @pytest.mark.parametrize("k, k_max", [(0, 16), (17, 16), (3, 2)])
-    @pytest.mark.parametrize(
+    # both matchers, called on K_{4,4} with a given k and k_max
+    MATCHERS = pytest.mark.parametrize(
         "call",
         [
             lambda k, k_max: spread_matching_dense(
@@ -246,9 +246,19 @@ class TestKDoubling:
         ],
         ids=["spread_matching_dense", "spread_X"],
     )
+
+    @pytest.mark.parametrize("k, k_max", [(0, 16), (17, 16), (3, 2)])
+    @MATCHERS
     def test_k_outside_1_to_k_max_is_a_value_error(self, call, k, k_max):
         with pytest.raises(ValueError, match=rf"^need 1 <= k <= k_max, got k={k}, k_max={k_max}$"):
             call(k, k_max)
+
+    @pytest.mark.parametrize("k, k_max", [(1, 16), (16, 16), (1, 1)])
+    @MATCHERS
+    def test_k_at_either_end_of_1_to_k_max_is_accepted(self, call, k, k_max):
+        m = call(k, k_max)
+        assert m.is_x_perfect()
+        m.validate(complete(4, 4))
 
 
 def _instance_r_le_0(j: int, big_r: int) -> np.ndarray:
