@@ -26,6 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .graphs import Graph, check_proper, keyed_rng, regularize
+from .greedy import ban_matrix, slack_greedy
 from .matching import spread_X_perfect_matching
 from .params import Params
 from .sparse_phase import sparse_phase_color
@@ -330,15 +331,11 @@ def _assert_cluster_proper(ctx: ClusterContext, colors: np.ndarray) -> None:
 
 
 def _greedy_cluster_fallback(g: Graph, members: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """Deterministic first-legal-color completion of the sorted cluster
-    `members` against the color array (0 = uncolored); palette D+1 always
-    suffices on a graph of max degree D.  Returns the members' colors."""
-    d = g.max_degree
-    colors = colors.copy()
-    for v in members.tolist():
-        used = set(colors[g.flat[g.ptr[v] : g.ptr[v + 1]]].tolist())
-        colors[v] = next(c for c in range(1, d + 2) if c not in used)
-    return colors[members]
+    """The members' colors in the deterministic first-legal-color completion
+    of the sorted, uncolored cluster `members` against `colors` (0 = none):
+    slack greedy with every uniform 0.  Palette D+1 suffices at max degree D."""
+    allowed, earlier, later, _ = ban_matrix(g, members, colors)
+    return slack_greedy(members, allowed, earlier, later, np.zeros(len(members)))
 
 
 # ---------------------------------------------------------------------------

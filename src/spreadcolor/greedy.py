@@ -1,6 +1,10 @@
-"""Greedy samplers, exact coloring enumeration, and the three
-counterexample instances showing that the uniform and random-greedy
-distributions need not be well spread.
+"""Slack greedy, exact coloring enumeration, and the three counterexample
+instances showing that the uniform and random-greedy distributions need
+not be well spread.
+
+`slack_greedy` is the package's one greedy coloring: the sparse phase,
+the cluster fallback (every uniform 0: the first legal color) and both
+samplers run it.
 
 A list assignment maps each vertex to its allowed colors.  The samplers
 and the enumeration give int64 color arrays indexed by vertex; only the
@@ -12,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StuckVertex
+from .errors import CapExceeded, StuckVertex
 from .graphs import Graph, complete_bipartite, complete_graph
 from .thresholds import list_colorings
 
@@ -46,24 +51,154 @@ def uniform_lists(g: Graph, palette_size: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+# Below this many leftovers the sequential greedy is faster: the level path
+# pays about fifteen numpy calls per level (40-50 levels at every size
+# measured), and that fixed cost outweighs a Python loop over a few hundred
+# vertices.  On random regular graphs the level path took up to 3x longer
+# at 60-260 leftovers, from even to 1.5x faster at 500 (D = 16 and 40),
+# and 3-5x faster at 2,700.
+_LEVEL_MIN_LEFTOVERS = 512
+
+
+def _greedy_sequential(
+    leftovers: np.ndarray,
+    allowed: np.ndarray,
+    earlier: np.ndarray,
+    later: np.ndarray,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Slack greedy over the leftovers in ascending order: position i drops
+    the colors of its earlier leftover neighbors from its allowed row and
+    takes avail[floor(uniforms[i] * |avail|)].  allowed's column 0 (no
+    color) is False; (earlier[e], later[e]) are positions in leftovers."""
+    k = len(leftovers)
+    order = np.argsort(later, kind="stable")
+    pred = earlier[order].tolist()
+    pred_ptr = np.searchsorted(later[order], np.arange(k + 1)).tolist()
+    rows, cols = np.nonzero(allowed)
+    avail_ptr = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    cols = cols.tolist()
+    picked: list[int] = []
+    for i, u in enumerate(uniforms.tolist()):
+        avail = cols[avail_ptr[i] : avail_ptr[i + 1]]
+        if pred_ptr[i] < pred_ptr[i + 1]:
+            used = {picked[j] for j in pred[pred_ptr[i] : pred_ptr[i + 1]]}
+            avail = [c for c in avail if c not in used]
+        if not avail:
+            raise StuckVertex(f"slack greedy stuck at vertex {leftovers[i]}")
+        picked.append(avail[int(u * len(avail))])
+    return np.array(picked, dtype=np.int64)
+
+
+def _greedy_levels(
+    leftovers: np.ndarray,
+    allowed: np.ndarray,
+    earlier: np.ndarray,
+    later: np.ndarray,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """The same greedy, one frontier of the leftover DAG at a time: a
+    position whose earlier neighbors are all colored sees exactly the row
+    it would see in the sequential loop, so the whole frontier picks in
+    one step (Jones & Plassmann's priority DAG).  The colors picked are
+    the sequential ones.
+
+    A stuck position is recorded and the loop carries on; the smallest one
+    is raised.  That is the sequential loop's first stuck position: its
+    predecessors are earlier and none of them is stuck, so its row is
+    exact, while every wrong row lies after it."""
+    k = len(leftovers)
+    allowed = allowed.copy()
+    indeg = np.bincount(later, minlength=k)
+    order = np.argsort(earlier, kind="stable")
+    succ = later[order]
+    succ_ptr = np.concatenate(([0], np.cumsum(np.bincount(earlier, minlength=k))))
+    picked = np.zeros(k, dtype=np.int64)
+    first_stuck = k
+    front = np.flatnonzero(indeg == 0)
+    while len(front):
+        rows = allowed[front]
+        cnt = rows.sum(axis=1)
+        nth = (uniforms[front] * cnt).astype(np.int64)
+        # the nth allowed color is the number of columns whose running count
+        # of allowed colors is still <= nth; a stuck row takes column 0,
+        # which is never allowed, so clearing it below changes nothing
+        c = (np.cumsum(rows, axis=1) <= nth[:, None]).sum(axis=1)
+        stuck = cnt == 0
+        if stuck.any():
+            first_stuck = min(first_stuck, int(front[stuck].min()))
+            c[stuck] = 0
+        picked[front] = c
+        # out-edges of the frontier, gathered from the CSR ranges
+        start = succ_ptr[front]
+        lens = succ_ptr[front + 1] - start
+        offsets = np.repeat(start - (np.cumsum(lens) - lens), lens)
+        s = succ[offsets + np.arange(len(offsets))]
+        allowed[s, np.repeat(c, lens)] = False
+        indeg -= np.bincount(s, minlength=k)
+        ready = np.zeros(k, dtype=bool)
+        ready[s[indeg[s] == 0]] = True
+        front = np.flatnonzero(ready)
+    if first_stuck < k:
+        raise StuckVertex(f"slack greedy stuck at vertex {leftovers[first_stuck]}")
+    return picked
+
+
+def slack_greedy(
+    leftovers: np.ndarray,
+    allowed: np.ndarray,
+    earlier: np.ndarray,
+    later: np.ndarray,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """The column each position picks (arguments as in _greedy_sequential):
+    one level at a time from _LEVEL_MIN_LEFTOVERS positions on, else one
+    position at a time, with the same picks either way."""
+    greedy = _greedy_levels if len(leftovers) >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
+    return greedy(leftovers, allowed, earlier, later, uniforms)
+
+
+def ban_matrix(g: Graph, vertices: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """slack_greedy's (allowed, earlier, later) for coloring the uncolored
+    `vertices` in the given order against `colors` (0 = uncolored, else
+    1..D+1), and each vertex's number of colored neighbors, whose colors
+    its row of allowed bans."""
+    k = len(vertices)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[vertices] = np.arange(k)
+    eu, ev = g.edge_arrays()
+    pu, pv = pos[eu], pos[ev]
+    allowed = np.ones((k, g.max_degree + 2), dtype=bool)
+    allowed[:, 0] = False
+    n_colored = np.zeros(k, dtype=np.int64)
+    colored = colors > 0
+    for p, b in ((pu, ev), (pv, eu)):
+        hit = (p >= 0) & colored[b]
+        rows = p[hit]
+        allowed[rows, colors[b[hit]]] = False
+        n_colored += np.bincount(rows, minlength=k)
+    both = (pu >= 0) & (pv >= 0)
+    pu, pv = pu[both], pv[both]
+    return allowed, np.minimum(pu, pv), np.maximum(pu, pv), n_colored
+
+
 def slack_greedy_sample(g: Graph, lists: ListAssignment, rng: np.random.Generator) -> np.ndarray:
     """Color the vertices in ascending order, each uniformly from its
     list minus the colors already placed on its neighbors; returns the
-    colors indexed by vertex.
-
-    With |S_v| >= d(v) + 1 for all v no vertex can get stuck; otherwise
-    StuckVertex may be raised.
-    """
-    # None, not 0, marks uncolored: a list may hold color 0
-    sigma: list[int | None] = [None] * g.n
-    adj = g.neighbor_lists()
-    for v in range(g.n):
-        used = {sigma[w] for w in adj[v]}
-        avail = [c for c in lists[v] if c not in used]
-        if not avail:
-            raise StuckVertex(f"vertex {v} has no available color")
-        sigma[v] = avail[int(rng.integers(len(avail)))]
-    return np.array(sigma, dtype=np.int64)
+    colors indexed by vertex.  A list count other than n, or a repeated
+    color, is a ValueError; with |S_v| >= d(v) + 1 for all v no vertex can
+    get stuck, otherwise StuckVertex may be raised."""
+    if len(lists) != g.n:
+        raise ValueError(f"{len(lists)} lists for a graph on {g.n} vertices")
+    lens = np.fromiter(map(len, lists), dtype=np.int64, count=g.n)
+    # column j + 1 stands for the j-th smallest color of any list
+    palette, col = np.unique(np.fromiter(chain.from_iterable(lists), np.int64), return_inverse=True)
+    allowed = np.zeros((g.n, len(palette) + 1), dtype=bool)
+    allowed[np.repeat(np.arange(g.n), lens), col + 1] = True
+    repeats = allowed.sum(axis=1) < lens
+    if repeats.any():
+        raise ValueError(f"vertex {np.argmax(repeats)} lists a color twice")
+    return palette[slack_greedy(np.arange(g.n), allowed, *g.edge_arrays(), rng.random(g.n)) - 1]
 
 
 def slack_greedy_exact_distribution(
@@ -157,19 +292,11 @@ def exact_containment_uniform(
 def random_greedy_sample(g: Graph, rng: np.random.Generator) -> np.ndarray:
     """Pick a uniform uncolored vertex, then a uniform color outside its
     colored neighborhood; palette is [max_degree + 1] so this always
-    completes.  Returns the colors indexed by vertex."""
-    palette = range(1, g.max_degree + 2)
-    uncolored = list(range(g.n))
-    sigma: list[int | None] = [None] * g.n
-    adj = g.neighbor_lists()
-    while uncolored:
-        i = int(rng.integers(len(uncolored)))
-        uncolored[i], uncolored[-1] = uncolored[-1], uncolored[i]
-        v = uncolored.pop()
-        used = {sigma[w] for w in adj[v]}
-        avail = [c for c in palette if c not in used]
-        sigma[v] = avail[int(rng.integers(len(avail)))]
-    return np.array(sigma, dtype=np.int64)
+    completes.  The vertex picks read no color: this is slack greedy in
+    the order rng.permutation(n), returned by vertex (argsort(order))."""
+    order = rng.permutation(g.n)
+    allowed, earlier, later, _ = ban_matrix(g, order, np.zeros(g.n, dtype=np.int64))
+    return slack_greedy(order, allowed, earlier, later, rng.random(g.n))[np.argsort(order)]
 
 
 def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Fraction:
@@ -178,13 +305,16 @@ def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Frac
 
     Along any order consistent with producing `target`, the partial
     coloring is target restricted to the colored set, so a subset-DP
-    over colored sets is exact.  2^n states; small graphs only.  A
-    target random greedy never outputs (a color off the palette 1..D+1,
-    or an edge whose ends share one) has probability 0.
+    over colored sets is exact.  2^n states: n above 20 (as in
+    audit.exact_spread) is a CapExceeded.  A target random greedy never
+    outputs (a color off the palette 1..D+1, or an edge whose ends share
+    one) has probability 0.
     """
     n = g.n
     if set(target) != set(range(n)):
         raise ValueError("target must color every vertex")
+    if n > 20:
+        raise CapExceeded(f"random-greedy subset DP over {n} vertices exceeds 20")
     palette = range(1, g.max_degree + 2)
     if any(c not in palette for c in target.values()) or any(
         target[u] == target[v] for u, v in g.edges()

@@ -10,7 +10,7 @@ from Params through _thresholds.  Rejection accepts each component with
 the T of its accepting attempt and hands that T forward; no edge leaves
 a component, so it is the T of the final labeling.  The hand-off counts
 (|N_v ∩ T| and the leftover degree of each leftover) come from the edge
-pass that builds the greedy's ban matrix and edge list, so the window
+pass that builds the greedy's inputs (greedy.ban_matrix), so the window
 the rejection accepted is checked again on a second, separate count.
 
 Randomness is keyed: attempt t of the rejection loop uses the stream
@@ -30,8 +30,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .decompose import Decomposition
-from .errors import MaxTriesExceeded, StuckVertex, VerificationFailed
+from .errors import MaxTriesExceeded, VerificationFailed
 from .graphs import Graph, check_proper, keyed_rng
+from .greedy import ban_matrix, slack_greedy
 from .params import Params
 
 __all__ = [
@@ -244,121 +245,17 @@ def _check_hand_off(
             raise VerificationFailed(f"vertex {vertices[np.argmax(bad)]} {what}")
 
 
-# Below this many leftovers the sequential greedy is faster: the level path
-# pays about fifteen numpy calls per level (40-50 levels at every size
-# measured), and that fixed cost outweighs a Python loop over a few hundred
-# vertices.  On random regular graphs the level path took up to 3x longer
-# at 60-260 leftovers, from even to 1.5x faster at 500 (D = 16 and 40),
-# and 3-5x faster at 2,700.
-_LEVEL_MIN_LEFTOVERS = 512
-
-
-def _stuck(leftovers: np.ndarray, i: int) -> StuckVertex:
-    return StuckVertex(f"sparse-phase greedy stuck at vertex {leftovers[i]}")
-
-
-def _greedy_sequential(
-    leftovers: np.ndarray,
-    allowed: np.ndarray,
-    earlier: np.ndarray,
-    later: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """Slack greedy over the leftovers in ascending order: position i drops
-    the colors of its earlier leftover neighbors from its allowed row and
-    takes avail[floor(uniforms[i] * |avail|)].  allowed is (k, D+2) with
-    column 0 False; (earlier[e], later[e]) are positions in leftovers."""
-    k = len(leftovers)
-    order = np.argsort(later, kind="stable")
-    pred = earlier[order].tolist()
-    pred_ptr = np.searchsorted(later[order], np.arange(k + 1)).tolist()
-    rows, cols = np.nonzero(allowed)
-    avail_ptr = np.searchsorted(rows, np.arange(k + 1)).tolist()
-    cols = cols.tolist()
-    picked: list[int] = []
-    for i, u in enumerate(uniforms.tolist()):
-        avail = cols[avail_ptr[i] : avail_ptr[i + 1]]
-        if pred_ptr[i] < pred_ptr[i + 1]:
-            used = {picked[j] for j in pred[pred_ptr[i] : pred_ptr[i + 1]]}
-            avail = [c for c in avail if c not in used]
-        if not avail:
-            raise _stuck(leftovers, i)
-        picked.append(avail[int(u * len(avail))])
-    return np.array(picked, dtype=np.int64)
-
-
-def _greedy_levels(
-    leftovers: np.ndarray,
-    allowed: np.ndarray,
-    earlier: np.ndarray,
-    later: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """The same greedy, one frontier of the leftover DAG at a time: a
-    position whose earlier neighbors are all colored sees exactly the row
-    it would see in the sequential loop, so the whole frontier picks in
-    one step (Jones & Plassmann's priority DAG).  The colors picked are
-    the sequential ones.
-
-    A stuck position is recorded and the loop carries on; the smallest one
-    is raised.  That is the sequential loop's first stuck position: its
-    predecessors are earlier and none of them is stuck, so its row is
-    exact, while every wrong row lies after it."""
-    k = len(leftovers)
-    allowed = allowed.copy()
-    indeg = np.bincount(later, minlength=k)
-    order = np.argsort(earlier, kind="stable")
-    succ = later[order]
-    succ_ptr = np.concatenate(([0], np.cumsum(np.bincount(earlier, minlength=k))))
-    picked = np.zeros(k, dtype=np.int64)
-    first_stuck = k
-    front = np.flatnonzero(indeg == 0)
-    while len(front):
-        rows = allowed[front]
-        cnt = rows.sum(axis=1)
-        nth = (uniforms[front] * cnt).astype(np.int64)
-        # the nth allowed color is the number of columns whose running count
-        # of allowed colors is still <= nth; a stuck row takes column 0,
-        # which is never allowed, so clearing it below changes nothing
-        c = (np.cumsum(rows, axis=1) <= nth[:, None]).sum(axis=1)
-        stuck = cnt == 0
-        if stuck.any():
-            first_stuck = min(first_stuck, int(front[stuck].min()))
-            c[stuck] = 0
-        picked[front] = c
-        # out-edges of the frontier, gathered from the CSR ranges
-        start = succ_ptr[front]
-        lens = succ_ptr[front + 1] - start
-        offsets = np.repeat(start - (np.cumsum(lens) - lens), lens)
-        s = succ[offsets + np.arange(len(offsets))]
-        allowed[s, np.repeat(c, lens)] = False
-        indeg -= np.bincount(s, minlength=k)
-        ready = np.zeros(k, dtype=bool)
-        ready[s[indeg[s] == 0]] = True
-        front = np.flatnonzero(ready)
-    if first_stuck < k:
-        raise _stuck(leftovers, first_stuck)
-    return picked
-
-
 def sparse_phase_color(
     g: Graph, dec: Decomposition, seed: int, params: Params | None = None
 ) -> SparsePhaseResult:
     """Proper coloring of the sparse set V*.
 
     sigma on T is the conditioned labeling itself (proper there by
-    construction of T); V* \\ T is finished by slack greedy on the lists
-    Gamma minus the colors seen on T-neighbors.  Labels on T \\ V* are
-    used for those lists and then dropped.  On a D-regular graph the
-    greedy always has |S_v| >= d'(v) + 1, so it cannot get stuck.
-
-    The T-neighbor colors of every vertex come from one ban matrix, so
-    the greedy depends only on leftover-to-leftover edges: each leftover,
-    in ascending order, removes the colors of its earlier leftover
-    neighbors from its list and takes avail[floor(u_v * |avail|)].  From
-    _LEVEL_MIN_LEFTOVERS leftovers on, the same choices are made one
-    level of that order at a time (_greedy_levels); below it, one
-    vertex at a time (_greedy_sequential).
+    construction of T); V* \\ T is finished by slack greedy
+    (greedy.slack_greedy, in ascending order) on the lists Gamma minus the
+    colors seen on T-neighbors, one ban matrix.  Labels on T \\ V* are used
+    for those lists and then dropped.  On a D-regular graph the greedy
+    always has |S_v| >= d'(v) + 1, so it cannot get stuck.
     """
     if params is None:
         params = Params()
@@ -371,43 +268,18 @@ def sparse_phase_color(
         g, sparse_ids, seed, window, pair_min, params.max_tries
     )
     # sigma restricted to T is proper by the definition of T
-    check_proper(g, np.where(t_mask, tau, 0), what="labeling restricted to T")
+    on_t = np.where(t_mask, tau, 0)
+    check_proper(g, on_t, what="labeling restricted to T")
 
     leftovers = sparse_ids[~t_mask[sparse_ids]]
     k = len(leftovers)
-    # each edge end's position in `leftovers`, -1 off them
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[leftovers] = np.arange(k)
-    eu, ev = g.edge_arrays()
-    pu, pv = pos[eu], pos[ev]
-
-    # allowed[i, c]: no T-neighbor of leftover i has label c; column 0 is
-    # no color.  Each leftover-to-T edge bans a color in its leftover's row
-    # and adds one to the row's |N_v ∩ T|.
-    allowed = np.ones((k, d + 2), dtype=bool)
-    allowed[:, 0] = False
-    in_t = np.zeros(k, dtype=np.int64)
-    for p, b in ((pu, ev), (pv, eu)):
-        hit = (p >= 0) & t_mask[b]
-        rows = p[hit]
-        allowed[rows, tau[b[hit]]] = False
-        in_t += np.bincount(rows, minlength=k)
-    # leftover-to-leftover edges as (earlier, later) positions in `leftovers`
-    both = (pu >= 0) & (pv >= 0)
-    earlier, later = pu[both], pv[both]
-    _check_hand_off(
-        leftovers,
-        in_t,
-        np.bincount(earlier, minlength=k) + np.bincount(later, minlength=k),
-        allowed.sum(axis=1),
-        d,
-        window,
-        pair_min,
-    )
+    # a leftover's colored neighbors are its T-neighbors: it sees |N_v ∩ T|
+    allowed, earlier, later, in_t = ban_matrix(g, leftovers, on_t)
+    d_rest = np.bincount(earlier, minlength=k) + np.bincount(later, minlength=k)
+    _check_hand_off(leftovers, in_t, d_rest, allowed.sum(axis=1), d, window, pair_min)
 
     uniforms = keyed_rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
-    greedy = _greedy_levels if k >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
-    picked = greedy(leftovers, allowed, earlier, later, uniforms)
+    picked = slack_greedy(leftovers, allowed, earlier, later, uniforms)
 
     # labels on T \ V* banned colors above and are dropped here
     colors = np.zeros_like(tau)

@@ -319,13 +319,13 @@ class SparsificationCurve:
             raise ValueError("k values must be strictly increasing")
 
     def to_csv(self) -> str:
+        """One line per k; `indeterminate` counts the capped decisions (failures)."""
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["k", "trials", "successes", "rate", "ci_lo", "ci_hi"])
+        w.writerow(["k", "trials", "successes", "rate", "ci_lo", "ci_hi", "indeterminate"])
         for r in self.rows:
-            w.writerow(
-                [r.k, r.trials, r.successes, f"{r.rate:.6f}", f"{r.ci_low:.6f}", f"{r.ci_high:.6f}"]
-            )
+            w.writerow([r.k, r.trials, r.successes, f"{r.rate:.6f}", f"{r.ci_low:.6f}",
+                        f"{r.ci_high:.6f}", r.indeterminate])
         return buf.getvalue()
 
     def nondecreasing_within_ci(self) -> bool:

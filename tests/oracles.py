@@ -77,6 +77,19 @@ def search_reference(
     yield from rec()
 
 
+def cluster_fallback_reference(g: Graph, members: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """The per-vertex loop that `clusters._greedy_cluster_fallback` ran
+    before it called the slack-greedy engine, kept verbatim as the
+    reference it must equal: each member in ascending order takes the
+    first color of 1..D+1 that no neighbor holds (0 = uncolored)."""
+    d = g.max_degree
+    colors = colors.copy()
+    for v in members.tolist():
+        used = set(colors[g.flat[g.ptr[v] : g.ptr[v + 1]]].tolist())
+        colors[v] = next(c for c in range(1, d + 2) if c not in used)
+    return colors[members]
+
+
 def from_edges_reference(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """The set-based Graph.from_edges that the CSR one replaced, kept as the
     reference it must equal: edges checked one by one in input order into

@@ -23,7 +23,7 @@ from spreadcolor.graphs import (
 )
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
-from oracles import adjacency_rows, is_proper
+from oracles import adjacency_rows, cluster_fallback_reference, is_proper
 
 
 def clique_minus_cycle(n: int) -> Graph:
@@ -43,6 +43,20 @@ def swapped_double_clique(k: int) -> Graph:
     edges -= {(0, 1), (k, k + 1)}
     edges |= {(0, k), (1, k + 1)}
     return Graph.from_edges(2 * k, edges)
+
+
+def matched_cliques(k: int) -> Graph:
+    """Two K_k's (k even) minus a perfect matching each, joined by a perfect
+    matching across: (k-1)-regular, and at theta = 0.05 two clusters whose
+    members each have one neighbor in the other."""
+    edges = [
+        (b + u, b + v)
+        for b in (0, k)
+        for u in range(k)
+        for v in range(u + 1, k)
+        if not (u % 2 == 0 and v == u + 1)
+    ]
+    return Graph.from_edges(2 * k, edges + [(i, i + k) for i in range(k)])
 
 
 def outside_colors(g: Graph, sigma: dict[int, int] | None = None) -> np.ndarray:
@@ -472,6 +486,51 @@ class TestPipeline:
         assert res.flagged
         assert all(p.startswith("fallback") for p in res.cluster_paths)
         assert is_proper(g, res.coloring)
+
+    @pytest.mark.parametrize(
+        "g, params",
+        [
+            (disjoint_union(complete_graph(17), complete_graph(17)), Params()),
+            (disjoint_union(clique_minus_cycle(19), complete_graph(17)), Params()),
+            (swapped_double_clique(17), Params(theta=0.05)),
+            (disjoint_union(complete_graph(17), gen_random_regular(60, 16, seed=18)), Params()),
+            (matched_cliques(34), Params(theta=0.05)),
+        ],
+    )
+    def test_fallback_is_the_first_legal_color_loop(self, g, params):
+        pipe = Pipeline(g, params)
+        assert pipe.dec.clusters
+        reg, rng = pipe.reg, np.random.default_rng(26)
+        for seed in range(3):
+            # as the pipeline calls it: the sparse phase's colors and the
+            # clusters before this one colored, the later ones still 0 (the
+            # first of matched_cliques' two sees its 34 outside neighbors so)
+            colors = clusters.sparse_phase_color(reg, pipe.dec, seed, params).colors
+            for i in range(len(pipe.dec.clusters)):
+                members = pipe._shape(i).members
+                got = clusters._greedy_cluster_fallback(reg, members, colors)
+                assert np.array_equal(got, cluster_fallback_reference(reg, members, colors))
+                colors[members] = got
+            assert is_proper(reg, colors)
+            # random partial colorings, proper or not, with the members uncolored
+            for members in map(np.asarray, pipe.dec.clusters):
+                colors = rng.integers(1, reg.max_degree + 2, size=reg.n)
+                colors[rng.random(reg.n) < 0.5] = 0
+                colors[members] = 0
+                got = clusters._greedy_cluster_fallback(reg, np.sort(members), colors)
+                want = cluster_fallback_reference(reg, np.sort(members), colors)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_fallback_on_a_cluster_past_the_level_threshold(self):
+        # 540 members of K_600: the engine's level path, one level per member
+        g = complete_graph(600)
+        rng = np.random.default_rng(27)
+        members = np.arange(540)
+        for _ in range(3):
+            colors = np.zeros(g.n, dtype=np.int64)
+            colors[540:] = rng.permutation(np.arange(1, 601))[:60]
+            want = cluster_fallback_reference(g, members, colors)
+            assert np.array_equal(clusters._greedy_cluster_fallback(g, members, colors), want)
 
     def test_d_min_enforced(self):
         with pytest.raises(ValueError, match="^max degree 2 below d_min = 4$"):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -24,6 +27,10 @@ from oracles import is_proper, search_reference
 
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestSlackGreedy:
@@ -62,6 +69,18 @@ class TestSlackGreedy:
             sigma = slack_greedy_sample(g, lists, rng=rng)
             assert len(sigma) == g.n
             assert is_proper(g, sigma, lists)
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ([[1, 2], [1, 2]], "^2 lists for a graph on 3 vertices$"),
+            ([[1, 2], [2, 3, 2], [3]], "^vertex 1 lists a color twice$"),
+        ],
+    )
+    def test_bad_lists_are_a_value_error(self, lists, message):
+        # a repeated color used to be drawn with double weight
+        with pytest.raises(ValueError, match=message):
+            slack_greedy_sample(complete_graph(3), lists, np.random.default_rng(0))
 
     def test_stuck_vertex(self):
         g = complete_graph(3)
@@ -266,6 +285,14 @@ class TestRandomGreedy:
         # off-palette targets used to get 3/8 on one edge (D = 1)
         assert random_greedy_exact_probability(complete_graph(2), target) == p
 
+    def test_the_subset_dp_is_capped_at_20_vertices(self):
+        g = complete_bipartite(10, 11)
+        target = {v: 1 if v < 10 else 2 for v in range(21)}
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match="^random-greedy subset DP over 21 vertices exceeds 20$"):
+            random_greedy_exact_probability(g, target)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_exact_matches_sampler_frequency(self):
         ce = build_counterexample("greedy_boys", 2)
         rng = np.random.default_rng(11)
@@ -306,3 +333,126 @@ class TestCounterexamples:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_counterexample("nope", 3)
+
+
+# ---------------------------------------------------------------------------
+# The samplers' laws against the exact oracles
+# ---------------------------------------------------------------------------
+
+# Pearson's chi-square over every coloring in the exact law's support, from
+# LAW_TRIALS samples; a case fails past the LAW_LEVEL quantile of chi-square
+# with (support - 1) degrees of freedom, or on any sample outside the
+# support.  Seeds 0-59 were swept while writing these tests: no unbiased
+# case failed, and both planted biases failed at every seed.  LAW_SEED was
+# fixed before that sweep and is not among them.
+LAW_TRIALS = 20_000
+LAW_LEVEL = 1e-3
+LAW_SEED = 5171
+
+
+def _chi2_quantile(df: int, level: float) -> float:
+    """The upper `level` quantile of chi-square(df), Wilson-Hilferty."""
+    z = NormalDist().inv_cdf(1.0 - level)
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+def _law_statistic(sample, law: dict[tuple[int, ...], Fraction]) -> tuple[float, float]:
+    """(Pearson statistic, LAW_LEVEL critical value) of LAW_TRIALS calls of
+    sample() against the exact law, keyed by color tuple."""
+    counts = dict.fromkeys(law, 0)
+    for _ in range(LAW_TRIALS):
+        key = tuple(sample().tolist())
+        assert key in counts, f"{key} is outside the exact law's support"
+        counts[key] += 1
+    stat = sum(
+        (counts[key] - LAW_TRIALS * float(p)) ** 2 / (LAW_TRIALS * float(p))
+        for key, p in law.items()
+    )
+    return stat, _chi2_quantile(len(law) - 1, LAW_LEVEL)
+
+
+def _random_greedy_law(g: Graph) -> dict[tuple[int, ...], Fraction]:
+    """random_greedy_exact_probability of every proper (D+1)-coloring."""
+    law = {
+        tuple(s.tolist()): random_greedy_exact_probability(g, dict(enumerate(s.tolist())))
+        for s in enumerate_colorings(g, uniform_lists(g, g.max_degree + 1))
+    }
+    assert sum(law.values()) == 1
+    return law
+
+
+class _Delegating:
+    """A generator that passes permutation() and random() to a real one."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def permutation(self, n: int) -> np.ndarray:
+        return self.rng.permutation(n)
+
+    def random(self, size: int) -> np.ndarray:
+        return self.rng.random(size)
+
+
+class _NeverVertex0First(_Delegating):
+    """Permutations never put vertex 0 first: a draw that does swaps it with
+    a uniform other position, which is uniform over the orders that do not
+    start with 0."""
+
+    def permutation(self, n: int) -> np.ndarray:
+        order = self.rng.permutation(n)
+        if order[0] == 0:
+            j = 1 + int(self.rng.integers(n - 1))
+            order[[0, j]] = order[[j, 0]]
+        return order
+
+
+class _Avail0Tenth(_Delegating):
+    """Uniforms are 0 one time in ten, so slack greedy takes its first
+    available color with probability about 0.1 extra."""
+
+    def random(self, size: int) -> np.ndarray:
+        u = self.rng.random(size)
+        u[self.rng.random(size) < 0.1] = 0.0
+        return u
+
+
+class TestSamplerLaws:
+    """Each sampler's output frequencies against its exact law."""
+
+    @pytest.mark.parametrize(
+        "g, lists",
+        [
+            (cycle_graph(4), uniform_lists(cycle_graph(4), 3)),
+            # color 0 is a color, and vertex 0's list is the longer one
+            (build_counterexample("red_thumb", 2).graph, build_counterexample("red_thumb", 2).lists),
+        ],
+        ids=["C4-palette-3", "red_thumb-D2"],
+    )
+    def test_slack_greedy_sample(self, g, lists):
+        law = slack_greedy_exact_distribution(g, lists)
+        rng = np.random.default_rng(LAW_SEED)
+        stat, crit = _law_statistic(lambda: slack_greedy_sample(g, lists, rng), law)
+        assert stat < crit
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), path_graph(4)], ids=["C4", "P4"])
+    def test_random_greedy_sample(self, g):
+        law = _random_greedy_law(g)
+        rng = np.random.default_rng(LAW_SEED)
+        stat, crit = _law_statistic(lambda: random_greedy_sample(g, rng), law)
+        assert stat < crit
+
+    def test_a_first_color_bias_fails(self):
+        g = cycle_graph(4)
+        lists = uniform_lists(g, 3)
+        law = slack_greedy_exact_distribution(g, lists)
+        rng = _Avail0Tenth(np.random.default_rng(LAW_SEED))
+        stat, crit = _law_statistic(lambda: slack_greedy_sample(g, lists, rng), law)
+        assert stat > crit
+
+    def test_an_order_that_never_starts_at_vertex_0_fails(self):
+        g = cycle_graph(4)
+        rng = _NeverVertex0First(np.random.default_rng(LAW_SEED))
+        stat, crit = _law_statistic(lambda: random_greedy_sample(g, rng), _random_greedy_law(g))
+        assert stat > crit

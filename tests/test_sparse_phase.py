@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadcolor import greedy as greedy_module
 from spreadcolor import sparse_phase
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
 from spreadcolor.errors import MaxTriesExceeded, StuckVertex, VerificationFailed
@@ -18,15 +19,13 @@ from spreadcolor.graphs import (
     gen_random_regular,
     keyed_rng,
 )
+from spreadcolor.greedy import _LEVEL_MIN_LEFTOVERS, _greedy_levels, _greedy_sequential
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
     _GREEDY_TAG,
     _LABEL_TAG,
-    _LEVEL_MIN_LEFTOVERS,
     _bad_vertices,
     _check_hand_off,
-    _greedy_levels,
-    _greedy_sequential,
     _in_t_counts,
     _pair_count,
     _thresholds,
@@ -384,7 +383,7 @@ class TestSparsePhaseColor:
         ran = []
         for f in (_greedy_levels, _greedy_sequential):
             monkeypatch.setattr(
-                sparse_phase, f.__name__, lambda *a, f=f: ran.append(f.__name__) or f(*a)
+                greedy_module, f.__name__, lambda *a, f=f: ran.append(f.__name__) or f(*a)
             )
         for n, want in ((200, "_greedy_sequential"), (1000, "_greedy_levels")):
             g = gen_random_regular(n, 16, seed=6)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -489,8 +491,23 @@ class TestSparsificationScan:
         g = complete_graph(3)
         curve = sparsification_scan(g, [1, 3], trials=30, seed=7)
         lines = curve.to_csv().strip().splitlines()
-        assert lines[0] == "k,trials,successes,rate,ci_lo,ci_hi"
+        assert lines[0] == "k,trials,successes,rate,ci_lo,ci_hi,indeterminate"
         assert len(lines) == 3
+
+    def test_csv_tells_a_cap_exceeded_decision_from_an_uncolorable_one(self):
+        # at k = 1 on K3, 5 of 7 draws are uncolorable, decided within
+        # either cap; a one-node cap stops every decision at k = 3, where
+        # the full lists branch at the root
+        g = complete_graph(3)
+        rows = [
+            row
+            for cap in (100, 1)
+            for row in csv.DictReader(
+                io.StringIO(sparsification_scan(g, [1, 3], trials=7, seed=2, cap=cap).to_csv())
+            )
+        ]
+        got = [(r["k"], r["successes"], r["indeterminate"]) for r in rows]
+        assert got == [("1", "2", "0"), ("3", "7", "0"), ("1", "2", "0"), ("3", "0", "7")]
 
     def test_full_lists_past_color_62(self):
         # full lists at D >= 62 hold colors past 62, which broke int64 masks
