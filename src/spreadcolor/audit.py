@@ -33,6 +33,8 @@ __all__ = [
     "check_composition",
 ]
 
+EXACT_CAP = 20  # the largest ground set (or vertex count) of an exact 2^n computation
+
 # sampler: maps a seeded Generator to an array of colors indexed by vertex
 Sampler = Callable[[np.random.Generator], np.ndarray]
 
@@ -277,8 +279,8 @@ def exact_spread(
     """Worst test set and p* = max over nonempty T (|T| <= size_cap) of
     P(S ⊇ T)^(1/|T|), by exhaustive enumeration with exact arithmetic."""
     ground = sorted(dist.ground(), key=repr)
-    if len(ground) > 20:
-        raise CapExceeded(f"ground set of size {len(ground)} exceeds 20")
+    if len(ground) > EXACT_CAP:
+        raise CapExceeded(f"ground set of size {len(ground)} exceeds {EXACT_CAP}")
     if size_cap is None:
         size_cap = len(ground)
     best_t: frozenset[Hashable] = frozenset()
@@ -310,7 +312,7 @@ def check_composition(
     the T's live on a ground set disjoint from S's).
 
     p, q and the union's spread are exact spread constants (exact_spread,
-    so a union ground above 20 raises CapExceeded): the union is
+    so a union ground above EXACT_CAP raises CapExceeded): the union is
     factor*m-spread, m = max{p,q}, exactly when its spread is at most
     factor*m, which one cross-power comparison decides with no floating
     point.

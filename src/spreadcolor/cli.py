@@ -87,9 +87,13 @@ def _build_config(args: argparse.Namespace) -> Params:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if args.graph:
-        return read_edge_list(Path(args.graph).read_text())
-    if args.n and args.D:
+    if args.graph is not None:
+        for flag, value in (("--n", args.n), ("--D", args.D)):
+            if value is not None:
+                raise SystemExit2(f"{flag} {value}: --graph reads its graph from the file; "
+                                  "only without --graph do --n and --D draw one")
+        return read_edge_list(args.graph.read_text())
+    if args.n is not None and args.D is not None:
         return gen_random_regular(args.n, args.D, seed=args.seed)
     raise SystemExit2("need --graph FILE or both --n and --D")
 

@@ -147,7 +147,7 @@ def build_cluster_context(
     g: Graph,
     cluster: Sequence[int],
     sigma_out: np.ndarray,
-    params: Params | None = None,
+    params: Params = Params(),
     shape: ClusterShape | None = None,
 ) -> ClusterContext:
     """Check the cluster conditions and assemble H, zeta and B.
@@ -158,8 +158,6 @@ def build_cluster_context(
     `shape`, when given, is cluster_shape(g, cluster, params.cluster_eps())
     computed earlier; B is then one gather of sigma_out.
     """
-    if params is None:
-        params = Params()
     if shape is None:
         shape = cluster_shape(g, cluster, params.cluster_eps())
     d = shape.d
@@ -189,7 +187,8 @@ def build_cluster_context(
 
 def _eta_rounds(ctx: ClusterContext, params: Params) -> tuple[float, int]:
     """Pick eta strictly inside the hierarchy 1/D, zeta << eta << zeta/eps, 1
-    (geometric mean of the two ends), then round eta*D to an integer >= 1."""
+    (geometric mean of the two ends, unless params sets it), round eta*D to
+    an integer >= 1, and check the rounded eta against the hierarchy."""
     d = ctx.d
     if params.eta is not None:
         eta = params.eta
@@ -198,11 +197,7 @@ def _eta_rounds(ctx: ClusterContext, params: Params) -> tuple[float, int]:
         high = min(ctx.zeta / ctx.eps, 1.0)
         eta = (low * high) ** 0.5
     rounds = max(1, round(eta * d))
-    return rounds / d, rounds
-
-
-def _check_hierarchy(ctx: ClusterContext, eta: float) -> None:
-    d = ctx.d
+    eta = rounds / d
     if not 1.0 / d < eta:
         raise HypothesisViolated(f"hierarchy: 1/D = {1/d:.4f} !< eta = {eta:.4f}")
     if not ctx.zeta <= eta * H_MARGIN:
@@ -214,29 +209,24 @@ def _check_hierarchy(ctx: ClusterContext, eta: float) -> None:
         raise HypothesisViolated(
             f"hierarchy: eta = {eta:.4f} !<= min(zeta/eps,1)/h_margin = {cap:.4f}"
         )
+    return eta, rounds
 
 
 def process_pair_coloring(
-    ctx: ClusterContext,
-    rng: np.random.Generator,
-    rounds: int | None = None,
-    eta: float | None = None,
-    params: Params | None = None,
+    ctx: ClusterContext, rng: np.random.Generator, rounds: int, eta: float
 ) -> dict[int, int]:
-    """eta*D rounds of: pick a uniform non-edge pair still in the cluster,
-    give both ends a uniform common legal color, retire pair and color.
+    """`rounds` rounds of: pick a uniform non-edge pair still in the
+    cluster, give both ends a uniform common legal color, retire pair and
+    color.  color_cluster derives eta and rounds = eta*D (_eta_rounds, which
+    checks the hierarchy); eta sets the floors each round must exceed.
 
     Every color in the result is used exactly twice, on a non-adjacent
     pair, so the partial coloring is proper no matter what the matching
     phase does with the remaining colors."""
-    if params is None:
-        params = Params()
     if ctx.zeta < ctx.zeta0:
         raise HypothesisViolated(
             f"pair process requires zeta >= zeta0 ({ctx.zeta:.5f} < {ctx.zeta0:.5f})"
         )
-    if rounds is None or eta is None:
-        eta, rounds = _eta_rounds(ctx, params)
     d, eps, cl = ctx.d, ctx.eps, ctx.cluster
     hu, hv = ctx.shape.h_pairs.T  # positions
     alive = np.ones(len(cl), dtype=bool)
@@ -279,12 +269,10 @@ def process_pair_coloring(
 
 
 def color_cluster(
-    ctx: ClusterContext, rng: np.random.Generator, params: Params | None = None
+    ctx: ClusterContext, rng: np.random.Generator, params: Params = Params()
 ) -> tuple[np.ndarray, str]:
     """Proper coloring of the cluster consistent with sigma_out; returns
     (colors, branch taken), colors an int64 array aligned with ctx.cluster."""
-    if params is None:
-        params = Params()
     d, eps = ctx.d, ctx.eps
     colors = np.zeros(len(ctx.cluster), dtype=np.int64)
     if ctx.zeta < ctx.zeta0:
@@ -294,8 +282,7 @@ def color_cluster(
     else:
         branch = "large"
         eta, rounds = _eta_rounds(ctx, params)
-        _check_hierarchy(ctx, eta)
-        pi = process_pair_coloring(ctx, rng, rounds=rounds, eta=eta, params=params)
+        pi = process_pair_coloring(ctx, rng, rounds, eta)
         colors[np.searchsorted(ctx.shape.members, list(pi))] = list(pi.values())
         z = 2.0 * (eps + eta)
     big_r = d + 1 - len(ctx.cluster) + rounds

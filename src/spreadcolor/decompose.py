@@ -27,6 +27,7 @@ import numpy as np
 from .errors import HypothesisViolated, VerificationFailed
 from .graphs import (Graph, common_neighbor_blocks, connected_components,
                      neighborhood_complement_edges)
+from .params import Params
 
 __all__ = ["Decomposition", "DecompositionReport", "check_vertex_ids",
            "cluster_condition_counts", "sparse_dense_decompose", "verify_decomposition"]
@@ -165,10 +166,12 @@ def verify_decomposition(
 def sparse_dense_decompose(
     g: Graph, eps_in: float, theta: float | None = None
 ) -> Decomposition:
-    """Decompose a D-regular graph with tolerance eps = 8*eps_in.
+    """Decompose a D-regular graph.
 
-    A vertex is dense when its neighborhood has fewer than theta*D^2
-    non-edges (theta defaults to eps_in^2/16).  Dense u, v are friends
+    eps_in and theta are checked, and theta's default and the cluster
+    tolerance eps derived, by Params(eps=eps_in, theta=theta), so a value
+    Params refuses is a ValueError here too.  A vertex is dense when its
+    neighborhood has fewer than theta*D^2 non-edges.  Dense u, v are friends
     when |N_u ∩ N_v| >= (1 - 2*eps_in)*D; clusters are the connected
     components of the friend graph.  Below D = 1/(2*eps_in) friends need
     N_u = N_v, so no cluster can meet the cluster conditions: a graph with
@@ -180,11 +183,8 @@ def sparse_dense_decompose(
     d = g.max_degree
     if not g.is_regular(d):
         raise ValueError("sparse_dense_decompose expects a D-regular graph")
-    if not (0 < eps_in <= 0.05):
-        raise ValueError(f"need 0 < eps_in <= 1/20, got {eps_in}")
-    if theta is None:
-        theta = eps_in * eps_in / 16.0
-    eps = 8.0 * eps_in
+    params = Params(eps=eps_in, theta=theta)
+    theta, eps = params.theta_value(), params.cluster_eps()
 
     is_sparse = neighborhood_complement_edges(g) >= theta * d * d
     sparse = set(np.flatnonzero(is_sparse).tolist())

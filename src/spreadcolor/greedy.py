@@ -21,8 +21,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .audit import EXACT_CAP
 from .errors import CapExceeded, StuckVertex
 from .graphs import Graph, complete_bipartite, complete_graph
+from .params import Params
 from .thresholds import list_colorings
 
 __all__ = [
@@ -253,7 +255,7 @@ class ColoringEnumeration:
 
 
 def enumerate_colorings(
-    g: Graph, lists: ListAssignment, cap: int = 10**8
+    g: Graph, lists: ListAssignment, cap: int = Params.enum_cap
 ) -> ColoringEnumeration:
     """Exact count of proper list colorings: the stops of
     thresholds.list_colorings, which raises CapExceeded beyond `cap`
@@ -265,7 +267,7 @@ def enumerate_colorings(
 
 
 def exact_containment_uniform(
-    g: Graph, lists: ListAssignment, tau: Mapping[int, int], cap: int = 10**8
+    g: Graph, lists: ListAssignment, tau: Mapping[int, int], cap: int = Params.enum_cap
 ) -> Fraction:
     """P(sigma ⊇ tau) for sigma uniform over all proper list colorings,
     as an exact rational.  Raises ValueError for a target vertex outside
@@ -305,16 +307,16 @@ def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Frac
 
     Along any order consistent with producing `target`, the partial
     coloring is target restricted to the colored set, so a subset-DP
-    over colored sets is exact.  2^n states: n above 20 (as in
-    audit.exact_spread) is a CapExceeded.  A target random greedy never
+    over colored sets is exact.  2^n states: n above EXACT_CAP (the
+    ground cap of audit.exact_spread) is a CapExceeded.  A target random greedy never
     outputs (a color off the palette 1..D+1, or an edge whose ends share
     one) has probability 0.
     """
     n = g.n
     if set(target) != set(range(n)):
         raise ValueError("target must color every vertex")
-    if n > 20:
-        raise CapExceeded(f"random-greedy subset DP over {n} vertices exceeds 20")
+    if n > EXACT_CAP:
+        raise CapExceeded(f"random-greedy subset DP over {n} vertices exceeds {EXACT_CAP}")
     palette = range(1, g.max_degree + 2)
     if any(c not in palette for c in target.values()) or any(
         target[u] == target[v] for u, v in g.edges()

@@ -10,7 +10,8 @@ Deterministic Hopcroft-Karp maximum matching, random k-out subgraphs,
 rejection-sampled perfect matchings in dense bigraphs, and the
 two-phase X-perfect matcher (greedy on unpopular right-vertices, then
 dense matching among high-degree ones) with its in-flight inequality
-checks.
+checks.  The k-out schedule is fixed: the dense phase starts from
+k = K and doubles k up to K_MAX.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .errors import (
     MaxTriesExceeded,
     VerificationFailed,
 )
+from .params import Params
 
 __all__ = [
     "Matching",
@@ -39,6 +41,8 @@ __all__ = [
 INF = -1  # an unmatched vertex, and an unreached one in the search
 
 LAMBDA_MAX = 0.25  # the largest lambda (degrees >= (1-lambda)I) the dense matcher takes
+K = 3  # the k of the k-out subgraph the X-perfect matcher's dense phase starts from
+K_MAX = 16  # the largest k the dense matcher doubles to
 
 
 def _biadjacency(m) -> np.ndarray:
@@ -164,8 +168,7 @@ def spread_matching_dense(
     lam: float,
     k: int,
     rng: np.random.Generator,
-    max_tries: int = 200,
-    k_max: int = 16,
+    max_tries: int = Params.match_max_tries,
 ) -> Matching:
     """Perfect matching in a bigraph with both sides of size I and all
     degrees >= (1-lam)I, sampled by repeating {k-out subgraph, maximum
@@ -173,12 +176,12 @@ def spread_matching_dense(
 
     Conditioning a spread edge set on an event of constant probability
     keeps it spread, so the retries do not spoil the distribution.  k
-    doubles (up to k_max) when acceptance looks hopeless; k outside
-    1..k_max is a ValueError.
+    doubles (up to K_MAX) when acceptance looks hopeless; k outside
+    1..K_MAX is a ValueError.
     """
     f = _biadjacency(f)
-    if not 1 <= k <= k_max:
-        raise ValueError(f"need 1 <= k <= k_max, got k={k}, k_max={k_max}")
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"need 1 <= k <= {K_MAX}, got k={k}")
     i_size, ny = f.shape
     if i_size != ny:
         raise HypothesisViolated(f"parts must have equal size, got {i_size} vs {ny}")
@@ -199,7 +202,7 @@ def spread_matching_dense(
             return m
         failures_at_k += 1
         if failures_at_k >= 100:
-            k = min(2 * k, k_max)
+            k = min(2 * k, K_MAX)
             failures_at_k = 0
     raise MaxTriesExceeded(
         f"no perfect matching in {max_tries} k-out draws (final k={k})"
@@ -211,9 +214,7 @@ def spread_X_perfect_matching(
     z: float,
     rng: np.random.Generator,
     r_x: Sequence[float] | None = None,
-    k: int = 3,
-    max_tries: int = 200,
-    k_max: int = 16,
+    max_tries: int = Params.match_max_tries,
 ) -> Matching:
     """X-perfect matching in a bigraph on (X, Y) with |X| = J,
     |Y| = J + R, under the checked hypotheses
@@ -225,12 +226,10 @@ def spread_X_perfect_matching(
     < (1-delta)J, delta = 5*sqrt(z)) and remove both endpoints.  Phase 2
     matches the rest against the surviving high-degree colors.  The
     edge-count lower bounds that make phase 1 work are asserted at every
-    step; they are finite-D floors, so a miss raises FloorNotMet.  As in
-    spread_matching_dense, k outside 1..k_max is a ValueError.
+    step; they are finite-D floors, so a miss raises FloorNotMet.  Phase 2
+    runs spread_matching_dense from k = K.
     """
     b = _biadjacency(b)
-    if not 1 <= k <= k_max:
-        raise ValueError(f"need 1 <= k <= k_max, got k={k}, k_max={k_max}")
     j, ny = b.shape
     big_r = ny - j
     if j == 0:
@@ -315,9 +314,7 @@ def spread_X_perfect_matching(
     dense_meta = {}
     if i_size:
         lam = min(2.0 * delta, LAMBDA_MAX)
-        m_dense = spread_matching_dense(
-            b[np.ix_(v0, v1)], lam, k, rng, max_tries=max_tries, k_max=k_max
-        )
+        m_dense = spread_matching_dense(b[np.ix_(v0, v1)], lam, K, rng, max_tries)
         dense_meta = m_dense.meta
         hit = m_dense.match >= 0
         match[v0[hit]] = v1[m_dense.match[hit]]

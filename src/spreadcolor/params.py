@@ -1,10 +1,14 @@
-"""Tunable parameters for the coloring pipeline.
+"""Tunable parameters for the coloring pipeline, each defined once.
 
-Defaults follow the construction's own choices where it names one
-(theta = eps^2/16; theta' = e^-3 * theta / 2 is always derived) and
-calibration formulas where the asymptotic analysis leaves a knob
-(rejection window, eta).  A value the construction fixes outright is a
-constant where it is read, such as the greedy-phase k = 3 in matching.
+`Params` holds what a caller may set, with its default: eps_in, theta
+(default eps^2/16), the window, the retry budgets, zeta0, eta and the
+exact searches' node caps.  Its methods derive theta' = e^-3 * theta / 2,
+the cluster tolerance 8 * eps_in and zeta0's default; eta's default is
+derived per cluster, by clusters._eta_rounds.  A function that takes a
+budget as an argument defaults to its field.  A value the construction
+fixes outright is a constant of the module that reads it: `K`, `K_MAX`
+and `LAMBDA_MAX` in matching, `H_MARGIN` and `D_MIN` in clusters,
+`ACCEPT_TARGET` in sparse_phase and `EXACT_CAP` in audit.
 """
 from __future__ import annotations
 
@@ -65,7 +69,7 @@ class Params:
     # -- derived values ------------------------------------------------------
 
     def theta_value(self) -> float:
-        return self.theta if self.theta is not None else self.eps**2 / 16.0
+        return self.theta if self.theta is not None else self.eps * self.eps / 16.0
 
     def theta_prime_value(self) -> float:
         return 0.5 * math.exp(-3.0) * self.theta_value()

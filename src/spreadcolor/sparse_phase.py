@@ -246,7 +246,7 @@ def _check_hand_off(
 
 
 def sparse_phase_color(
-    g: Graph, dec: Decomposition, seed: int, params: Params | None = None
+    g: Graph, dec: Decomposition, seed: int, params: Params = Params()
 ) -> SparsePhaseResult:
     """Proper coloring of the sparse set V*.
 
@@ -257,8 +257,6 @@ def sparse_phase_color(
     for those lists and then dropped.  On a D-regular graph the greedy
     always has |S_v| >= d'(v) + 1, so it cannot get stuck.
     """
-    if params is None:
-        params = Params()
     d = g.max_degree
     if not g.is_regular(d):
         raise ValueError("sparse phase expects the regularized (D-regular) graph")

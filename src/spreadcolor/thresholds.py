@@ -26,6 +26,7 @@ import numpy as np
 from .audit import wilson_interval
 from .errors import CapExceeded
 from .graphs import Graph, keyed_rng
+from .params import Params
 
 __all__ = [
     "Hypergraph",
@@ -175,7 +176,7 @@ def cost_bruteforce(
 
 
 def list_colorings(
-    g: Graph, lists: Sequence[Sequence[int]], cap: int = 2_000_000
+    g: Graph, lists: Sequence[Sequence[int]], cap: int = Params.color_cap
 ) -> Iterator[list[int]]:
     """Every proper coloring of g from the lists, once each, by
     backtracking with unit propagation, branching on the vertex with the
@@ -286,7 +287,7 @@ def list_colorings(
 
 
 def decide_list_colorable(
-    g: Graph, lists: Sequence[Sequence[int]], cap: int = 2_000_000
+    g: Graph, lists: Sequence[Sequence[int]], cap: int = Params.color_cap
 ) -> bool:
     """Exact decision: whether list_colorings stops at all (n = 0 stops
     once, on the empty coloring)."""
@@ -314,9 +315,7 @@ class SparsificationCurve:
     rows: list[CurveRow]
 
     def __post_init__(self):
-        ks = [r.k for r in self.rows]
-        if ks != sorted(set(ks)):
-            raise ValueError("k values must be strictly increasing")
+        _check_k_order([r.k for r in self.rows])
 
     def to_csv(self) -> str:
         """One line per k; `indeterminate` counts the capped decisions (failures)."""
@@ -337,6 +336,12 @@ class SparsificationCurve:
         return True
 
 
+def _check_k_order(ks: Sequence[int]) -> None:
+    """The k-order rule, read by every curve and by the scan before its first draw."""
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"k values must be strictly increasing, got {[int(k) for k in ks]}")
+
+
 def _draw_lists(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
     """n uniform k-subsets of the palette 1..d+1, one row per vertex: the
     colors of the k smallest of d+1 i.i.d. uniform keys, in no set order."""
@@ -349,7 +354,7 @@ def sparsification_scan(
     k_values: Sequence[int],
     trials: int,
     seed: int,
-    cap: int = 2_000_000,
+    cap: int = Params.color_cap,
 ) -> SparsificationCurve:
     """For each k: draw uniform k-sublists of [D+1] per vertex, decide
     exact colorability, and record the success rate with a Wilson CI.
@@ -365,8 +370,7 @@ def sparsification_scan(
             raise ValueError(f"k values must be integers, got {k!r}")
         if not 1 <= k <= d + 1:
             raise ValueError(f"k values must lie in [1, D+1] = [1, {d + 1}], got {k}")
-    if any(a >= b for a, b in zip(ks, ks[1:])):
-        raise ValueError(f"k values must be strictly increasing, got {[int(k) for k in ks]}")
+    _check_k_order(ks)
     rows = []
     for k in map(int, ks):
         successes = 0

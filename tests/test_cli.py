@@ -557,6 +557,32 @@ def test_decompose_seed_with_a_graph_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out == default_seed
 
 
+@pytest.mark.parametrize("command", ["decompose", "sample", "audit", "sparsify"])
+@pytest.mark.parametrize("flags", [["--n", "999"], ["--D", "7"], ["--n", "999", "--D", "7"]])
+def test_a_graph_file_with_n_or_D_is_a_usage_error(command, flags, tmp_path, capsys):
+    # --graph used to win silently over --n and --D
+    g_file = tmp_path / "g.txt"
+    g_file.write_text(write_edge_list(gen_random_regular(20, 4, seed=2)))
+    assert main([command, "--graph", str(g_file), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {flags[0]} {flags[1]}: --graph reads its graph from the file; "
+        "only without --graph do --n and --D draw one\n"
+    )
+    assert captured.out == ""
+
+
+def test_a_zero_n_or_D_is_given_not_missing(capsys):
+    # a zero --n or --D read as a missing flag: "need --graph FILE or both --n and --D"
+    assert main(["sparsify", "--n", "6", "--D", "0", "--k-values", "1", "--trials", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,3,3,1.000000,")
+    assert main(["decompose", "--n", "6", "--D", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["sparse"] == list(range(6))
+    # --n 0 reaches the generator, whose own check names both values
+    assert main(["sample", "--n", "0", "--D", "3"]) == 2
+    assert capsys.readouterr().err == "error: need d < n, got d=3, n=0\n"
+
+
 def test_bad_matching_param_is_a_usage_error(capsys):
     assert main(["sample", "--n", "40", "--D", "8", "--match-max-tries", "0"]) == 2
     assert "match_max_tries must be >= 1" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -208,13 +209,19 @@ class TestClusterShape:
         assert sorted(calls) == sorted(pipe.dec.clusters)
 
 
+def derived_pair_process(ctx, rng):
+    """The pair process run with the eta and rounds color_cluster derives."""
+    eta, rounds = clusters._eta_rounds(ctx, Params())
+    return process_pair_coloring(ctx, rng, rounds, eta)
+
+
 class TestProcess:
     def test_bookkeeping_and_pair_property(self):
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         assert ctx.zeta >= ctx.zeta0
         rng = np.random.default_rng(0)
-        pi = process_pair_coloring(ctx, rng)
+        pi = derived_pair_process(ctx, rng)
         rounds = len(set(pi.values()))
         assert len(pi) == 2 * rounds
         for c in set(pi.values()):
@@ -226,7 +233,7 @@ class TestProcess:
         g = complete_graph(17)
         ctx = build_cluster_context(g, range(17), outside_colors(g), Params())
         with pytest.raises(HypothesisViolated):
-            process_pair_coloring(ctx, np.random.default_rng(1))
+            process_pair_coloring(ctx, np.random.default_rng(1), 1, 1.0)
 
     def test_a_pair_on_an_edge_is_caught(self):
         # a shape whose only H pair is an edge of g; eta = 1 lowers both floors
@@ -247,10 +254,26 @@ class TestProcess:
         assert issubclass(FloorNotMet, HypothesisViolated)
         assert not issubclass(FloorNotMet, VerificationFailed)
 
+    def test_color_cluster_hands_the_pair_process_its_checked_eta(self, monkeypatch):
+        # eta and rounds have one derivation, in color_cluster, which checks
+        # the hierarchy before the pair process runs
+        g = clique_minus_cycle(19)
+        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        calls = []
+        real = clusters.process_pair_coloring
+        monkeypatch.setattr(
+            clusters, "process_pair_coloring", lambda *a: calls.append(a[2:]) or real(*a)
+        )
+        clusters.color_cluster(ctx, np.random.default_rng(0), Params())
+        eta, rounds = clusters._eta_rounds(ctx, Params())
+        assert calls == [(rounds, eta)]
+        assert list(inspect.signature(real).parameters) == ["ctx", "rng", "rounds", "eta"]
+        assert all(p.default is p.empty for p in inspect.signature(real).parameters.values())
+
     def test_rounds_reduce_counts(self):
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
-        pi = process_pair_coloring(ctx, np.random.default_rng(2))
+        pi = derived_pair_process(ctx, np.random.default_rng(2))
         # |C'| = |C| - 2*rounds, |Gamma'| = D+1 - rounds
         rounds = len(set(pi.values()))
         assert len(ctx.cluster) - len(pi) == 19 - 2 * rounds

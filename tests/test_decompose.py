@@ -68,10 +68,29 @@ def test_requires_regular_input():
 
 def test_eps_range_checked():
     g = complete_graph(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 1/20\], got 0.2$"):
         sparse_dense_decompose(g, eps_in=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 1/20\], got 0.0$"):
         sparse_dense_decompose(g, eps_in=0.0)
+
+
+@pytest.mark.parametrize("eps_in", [0.05, 0.0397])
+def test_theta_and_tolerance_are_those_of_params(eps_in):
+    # at eps_in = 0.0397 the decomposition's own eps_in * eps_in / 16 and
+    # Params' eps**2 / 16 used to differ in the last bit
+    dec = sparse_dense_decompose(gen_random_regular(120, 12, seed=11), eps_in)
+    params = Params(eps=eps_in)
+    assert dec.theta == params.theta_value()
+    assert dec.eps == params.cluster_eps()
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, float("nan"), float("inf")])
+def test_theta_outside_params_range_is_a_value_error(theta):
+    # theta = -1 used to give an all-sparse decomposition, and a NaN one
+    # made every vertex dense
+    g = gen_random_regular(120, 12, seed=11)
+    with pytest.raises(ValueError, match=f"^theta must be finite and > 0, got {theta}$"):
+        sparse_dense_decompose(g, 0.05, theta=theta)
 
 
 def test_deterministic():

@@ -182,15 +182,14 @@ class TestDenseMatching:
             if not perfect_matching(k).is_x_perfect():
                 with pytest.raises(MaxTriesExceeded):
                     spread_matching_dense(
-                        b, lam=0.25, k=1, rng=np.random.default_rng(seed),
-                        max_tries=1, k_max=1,
+                        b, lam=0.25, k=1, rng=np.random.default_rng(seed), max_tries=1
                     )
                 return
         pytest.fail("no failing seed found")
 
 
 class TestKDoubling:
-    """spread_matching_dense doubles k, up to k_max, after 100 failed
+    """spread_matching_dense doubles k, up to K_MAX, after 100 failed
     draws at one k.  perfect_matching is patched so that its first
     `fail` results leave every x unmatched."""
 
@@ -233,32 +232,22 @@ class TestKDoubling:
             spread_matching_dense(complete(20, 20), lam=0.1, k=16, rng=np.random.default_rng(32))
         assert ks == [16] * 200
 
-    # both matchers, called on K_{4,4} with a given k and k_max
-    MATCHERS = pytest.mark.parametrize(
-        "call",
-        [
-            lambda k, k_max: spread_matching_dense(
-                complete(4, 4), lam=0.1, k=k, rng=np.random.default_rng(0), k_max=k_max
-            ),
-            lambda k, k_max: spread_X_perfect_matching(
-                complete(4, 4), z=0.1, rng=np.random.default_rng(0), k=k, k_max=k_max
-            ),
-        ],
-        ids=["spread_matching_dense", "spread_X"],
-    )
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_k_outside_1_to_k_max_is_a_value_error(self, k):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= 16, got k={k}$"):
+            spread_matching_dense(complete(4, 4), lam=0.1, k=k, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("k, k_max", [(0, 16), (17, 16), (3, 2)])
-    @MATCHERS
-    def test_k_outside_1_to_k_max_is_a_value_error(self, call, k, k_max):
-        with pytest.raises(ValueError, match=rf"^need 1 <= k <= k_max, got k={k}, k_max={k_max}$"):
-            call(k, k_max)
-
-    @pytest.mark.parametrize("k, k_max", [(1, 16), (16, 16), (1, 1)])
-    @MATCHERS
-    def test_k_at_either_end_of_1_to_k_max_is_accepted(self, call, k, k_max):
-        m = call(k, k_max)
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_k_at_either_end_of_1_to_k_max_is_accepted(self, k):
+        m = spread_matching_dense(complete(4, 4), lam=0.1, k=k, rng=np.random.default_rng(0))
         assert m.is_x_perfect()
         m.validate(complete(4, 4))
+
+    def test_the_X_perfect_matcher_starts_its_dense_phase_at_K(self, monkeypatch):
+        ks = self._patch(monkeypatch, fail=0)
+        m = spread_X_perfect_matching(complete(4, 4), z=0.1, rng=np.random.default_rng(0))
+        assert (matching.K, matching.K_MAX) == (3, 16)
+        assert ks == [matching.K] and m.meta["dense"] == {"tries": 1, "k": matching.K}
 
 
 def _instance_r_le_0(j: int, big_r: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from spreadcolor import greedy, matching, thresholds
 from spreadcolor.params import Params
 
 # fields the construction fixes, now constants where they are read
@@ -113,3 +115,28 @@ def test_theta_prime_is_derived_from_theta():
     assert Params().theta_prime_value() == 0.5 * math.exp(-3.0) * 0.05**2 / 16
     assert Params(theta=0.05).theta_prime_value() == 0.5 * math.exp(-3.0) * 0.05
 
+
+
+# (function, budget argument, the Params field its default must equal)
+BUDGET_DEFAULTS = [
+    (matching.spread_matching_dense, "max_tries", "match_max_tries"),
+    (matching.spread_X_perfect_matching, "max_tries", "match_max_tries"),
+    (thresholds.list_colorings, "cap", "color_cap"),
+    (thresholds.decide_list_colorable, "cap", "color_cap"),
+    (thresholds.sparsification_scan, "cap", "color_cap"),
+    (greedy.enumerate_colorings, "cap", "enum_cap"),
+    (greedy.exact_containment_uniform, "cap", "enum_cap"),
+]
+
+
+@pytest.mark.parametrize("fn, arg, name", BUDGET_DEFAULTS, ids=lambda x: getattr(x, "__name__", x))
+def test_each_budget_default_is_its_params_field(fn, arg, name):
+    default = inspect.signature(fn).parameters[arg].default
+    assert default == getattr(Params(), name)
+    assert type(default) is int
+
+
+def test_theta_default_is_the_correctly_rounded_eps_squared_over_16():
+    # eps**2 / 16 and eps * eps / 16 differ in the last bit at eps = 0.0397
+    assert Params(eps=0.0397).theta_value() == 0.0397 * 0.0397 / 16
+    assert Params(eps=0.05).theta_value() == 0.05**2 / 16

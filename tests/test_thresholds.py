@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -452,6 +453,13 @@ class TestSparsificationScan:
             [row(2, 0.0, 0.2), row(3, 0.5, 0.9), row(4, 0.1, 0.3)]
         ).nondecreasing_within_ci()
 
+    @pytest.mark.parametrize("ks", [[3, 2], [2, 2], [2, 4, 3]])
+    def test_a_curve_built_with_k_out_of_order_is_a_value_error(self, ks):
+        # a curve pooled outside the scan is checked by the same rule
+        rows = [CurveRow(k, 10, 5, 0, 0.5, 0.2, 0.8) for k in ks]
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing, got {ks}")):
+            SparsificationCurve(rows)
+
     def test_k_range_validated(self):
         g = complete_graph(3)
         with pytest.raises(ValueError):
@@ -467,8 +475,8 @@ class TestSparsificationScan:
             (["2"], "must be integers"),
             ([0], r"must lie in \[1, D\+1\] = \[1, 3\], got 0"),
             ([1, 4], r"must lie in \[1, D\+1\]"),
-            ([3, 2], "strictly increasing"),
-            ([1, 2, 2], "strictly increasing"),
+            ([3, 2], r"^k values must be strictly increasing, got \[3, 2\]$"),
+            ([1, 2, 2], r"^k values must be strictly increasing, got \[1, 2, 2\]$"),
         ],
     )
     def test_k_values_are_checked_before_any_decision(self, monkeypatch, k_values, message):
