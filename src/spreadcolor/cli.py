@@ -2,8 +2,8 @@
 
 Subcommands: gen, decompose, sample, audit, counterexample, sparsify,
 cost.  All randomness derives from --seed; per-trial streams are keyed
-by trial index, so --jobs (sample, and audit with the pipeline sampler)
-changes wall time but never output.  Each subcommand offers a flag for
+by trial index, so --jobs (sample and audit, with any sampler) changes
+wall time but never output.  Each subcommand offers a flag for
 each Params field it reads (PARAM_FIELDS), and those that read any also
 take a JSON config file (--config), which may set every field; explicit
 flags win.
@@ -29,7 +29,7 @@ from . import audit as audit_mod
 from .clusters import Pipeline
 from .decompose import sparse_dense_decompose
 from .errors import SpreadColorError
-from .graphs import Graph, gen_random_regular, read_edge_list, write_edge_list
+from .graphs import Graph, gen_random_regular, keyed_rng, read_edge_list, write_edge_list
 from .greedy import (
     build_counterexample,
     exact_containment_uniform,
@@ -51,12 +51,17 @@ _PARAM_TYPES: dict[str, type] = {
 }
 
 
-def count(text: str) -> int:
-    """argparse type of --jobs, --seeds and --trials: an integer >= 1."""
+def count(text: str, low: int = 1) -> int:
+    """argparse type of --jobs, --seeds and --trials: an integer >= low = 1."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def nonnegative(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    return count(text, 0)
 
 
 def _flag(name: str) -> str:
@@ -78,7 +83,7 @@ def _build_config(args: argparse.Namespace) -> Params:
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             got = json.dumps(base)
-            raise SystemExit2(f"--config {args.config}: expected a JSON object, got {got:.40}")
+            raise ValueError(f"--config {args.config}: expected a JSON object, got {got:.40}")
     for name in _PARAM_TYPES:
         val = getattr(args, name, None)
         if val is not None:
@@ -90,48 +95,33 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.graph is not None:
         for flag, value in (("--n", args.n), ("--D", args.D)):
             if value is not None:
-                raise SystemExit2(f"{flag} {value}: --graph reads its graph from the file; "
-                                  "only without --graph do --n and --D draw one")
+                raise ValueError(f"{flag} {value}: --graph reads its graph from the file; "
+                                 "only without --graph do --n and --D draw one")
         return read_edge_list(args.graph.read_text())
     if args.n is not None and args.D is not None:
         return gen_random_regular(args.n, args.D, seed=args.seed)
-    raise SystemExit2("need --graph FILE or both --n and --D")
+    raise ValueError("need --graph FILE or both --n and --D")
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, msg: str):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(2)
+# --- trials ------------------------------------------------------------------
 
 
-# --- worker functions (module level so ProcessPoolExecutor can pickle them) --
-
-
-_WORKER_PIPE: Pipeline | None = None
-
-
-def _init_pipeline_worker(pipe: Pipeline) -> None:
-    global _WORKER_PIPE
-    _WORKER_PIPE = pipe
-
-
-def _pipeline_trial(seed: int) -> tuple[np.ndarray, bool]:
-    assert _WORKER_PIPE is not None
-    return _WORKER_PIPE.sample_array(seed)
-
-
-def _run_pipeline_trials(
-    g: Graph, params: Params, seeds: list[int], jobs: int
+def _run_trials(
+    trial: typing.Callable[[int], tuple[np.ndarray, bool]], ts: list[int], jobs: int
 ) -> list[tuple[np.ndarray, bool]]:
-    # built here for every --jobs value, so a graph the pipeline cannot
-    # take fails the same way, before any worker starts
-    pipe = Pipeline(g, params)
+    """[trial(t) for t in ts], where trial(t) is (colors, flagged?); with
+    jobs > 1, ts is cut into `jobs` chunks, each pickled with trial once
+    and run in a worker process."""
     if jobs <= 1:
-        return [pipe.sample_array(s) for s in seeds]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_pipeline_worker, initargs=(pipe,)
-    ) as pool:
-        return list(pool.map(_pipeline_trial, seeds))
+        return [trial(t) for t in ts]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(trial, ts, chunksize=-(-len(ts) // jobs)))
+
+
+def _greedy_trial(sampler: audit_mod.Sampler, seed: int, t: int) -> tuple[np.ndarray, bool]:
+    """Audit trial t of a greedy sampler: its keyed stream, never flagged.
+    Module level, so a worker process can unpickle it."""
+    return sampler(keyed_rng(seed, t)), False
 
 
 # --- subcommands -------------------------------------------------------------
@@ -153,7 +143,7 @@ def _cmd_decompose(args) -> int:
     if args.seed is None:
         args.seed = 0
     elif args.graph:
-        raise SystemExit2(f"--seed {args.seed}: decompose --graph reads no seed, only --n/--D do")
+        raise ValueError(f"--seed {args.seed}: decompose --graph reads no seed, only --n/--D do")
     params = _build_config(args)
     g = _load_graph(args)
     dec = sparse_dense_decompose(g, params.eps, params.theta)
@@ -174,7 +164,7 @@ def _cmd_sample(args) -> int:
     params = _build_config(args)
     g = _load_graph(args)
     seeds = [args.seed + i for i in range(args.seeds)]
-    results = _run_pipeline_trials(g, params, seeds, args.jobs)
+    results = _run_trials(Pipeline(g, params).sample_array, seeds, args.jobs)
     records = []
     for s, (arr, flagged) in zip(seeds, results):
         colors = {str(v): int(c) for v, c in enumerate(arr)}
@@ -201,16 +191,11 @@ def _make_sampler(name: str, g: Graph) -> audit_mod.Sampler:
 
 def _cmd_audit(args) -> int:
     if args.sampler != "pipeline":
-        # the greedy samplers run in one process and never build a Pipeline
-        if args.jobs > 1:
-            raise SystemExit2(
-                f"--jobs {args.jobs}: --sampler {args.sampler} runs in one process; "
-                "only --sampler pipeline takes --jobs"
-            )
+        # the greedy samplers never build a Pipeline
         for name in PIPELINE_FIELDS:
             value = getattr(args, name)
             if value is not None:
-                raise SystemExit2(
+                raise ValueError(
                     f"{_flag(name)} {value}: --sampler {args.sampler} does not run the "
                     f"pipeline; only --sampler pipeline takes {_flag(name)}"
                 )
@@ -218,19 +203,19 @@ def _cmd_audit(args) -> int:
     g = _load_graph(args)
     palette = g.max_degree + 1
     sets = audit_mod.audit_set_family(g.n, palette, args.seed, args.family)
+    ts = list(range(args.trials))
     if args.sampler == "pipeline":
-        trial_seeds = [
-            int(np.random.SeedSequence((args.seed, t)).generate_state(1)[0])
-            for t in range(args.trials)
-        ]
-        results = _run_pipeline_trials(g, params, trial_seeds, args.jobs)
-        samples = [arr for arr, is_flagged in results if not is_flagged]
-        rep = audit_mod.spread_report_from_samples(
-            samples, g.n, palette, sets, flagged_trials=len(results) - len(samples)
-        )
+        # built before any worker starts, so a graph the pipeline cannot
+        # take fails the same way whatever --jobs is
+        trial = Pipeline(g, params).sample_array
+        ts = [int(np.random.SeedSequence((args.seed, t)).generate_state(1)[0]) for t in ts]
     else:
-        sampler = _make_sampler(args.sampler, g)
-        rep = audit_mod.spread_report(sampler, g.n, palette, args.trials, args.seed, sets=sets)
+        trial = partial(_greedy_trial, _make_sampler(args.sampler, g), args.seed)
+    results = _run_trials(trial, ts, args.jobs)
+    samples = [arr for arr, is_flagged in results if not is_flagged]
+    rep = audit_mod.spread_report_from_samples(
+        samples, g.n, palette, sets, flagged_trials=len(results) - len(samples)
+    )
     if args.out:
         Path(args.out).write_text(rep.to_csv())
     print(rep.to_json())
@@ -243,7 +228,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     if args.kind == "greedy_boys" and args.enum_cap is not None:
-        raise SystemExit2(f"--enum-cap {args.enum_cap}: greedy_boys runs no capped enumeration")
+        raise ValueError(f"--enum-cap {args.enum_cap}: greedy_boys runs no capped enumeration")
     params = _build_config(args)
     ce = build_counterexample(args.kind, args.D)
     if args.kind == "greedy_boys":
@@ -287,10 +272,7 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-JOBS_HELP = (
-    "worker processes that run pipeline trials in parallel (default 1); "
-    "audit takes it only with --sampler pipeline"
-)
+JOBS_HELP = "worker processes that run trials in parallel (default 1)"
 
 # the Params fields a Pipeline reads: all but the caps and the audit ceiling
 PIPELINE_FIELDS = tuple(
@@ -314,7 +296,7 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", type=Path)
     p.add_argument("--n", type=int)
     p.add_argument("--D", type=int)
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=nonnegative, default=0, help="master seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="random D-regular graph to an edge-list file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=nonnegative, default=0, help="master seed (default 0)")
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_gen)
 
@@ -381,9 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse usage errors and SystemExit2
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return exc.code
     except SpreadColorError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

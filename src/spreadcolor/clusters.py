@@ -74,14 +74,18 @@ class ClusterShape:
 def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
     """Compute H, zeta, the outside-neighbor index arrays and the checks
     |N_v \\ C| < eps*D and |C \\ N_v| < eps*D (in vertex order, outside
-    first) of one cluster.  An id outside 0..n-1 is a ValueError."""
+    first) of one cluster.  An id outside 0..n-1 or a repeated id is a
+    ValueError."""
     d = g.max_degree
     cl = tuple(sorted(cluster))
     check_vertex_ids(g, cl)
+    repeated = [u for u, v in zip(cl, cl[1:]) if u == v]
+    if repeated:
+        raise ValueError(f"vertex {repeated[0]} appears more than once in the cluster")
     members = np.asarray(cl, dtype=np.int64)
     size = len(cl)
-    outside, missing = cluster_condition_counts(g, members)
     lens, nbrs = g.gather_neighbors(members)
+    outside, missing = cluster_condition_counts(g, members, (lens, nbrs))
     rows = np.repeat(np.arange(size), lens)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[members] = np.arange(size)
@@ -116,9 +120,10 @@ def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
 @dataclass
 class ClusterContext:
     """Everything needed to color one cluster against a fixed outside
-    coloring: its shape (H, zeta) and the legal-color bigraph B, held as
-    its read-only |C|-by-(D+1) boolean matrix `b`: b[x, y] is true when
-    color y + 1 is legal for the vertex at position x in `cluster`."""
+    coloring: its shape (the cluster, D, eps, H, zeta) and the legal-color
+    bigraph B, held as its read-only |C|-by-(D+1) boolean matrix `b`:
+    b[x, y] is true when color y + 1 is legal for the vertex at position x
+    in `shape.cluster`."""
 
     graph: Graph
     shape: ClusterShape
@@ -126,40 +131,24 @@ class ClusterContext:
     zeta0: float
     b: np.ndarray
 
-    @property
-    def cluster(self) -> tuple[int, ...]:
-        return self.shape.cluster
-
-    @property
-    def d(self) -> int:
-        return self.shape.d
-
-    @property
-    def eps(self) -> float:
-        return self.shape.eps
-
-    @property
-    def zeta(self) -> float:
-        return self.shape.zeta
-
 
 def build_cluster_context(
     g: Graph,
-    cluster: Sequence[int],
+    cluster: Sequence[int] | ClusterShape,
     sigma_out: np.ndarray,
     params: Params = Params(),
-    shape: ClusterShape | None = None,
 ) -> ClusterContext:
-    """Check the cluster conditions and assemble H, zeta and B.
+    """Check the cluster conditions and assemble B on the cluster's shape.
 
-    sigma_out, a color array indexed by vertex with 0 for uncolored, may
-    be partial (later clusters are still uncolored while earlier ones are
-    being processed); only colored outside neighbors constrain B.
-    `shape`, when given, is cluster_shape(g, cluster, params.cluster_eps())
-    computed earlier; B is then one gather of sigma_out.
+    `cluster` is the cluster's vertex ids or its shape,
+    cluster_shape(g, ids, params.cluster_eps()) computed earlier; B is
+    then one gather of sigma_out.  sigma_out, a color array indexed by
+    vertex with 0 for uncolored, may be partial (later clusters are still
+    uncolored while earlier ones are being processed); only colored
+    outside neighbors constrain B.
     """
-    if shape is None:
-        shape = cluster_shape(g, cluster, params.cluster_eps())
+    shape = (cluster if isinstance(cluster, ClusterShape)
+             else cluster_shape(g, cluster, params.cluster_eps()))
     d = shape.d
     out = np.array(sigma_out, dtype=np.int64)  # a copy: the caller colors on
     if out.shape != (g.n,):
@@ -189,22 +178,22 @@ def _eta_rounds(ctx: ClusterContext, params: Params) -> tuple[float, int]:
     """Pick eta strictly inside the hierarchy 1/D, zeta << eta << zeta/eps, 1
     (geometric mean of the two ends, unless params sets it), round eta*D to
     an integer >= 1, and check the rounded eta against the hierarchy."""
-    d = ctx.d
+    d, eps, zeta = ctx.shape.d, ctx.shape.eps, ctx.shape.zeta
     if params.eta is not None:
         eta = params.eta
     else:
-        low = max(ctx.zeta, 1.0 / d)
-        high = min(ctx.zeta / ctx.eps, 1.0)
+        low = max(zeta, 1.0 / d)
+        high = min(zeta / eps, 1.0)
         eta = (low * high) ** 0.5
     rounds = max(1, round(eta * d))
     eta = rounds / d
     if not 1.0 / d < eta:
         raise HypothesisViolated(f"hierarchy: 1/D = {1/d:.4f} !< eta = {eta:.4f}")
-    if not ctx.zeta <= eta * H_MARGIN:
+    if not zeta <= eta * H_MARGIN:
         raise HypothesisViolated(
-            f"hierarchy: zeta = {ctx.zeta:.4f} !<= eta*h_margin = {eta * H_MARGIN:.4f}"
+            f"hierarchy: zeta = {zeta:.4f} !<= eta*h_margin = {eta * H_MARGIN:.4f}"
         )
-    cap = min(ctx.zeta / ctx.eps, 1.0) / H_MARGIN
+    cap = min(zeta / eps, 1.0) / H_MARGIN
     if not eta <= cap:
         raise HypothesisViolated(
             f"hierarchy: eta = {eta:.4f} !<= min(zeta/eps,1)/h_margin = {cap:.4f}"
@@ -223,16 +212,17 @@ def process_pair_coloring(
     Every color in the result is used exactly twice, on a non-adjacent
     pair, so the partial coloring is proper no matter what the matching
     phase does with the remaining colors."""
-    if ctx.zeta < ctx.zeta0:
+    shape = ctx.shape
+    d, eps, zeta, cl = shape.d, shape.eps, shape.zeta, shape.cluster
+    if zeta < ctx.zeta0:
         raise HypothesisViolated(
-            f"pair process requires zeta >= zeta0 ({ctx.zeta:.5f} < {ctx.zeta0:.5f})"
+            f"pair process requires zeta >= zeta0 ({zeta:.5f} < {ctx.zeta0:.5f})"
         )
-    d, eps, cl = ctx.d, ctx.eps, ctx.cluster
-    hu, hv = ctx.shape.h_pairs.T  # positions
+    hu, hv = shape.h_pairs.T  # positions
     alive = np.ones(len(cl), dtype=bool)
     gamma = np.ones(d + 1, dtype=bool)  # y-indices
     pi: dict[int, int] = {}
-    edge_floor = (ctx.zeta - 2 * eta * eps) * d * d
+    edge_floor = (zeta - 2 * eta * eps) * d * d
     color_floor = (1.0 - 2 * eps - eta) * d
     for i in range(rounds):
         edges = np.flatnonzero(alive[hu] & alive[hv])
@@ -264,7 +254,7 @@ def process_pair_coloring(
         raise VerificationFailed("pair process bookkeeping broken")
     colors = np.zeros(ctx.graph.n, dtype=np.int64)
     colors[list(pi)] = list(pi.values())
-    check_proper(ctx.graph, colors, edges=ctx.shape.edges, what="pair process coloring")
+    check_proper(ctx.graph, colors, edges=shape.edges, what="pair process coloring")
     return pi
 
 
@@ -272,20 +262,21 @@ def color_cluster(
     ctx: ClusterContext, rng: np.random.Generator, params: Params = Params()
 ) -> tuple[np.ndarray, str]:
     """Proper coloring of the cluster consistent with sigma_out; returns
-    (colors, branch taken), colors an int64 array aligned with ctx.cluster."""
-    d, eps = ctx.d, ctx.eps
-    colors = np.zeros(len(ctx.cluster), dtype=np.int64)
-    if ctx.zeta < ctx.zeta0:
+    (colors, branch taken), colors an int64 array aligned with ctx.shape.cluster."""
+    shape = ctx.shape
+    d, eps, size = shape.d, shape.eps, len(shape.cluster)
+    colors = np.zeros(size, dtype=np.int64)
+    if shape.zeta < ctx.zeta0:
         # the matching alone colors the cluster: no pair rounds
         branch, rounds = "small", 0
-        z = 3.0 * (eps + ctx.zeta * d)
+        z = 3.0 * (eps + shape.zeta * d)
     else:
         branch = "large"
         eta, rounds = _eta_rounds(ctx, params)
         pi = process_pair_coloring(ctx, rng, rounds, eta)
-        colors[np.searchsorted(ctx.shape.members, list(pi))] = list(pi.values())
+        colors[np.searchsorted(shape.members, list(pi))] = list(pi.values())
         z = 2.0 * (eps + eta)
-    big_r = d + 1 - len(ctx.cluster) + rounds
+    big_r = d + 1 - size + rounds
     if big_r < 0:
         raise NegativeR(f"R = {big_r} < 0 on the {branch}-zeta path")
     # X: the positions still uncolored; Y: the colors the pairs did not use
@@ -299,7 +290,7 @@ def color_cluster(
         ctx.b[np.ix_(x_idx, rest_y)],
         z,
         rng,
-        r_x=[ctx.shape.h_deg[i] - rounds for i in x_idx.tolist()],
+        r_x=[shape.h_deg[i] - rounds for i in x_idx.tolist()],
         max_tries=params.match_max_tries,
     )
     hit = m.match >= 0
@@ -372,11 +363,11 @@ class Pipeline:
         paths: list[str] = []
         colors = sparse_phase_color(self.reg, self.dec, seed, params).colors
 
-        for i, cluster in enumerate(self.dec.clusters):
+        for i in range(len(self.dec.clusters)):
             shape = self._shape(i)
             rng = keyed_rng(seed, _CLUSTER_TAG, i)
             try:
-                ctx = build_cluster_context(self.reg, cluster, colors, params, shape=shape)
+                ctx = build_cluster_context(self.reg, shape, colors, params)
                 colors[shape.members], branch = color_cluster(ctx, rng, params)
                 paths.append(branch)
             except (HypothesisViolated, EmptyChoiceSet, MaxTriesExceeded) as exc:

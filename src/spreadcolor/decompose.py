@@ -102,11 +102,14 @@ class DecompositionReport:
         )
 
 
-def cluster_condition_counts(g: Graph, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cluster_condition_counts(
+    g: Graph, members: np.ndarray, gather: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The two cluster conditions' counts |N_v \\ C| and |C \\ N_v| for each
     entry v of the int array `members`, where C is the set of its entries;
-    v itself counts in C \\ N_v.  Ids must lie in 0..n-1."""
-    lens, nbrs = g.gather_neighbors(members)
+    v itself counts in C \\ N_v.  Ids must lie in 0..n-1.  `gather`, if
+    given, is g.gather_neighbors(members), which the caller has made."""
+    lens, nbrs = g.gather_neighbors(members) if gather is None else gather
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[members] = np.arange(len(members))
     rows = np.repeat(np.arange(len(members)), lens)

@@ -333,24 +333,39 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("command", ["gen", "decompose", "sparsify"])
-def test_jobs_is_offered_only_where_pipeline_trials_run(command, capsys):
-    # only sample and audit run pipeline trials, so only they take --jobs
+def test_jobs_is_offered_only_where_trials_run(command, capsys):
+    # only sample and audit run trials, so only they take --jobs
     assert main([command, "--n", "20", "--D", "4", "--jobs", "2"]) == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sampler", ["random-greedy", "slack-greedy"])
-def test_greedy_audit_rejects_parallel_jobs(sampler, capsys):
-    # the greedy samplers run every trial in one process, so --jobs 2 would
-    # do nothing; --jobs 1 (the default) is still accepted
-    base = ["audit", "--sampler", sampler, "--n", "20", "--D", "4", "--trials", "5"]
-    assert main(base + ["--jobs", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        f"error: --jobs 2: --sampler {sampler} runs in one process; "
-        "only --sampler pipeline takes --jobs\n"
+@pytest.mark.parametrize("sampler", ["pipeline", "random-greedy", "slack-greedy"])
+def test_audit_jobs_2_writes_what_jobs_1_writes(sampler, tmp_path, capsys):
+    # every sampler's trials run through one runner, and trial t draws from
+    # its own keyed stream in whichever process runs it; the greedy samplers
+    # used to refuse --jobs 2
+    base = ["audit", "--sampler", sampler, "--n", "30", "--D", "6", "--trials", "200",
+            "--seed", "6"]
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
+        written.append((out.read_bytes(), capsys.readouterr().out))
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command", ["gen", "decompose", "sample", "audit", "sparsify"])
+def test_a_negative_seed_is_a_usage_error_at_parse_time(command, monkeypatch, capsys):
+    # sample, audit and sparsify used to draw the graph and then fail in
+    # numpy with "expected non-negative integer"; gen and decompose took it
+    monkeypatch.setattr(
+        "spreadcolor.cli.gen_random_regular", lambda *a, **k: pytest.fail("graph drawn")
     )
-    assert main(base + ["--jobs", "1"]) == 0
+    assert main([command, "--n", "20", "--D", "4", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"spreadcolor {command}: error: argument --seed: must be >= 0, got -1"]
+    assert captured.out == ""
 
 
 def test_every_sampler_returns_an_int64_vertex_array():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -73,7 +73,7 @@ class TestBuildContext:
         d = 16
         g = complete_graph(d + 1)
         ctx = build_cluster_context(g, range(d + 1), outside_colors(g), Params())
-        assert ctx.zeta == 0.0
+        assert ctx.shape.zeta == 0.0
         assert ctx.b.shape == (d + 1, d + 1) and ctx.b.all()
 
     def test_one_nonedge_zeta(self):
@@ -83,13 +83,13 @@ class TestBuildContext:
         g2 = Graph.from_edges(d + 1, edges)
         # degrees now d-1 and d; treat as cluster of the (irregular) graph
         ctx = build_cluster_context(g2, range(d + 1), outside_colors(g2), Params())
-        assert ctx.zeta == 1 / ctx.d**2
+        assert ctx.shape.zeta == 1 / ctx.shape.d**2
 
     def test_engineered_density(self):
         g = clique_minus_cycle(19)  # D = 16, e(H) = 19
         ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
-        assert ctx.d == 16
-        assert ctx.zeta == pytest.approx(19 / 256)
+        assert ctx.shape.d == 16
+        assert ctx.shape.zeta == pytest.approx(19 / 256)
 
     def test_bigraph_excludes_outside_colors(self):
         g = swapped_double_clique(17)
@@ -109,7 +109,7 @@ class TestBuildContext:
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), outside_colors(g))
         want = build_cluster_context(g, range(19), outside_colors(g), Params())
-        assert ctx.zeta0 == want.zeta0 and ctx.eps == want.eps
+        assert ctx.zeta0 == want.zeta0 and ctx.shape.eps == want.shape.eps
         assert np.array_equal(ctx.b, want.b)
 
     def test_sigma_out_on_cluster_rejected(self):
@@ -143,7 +143,7 @@ class TestClusterShape:
             rng = np.random.default_rng(seed)
             sigma_out = {v: int(rng.integers(0, 18)) for v in range(19, 38)}
             arr = outside_colors(g2, sigma_out)
-            ctx = build_cluster_context(g2, cluster, arr, Params(), shape=shape)
+            ctx = build_cluster_context(g2, shape, arr, Params())
             assert adjacency_rows(ctx.b) == _reference_legal_rows(g2, cluster, sigma_out)
             assert np.array_equal(ctx.b, build_cluster_context(g2, cluster, arr, Params()).b)
         # the cluster check reads every edge with an end in the cluster
@@ -168,7 +168,7 @@ class TestClusterShape:
         assert shape.violation == "|C \\ N_v| = 18 >= eps*D for v=0"
         for _ in range(2):
             with pytest.raises(HypothesisViolated) as info:
-                build_cluster_context(g, range(34), outside_colors(g), Params(), shape=shape)
+                build_cluster_context(g, shape, outside_colors(g), Params())
             assert str(info.value) == shape.violation
 
     def test_outside_check_comes_first(self):
@@ -190,6 +190,40 @@ class TestClusterShape:
             cluster_shape(g, cluster, Params().cluster_eps())
         with pytest.raises(ValueError, match=message):
             build_cluster_context(g, cluster, outside_colors(g), Params())
+
+    def test_repeated_id_rejected(self):
+        # a repeated id used to build an 18-row context with zeta = 1/256,
+        # and color_cluster then raised NegativeR, which a Pipeline falls back on
+        g = complete_graph(17)
+        cluster = [0, *range(17)]
+        with pytest.raises(ValueError, match="vertex 0 appears more than once"):
+            cluster_shape(g, cluster, Params().cluster_eps())
+        with pytest.raises(ValueError, match="vertex 0 appears more than once"):
+            build_cluster_context(g, cluster, outside_colors(g), Params())
+
+    def test_a_cluster_and_its_shape_build_equal_contexts(self):
+        g = swapped_double_clique(17)
+        arr = outside_colors(g, {0: 3, 1: 5})
+        shape = cluster_shape(g, range(2, 17), Params().cluster_eps())
+        a = build_cluster_context(g, range(2, 17), arr, Params())
+        b = build_cluster_context(g, shape, arr, Params())
+        assert b.shape is shape and a.graph is b.graph and a.zeta0 == b.zeta0
+        assert np.array_equal(a.sigma_out, b.sigma_out) and np.array_equal(a.b, b.b)
+        for f in fields(shape):
+            x, y = getattr(a.shape, f.name), getattr(shape, f.name)
+            if f.name == "edges":
+                assert all(map(np.array_equal, x, y))
+            else:
+                assert np.array_equal(x, y), f.name
+
+    def test_one_shape_gathers_the_neighbors_once(self, monkeypatch):
+        calls = []
+        real = Graph.gather_neighbors
+        monkeypatch.setattr(
+            Graph, "gather_neighbors", lambda self, vs: calls.append(len(vs)) or real(self, vs)
+        )
+        shape = cluster_shape(clique_minus_cycle(19), range(19), Params().cluster_eps())
+        assert calls == [19] and shape.h_deg == (2,) * 19
 
     def test_outside_colors_beyond_the_palette_rejected(self):
         g = swapped_double_clique(17)
@@ -219,7 +253,7 @@ class TestProcess:
     def test_bookkeeping_and_pair_property(self):
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
-        assert ctx.zeta >= ctx.zeta0
+        assert ctx.shape.zeta >= ctx.zeta0
         rng = np.random.default_rng(0)
         pi = derived_pair_process(ctx, rng)
         rounds = len(set(pi.values()))
@@ -276,7 +310,7 @@ class TestProcess:
         pi = derived_pair_process(ctx, np.random.default_rng(2))
         # |C'| = |C| - 2*rounds, |Gamma'| = D+1 - rounds
         rounds = len(set(pi.values()))
-        assert len(ctx.cluster) - len(pi) == 19 - 2 * rounds
+        assert len(ctx.shape.cluster) - len(pi) == 19 - 2 * rounds
 
 
 class TestColorCluster:
@@ -293,7 +327,7 @@ class TestColorCluster:
         ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
         colors, branch = color_cluster(ctx, np.random.default_rng(4))
         assert branch == "large"
-        coloring = dict(zip(ctx.cluster, colors.tolist()))
+        coloring = dict(zip(ctx.shape.cluster, colors.tolist()))
         assert set(coloring) == set(range(19)) and all(coloring.values())
         assert is_proper(g, coloring)
         # colors used twice are exactly the process pairs
@@ -319,11 +353,11 @@ class TestColorCluster:
         assert g2.is_regular(16)
         sigma_out = {v: (v % 17) + 1 for v in range(19, 38)}
         ctx = build_cluster_context(g2, range(19), outside_colors(g2, sigma_out), Params())
-        assert ctx.zeta == pytest.approx(20 / 256)
+        assert ctx.shape.zeta == pytest.approx(20 / 256)
         colors, branch = color_cluster(ctx, np.random.default_rng(5))
         assert branch == "large"
         assert colors.all()
-        for v, c in zip(ctx.cluster, colors.tolist()):
+        for v, c in zip(ctx.shape.cluster, colors.tolist()):
             for w in g2.neighbors(v):
                 if w in sigma_out:
                     assert sigma_out[w] != c
@@ -348,14 +382,14 @@ class TestColorCluster:
             g = Graph.from_edges(33 + 33 * 14, edges)
             cluster, params = range(33), Params(zeta0=1.0)
         ctx = build_cluster_context(g, cluster, outside_colors(g), params)
-        d, j, r_x = ctx.d, len(ctx.cluster), ctx.shape.h_deg
+        d, j, r_x = ctx.shape.d, len(ctx.shape.cluster), ctx.shape.h_deg
         values = {"R": d + 1 - j, "max r_x": max(r_x), "sum r_x": sum(r_x)}
-        low, high = (c * (ctx.eps + ctx.zeta * d) * j for c in (2, 3))
+        low, high = (c * (ctx.shape.eps + ctx.shape.zeta * d) * j for c in (2, 3))
         assert low < values.pop(case) <= high
         assert all(value <= low for value in values.values())
         colors, branch = color_cluster(ctx, np.random.default_rng(8), params)
         assert branch == "small"
-        assert is_proper(g, dict(zip(ctx.cluster, colors.tolist())))
+        assert is_proper(g, dict(zip(ctx.shape.cluster, colors.tolist())))
 
     def test_oversized_cluster_negative_r(self):
         # 20 vertices with D = 16 and zeta0 forced huge -> small path, R < 0
@@ -417,7 +451,7 @@ class TestPipelineCheck:
     def test_improper_final_coloring_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "color_cluster",
-            lambda ctx, rng, params: (np.ones(len(ctx.cluster), dtype=np.int64), "small"),
+            lambda ctx, rng, params: (np.ones(len(ctx.shape.cluster), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match=r"pipeline coloring is not proper: edge \(0,1\)"):
             Pipeline(complete_graph(17)).sample(0)
@@ -434,7 +468,7 @@ class TestPipelineCheck:
     def test_uncolored_vertex_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "color_cluster",
-            lambda ctx, rng, params: (np.zeros(len(ctx.cluster), dtype=np.int64), "small"),
+            lambda ctx, rng, params: (np.zeros(len(ctx.shape.cluster), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match="left vertices uncolored"):
             Pipeline(complete_graph(17)).sample(0)
