@@ -13,7 +13,6 @@ from .audit import (
     SpreadValue,
     check_composition,
     exact_spread,
-    spread_report,
     wilson_interval,
 )
 from .clusters import (

@@ -1,10 +1,10 @@
 """Spread auditing.
 
-Monte Carlo containment estimation with Wilson intervals, an exact
-spread computation for explicit small distributions (max over test sets
-T of P(S ⊇ T)^(1/|T|), kept as an exact root to allow rational
-comparisons), and exact checks of the two composition bounds for glued
-random sets.
+Monte Carlo containment estimation over one stream of samples, read
+once, with Wilson intervals; an exact spread computation for explicit
+small distributions (max over test sets T of P(S ⊇ T)^(1/|T|), kept as
+an exact root to allow rational comparisons); and exact checks of the
+two composition bounds for glued random sets.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .graphs import keyed_rng
 __all__ = [
     "wilson_interval",
     "SpreadReport",
-    "spread_report",
+    "spread_report_from_samples",
     "SpreadValue",
     "ExplicitDistribution",
     "exact_spread",
@@ -34,9 +34,6 @@ __all__ = [
 ]
 
 EXACT_CAP = 20  # the largest ground set (or vertex count) of an exact 2^n computation
-
-# sampler: maps a seeded Generator to an array of colors indexed by vertex
-Sampler = Callable[[np.random.Generator], np.ndarray]
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -150,20 +147,21 @@ def audit_set_family(
 
 
 def spread_report_from_samples(
-    samples: Iterable[np.ndarray],
+    samples: Iterable[np.ndarray | None],
     n: int,
     palette_size: int,
     sets: Sequence[tuple[tuple[int, int], ...]],
     flagged_trials: int = 0,
 ) -> SpreadReport:
-    """Aggregate containment counts for pre-drawn samples (colors indexed
-    by vertex) over test sets of any sizes.  Raises NoKeptSamples when there
-    are none, and ValueError for a set with a vertex outside 0..n-1 or a
-    color outside 0..palette_size, and for an empty set or one that repeats
-    a (vertex, color) pair, whose root 1/|T| in C_hat would be wrong."""
+    """Containment counts over test sets of any sizes, from one pass over
+    samples: colors by vertex, or None for a flagged trial (one more in
+    `flagged_trials`).  Raises NoKeptSamples when none is kept, and
+    ValueError for a sample not an integer array of shape (n,), an empty
+    family or set, a vertex outside 0..n-1 or a color outside 0..palette_size,
+    or a set repeating a (vertex, color) pair, whose 1/|T| root would be wrong."""
     sizes = np.fromiter(map(len, sets), np.int64, len(sets))
-    if len(sets) and not sizes.min():
-        raise ValueError("empty test set")
+    if not (len(sets) and sizes.min()):
+        raise ValueError("empty test set" if len(sets) else "empty test family: nothing to audit")
     flat = np.fromiter(chain.from_iterable(chain.from_iterable(sets)), np.int64)
     if len(flat) != 2 * sizes.sum():
         raise ValueError("a test set holds a pair that is not (vertex, color)")
@@ -190,8 +188,14 @@ def spread_report_from_samples(
     single_hits = np.zeros((n, palette_size + 2), dtype=np.int64)
     kept = 0
     vertices = np.arange(n)
-    for kept, sample in enumerate(samples, 1):
+    for t, sample in enumerate(samples):
+        if sample is None:
+            flagged_trials += 1
+            continue
         sample = np.asarray(sample)
+        if sample.shape != (n,) or not np.issubdtype(sample.dtype, np.integer):
+            raise ValueError(f"sample {t} is not an integer array of shape ({n},)")
+        kept += 1
         single_hits[vertices, np.clip(sample, -1, palette_size + 1)] += 1
         for _, v, c, group_hits in larger:
             group_hits += np.all(sample[v] == c, axis=1)
@@ -204,23 +208,6 @@ def spread_report_from_samples(
     for idx, v, c, group_hits in groups:
         hits[idx] = group_hits if v.shape[1] > 1 else single_hits[v[:, 0], c[:, 0]]
     return SpreadReport(sets, hits, palette_size, kept, flagged_trials)
-
-
-def spread_report(
-    sampler: Sampler,
-    n: int,
-    palette_size: int,
-    trials: int,
-    seed: int,
-    family: str = "singletons+pairs",
-    sets: Sequence[tuple[tuple[int, int], ...]] | None = None,
-) -> SpreadReport:
-    """Estimate P(sigma ⊇ T) for every T in `sets`, by default the chosen
-    family, with one keyed stream per trial."""
-    if sets is None:
-        sets = audit_set_family(n, palette_size, seed, family)
-    samples = (sampler(keyed_rng(seed, t)) for t in range(trials))
-    return spread_report_from_samples(samples, n, palette_size, sets)
 
 
 # ---------------------------------------------------------------------------

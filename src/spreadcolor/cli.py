@@ -3,10 +3,11 @@
 Subcommands: gen, decompose, sample, audit, counterexample, sparsify,
 cost.  All randomness derives from --seed; per-trial streams are keyed
 by trial index, so --jobs (sample and audit, with any sampler) changes
-wall time but never output.  Each subcommand offers a flag for
-each Params field it reads (PARAM_FIELDS), and those that read any also
-take a JSON config file (--config), which may set every field; explicit
-flags win.
+wall time but never output.  Trials stream in order, and audit holds one
+coloring at a time (about trials/N with N workers).  Each subcommand
+offers a flag for each Params field it reads (PARAM_FIELDS), and those
+that read any also take a JSON config file (--config), which may set
+every field; explicit flags win.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage error
 (a bad value, or a file that cannot be read or written).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -108,17 +110,21 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _run_trials(
     trial: typing.Callable[[int], tuple[np.ndarray, bool]], ts: list[int], jobs: int
-) -> list[tuple[np.ndarray, bool]]:
-    """[trial(t) for t in ts], where trial(t) is (colors, flagged?); with
-    jobs > 1, ts is cut into `jobs` chunks, each pickled with trial once
-    and run in a worker process."""
-    if jobs <= 1:
-        return [trial(t) for t in ts]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(trial, ts, chunksize=-(-len(ts) // jobs)))
+) -> typing.Iterator[tuple[np.ndarray, bool]]:
+    """trial(t) for t in ts, in order, each run as it is consumed; trial(t)
+    is (colors, flagged?).  With workers = min(jobs, len(ts), CPUs) > 1,
+    ts is cut into one chunk per worker, each pickled with trial once and
+    run in a worker process, and the results arrive a chunk at a time."""
+    workers = min(jobs, len(ts), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(trial, ts)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(trial, ts, chunksize=-(-len(ts) // workers))
 
 
-def _greedy_trial(sampler: audit_mod.Sampler, seed: int, t: int) -> tuple[np.ndarray, bool]:
+def _greedy_trial(sampler: typing.Callable[[np.random.Generator], np.ndarray], seed: int,
+                  t: int) -> tuple[np.ndarray, bool]:
     """Audit trial t of a greedy sampler: its keyed stream, never flagged.
     Module level, so a worker process can unpickle it."""
     return sampler(keyed_rng(seed, t)), False
@@ -164,7 +170,7 @@ def _cmd_sample(args) -> int:
     params = _build_config(args)
     g = _load_graph(args)
     seeds = [args.seed + i for i in range(args.seeds)]
-    results = _run_trials(Pipeline(g, params).sample_array, seeds, args.jobs)
+    results = list(_run_trials(Pipeline(g, params).sample_array, seeds, args.jobs))
     records = []
     for s, (arr, flagged) in zip(seeds, results):
         colors = {str(v): int(c) for v, c in enumerate(arr)}
@@ -182,7 +188,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _make_sampler(name: str, g: Graph) -> audit_mod.Sampler:
+def _make_sampler(name: str, g: Graph) -> typing.Callable[[np.random.Generator], np.ndarray]:
     """The greedy sampler `name` (an --sampler choice) on g."""
     if name == "random-greedy":
         return partial(random_greedy_sample, g)
@@ -212,9 +218,8 @@ def _cmd_audit(args) -> int:
     else:
         trial = partial(_greedy_trial, _make_sampler(args.sampler, g), args.seed)
     results = _run_trials(trial, ts, args.jobs)
-    samples = [arr for arr, is_flagged in results if not is_flagged]
     rep = audit_mod.spread_report_from_samples(
-        samples, g.n, palette, sets, flagged_trials=len(results) - len(samples)
+        (None if flagged else colors for colors, flagged in results), g.n, palette, sets
     )
     if args.out:
         Path(args.out).write_text(rep.to_csv())

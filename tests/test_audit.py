@@ -16,7 +16,6 @@ from spreadcolor.audit import (
     SpreadValue,
     check_composition,
     exact_spread,
-    spread_report,
     spread_report_from_samples,
     audit_set_family,
     wilson_interval,
@@ -71,9 +70,18 @@ def _uniform_coloring_sampler(g, lists):
     return sampler
 
 
+def _keyed_audit(sampler, n, palette_size, trials, seed, family="singletons+pairs", sets=None):
+    """The audit of `sampler` over the keyed streams (seed, 0..trials-1), the
+    stream that `audit --sampler random-greedy` feeds the aggregation."""
+    if sets is None:
+        sets = audit_set_family(n, palette_size, seed, family)
+    samples = (sampler(keyed_rng(seed, t)) for t in range(trials))
+    return spread_report_from_samples(samples, n, palette_size, sets)
+
+
 def _one_set(sampler, n, palette, trials, seed, pairs) -> SpreadReport:
     """A one-set audit of `pairs`."""
-    return spread_report(sampler, n, palette, trials, seed, sets=[tuple(pairs)])
+    return _keyed_audit(sampler, n, palette, trials, seed, sets=[tuple(pairs)])
 
 
 class TestSpreadReportRow:
@@ -195,10 +203,21 @@ class TestSpreadReportAgainstRows:
         assert rep.hits.tolist() == [want[s] for s in mixed]
         assert sum(want.values()) > 0
 
-    def test_an_empty_family_has_no_rows(self):
-        rep = spread_report_from_samples([np.array([1, 2])], 2, 2, [])
-        assert rep.hits.shape == (0,) and rep.c_hat == 0.0
-        assert rep.to_csv() == "pairs,trials,hits,p_hat,ci_low,ci_high\r\n"
+    def test_an_empty_family_is_a_value_error(self):
+        # it reported c_hat 0.0 over no rows, a gate that passed vacuously
+        with pytest.raises(ValueError, match="empty test family"):
+            spread_report_from_samples([np.array([1, 2])], 2, 2, [])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([1, 2]), np.array([1, 2, 3, 1]), np.array([[1, 2, 3]]),
+         np.array([1.0, 2.0, 3.0]), np.array([True, False, True])],
+    )
+    def test_a_malformed_sample_is_a_value_error(self, bad):
+        # a short or long sample raised numpy's IndexError, a float one too
+        samples = [np.array([1, 2, 3]), None, bad]
+        with pytest.raises(ValueError, match=r"sample 2 is not an integer array of shape \(3,\)"):
+            spread_report_from_samples(samples, 3, 3, [((0, 1),), ((0, 1), (1, 2))])
 
     @pytest.mark.parametrize(
         "bad", [((-1, 3),), ((0, -1),), ((0, 7),), ((5, 1),), ((0, 1), (3, 2))]
@@ -224,7 +243,7 @@ class TestSpreadReport:
         g = complete_graph(d + 1)
         lists = [list(range(1, d + 2)) for _ in range(d + 1)]
         sampler = _uniform_coloring_sampler(g, lists)
-        rep = spread_report(
+        rep = _keyed_audit(
             sampler, g.n, d + 1, trials=3000, seed=4, family="singletons"
         )
         for p_hat in rep.hits / rep.trials:
@@ -234,7 +253,7 @@ class TestSpreadReport:
     def test_red_thumb_c_hat_near_two(self):
         ce = build_counterexample("red_thumb", 3)
         sampler = _uniform_coloring_sampler(ce.graph, ce.lists)
-        rep = spread_report(
+        rep = _keyed_audit(
             sampler,
             ce.graph.n,
             palette_size=4,
@@ -266,7 +285,7 @@ class TestSpreadReport:
     def test_csv_shape(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        rep = spread_report(sampler, 2, 2, trials=200, seed=6, family="singletons")
+        rep = _keyed_audit(sampler, 2, 2, trials=200, seed=6, family="singletons")
         lines = rep.to_csv().strip().splitlines()
         assert lines[0].startswith("pairs,trials,hits")
         assert len(lines) == 1 + 4
@@ -275,19 +294,31 @@ class TestSpreadReport:
         # an all-flagged run must not report a C_hat over zero trials
         with pytest.raises(NoKeptSamples, match="7 flagged"):
             spread_report_from_samples([], 2, 2, [((0, 1),)], flagged_trials=7)
+        with pytest.raises(NoKeptSamples, match="7 flagged"):
+            spread_report_from_samples(iter([None] * 5), 2, 2, [((0, 1),)], flagged_trials=2)
+
+    def test_a_none_in_the_stream_is_a_flagged_trial(self):
+        rng = np.random.default_rng(9)
+        sets = audit_set_family(4, 3, seed=9)
+        kept = _random_samples(rng, 4, 3, 30)
+        stream = [None if t % 4 == 1 else kept.pop() for t in range(40)]
+        want = spread_report_from_samples([a for a in stream if a is not None], 4, 3, sets)
+        rep = spread_report_from_samples(iter(stream), 4, 3, sets, flagged_trials=3)
+        assert (rep.trials, rep.flagged_trials) == (30, 10 + 3)
+        assert rep.hits.tolist() == want.hits.tolist() and rep.to_csv() == want.to_csv()
 
     def test_c_hat_shrinks_with_trials(self):
         # CI uppers tighten with more trials, so C_hat must come down
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        small = spread_report(sampler, 2, 2, trials=200, seed=6, family="singletons")
-        big = spread_report(sampler, 2, 2, trials=20000, seed=6, family="singletons")
+        small = _keyed_audit(sampler, 2, 2, trials=200, seed=6, family="singletons")
+        big = _keyed_audit(sampler, 2, 2, trials=20000, seed=6, family="singletons")
         assert big.c_hat < small.c_hat
 
     def test_c_hat_recomputable_from_rows(self):
         g = complete_graph(2)
         sampler = _uniform_coloring_sampler(g, [[1, 2], [1, 2]])
-        rep = spread_report(sampler, 2, 2, trials=300, seed=8, family="singletons")
+        rep = _keyed_audit(sampler, 2, 2, trials=300, seed=8, family="singletons")
         _, ci_high = rep.intervals()
         manual = max(hi ** (1 / len(pairs)) for pairs, hi in zip(rep.sets, ci_high)) * 2
         assert rep.c_hat == pytest.approx(manual)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import numpy as np
 
 from spreadcolor import audit, clusters
-from spreadcolor.cli import _build_config, _make_sampler, build_parser, main
+from spreadcolor.cli import _build_config, _make_sampler, _run_trials, build_parser, main
 from spreadcolor.clusters import Pipeline
 from spreadcolor.graphs import (
     complete_graph,
@@ -352,6 +353,84 @@ def test_audit_jobs_2_writes_what_jobs_1_writes(sampler, tmp_path, capsys):
         assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
         written.append((out.read_bytes(), capsys.readouterr().out))
     assert written[0] == written[1]
+
+
+def test_run_trials_runs_each_trial_as_it_is_consumed():
+    # so an audit counts each coloring before the next trial draws one
+    ran = []
+    stream = _run_trials(lambda t: ran.append(t) or (np.array([t]), False), [5, 6, 7], 1)
+    assert ran == []
+    assert next(stream)[0].tolist() == [5] and ran == [5]
+    assert [colors.tolist() for colors, _ in stream] == [[6], [7]] and ran == [5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cpus, pool",
+    [("64", "3", 8, (3, 1)), ("2", "5", 8, (2, 3)), ("4", "10", 3, (3, 4)),
+     ("64", "3", 1, None), ("64", "3", None, None), ("1", "5", 8, None), ("8", "1", 8, None)],
+)
+def test_the_pool_is_sized_by_jobs_trials_and_cpus(
+    jobs, trials, cpus, pool, monkeypatch, tmp_path, capsys
+):
+    # --jobs 64 asked for 64 workers for 3 trials, and the fork start method
+    # starts every worker at the first submit; this pool starts no process
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, ts, chunksize):
+            made.append((self.max_workers, chunksize))
+            return map(fn, ts)
+
+    monkeypatch.setattr("spreadcolor.cli.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("spreadcolor.cli.os.cpu_count", lambda: cpus)
+    base = ["audit", "--sampler", "random-greedy", "--n", "10", "--D", "4", "--trials", trials]
+    written = []
+    for j in ("1", jobs):
+        out = tmp_path / f"jobs{j}.csv"
+        assert main(base + ["--jobs", j, "--out", str(out)]) == 0
+        written.append((out.read_bytes(), capsys.readouterr().out))
+    assert made == ([pool] if pool else [])
+    assert written[0] == written[1]
+
+
+def test_audit_memory_does_not_grow_with_trials(capsys):
+    # the audit counts each coloring as its trial yields it; it used to hold
+    # all of them first, n int64s a trial (4.2 MiB at 50 trials, 8.4 at 400)
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["audit", "--sampler", "random-greedy", "--n", "2000", "--D", "4",
+                         "--family", "singletons", "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5)  # imports and first-call caches
+    assert abs(peak(400) - peak(50)) < 1 << 20
+
+
+@pytest.mark.parametrize("sampler", ["random-greedy", "slack-greedy"])
+@pytest.mark.parametrize("family", ["singletons", "singletons+pairs"])
+def test_an_audit_with_no_test_set_is_a_usage_error(sampler, family, tmp_path, capsys):
+    # a graph with no vertex has no (vertex, color) pair to test: the audit
+    # printed "c_hat": 0.0 over 0 rows and passed its gate
+    g_file = tmp_path / "g.txt"
+    g_file.write_text("# n=0\n")
+    argv = ["audit", "--sampler", sampler, "--graph", str(g_file), "--trials", "5",
+            "--family", family]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: empty test family: nothing to audit"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["gen", "decompose", "sample", "audit", "sparsify"])
