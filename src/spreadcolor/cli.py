@@ -35,10 +35,9 @@ from .graphs import Graph, gen_random_regular, keyed_rng, read_edge_list, write_
 from .greedy import (
     build_counterexample,
     exact_containment_uniform,
+    ordered_greedy_sample,
     random_greedy_exact_probability,
     random_greedy_sample,
-    slack_greedy_sample,
-    uniform_lists,
 )
 from .params import Params
 from .thresholds import Hypergraph, cost_bruteforce, expense, sparsification_scan
@@ -189,10 +188,11 @@ def _cmd_sample(args) -> int:
 
 
 def _make_sampler(name: str, g: Graph) -> typing.Callable[[np.random.Generator], np.ndarray]:
-    """The greedy sampler `name` (an --sampler choice) on g."""
+    """The greedy sampler `name` (an --sampler choice) on g; slack-greedy,
+    every list the palette 1..D+1, is the greedy in ascending vertex order."""
     if name == "random-greedy":
         return partial(random_greedy_sample, g)
-    return partial(slack_greedy_sample, g, uniform_lists(g, g.max_degree + 1))
+    return partial(ordered_greedy_sample, g, np.arange(g.n))
 
 
 def _cmd_audit(args) -> int:

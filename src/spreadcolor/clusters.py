@@ -2,15 +2,17 @@
 
 Each cluster C is matched against the palette through the legal-color
 bigraph B (vertex ~ color iff no colored outside neighbor uses it).
-Sparse-in-complement clusters (zeta = e(complement[C])/D^2 below zeta0)
-are matched directly; denser ones first run the pair process, which
-assigns one fresh color to each of eta*D non-adjacent pairs, and match
-the leftovers.  The pipeline glues regularization, decomposition, the
-sparse phase and the cluster loop into a sampler of proper
-(D+1)-colorings.
+Sparse-in-complement clusters (zeta = e(complement[C])/D^2 below
+zeta0 = sqrt(eps)/D) are matched directly; denser ones first run the pair
+process, which assigns one fresh color to each of eta*D non-adjacent
+pairs, and match the leftovers.  Neither zeta0 nor eta is a parameter:
+both are derived from the cluster's shape (its eps, D and zeta).  The
+pipeline glues regularization, decomposition, the sparse phase and the
+cluster loop into a sampler of proper (D+1)-colorings.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,9 +53,10 @@ D_MIN = 4  # the smallest max degree a Pipeline takes
 @dataclass(frozen=True)
 class ClusterShape:
     """The part of a cluster's context that no sample changes: the
-    complement graph H on the cluster, zeta = e(H)/D^2, the
-    (position, outside neighbor) pairs that B is gathered from, and the
-    edges with an end in the cluster, which the properness checks read.
+    complement graph H on the cluster, zeta = e(H)/D^2, the branch
+    threshold zeta0 = sqrt(eps)/D, the (position, outside neighbor) pairs
+    that B is gathered from, and the edges with an end in the cluster,
+    which the properness checks read.
     Positions index the sorted cluster.  `violation` is the message of the
     first failed cluster condition, or None; every context built on this
     shape raises it."""
@@ -63,6 +66,7 @@ class ClusterShape:
     d: int
     eps: float
     zeta: float
+    zeta0: float  # zeta below zeta0 takes the small branch, else the large one
     h_pairs: np.ndarray  # (e(H), 2) position pairs i < j, in lexicographic order
     h_deg: tuple[int, ...]  # H-degree by position
     out_pos: np.ndarray  # position of each (vertex, outside neighbor) pair
@@ -72,7 +76,7 @@ class ClusterShape:
 
 
 def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
-    """Compute H, zeta, the outside-neighbor index arrays and the checks
+    """Compute H, zeta, zeta0, the outside-neighbor index arrays and the checks
     |N_v \\ C| < eps*D and |C \\ N_v| < eps*D (in vertex order, outside
     first) of one cluster.  An id outside 0..n-1 or a repeated id is a
     ValueError."""
@@ -108,6 +112,7 @@ def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
         d=d,
         eps=eps,
         zeta=len(h_pairs) / (d * d),
+        zeta0=math.sqrt(eps) / d,
         h_pairs=h_pairs,
         h_deg=tuple((missing - 1).tolist()),
         out_pos=rows[~inside],
@@ -128,7 +133,6 @@ class ClusterContext:
     graph: Graph
     shape: ClusterShape
     sigma_out: np.ndarray  # outside colors indexed by vertex, 0 = uncolored
-    zeta0: float
     b: np.ndarray
 
 
@@ -169,22 +173,18 @@ def build_cluster_context(
         graph=g,
         shape=shape,
         sigma_out=out,
-        zeta0=params.zeta0_value(d),
         b=legal,
     )
 
 
-def _eta_rounds(ctx: ClusterContext, params: Params) -> tuple[float, int]:
+def _eta_rounds(shape: ClusterShape) -> tuple[float, int]:
     """Pick eta strictly inside the hierarchy 1/D, zeta << eta << zeta/eps, 1
-    (geometric mean of the two ends, unless params sets it), round eta*D to
-    an integer >= 1, and check the rounded eta against the hierarchy."""
-    d, eps, zeta = ctx.shape.d, ctx.shape.eps, ctx.shape.zeta
-    if params.eta is not None:
-        eta = params.eta
-    else:
-        low = max(zeta, 1.0 / d)
-        high = min(zeta / eps, 1.0)
-        eta = (low * high) ** 0.5
+    (the geometric mean of the two ends), round eta*D to an integer >= 1,
+    and check the rounded eta against the hierarchy."""
+    d, eps, zeta = shape.d, shape.eps, shape.zeta
+    low = max(zeta, 1.0 / d)
+    high = min(zeta / eps, 1.0)
+    eta = (low * high) ** 0.5
     rounds = max(1, round(eta * d))
     eta = rounds / d
     if not 1.0 / d < eta:
@@ -214,9 +214,9 @@ def process_pair_coloring(
     phase does with the remaining colors."""
     shape = ctx.shape
     d, eps, zeta, cl = shape.d, shape.eps, shape.zeta, shape.cluster
-    if zeta < ctx.zeta0:
+    if zeta < shape.zeta0:
         raise HypothesisViolated(
-            f"pair process requires zeta >= zeta0 ({zeta:.5f} < {ctx.zeta0:.5f})"
+            f"pair process requires zeta >= zeta0 ({zeta:.5f} < {shape.zeta0:.5f})"
         )
     hu, hv = shape.h_pairs.T  # positions
     alive = np.ones(len(cl), dtype=bool)
@@ -262,17 +262,19 @@ def color_cluster(
     ctx: ClusterContext, rng: np.random.Generator, params: Params = Params()
 ) -> tuple[np.ndarray, str]:
     """Proper coloring of the cluster consistent with sigma_out; returns
-    (colors, branch taken), colors an int64 array aligned with ctx.shape.cluster."""
+    (colors, branch taken), colors an int64 array aligned with ctx.shape.cluster.
+    The branch, eta and the pair rounds come from the shape; params gives
+    only the matching's retry budget."""
     shape = ctx.shape
     d, eps, size = shape.d, shape.eps, len(shape.cluster)
     colors = np.zeros(size, dtype=np.int64)
-    if shape.zeta < ctx.zeta0:
+    if shape.zeta < shape.zeta0:
         # the matching alone colors the cluster: no pair rounds
         branch, rounds = "small", 0
         z = 3.0 * (eps + shape.zeta * d)
     else:
         branch = "large"
-        eta, rounds = _eta_rounds(ctx, params)
+        eta, rounds = _eta_rounds(shape)
         pi = process_pair_coloring(ctx, rng, rounds, eta)
         colors[np.searchsorted(shape.members, list(pi))] = list(pi.values())
         z = 2.0 * (eps + eta)

@@ -69,16 +69,6 @@ class Decomposition:
             }
         )
 
-    @staticmethod
-    def from_json(text: str) -> "Decomposition":
-        d = json.loads(text)
-        return Decomposition(
-            sparse=frozenset(d["sparse"]),
-            clusters=tuple(tuple(c) for c in d["clusters"]),
-            eps=float(d["eps"]),
-            theta=float(d["theta"]),
-        )
-
 
 @dataclass
 class DecompositionReport:
@@ -124,19 +114,10 @@ def check_vertex_ids(g: Graph, ids: Iterable[int]) -> None:
         raise ValueError(f"vertex {min(stray)} not in graph of order {g.n}")
 
 
-def verify_decomposition(
-    g: Graph,
-    dec: Decomposition,
-    *,
-    counts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-) -> DecompositionReport:
-    """Pure check of the Decomposition invariants against g.  A vertex id
-    outside 0..n-1 is a ValueError.
-
-    `counts`, if given, holds each cluster's (members in dec.clusters
-    order, |N_v \\ C|, |C \\ N_v|) as cluster_condition_counts gives them,
-    so a caller that has counted the clusters already need not count them
-    again; by default they are counted here, once the ids are checked."""
+def verify_decomposition(g: Graph, dec: Decomposition) -> DecompositionReport:
+    """Pure check of the Decomposition invariants against g, with one
+    cluster_condition_counts call per cluster.  A vertex id outside 0..n-1
+    is a ValueError."""
     d = g.max_degree
     parts = [dec.sparse, *map(frozenset, dec.clusters)]
     covered = set().union(*parts)
@@ -149,11 +130,9 @@ def verify_decomposition(
         margin = neighborhood_complement_edges(g)[sparse] - dec.theta * d * d
         report.worst_sparse_margin = float(margin.min())
         report.sparse_failures = sparse[margin < 0].tolist()
-    if counts is None:
-        arrays = (np.asarray(c, dtype=np.int64) for c in dec.clusters)
-        counts = ((members, *cluster_condition_counts(g, members)) for members in arrays)
     limit = dec.eps * d
-    for members, outside, missing in counts:
+    for members in (np.asarray(c, dtype=np.int64) for c in dec.clusters):
+        outside, missing = cluster_condition_counts(g, members)
         report.worst_outside_margin = min(
             report.worst_outside_margin, float(np.min(limit - outside, initial=np.inf))
         )
@@ -180,8 +159,8 @@ def sparse_dense_decompose(
     N_u = N_v, so no cluster can meet the cluster conditions: a graph with
     a dense vertex there raises HypothesisViolated.  Cluster members are
     dense, so a violated cluster condition cannot be repaired by demoting
-    the vertex to the sparse side; it surfaces as VerificationFailed rather
-    than a silently weakened output.
+    the vertex to the sparse side; it surfaces as VerificationFailed, naming
+    the smallest such vertex, rather than a silently weakened output.
     """
     d = g.max_degree
     if not g.is_regular(d):
@@ -203,7 +182,7 @@ def sparse_dense_decompose(
     # friend graph on the dense vertices: only pairs at distance 2 share a
     # neighbor, and every such pair is a cell of the common-neighbor counts
     # (a sparse vertex keeps the shared empty row); clusters are its
-    # components, searched from the dense vertices in order
+    # components, searched from the dense vertices in order and sorted
     friend_thr = (1.0 - 2.0 * eps_in) * d
     friend_adj: list[list[int]] = [[]] * g.n
     for block, cnt in common_neighbor_blocks(g, dense):
@@ -211,32 +190,21 @@ def sparse_dense_decompose(
         friend[np.arange(len(block)), block] = False
         for u, row in zip(block.tolist(), friend):
             friend_adj[u] = np.flatnonzero(row).tolist()
-    # the visit order fixes the set order, which the check below reads
-    clusters = [set(comp) for comp in connected_components(friend_adj, dense.tolist())[1]]
-
-    # one count per cluster serves both this check, which names the first
-    # failing vertex in set order, and the verification, which reads the
-    # counts in sorted order
-    counts = []
-    for cluster in clusters:
-        members = np.fromiter(cluster, dtype=np.int64, count=len(cluster))  # set order
-        outside, missing = cluster_condition_counts(g, members)
-        bad = np.flatnonzero((outside >= eps * d) | (missing >= eps * d))
-        if bad.size:
-            raise VerificationFailed(
-                f"vertex {members[bad[0]]} violates a cluster condition but fails the "
-                f"sparsity test; no valid decomposition at eps_in={eps_in}"
-            )
-        order = np.argsort(members)
-        counts.append((members[order], outside[order], missing[order]))
+    comps = connected_components(friend_adj, dense.tolist())[1]
 
     dec = Decomposition(
         sparse=frozenset(sparse),
-        clusters=tuple(tuple(sorted(c)) for c in clusters),
+        clusters=tuple(tuple(sorted(c)) for c in comps),
         eps=eps,
         theta=theta,
     )
-    report = verify_decomposition(g, dec, counts=counts)
+    report = verify_decomposition(g, dec)
+    failing = [v for v, _ in report.outside_failures + report.missing_failures]
+    if failing:
+        raise VerificationFailed(
+            f"vertex {min(failing)} violates a cluster condition but fails the "
+            f"sparsity test; no valid decomposition at eps_in={eps_in}"
+        )
     if not report.ok:
         raise VerificationFailed(f"decomposition failed verification: {report}")
     return dec

@@ -6,7 +6,6 @@ per line (0-based ids, '#' starts a comment) after an optional first-line
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -211,16 +210,6 @@ class Graph:
         """Per vertex, the index of its component in components(); cached
         and read-only."""
         return self._component_data()[0]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [[u, v] for u, v in self.edges()]})
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        data = json.loads(text)
-        return Graph.from_edges(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
 
 
 def _frozen(a) -> np.ndarray:

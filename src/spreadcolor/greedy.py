@@ -208,9 +208,17 @@ def slack_greedy_exact_distribution(
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact output distribution of slack greedy in the given order
     (slack_greedy_sample's ascending order by default), keyed by the color
-    tuple in vertex order.  Exponential; for small instances only."""
-    if order is None:
-        order = list(range(g.n))
+    tuple in vertex order.  Exponential; for small instances only.  A list
+    count other than n, a repeated color or an order that is not a
+    permutation of 0..n-1 is a ValueError."""
+    if len(lists) != g.n:
+        raise ValueError(f"{len(lists)} lists for a graph on {g.n} vertices")
+    repeats = [v for v, s in enumerate(lists) if len(set(s)) < len(s)]
+    if repeats:
+        raise ValueError(f"vertex {repeats[0]} lists a color twice")
+    order = list(range(g.n)) if order is None else list(order)
+    if sorted(order) != list(range(g.n)):
+        raise ValueError(f"order {order} is not a permutation of 0..{g.n - 1}")
     out: dict[tuple[int, ...], Fraction] = {}
     adj = g.neighbor_lists()
 
@@ -291,14 +299,22 @@ def exact_containment_uniform(
 # ---------------------------------------------------------------------------
 
 
+def ordered_greedy_sample(g: Graph, order: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Color the vertices in `order` (a permutation of 0..n-1), each with a
+    uniform color of the palette 1..D+1 outside its colored neighborhood;
+    returns the colors indexed by vertex.  This is slack greedy on the
+    full palette; in the order arange(n) it is slack_greedy_sample with
+    every list 1..D+1, without building the lists."""
+    allowed, earlier, later, _ = ban_matrix(g, order, np.zeros(g.n, dtype=np.int64))
+    return slack_greedy(order, allowed, earlier, later, rng.random(g.n))[np.argsort(order)]
+
+
 def random_greedy_sample(g: Graph, rng: np.random.Generator) -> np.ndarray:
     """Pick a uniform uncolored vertex, then a uniform color outside its
     colored neighborhood; palette is [max_degree + 1] so this always
-    completes.  The vertex picks read no color: this is slack greedy in
-    the order rng.permutation(n), returned by vertex (argsort(order))."""
-    order = rng.permutation(g.n)
-    allowed, earlier, later, _ = ban_matrix(g, order, np.zeros(g.n, dtype=np.int64))
-    return slack_greedy(order, allowed, earlier, later, rng.random(g.n))[np.argsort(order)]
+    completes.  The vertex picks read no color: this is
+    ordered_greedy_sample in the order rng.permutation(n)."""
+    return ordered_greedy_sample(g, rng.permutation(g.n), rng)
 
 
 def random_greedy_exact_probability(g: Graph, target: Mapping[int, int]) -> Fraction:

@@ -1,14 +1,16 @@
 """Tunable parameters for the coloring pipeline, each defined once.
 
 `Params` holds what a caller may set, with its default: eps_in, theta
-(default eps^2/16), the window, the retry budgets, zeta0, eta and the
-exact searches' node caps.  Its methods derive theta' = e^-3 * theta / 2,
-the cluster tolerance 8 * eps_in and zeta0's default; eta's default is
-derived per cluster, by clusters._eta_rounds.  A function that takes a
-budget as an argument defaults to its field.  A value the construction
-fixes outright is a constant of the module that reads it: `K`, `K_MAX`
-and `LAMBDA_MAX` in matching, `H_MARGIN` and `D_MIN` in clusters,
-`ACCEPT_TARGET` in sparse_phase and `EXACT_CAP` in audit.
+(default eps^2/16), the window, the retry budgets and the exact
+searches' node caps.  Its methods derive theta' = e^-3 * theta / 2 and
+the cluster tolerance 8 * eps_in.  zeta0 and eta are not set: the
+construction fixes both from the cluster tolerance and D, so they are
+facts of a cluster's shape (clusters.cluster_shape and
+clusters._eta_rounds).  A function that takes a budget as an argument
+defaults to its field.  A value the construction fixes outright is a
+constant of the module that reads it: `K`, `K_MAX` and `LAMBDA_MAX` in
+matching, `H_MARGIN` and `D_MIN` in clusters, `ACCEPT_TARGET` in
+sparse_phase and `EXACT_CAP` in audit.
 """
 from __future__ import annotations
 
@@ -33,10 +35,6 @@ class Params:
     # matching
     match_max_tries: int = 200
 
-    # cluster phase
-    zeta0: float | None = None        # default sqrt(8*eps)/D
-    eta: float | None = None          # default geometric mean of hierarchy ends
-
     # audits
     enum_cap: int = 10**8
     color_cap: int = 2_000_000
@@ -58,10 +56,6 @@ class Params:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.zeta0 is not None and not (math.isfinite(self.zeta0) and self.zeta0 >= 0):
-            raise ValueError(f"zeta0 must be finite and >= 0, got {self.zeta0}")
-        if self.eta is not None and not (0 < self.eta <= 1):
-            raise ValueError(f"eta must be finite and in (0, 1], got {self.eta}")
         for name in ("max_tries", "match_max_tries", "enum_cap", "color_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -76,11 +70,6 @@ class Params:
 
     def cluster_eps(self) -> float:
         return 8.0 * self.eps
-
-    def zeta0_value(self, d: int) -> float:
-        if self.zeta0 is not None:
-            return self.zeta0
-        return math.sqrt(self.cluster_eps()) / d
 
     # -- serialization ---------------------------------------------------------
 

@@ -25,6 +25,7 @@ from spreadcolor.graphs import (
 from spreadcolor.matching import Matching
 from spreadcolor.params import Params
 from spreadcolor.thresholds import CurveRow, SparsificationCurve
+from test_clusters import force_large_branch
 from test_params import REMOVED_FIELDS
 
 
@@ -146,14 +147,14 @@ def test_audit_pipeline_small(capsys):
     assert summary["c_hat"] < 64
 
 
-def test_audit_all_flagged_exits_1(tmp_path, capsys):
+def test_audit_all_flagged_exits_1(tmp_path, capsys, monkeypatch):
     # zeta0 = 0 sends both cliques down the large path, whose hierarchy check
     # fails, so every trial is flagged and none is kept
+    force_large_branch(monkeypatch)
     g_file = tmp_path / "g.txt"
     g_file.write_text(write_edge_list(disjoint_union(complete_graph(17), complete_graph(17))))
     rc = main(
-        ["audit", "--graph", str(g_file), "--zeta0", "0", "--trials", "3",
-         "--family", "singletons"]
+        ["audit", "--graph", str(g_file), "--trials", "3", "--family", "singletons"]
     )
     assert rc == 1
     assert "NoKeptSamples" in capsys.readouterr().err
@@ -538,11 +539,11 @@ SUBCOMMAND_PARAMS = {
 }
 
 
-def test_the_subcommands_offer_29_settable_values_covering_every_param():
+def test_the_subcommands_offer_25_settable_values_covering_every_param():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command").choices
     assert set(subparsers) == set(SUBCOMMAND_PARAMS)
-    assert sum(len(offered) for _, offered in SUBCOMMAND_PARAMS.values()) == 29
+    assert sum(len(offered) for _, offered in SUBCOMMAND_PARAMS.values()) == 25
     covered = set().union(*(offered for _, offered in SUBCOMMAND_PARAMS.values()))
     assert covered >= {f.name for f in fields(Params)}
 
@@ -574,11 +575,11 @@ def test_each_subcommand_offers_exactly_the_params_it_reads_and_round_trips(comm
     [
         (["cost", "--hypergraph", "h.json", "--eps", "7", "--config", "/nonexistent.json"],
          "--eps 7 --config /nonexistent.json"),
-        (["gen", "--n", "20", "--D", "4", "--eta", "0.5"], "--eta 0.5"),
+        (["gen", "--n", "20", "--D", "4", "--t-window", "0.5"], "--t-window 0.5"),
         (["counterexample", "red_thumb", "--D", "3", "--seed", "99"], "--seed 99"),
-        (["sparsify", "--n", "20", "--D", "4", "--max-tries", "1", "--zeta0", "3"],
-         "--max-tries 1 --zeta0 3"),
-        (["decompose", "--n", "20", "--D", "4", "--eta", "0.5"], "--eta 0.5"),
+        (["sparsify", "--n", "20", "--D", "4", "--max-tries", "1", "--t-window", "3"],
+         "--max-tries 1 --t-window 3"),
+        (["decompose", "--n", "20", "--D", "4", "--t-window", "0.5"], "--t-window 0.5"),
         (["sample", "--n", "20", "--D", "4", "--color-cap", "5"], "--color-cap 5"),
     ],
 )
@@ -610,14 +611,14 @@ def test_greedy_audit_rejects_pipeline_params(sampler, name, capsys):
 def test_greedy_audit_takes_pipeline_params_from_a_config_file(tmp_path, capsys):
     # a config file may carry any field, so one file serves every subcommand
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text('{"eta": 0.5}')
+    cfgf.write_text('{"t_window": 0.5}')
     argv = ["audit", "--sampler", "slack-greedy", "--n", "20", "--D", "4", "--trials", "5",
             "--family", "singletons"]
     assert main(argv + ["--config", str(cfgf)]) == 0
     with_config = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == with_config
-    assert main(argv + ["--eta", "0.5"]) == 2
+    assert main(argv + ["--t-window", "0.5"]) == 2
 
 
 def test_greedy_boys_rejects_enum_cap(tmp_path, capsys):
@@ -719,13 +720,11 @@ def test_bad_threshold_is_a_usage_error(flag, value, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sample", "--n", "40", "--D", "8", "--zeta0", "-1"], "zeta0 must be finite and >= 0"),
-        (["sample", "--n", "40", "--D", "8", "--eta", "2"], "eta must be finite and in (0, 1]"),
         (["sparsify", "--n", "20", "--D", "4", "--color-cap", "0"], "color_cap must be >= 1"),
         (["counterexample", "red_thumb", "--D", "3", "--enum-cap", "0"], "enum_cap must be >= 1"),
     ],
 )
-def test_bad_cluster_or_cap_value_is_a_usage_error(argv, message, capsys):
+def test_bad_cap_value_is_a_usage_error(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestBuildContext:
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), outside_colors(g))
         want = build_cluster_context(g, range(19), outside_colors(g), Params())
-        assert ctx.zeta0 == want.zeta0 and ctx.shape.eps == want.shape.eps
+        assert ctx.shape.zeta0 == want.shape.zeta0 and ctx.shape.eps == want.shape.eps
         assert np.array_equal(ctx.b, want.b)
 
     def test_sigma_out_on_cluster_rejected(self):
@@ -207,7 +208,7 @@ class TestClusterShape:
         shape = cluster_shape(g, range(2, 17), Params().cluster_eps())
         a = build_cluster_context(g, range(2, 17), arr, Params())
         b = build_cluster_context(g, shape, arr, Params())
-        assert b.shape is shape and a.graph is b.graph and a.zeta0 == b.zeta0
+        assert b.shape is shape and a.graph is b.graph
         assert np.array_equal(a.sigma_out, b.sigma_out) and np.array_equal(a.b, b.b)
         for f in fields(shape):
             x, y = getattr(a.shape, f.name), getattr(shape, f.name)
@@ -242,10 +243,35 @@ class TestClusterShape:
             pipe.sample(seed)
         assert sorted(calls) == sorted(pipe.dec.clusters)
 
+    @pytest.mark.parametrize("eps_in", [0.01, 0.03, 0.05])
+    def test_zeta0_is_derived_from_eps_and_d(self, eps_in):
+        # no Params field sets zeta0: it is sqrt of the cluster tolerance 8*eps over D
+        g = clique_minus_cycle(19)
+        shape = cluster_shape(g, range(19), Params(eps=eps_in).cluster_eps())
+        assert shape.d == 16 and shape.zeta0 == math.sqrt(8.0 * eps_in) / 16
+
+    @pytest.mark.parametrize(
+        "g, branch",
+        [(complete_graph(17), "small"), (clique_minus_cycle(19), "large")],
+        ids=["K17", "clique_minus_cycle(19)"],
+    )
+    def test_the_branch_follows_the_shape(self, g, branch):
+        # K17 has zeta = 0; K19 minus a cycle has zeta = 19/256 above sqrt(0.4)/16
+        ctx = build_cluster_context(g, range(g.n), outside_colors(g))
+        assert (ctx.shape.zeta < ctx.shape.zeta0) == (branch == "small")
+        assert color_cluster(ctx, np.random.default_rng(0))[1] == branch
+
+
+def force_large_branch(monkeypatch):
+    """Give every cluster shape zeta0 = 0, so every cluster takes the
+    large-zeta branch."""
+    real = clusters.cluster_shape
+    monkeypatch.setattr(clusters, "cluster_shape", lambda *a: replace(real(*a), zeta0=0.0))
+
 
 def derived_pair_process(ctx, rng):
     """The pair process run with the eta and rounds color_cluster derives."""
-    eta, rounds = clusters._eta_rounds(ctx, Params())
+    eta, rounds = clusters._eta_rounds(ctx.shape)
     return process_pair_coloring(ctx, rng, rounds, eta)
 
 
@@ -253,7 +279,7 @@ class TestProcess:
     def test_bookkeeping_and_pair_property(self):
         g = clique_minus_cycle(19)
         ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
-        assert ctx.shape.zeta >= ctx.zeta0
+        assert ctx.shape.zeta >= ctx.shape.zeta0
         rng = np.random.default_rng(0)
         pi = derived_pair_process(ctx, rng)
         rounds = len(set(pi.values()))
@@ -299,7 +325,7 @@ class TestProcess:
             clusters, "process_pair_coloring", lambda *a: calls.append(a[2:]) or real(*a)
         )
         clusters.color_cluster(ctx, np.random.default_rng(0), Params())
-        eta, rounds = clusters._eta_rounds(ctx, Params())
+        eta, rounds = clusters._eta_rounds(ctx.shape)
         assert calls == [(rounds, eta)]
         assert list(inspect.signature(real).parameters) == ["ctx", "rng", "rounds", "eta"]
         assert all(p.default is p.empty for p in inspect.signature(real).parameters.values())
@@ -370,7 +396,7 @@ class TestColorCluster:
         if case == "R":
             # K10 beside a star K_{1,20}: D = 20, zeta = 0 and R = 21 - 10
             g = disjoint_union(complete_graph(10), complete_bipartite(1, 20))
-            cluster, params = range(10), Params()
+            shape = cluster_shape(g, range(10), Params().cluster_eps())
         else:
             # K33 minus the 6-regular circulant with offsets 1, 2, 3, and 14
             # pendant neighbors per member: D = 40, R = 8, e(H) = 99, so
@@ -380,14 +406,14 @@ class TestColorCluster:
             edges = [(u, v) for u in range(33) for v in range(u + 1, 33) if (u, v) not in h]
             edges += [(v, 33 + 14 * v + k) for v in range(33) for k in range(14)]
             g = Graph.from_edges(33 + 33 * 14, edges)
-            cluster, params = range(33), Params(zeta0=1.0)
-        ctx = build_cluster_context(g, cluster, outside_colors(g), params)
+            shape = replace(cluster_shape(g, range(33), Params().cluster_eps()), zeta0=1.0)
+        ctx = build_cluster_context(g, shape, outside_colors(g))
         d, j, r_x = ctx.shape.d, len(ctx.shape.cluster), ctx.shape.h_deg
         values = {"R": d + 1 - j, "max r_x": max(r_x), "sum r_x": sum(r_x)}
         low, high = (c * (ctx.shape.eps + ctx.shape.zeta * d) * j for c in (2, 3))
         assert low < values.pop(case) <= high
         assert all(value <= low for value in values.values())
-        colors, branch = color_cluster(ctx, np.random.default_rng(8), params)
+        colors, branch = color_cluster(ctx, np.random.default_rng(8))
         assert branch == "small"
         assert is_proper(g, dict(zip(ctx.shape.cluster, colors.tolist())))
 
@@ -398,15 +424,36 @@ class TestColorCluster:
         # remove another Hamilton-ish matching to get D = 16? simpler: use as is
         d = g.max_degree
         assert d == 17
-        ctx = build_cluster_context(g, range(20), outside_colors(g), Params(zeta0=1.0))
+        shape = replace(cluster_shape(g, range(20), Params().cluster_eps()), zeta0=1.0)
+        ctx = build_cluster_context(g, shape, outside_colors(g))
         with pytest.raises(NegativeR):
             color_cluster(ctx, np.random.default_rng(6))
 
-    def test_hierarchy_violation_raises(self):
+    @pytest.mark.parametrize("n", [19, 23, 31])
+    def test_derived_eta_sits_inside_the_hierarchy(self, n):
+        # eta is read from the shape alone and rounds to a whole number of
+        # pair rounds strictly between 1/D and min(zeta/eps, 1)/h_margin
+        assert list(inspect.signature(clusters._eta_rounds).parameters) == ["shape"]
+        shape = cluster_shape(clique_minus_cycle(n), range(n), Params().cluster_eps())
+        eta, rounds = clusters._eta_rounds(shape)
+        assert rounds >= 1 and eta == rounds / shape.d
+        assert 1 / shape.d < eta <= min(shape.zeta / shape.eps, 1) / clusters.H_MARGIN
+        assert shape.zeta <= eta * clusters.H_MARGIN
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            # D = 16 and zeta = 19/256: eta rounds to 1/D, which is not above 1/D
+            (0.8, r"1/D = 0.0625 !< eta = 0.0625"),
+            # eta rounds up to 2/D, past min(zeta/eps, 1)/h_margin
+            (0.5, r"eta = 0.1250 !<= min\(zeta/eps,1\)/h_margin = 0.1187"),
+        ],
+    )
+    def test_hierarchy_violation_raises(self, eps, message):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
-        with pytest.raises(HypothesisViolated):
-            color_cluster(ctx, np.random.default_rng(7), Params(eta=0.9))
+        shape = replace(cluster_shape(g, range(19), Params().cluster_eps()), eps=eps)
+        with pytest.raises(HypothesisViolated, match=message):
+            clusters._eta_rounds(shape)
 
 
 class TestClusterCheck:
@@ -534,11 +581,12 @@ class TestPipeline:
         pipe = Pipeline(g)
         assert np.array_equal(pipe.sample(5).coloring, pipe.sample(5).coloring)
 
-    def test_fallback_flags_but_stays_proper(self):
+    def test_fallback_flags_but_stays_proper(self, monkeypatch):
         # zeta0 = 0 forces the large path on a zeta = 0 clique; the hierarchy
         # check fails and the deterministic fallback finishes the cluster
+        force_large_branch(monkeypatch)
         g = disjoint_union(complete_graph(17), complete_graph(17))
-        pipe = Pipeline(g, Params(zeta0=0.0))
+        pipe = Pipeline(g)
         res = pipe.sample(0)
         assert res.flagged
         assert all(p.startswith("fallback") for p in res.cluster_paths)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import pickle
 from math import comb
 
@@ -144,8 +145,8 @@ class TestVerifier:
         assert not ids.flags.writeable
         assert dec.sparse_ids() is ids
         # the cache is no part of the value
-        assert dec == Decomposition.from_json(dec.to_json())
-        assert hash(dec) == hash(Decomposition.from_json(dec.to_json()))
+        fresh = Decomposition(frozenset({16, 9, 2}), ((1, 3),), eps=0.4, theta=0.001)
+        assert dec == fresh and hash(dec) == hash(fresh)
         assert "_sparse_ids" not in repr(dec)
         assert pickle.loads(pickle.dumps(dec)).sparse_ids().tolist() == [2, 9, 16]
         assert Decomposition(frozenset(), (), 0.4, 0.001).sparse_ids().shape == (0,)
@@ -208,7 +209,8 @@ def test_cluster_violation_raises_verification_failed():
 def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> Decomposition:
     """Frozen copy of the earlier construction: the statistic from neighbor
     sets per vertex, friends by intersecting every pair of dense neighbor
-    sets, clusters by DFS, then the repair loop."""
+    sets, clusters by DFS, then the repair loop, which names the smallest
+    vertex it cannot repair."""
     sets = [frozenset(a) for a in g.neighbor_lists()]
 
     def stat(v: int) -> int:
@@ -243,6 +245,7 @@ def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> 
                     seen.add(w)
                     stack.append(w)
         clusters.append(comp)
+    failing = []
     changed = True
     while changed:
         changed = False
@@ -255,10 +258,12 @@ def reference_decompose(g: Graph, eps_in: float, theta: float | None = None) -> 
                         sparse.add(v)
                         changed = True
                     else:
-                        raise VerificationFailed(
-                            f"vertex {v} violates a cluster condition but fails the "
-                            f"sparsity test; no valid decomposition at eps_in={eps_in}"
-                        )
+                        failing.append(v)
+    if failing:
+        raise VerificationFailed(
+            f"vertex {min(failing)} violates a cluster condition but fails the "
+            f"sparsity test; no valid decomposition at eps_in={eps_in}"
+        )
     return Decomposition(
         sparse=frozenset(sparse),
         clusters=tuple(tuple(sorted(c)) for c in clusters if c),
@@ -341,32 +346,34 @@ def test_matches_the_pairwise_reference(name, eps_in, theta):
 
 @pytest.mark.parametrize("eps_in, theta", SETTINGS)
 @pytest.mark.parametrize("name", sorted(DECOMPOSITION_CASES))
-def test_one_count_per_cluster_gives_the_same_report(name, eps_in, theta, monkeypatch):
-    # the decomposition's own check and its verification share one
-    # cluster_condition_counts call per cluster, and the report they give
-    # equals a fresh verify_decomposition of the result
+def test_one_count_per_cluster_on_every_path(name, eps_in, theta, monkeypatch):
+    # the decomposition judges its clusters once, through one
+    # verify_decomposition with one cluster_condition_counts call per
+    # cluster, and a failed cluster condition names the report's smallest
+    # failing vertex
     g = DECOMPOSITION_CASES[name]
-    calls, reports = [], []
+    calls, verified = [], []
     count, verify = decompose.cluster_condition_counts, decompose.verify_decomposition
-
-    def counted(*args):
-        calls.append(1)
-        return count(*args)
-
-    def verified(*args, **kwargs):
-        reports.append(verify(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(decompose, "cluster_condition_counts", counted)
-    monkeypatch.setattr(decompose, "verify_decomposition", verified)
-    dec = outcome(lambda: sparse_dense_decompose(g, eps_in, theta))
+    monkeypatch.setattr(
+        decompose, "cluster_condition_counts", lambda *a: calls.append(1) or count(*a)
+    )
+    monkeypatch.setattr(
+        decompose, "verify_decomposition", lambda h, dec: verified.append(dec) or verify(h, dec)
+    )
+    got = outcome(lambda: sparse_dense_decompose(g, eps_in, theta))
     monkeypatch.undo()
-    if not isinstance(dec, Decomposition):
-        assert not reports
+    if isinstance(got, HypothesisViolated):
+        # raised before any cluster is built
+        assert (calls, verified) == ([], [])
         return
+    [dec] = verified
     assert len(calls) == len(dec.clusters)
-    want = verify_decomposition(g, dec)
-    assert (reports, repr(reports)) == ([want], repr([want]))
+    report = verify_decomposition(g, dec)
+    if isinstance(got, VerificationFailed):
+        failing = [v for v, _ in report.outside_failures + report.missing_failures]
+        assert str(got).startswith(f"vertex {min(failing)} violates a cluster condition")
+    else:
+        assert got == dec and report.ok
 
 
 def reference_verify(g: Graph, dec: Decomposition) -> DecompositionReport:
@@ -505,8 +512,14 @@ def test_a_regular_input_is_not_regularized():
     assert Pipeline(g).reg is g
 
 
-def test_json_round_trip():
-    d = 16
-    g = complete_graph(d + 1)
+def test_to_json_writes_sorted_ids_and_the_tolerances():
+    # the file `spreadcolor decompose` writes: a K17 cluster beside a sparse
+    # 16-regular part, its ids as sorted plain ints
+    g = disjoint_union(complete_graph(17), gen_random_regular(60, 16, seed=8))
     dec = sparse_dense_decompose(g, eps_in=0.05)
-    assert Decomposition.from_json(dec.to_json()) == dec
+    assert json.loads(dec.to_json()) == {
+        "sparse": list(range(17, 77)),
+        "clusters": [list(range(17))],
+        "eps": 0.4,
+        "theta": dec.theta,
+    }

@@ -17,7 +17,7 @@ from spreadcolor.clusters import Pipeline
 from spreadcolor.graphs import Graph, complete_graph, disjoint_union, gen_random_regular
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import sample_conditioned_labeling, tranquil_mask
-from test_clusters import clique_minus_cycle, swapped_double_clique
+from test_clusters import clique_minus_cycle, force_large_branch, swapped_double_clique
 
 SEEDS = range(20)
 
@@ -80,19 +80,22 @@ CASES = {
         Params(theta=0.05),
         "1d56b7bad7b556d3144d3a7278c483f352c735fd85bed98a9cc1793c780b73b9",
     ),
-    # zeta0 = 0 sends both cliques down the large path, whose hierarchy
-    # check fails: every sample is flagged and finished by the fallback
+    # run with every shape's zeta0 = 0 (force_large_branch), which sends
+    # both cliques down the large path, whose hierarchy check fails: every
+    # sample is flagged and finished by the fallback
     "fallback": (
         lambda: disjoint_union(complete_graph(17), complete_graph(17)),
-        Params(zeta0=0.0),
+        Params(),
         "808daebe3ebc18476929431cd85685a7a73cbbfee90bf31533525ca1db1dd137",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_pipeline_colorings_are_bit_identical_per_seed(name):
+def test_pipeline_colorings_are_bit_identical_per_seed(name, monkeypatch):
     make, params, expected = CASES[name]
+    if name == "fallback":
+        force_large_branch(monkeypatch)
     g = make()
     pipe = Pipeline(g, params)
     h = hashlib.sha256()

@@ -56,7 +56,6 @@ class TestGraphBasics:
         # n = -1 used to give a graph with max_degree 0
         for make in [
             lambda: Graph.from_edges(-1, []),
-            lambda: Graph.from_json('{"n": -1, "edges": []}'),
             lambda: read_edge_list("", n=-2),
         ]:
             with pytest.raises(ValueError, match="need n >= 0"):
@@ -154,10 +153,6 @@ class TestGraphBasics:
             with pytest.raises(ValueError, match=rf"vertex {v} not in graph of order 4"):
                 ask(v)
 
-    def test_json_round_trip(self):
-        g = cycle_graph(5)
-        assert Graph.from_json(g.to_json()) == g
-
     def test_edge_list_round_trip(self):
         g = complete_graph(4)
         assert read_edge_list(write_edge_list(g)) == g
@@ -206,7 +201,7 @@ class TestGraphBasics:
         g.components(), g.component_labels(), g.max_degree, g.min_degree
         g.is_regular(), g.is_regular(2)
         assert set(vars(g)) == declared
-        assert Graph.from_json(g.to_json()) == g
+        assert g == disjoint_union(complete_graph(3), path_graph(4))
 
     def test_edge_arrays_list_the_edges_in_order(self):
         for g in [Graph.from_edges(0, []), Graph.from_edges(4, [(0, 1)]),

@@ -11,11 +11,18 @@ import numpy as np
 import pytest
 
 from spreadcolor.errors import CapExceeded, StuckVertex
-from spreadcolor.graphs import Graph, complete_bipartite, complete_graph
+from spreadcolor.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    gen_random_regular,
+    keyed_rng,
+)
 from spreadcolor.greedy import (
     build_counterexample,
     enumerate_colorings,
     exact_containment_uniform,
+    ordered_greedy_sample,
     random_greedy_exact_probability,
     random_greedy_sample,
     slack_greedy_exact_distribution,
@@ -78,9 +85,36 @@ class TestSlackGreedy:
         ],
     )
     def test_bad_lists_are_a_value_error(self, lists, message):
-        # a repeated color used to be drawn with double weight
+        # a repeated color used to be drawn with double weight; the exact law
+        # used to end in IndexError or count the repeated color twice
         with pytest.raises(ValueError, match=message):
             slack_greedy_sample(complete_graph(3), lists, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            slack_greedy_exact_distribution(complete_graph(3), lists)
+
+    @pytest.mark.parametrize("order", [[0, 0], [0, 5], [1]])
+    def test_an_order_that_is_not_a_permutation_is_a_value_error(self, order):
+        # [0, 0] used to end in KeyError and [0, 5] in IndexError
+        with pytest.raises(ValueError) as exc:
+            slack_greedy_exact_distribution(complete_graph(2), [[1, 2], [1, 2]], order)
+        assert str(exc.value) == f"order {order} is not a permutation of 0..1"
+
+    @pytest.mark.parametrize("order", [[1, 0], (1, 0), np.array([1, 0])], ids=["list", "tuple", "array"])
+    def test_a_permutation_order_is_followed(self, order):
+        # vertex 1 draws first from {1, 2, 3}, then vertex 0 from what is left of {1, 2}
+        law = slack_greedy_exact_distribution(complete_graph(2), [[1, 2], [1, 2, 3]], order)
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        assert law == {(2, 1): third, (1, 2): third, (1, 3): sixth, (2, 3): sixth}
+
+    @pytest.mark.parametrize("n, d", [(30, 6), (100, 16), (2000, 4)])
+    def test_the_full_palette_is_the_ordered_greedy_in_vertex_order(self, n, d):
+        # the audit's slack-greedy sampler colors without building the lists;
+        # 2000 positions take the level path
+        g = gen_random_regular(n, d, seed=n)
+        lists = uniform_lists(g, d + 1)
+        for t in range(10):
+            want = slack_greedy_sample(g, lists, keyed_rng(3, t))
+            assert np.array_equal(ordered_greedy_sample(g, np.arange(n), keyed_rng(3, t)), want)
 
     def test_stuck_vertex(self):
         g = complete_graph(3)

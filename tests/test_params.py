@@ -10,9 +10,10 @@ import pytest
 from spreadcolor import greedy, matching, thresholds
 from spreadcolor.params import Params
 
-# fields the construction fixes, now constants where they are read
+# fields the construction fixes, now constants where they are read or
+# (zeta0, eta) facts of a cluster's shape
 REMOVED_FIELDS = ["theta_prime", "accept_target", "k_out", "k_out_max", "lambda_max",
-                  "h_margin", "d_min"]
+                  "h_margin", "d_min", "zeta0", "eta"]
 
 
 @pytest.mark.parametrize(
@@ -39,16 +40,11 @@ def test_bad_thresholds_rejected(name, value):
         Params.from_dict({name: value})
 
 
-NAN, INF = float("nan"), float("inf")
-
-
 @pytest.mark.parametrize(
     "name, value, message",
-    [("zeta0", v, "zeta0 must be finite and >= 0") for v in (NAN, INF, -INF, -1.0, -1e-9)]
-    + [("eta", v, r"eta must be finite and in \(0, 1\]") for v in (NAN, INF, -INF, 0.0, -0.5, 2.0, 1.0001)]
-    + [(name, v, f"{name} must be >= 1") for name in ("enum_cap", "color_cap") for v in (0, -1)],
+    [(name, v, f"{name} must be >= 1") for name in ("enum_cap", "color_cap") for v in (0, -1)],
 )
-def test_bad_cluster_and_cap_values_rejected(name, value, message):
+def test_bad_cap_values_rejected(name, value, message):
     with pytest.raises(ValueError, match=message):
         Params(**{name: value})
     with pytest.raises(ValueError, match=message):
@@ -56,7 +52,7 @@ def test_bad_cluster_and_cap_values_rejected(name, value, message):
 
 
 INT_FIELDS = ["max_tries", "match_max_tries", "enum_cap", "color_cap"]
-FLOAT_FIELDS = ["eps", "theta", "t_window", "zeta0", "eta", "c_hat_ceiling"]
+FLOAT_FIELDS = ["eps", "theta", "t_window", "c_hat_ceiling"]
 
 
 @pytest.mark.parametrize("name", INT_FIELDS)
@@ -85,7 +81,7 @@ def test_none_rejected_where_no_default_is_derived(name):
 
 def test_field_kinds_cover_every_field():
     assert sorted(INT_FIELDS + FLOAT_FIELDS) == sorted(f.name for f in fields(Params))
-    assert len(fields(Params)) == 10
+    assert len(fields(Params)) == 8
 
 
 def test_numpy_scalars_and_ints_accepted():
@@ -99,8 +95,7 @@ def test_boundary_values_accepted():
     Params(theta=1.0)
     Params(t_window=1e-300, c_hat_ceiling=1e-300)
     Params(t_window=None)
-    Params(zeta0=0.0, eta=1.0, enum_cap=1, color_cap=1)
-    Params(zeta0=1e300, eta=1e-300)
+    Params(enum_cap=1, color_cap=1)
 
 
 @pytest.mark.parametrize("name", ["dense_edge_ceiling", *REMOVED_FIELDS])
