@@ -140,19 +140,27 @@ def build_cluster_context(
     g: Graph,
     cluster: Sequence[int] | ClusterShape,
     sigma_out: np.ndarray,
-    params: Params = Params(),
+    params: Params | None = None,
 ) -> ClusterContext:
     """Check the cluster conditions and assemble B on the cluster's shape.
 
     `cluster` is the cluster's vertex ids or its shape,
     cluster_shape(g, ids, params.cluster_eps()) computed earlier; B is
-    then one gather of sigma_out.  sigma_out, a color array indexed by
+    then one gather of sigma_out.  Only ids read params (default
+    Params()); a shape passed with a params whose cluster_eps() is not
+    the shape's eps is a ValueError.  sigma_out, a color array indexed by
     vertex with 0 for uncolored, may be partial (later clusters are still
     uncolored while earlier ones are being processed); only colored
     outside neighbors constrain B.
     """
-    shape = (cluster if isinstance(cluster, ClusterShape)
-             else cluster_shape(g, cluster, params.cluster_eps()))
+    if isinstance(cluster, ClusterShape):
+        shape = cluster
+        if params is not None and params.cluster_eps() != shape.eps:
+            raise ValueError(
+                f"shape built at eps {shape.eps}, params give {params.cluster_eps()}"
+            )
+    else:
+        shape = cluster_shape(g, cluster, (params or Params()).cluster_eps())
     d = shape.d
     out = np.array(sigma_out, dtype=np.int64)  # a copy: the caller colors on
     if out.shape != (g.n,):
@@ -348,6 +356,9 @@ class Pipeline:
             self.reg, self.params.eps, self.params.theta
         )
         self._shapes: list[ClusterShape | None] = [None] * len(self.dec.clusters)
+        # a sample returns the input prefix; a cluster reads its outside
+        # neighbors' colors, which may lie in any copy
+        self._stop = self.reg.n if self.dec.clusters else g.n
 
     def _shape(self, i: int) -> ClusterShape:
         """Cluster i's sample-independent context, built on first use."""
@@ -363,13 +374,13 @@ class Pipeline:
         params = self.params
         flagged = False
         paths: list[str] = []
-        colors = sparse_phase_color(self.reg, self.dec, seed, params).colors
+        colors = sparse_phase_color(self.reg, self.dec, seed, params, stop=self._stop).colors
 
         for i in range(len(self.dec.clusters)):
             shape = self._shape(i)
             rng = keyed_rng(seed, _CLUSTER_TAG, i)
             try:
-                ctx = build_cluster_context(self.reg, shape, colors, params)
+                ctx = build_cluster_context(self.reg, shape, colors)
                 colors[shape.members], branch = color_cluster(ctx, rng, params)
                 paths.append(branch)
             except (HypothesisViolated, EmptyChoiceSet, MaxTriesExceeded) as exc:

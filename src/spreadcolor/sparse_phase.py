@@ -3,7 +3,10 @@
 Draw a uniform label for every vertex, condition (by rejection) on every
 sparse vertex seeing a typical number of locally-unique labels, keep the
 labels on the conflict-free set T as colors, then finish the remaining
-sparse vertices by slack greedy on the leftover lists.
+sparse vertices by slack greedy on the leftover lists.  A caller that
+returns only a prefix of the vertices (the pipeline's input inside its
+regularized supergraph) passes `stop`, and the greedy colors only the
+leftovers below it; every color there is the full run's.
 
 Each quantity is computed once.  The window and the pair threshold come
 from Params through _thresholds.  Rejection accepts each component with
@@ -12,6 +15,8 @@ a component, so it is the T of the final labeling.  The hand-off counts
 (|N_v ∩ T| and the leftover degree of each leftover) come from the edge
 pass that builds the greedy's inputs (greedy.ban_matrix), so the window
 the rejection accepted is checked again on a second, separate count.
+Leftovers from `stop` on take no part in the greedy, so their window is
+re-counted on their own rows of the neighbor table.
 
 Randomness is keyed: attempt t of the rejection loop uses the stream
 (seed, LABEL_TAG, t) and the greedy stage uses (seed, GREEDY_TAG), one
@@ -207,7 +212,7 @@ def sample_conditioned_labeling(
 
 @dataclass
 class SparsePhaseResult:
-    colors: np.ndarray                # indexed by vertex; 0 off V*
+    colors: np.ndarray                # indexed by vertex; 0 off V* and from stop on
     labeling: np.ndarray              # the accepted conditioned labeling
     t_mask: np.ndarray                # conflict-free set T of the labeling
     window_halfwidth: float
@@ -246,9 +251,14 @@ def _check_hand_off(
 
 
 def sparse_phase_color(
-    g: Graph, dec: Decomposition, seed: int, params: Params = Params()
+    g: Graph,
+    dec: Decomposition,
+    seed: int,
+    params: Params = Params(),
+    *,
+    stop: int | None = None,
 ) -> SparsePhaseResult:
-    """Proper coloring of the sparse set V*.
+    """Proper coloring of the sparse set V*, or of its part below `stop`.
 
     sigma on T is the conditioned labeling itself (proper there by
     construction of T); V* \\ T is finished by slack greedy
@@ -256,10 +266,21 @@ def sparse_phase_color(
     colors seen on T-neighbors, one ban matrix.  Labels on T \\ V* are used
     for those lists and then dropped.  On a D-regular graph the greedy
     always has |S_v| >= d'(v) + 1, so it cannot get stuck.
+
+    With `stop` (0..n, default n) the greedy colors only the leftovers
+    below it, and colors is 0 from `stop` on.  Each color below `stop` is
+    the full run's: position i of the ascending greedy reads only its
+    allowed row, the picks of earlier positions and uniform i, and the
+    uniforms are still drawn for every vertex.  The labeling, T and the
+    window check still cover every sparse vertex.
     """
     d = g.max_degree
     if not g.is_regular(d):
         raise ValueError("sparse phase expects the regularized (D-regular) graph")
+    if stop is None:
+        stop = g.n
+    elif not 0 <= stop <= g.n:
+        raise ValueError(f"stop {stop} outside 0..{g.n}")
     window, pair_min = _thresholds(d, len(dec.sparse), params)
     sparse_ids = dec.sparse_ids()
     tau, t_mask = sample_conditioned_labeling(
@@ -270,19 +291,31 @@ def sparse_phase_color(
     check_proper(g, on_t, what="labeling restricted to T")
 
     leftovers = sparse_ids[~t_mask[sparse_ids]]
+    cut = np.searchsorted(leftovers, stop)
+    leftovers, rest = leftovers[:cut], leftovers[cut:]
     k = len(leftovers)
     # a leftover's colored neighbors are its T-neighbors: it sees |N_v ∩ T|
     allowed, earlier, later, in_t = ban_matrix(g, leftovers, on_t)
     d_rest = np.bincount(earlier, minlength=k) + np.bincount(later, minlength=k)
     _check_hand_off(leftovers, in_t, d_rest, allowed.sum(axis=1), d, window, pair_min)
+    if len(rest):
+        # uncolored, but the window is part of the law's conditioning
+        in_t_rest = np.count_nonzero(t_mask[g.flat.reshape(g.n, d)[rest]], axis=1)
+        outside = _outside(in_t_rest, d, window)
+        if outside.any():
+            raise VerificationFailed(
+                f"vertex {rest[np.argmax(outside)]} escaped the accepted window"
+            )
 
     uniforms = keyed_rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
     picked = slack_greedy(leftovers, allowed, earlier, later, uniforms)
 
-    # labels on T \ V* banned colors above and are dropped here
+    # labels on T \ V* banned colors above and are dropped here, and no
+    # leftover keeps its clashing label
     colors = np.zeros_like(tau)
-    colors[sparse_ids] = tau[sparse_ids]
+    colors[sparse_ids] = on_t[sparse_ids]
     colors[leftovers] = picked
+    colors[stop:] = 0
     check_proper(g, colors, what="sparse-phase coloring")
     return SparsePhaseResult(
         colors=colors,

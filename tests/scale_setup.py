@@ -11,10 +11,15 @@ regularize builds D+2 = 22 copies (110,000 vertices at n = 5,000 and
 fresh graph, then recounts a seeded sample of rows of the sparsity
 statistic of the regularized graph with `count_complement_edges` (the
 blocked common-neighbor count, which reads no cache) and compares them
-with the array that regularize cached.  It exits 1 on a mismatch, or
-when a set-up takes more than the 20 s budget of ROADMAP item 4.  Each
-line also gives the process's peak resident set size so far (ru_maxrss),
-so run one n per process to read one input's peak.
+with the array that regularize cached.  It then runs the sparse phase
+in full (`sparse_phase_color` without `stop`), which also builds the
+graph's lazy caches, times one `Pipeline.sample` on the same seed, which
+colors only the input's prefix, and compares that coloring with the
+prefix of the full run; the inputs have no cluster, so the two must be
+equal.  It exits 1 on either mismatch, or when a set-up takes more than
+the 20 s budget of ROADMAP item 4.  Each line also gives the process's
+peak resident set size after the set-up (ru_maxrss), so run one n per
+process to read one input's set-up peak.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import numpy as np
 
 from spreadcolor.clusters import Pipeline
 from spreadcolor.graphs import Graph, count_complement_edges, gen_random_regular
+from spreadcolor.sparse_phase import sparse_phase_color
 
 BUDGET_S = 20.0
 
@@ -53,14 +59,22 @@ def main(argv: list[str] | None = None) -> int:
         rows = np.sort(np.random.default_rng(n).choice(reg.n, min(args.rows, reg.n), replace=False))
         same = stat is not None and np.array_equal(stat[rows], count_complement_edges(reg, rows))
         in_budget = setup_s <= BUDGET_S
-        ok &= same and in_budget
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        # the full run goes first and builds the graph's lazy caches
+        full = sparse_phase_color(reg, pipe.dec, n, pipe.params).colors[:n]
+        t0 = time.perf_counter()
+        coloring = pipe.sample(n).coloring
+        sample_s = time.perf_counter() - t0
+        prefix = np.array_equal(coloring, full)
+        ok &= same and in_budget and prefix
         print(
             f"n={n}: {reg.n} vertices regularized, Pipeline(g) {setup_s:.2f} s"
             f"{'' if in_budget else f' OVER the {BUDGET_S:.0f} s budget'}, "
             f"peak RSS {peak_mb:.0f} MB, "
             f"{len(pipe.dec.sparse)} sparse, {len(pipe.dec.clusters)} clusters, "
-            f"{len(rows)} statistic rows {'match' if same else 'MISMATCH'}"
+            f"{len(rows)} statistic rows {'match' if same else 'MISMATCH'}, "
+            f"one sample {sample_s:.3f} s, "
+            f"{'equal to' if prefix else 'MISMATCH with'} the full-run prefix"
         )
     return 0 if ok else 1
 

@@ -202,6 +202,13 @@ class TestClusterShape:
         with pytest.raises(ValueError, match="vertex 0 appears more than once"):
             build_cluster_context(g, cluster, outside_colors(g), Params())
 
+    def test_a_shape_with_params_of_another_eps_is_a_value_error(self):
+        g = complete_graph(17)
+        shape = cluster_shape(g, range(17), Params().cluster_eps())
+        build_cluster_context(g, shape, outside_colors(g), Params(theta=0.05))
+        with pytest.raises(ValueError, match="shape built at eps 0.4, params give 0.2"):
+            build_cluster_context(g, shape, outside_colors(g), Params(eps=0.025))
+
     def test_a_cluster_and_its_shape_build_equal_contexts(self):
         g = swapped_double_clique(17)
         arr = outside_colors(g, {0: 3, 1: 5})
@@ -418,10 +425,8 @@ class TestColorCluster:
         assert is_proper(g, dict(zip(ctx.shape.cluster, colors.tolist())))
 
     def test_oversized_cluster_negative_r(self):
-        # 20 vertices with D = 16 and zeta0 forced huge -> small path, R < 0
+        # 20 vertices with D = 17 and zeta0 forced huge -> small path, R < 0
         g = clique_minus_cycle(20)  # 17-regular on 20 vertices
-        edges = set(g.edges())
-        # remove another Hamilton-ish matching to get D = 16? simpler: use as is
         d = g.max_degree
         assert d == 17
         shape = replace(cluster_shape(g, range(20), Params().cluster_eps()), zeta0=1.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spreadcolor import greedy as greedy_module
 from spreadcolor import sparse_phase
+from spreadcolor.clusters import Pipeline
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
 from spreadcolor.errors import MaxTriesExceeded, StuckVertex, VerificationFailed
 from spreadcolor.graphs import (
@@ -36,6 +37,7 @@ from spreadcolor.sparse_phase import (
 )
 from oracles import is_proper
 from test_clusters import swapped_double_clique
+from test_golden import _irregular
 
 
 def cycle_graph(n: int) -> Graph:
@@ -517,6 +519,77 @@ class TestSparsePhaseColor:
             full = sparse_phase_color(g, dec, seed=seed)
             alone = sparse_phase_color(g1, dec1, seed=seed)
             assert np.array_equal(full.colors[:40], alone.colors)
+
+
+def _irregular_sparse(seed: int) -> Graph:
+    """gen_random_regular(100, 40, seed) minus a seeded matching of 20 edges:
+    regularize builds 42 copies, 4,200 vertices, all of them sparse."""
+    edges = list(gen_random_regular(100, 40, seed=seed).edges())
+    dropped, used = set(), set()
+    for i in np.random.default_rng(seed).permutation(len(edges)).tolist():
+        u, v = edges[i]
+        if u not in used and v not in used:
+            dropped.add((u, v))
+            used |= {u, v}
+            if len(dropped) == 20:
+                break
+    return Graph.from_edges(100, set(edges) - dropped)
+
+
+class TestStop:
+    @pytest.mark.parametrize(
+        "make, params, level_path",
+        [
+            (_irregular, Params(), False),
+            (lambda: _irregular_sparse(5), Params(), True),
+            # a fixed window narrower than the calibrated 0.51 * D
+            (_irregular, Params(t_window=0.4), False),
+        ],
+        ids=["irregular", "irregular-sparse", "fixed-window"],
+    )
+    def test_a_pipeline_sample_is_the_prefix_of_the_full_run(self, make, params, level_path):
+        g = make()
+        pipe = Pipeline(g, params)
+        assert pipe.dec.clusters == () and pipe.reg.n > g.n
+        for seed in range(20):
+            full = sparse_phase_color(pipe.reg, pipe.dec, seed, params)
+            assert np.array_equal(pipe.sample(seed).coloring, full.colors[: g.n])
+        leftovers = len(pipe.dec.sparse - full.t_set)
+        assert (leftovers >= _LEVEL_MIN_LEFTOVERS) == level_path
+
+    def test_colors_from_stop_on_are_zero(self):
+        g = gen_random_regular(200, 16, seed=6)
+        dec = _decompose_all_sparse(g)
+        full = sparse_phase_color(g, dec, seed=3)
+        assert np.array_equal(sparse_phase_color(g, dec, seed=3, stop=g.n).colors, full.colors)
+        for stop in (0, 1, 77, 199):
+            res = sparse_phase_color(g, dec, seed=3, stop=stop)
+            assert not res.colors[stop:].any()
+            assert np.array_equal(res.colors[:stop], full.colors[:stop])
+            assert np.array_equal(res.t_mask, full.t_mask)
+
+    @pytest.mark.parametrize("stop", [-1, 201])
+    def test_a_stop_outside_the_graph_is_a_value_error(self, stop):
+        g = gen_random_regular(200, 16, seed=6)
+        with pytest.raises(ValueError, match=f"stop {stop} outside 0..200"):
+            sparse_phase_color(g, _decompose_all_sparse(g), seed=0, stop=stop)
+
+    def test_a_leftover_past_stop_escaping_the_window_is_caught(self, monkeypatch):
+        # an accepted labeling on the first copy, one label everywhere on
+        # the second: every vertex of the second copy is an uncolored
+        # leftover with |N_v ∩ T| = 0, far below D/e = 18.4 at D = 50.  A
+        # stop of 100 leaves only the re-count of the uncolored leftovers to
+        # catch it, and every stop names vertex 100, as the full run does
+        g1 = gen_random_regular(100, 50, seed=3)
+        g = disjoint_union(g1, g1)
+        dec = _decompose_all_sparse(g)
+        window, pair_min = _thresholds(50, len(dec.sparse), Params())
+        tau, t_mask = sample_conditioned_labeling(g, dec.sparse_ids(), 0, window, pair_min, 100)
+        tau[100:], t_mask[100:] = 1, False
+        monkeypatch.setattr(sparse_phase, "sample_conditioned_labeling", lambda *a: (tau, t_mask))
+        for stop in (100, 150, None):
+            with pytest.raises(VerificationFailed, match="vertex 100 escaped the accepted window"):
+                sparse_phase_color(g, dec, seed=0, stop=stop)
 
 
 def _greedy_input(rng, k: int, edges, d: int, p_allowed: float = 1.0):
