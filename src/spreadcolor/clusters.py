@@ -267,12 +267,12 @@ def process_pair_coloring(
 
 
 def color_cluster(
-    ctx: ClusterContext, rng: np.random.Generator, params: Params = Params()
+    ctx: ClusterContext, rng: np.random.Generator, max_tries: int = Params.match_max_tries
 ) -> tuple[np.ndarray, str]:
     """Proper coloring of the cluster consistent with sigma_out; returns
     (colors, branch taken), colors an int64 array aligned with ctx.shape.cluster.
-    The branch, eta and the pair rounds come from the shape; params gives
-    only the matching's retry budget."""
+    The branch, eta and the pair rounds come from the shape; max_tries is
+    the matching's retry budget."""
     shape = ctx.shape
     d, eps, size = shape.d, shape.eps, len(shape.cluster)
     colors = np.zeros(size, dtype=np.int64)
@@ -301,7 +301,7 @@ def color_cluster(
         z,
         rng,
         r_x=[shape.h_deg[i] - rounds for i in x_idx.tolist()],
-        max_tries=params.match_max_tries,
+        max_tries=max_tries,
     )
     hit = m.match >= 0
     colors[x_idx[hit]] = rest_y[m.match[hit]] + 1
@@ -381,7 +381,7 @@ class Pipeline:
             rng = keyed_rng(seed, _CLUSTER_TAG, i)
             try:
                 ctx = build_cluster_context(self.reg, shape, colors)
-                colors[shape.members], branch = color_cluster(ctx, rng, params)
+                colors[shape.members], branch = color_cluster(ctx, rng, params.match_max_tries)
                 paths.append(branch)
             except (HypothesisViolated, EmptyChoiceSet, MaxTriesExceeded) as exc:
                 # a cluster outside the construction's hypotheses; a broken

@@ -2,9 +2,9 @@
 instances showing that the uniform and random-greedy distributions need
 not be well spread.
 
-`slack_greedy` is the package's one greedy coloring: the sparse phase,
-the cluster fallback (every uniform 0: the first legal color) and both
-samplers run it.
+`slack_greedy` is the package's one greedy coloring, a loop over the
+positions in ascending order: the sparse phase, the cluster fallback
+(every uniform 0: the first legal color) and both samplers run it.
 
 A list assignment maps each vertex to its allowed colors.  The samplers
 and the enumeration give int64 color arrays indexed by vertex; only the
@@ -53,16 +53,7 @@ def uniform_lists(g: Graph, palette_size: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-# Below this many leftovers the sequential greedy is faster: the level path
-# pays about fifteen numpy calls per level (40-50 levels at every size
-# measured), and that fixed cost outweighs a Python loop over a few hundred
-# vertices.  On random regular graphs the level path took up to 3x longer
-# at 60-260 leftovers, from even to 1.5x faster at 500 (D = 16 and 40),
-# and 3-5x faster at 2,700.
-_LEVEL_MIN_LEFTOVERS = 512
-
-
-def _greedy_sequential(
+def slack_greedy(
     leftovers: np.ndarray,
     allowed: np.ndarray,
     earlier: np.ndarray,
@@ -72,7 +63,9 @@ def _greedy_sequential(
     """Slack greedy over the leftovers in ascending order: position i drops
     the colors of its earlier leftover neighbors from its allowed row and
     takes avail[floor(uniforms[i] * |avail|)].  allowed's column 0 (no
-    color) is False; (earlier[e], later[e]) are positions in leftovers."""
+    color) is False; (earlier[e], later[e]) are positions in leftovers.
+    Returns the column each position picks; the first position left with
+    no color is a StuckVertex."""
     k = len(leftovers)
     order = np.argsort(later, kind="stable")
     pred = earlier[order].tolist()
@@ -90,74 +83,6 @@ def _greedy_sequential(
             raise StuckVertex(f"slack greedy stuck at vertex {leftovers[i]}")
         picked.append(avail[int(u * len(avail))])
     return np.array(picked, dtype=np.int64)
-
-
-def _greedy_levels(
-    leftovers: np.ndarray,
-    allowed: np.ndarray,
-    earlier: np.ndarray,
-    later: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """The same greedy, one frontier of the leftover DAG at a time: a
-    position whose earlier neighbors are all colored sees exactly the row
-    it would see in the sequential loop, so the whole frontier picks in
-    one step (Jones & Plassmann's priority DAG).  The colors picked are
-    the sequential ones.
-
-    A stuck position is recorded and the loop carries on; the smallest one
-    is raised.  That is the sequential loop's first stuck position: its
-    predecessors are earlier and none of them is stuck, so its row is
-    exact, while every wrong row lies after it."""
-    k = len(leftovers)
-    allowed = allowed.copy()
-    indeg = np.bincount(later, minlength=k)
-    order = np.argsort(earlier, kind="stable")
-    succ = later[order]
-    succ_ptr = np.concatenate(([0], np.cumsum(np.bincount(earlier, minlength=k))))
-    picked = np.zeros(k, dtype=np.int64)
-    first_stuck = k
-    front = np.flatnonzero(indeg == 0)
-    while len(front):
-        rows = allowed[front]
-        cnt = rows.sum(axis=1)
-        nth = (uniforms[front] * cnt).astype(np.int64)
-        # the nth allowed color is the number of columns whose running count
-        # of allowed colors is still <= nth; a stuck row takes column 0,
-        # which is never allowed, so clearing it below changes nothing
-        c = (np.cumsum(rows, axis=1) <= nth[:, None]).sum(axis=1)
-        stuck = cnt == 0
-        if stuck.any():
-            first_stuck = min(first_stuck, int(front[stuck].min()))
-            c[stuck] = 0
-        picked[front] = c
-        # out-edges of the frontier, gathered from the CSR ranges
-        start = succ_ptr[front]
-        lens = succ_ptr[front + 1] - start
-        offsets = np.repeat(start - (np.cumsum(lens) - lens), lens)
-        s = succ[offsets + np.arange(len(offsets))]
-        allowed[s, np.repeat(c, lens)] = False
-        indeg -= np.bincount(s, minlength=k)
-        ready = np.zeros(k, dtype=bool)
-        ready[s[indeg[s] == 0]] = True
-        front = np.flatnonzero(ready)
-    if first_stuck < k:
-        raise StuckVertex(f"slack greedy stuck at vertex {leftovers[first_stuck]}")
-    return picked
-
-
-def slack_greedy(
-    leftovers: np.ndarray,
-    allowed: np.ndarray,
-    earlier: np.ndarray,
-    later: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """The column each position picks (arguments as in _greedy_sequential):
-    one level at a time from _LEVEL_MIN_LEFTOVERS positions on, else one
-    position at a time, with the same picks either way."""
-    greedy = _greedy_levels if len(leftovers) >= _LEVEL_MIN_LEFTOVERS else _greedy_sequential
-    return greedy(leftovers, allowed, earlier, later, uniforms)
 
 
 def ban_matrix(g: Graph, vertices: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -331,7 +331,7 @@ class TestProcess:
         monkeypatch.setattr(
             clusters, "process_pair_coloring", lambda *a: calls.append(a[2:]) or real(*a)
         )
-        clusters.color_cluster(ctx, np.random.default_rng(0), Params())
+        clusters.color_cluster(ctx, np.random.default_rng(0))
         eta, rounds = clusters._eta_rounds(ctx.shape)
         assert calls == [(rounds, eta)]
         assert list(inspect.signature(real).parameters) == ["ctx", "rng", "rounds", "eta"]
@@ -503,7 +503,7 @@ class TestPipelineCheck:
     def test_improper_final_coloring_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "color_cluster",
-            lambda ctx, rng, params: (np.ones(len(ctx.shape.cluster), dtype=np.int64), "small"),
+            lambda ctx, rng, max_tries: (np.ones(len(ctx.shape.cluster), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match=r"pipeline coloring is not proper: edge \(0,1\)"):
             Pipeline(complete_graph(17)).sample(0)
@@ -520,7 +520,7 @@ class TestPipelineCheck:
     def test_uncolored_vertex_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "color_cluster",
-            lambda ctx, rng, params: (np.zeros(len(ctx.shape.cluster), dtype=np.int64), "small"),
+            lambda ctx, rng, max_tries: (np.zeros(len(ctx.shape.cluster), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match="left vertices uncolored"):
             Pipeline(complete_graph(17)).sample(0)
@@ -534,6 +534,15 @@ class TestPipeline:
         assert sorted(res.coloring.tolist()) == list(range(1, d + 2))
         assert res.cluster_paths == ["small"]
         assert not res.flagged
+
+    def test_color_cluster_gets_the_pipelines_matching_budget(self, monkeypatch):
+        budgets = []
+        real = clusters.color_cluster
+        monkeypatch.setattr(
+            clusters, "color_cluster", lambda *a: budgets.append(a[2:]) or real(*a)
+        )
+        assert not Pipeline(complete_graph(17), Params(match_max_tries=7)).sample(0).flagged
+        assert budgets == [(7,)]
 
     def test_sample_array_is_the_sample_without_its_paths(self):
         pipe = Pipeline(disjoint_union(clique_minus_cycle(19), complete_graph(17)))
@@ -631,8 +640,9 @@ class TestPipeline:
                 want = cluster_fallback_reference(reg, np.sort(members), colors)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
 
-    def test_fallback_on_a_cluster_past_the_level_threshold(self):
-        # 540 members of K_600: the engine's level path, one level per member
+    def test_fallback_on_a_large_cluster(self):
+        # 540 members of K_600: every member is an earlier neighbor of every
+        # later one, and each takes the first color its list has left
         g = complete_graph(600)
         rng = np.random.default_rng(27)
         members = np.arange(540)

@@ -55,8 +55,8 @@ CASES = {
         Params(),
         "df2191337d06e9d7420dc3816152de789cf79d16eae6b13a13f60ca48eccb58c",
     ),
-    # 585-656 leftovers per seed: the only case past the level-path
-    # threshold of the sparse-phase greedy; pinned from the sequential loop
+    # 585-656 leftovers per seed: the largest sparse-phase greedy of the
+    # golden cases
     "regular-large": (
         lambda: gen_random_regular(1000, 16, seed=23),
         Params(),

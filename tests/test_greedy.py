@@ -108,8 +108,7 @@ class TestSlackGreedy:
 
     @pytest.mark.parametrize("n, d", [(30, 6), (100, 16), (2000, 4)])
     def test_the_full_palette_is_the_ordered_greedy_in_vertex_order(self, n, d):
-        # the audit's slack-greedy sampler colors without building the lists;
-        # 2000 positions take the level path
+        # the audit's slack-greedy sampler colors without building the lists
         g = gen_random_regular(n, d, seed=n)
         lists = uniform_lists(g, d + 1)
         for t in range(10):

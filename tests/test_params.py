@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spreadcolor import greedy, matching, thresholds
+from spreadcolor import clusters, greedy, matching, thresholds
 from spreadcolor.params import Params
 
 # fields the construction fixes, now constants where they are read or
@@ -114,6 +114,7 @@ def test_theta_prime_is_derived_from_theta():
 
 # (function, budget argument, the Params field its default must equal)
 BUDGET_DEFAULTS = [
+    (clusters.color_cluster, "max_tries", "match_max_tries"),
     (matching.spread_matching_dense, "max_tries", "match_max_tries"),
     (matching.spread_X_perfect_matching, "max_tries", "match_max_tries"),
     (thresholds.list_colorings, "cap", "color_cap"),

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadcolor import greedy as greedy_module
 from spreadcolor import sparse_phase
 from spreadcolor.clusters import Pipeline
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
@@ -20,7 +19,7 @@ from spreadcolor.graphs import (
     gen_random_regular,
     keyed_rng,
 )
-from spreadcolor.greedy import _LEVEL_MIN_LEFTOVERS, _greedy_levels, _greedy_sequential
+from spreadcolor.greedy import slack_greedy
 from spreadcolor.params import Params
 from spreadcolor.sparse_phase import (
     _GREEDY_TAG,
@@ -371,7 +370,7 @@ class TestSparsePhaseColor:
             (gen_random_regular(200, 16, seed=6), Params()),
             # sparse vertices next to dense ones: labels on T \ V* ban colors
             (swapped_double_clique(17), Params(theta=0.05)),
-            # about 630 leftovers: the level path
+            # about 630 leftovers
             (gen_random_regular(1000, 16, seed=6), Params()),
         ]
         for g, params in cases:
@@ -379,19 +378,6 @@ class TestSparsePhaseColor:
             for seed in range(5):
                 res = sparse_phase_color(g, dec, seed, params)
                 assert as_dict(res.colors) == reference_slack_greedy(g, dec, res, seed)
-        assert len(dec.sparse - res.t_set) >= _LEVEL_MIN_LEFTOVERS
-
-    def test_leftover_count_selects_the_greedy(self, monkeypatch):
-        ran = []
-        for f in (_greedy_levels, _greedy_sequential):
-            monkeypatch.setattr(
-                greedy_module, f.__name__, lambda *a, f=f: ran.append(f.__name__) or f(*a)
-            )
-        for n, want in ((200, "_greedy_sequential"), (1000, "_greedy_levels")):
-            g = gen_random_regular(n, 16, seed=6)
-            ran.clear()
-            sparse_phase_color(g, _decompose_all_sparse(g), seed=0)
-            assert ran == [want]
 
     def test_labeling_escaping_the_window_is_caught(self, monkeypatch):
         # one label everywhere: T is empty, so |N_v ∩ T| = 0, far below
@@ -538,24 +524,22 @@ def _irregular_sparse(seed: int) -> Graph:
 
 class TestStop:
     @pytest.mark.parametrize(
-        "make, params, level_path",
+        "make, params",
         [
-            (_irregular, Params(), False),
-            (lambda: _irregular_sparse(5), Params(), True),
+            (_irregular, Params()),
+            (lambda: _irregular_sparse(5), Params()),
             # a fixed window narrower than the calibrated 0.51 * D
-            (_irregular, Params(t_window=0.4), False),
+            (_irregular, Params(t_window=0.4)),
         ],
         ids=["irregular", "irregular-sparse", "fixed-window"],
     )
-    def test_a_pipeline_sample_is_the_prefix_of_the_full_run(self, make, params, level_path):
+    def test_a_pipeline_sample_is_the_prefix_of_the_full_run(self, make, params):
         g = make()
         pipe = Pipeline(g, params)
         assert pipe.dec.clusters == () and pipe.reg.n > g.n
         for seed in range(20):
             full = sparse_phase_color(pipe.reg, pipe.dec, seed, params)
             assert np.array_equal(pipe.sample(seed).coloring, full.colors[: g.n])
-        leftovers = len(pipe.dec.sparse - full.t_set)
-        assert (leftovers >= _LEVEL_MIN_LEFTOVERS) == level_path
 
     def test_colors_from_stop_on_are_zero(self):
         g = gen_random_regular(200, 16, seed=6)
@@ -610,58 +594,72 @@ def _random_edges(rng, k: int, m: int) -> set[tuple[int, int]]:
     return {(min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist()) if x != y}
 
 
-def _outcome(greedy, args):
+def _outcome(args):
     try:
-        return greedy(*args)
+        return slack_greedy(*args)
     except StuckVertex as exc:
         return str(exc)
 
 
-def _assert_same_outcome(args):
+def _rule(leftovers, allowed, earlier, later, uniforms):
+    """The slack greedy, one position at a time from the arrays as given:
+    position i's list is its allowed columns less the picks of the earlier
+    ends of its edges, and it takes the floor(uniforms[i] * |list|)-th."""
+    picked = []
+    for i in range(len(leftovers)):
+        used = {picked[j] for j in earlier[later == i].tolist()}
+        avail = [c for c in np.flatnonzero(allowed[i]).tolist() if c not in used]
+        if not avail:
+            return f"slack greedy stuck at vertex {leftovers[i]}"
+        picked.append(avail[int(uniforms[i] * len(avail))])
+    return np.array(picked, dtype=np.int64)
+
+
+def _assert_follows_rule(args):
     allowed = args[1].copy()
-    seq, lev = _outcome(_greedy_sequential, args), _outcome(_greedy_levels, args)
-    assert np.array_equal(args[1], allowed)  # neither greedy writes its input
-    if isinstance(seq, str):
-        assert lev == seq
+    got = _outcome(args)
+    assert np.array_equal(args[1], allowed)  # the greedy does not write its input
+    want = _rule(*args)
+    if isinstance(want, str):
+        assert got == want
     else:
-        assert lev.dtype == seq.dtype == np.int64
-        assert np.array_equal(lev, seq)
-    return seq
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    return got
 
 
-class TestGreedyPaths:
-    """The level path against the sequential loop on the same arrays."""
-
+class TestSlackGreedy:
     def test_no_leftovers(self):
         args = _greedy_input(np.random.default_rng(0), 0, set(), 4)
-        assert len(_assert_same_outcome(args)) == 0
+        assert len(_assert_follows_rule(args)) == 0
 
     @pytest.mark.parametrize("k", [1, 50, 600])
     def test_no_edges(self, k):
         rng = np.random.default_rng(k)
         _, allowed, _, _, u = args = _greedy_input(rng, k, set(), 10, p_allowed=0.5)
         allowed[:, 1] = True  # no row is empty
-        picked = _assert_same_outcome(args)
+        picked = _assert_follows_rule(args)
         for i in range(k):
             avail = np.flatnonzero(allowed[i])
             assert picked[i] == avail[int(u[i] * len(avail))]
 
     @pytest.mark.parametrize("k", [2, 40, 600])
     def test_chain(self, k):
-        # one vertex per level: consecutive positions must differ
+        # consecutive positions must differ
         rng = np.random.default_rng(k)
         args = _greedy_input(rng, k, {(i, i + 1) for i in range(k - 1)}, 1)
-        picked = _assert_same_outcome(args)
+        picked = _assert_follows_rule(args)
         assert (picked[1:] != picked[:-1]).all()
 
     @pytest.mark.parametrize("k", [30, 600])
     def test_star(self, k):
         rng = np.random.default_rng(k)
-        # centre first: one level of k - 1 leaves after it
-        _assert_same_outcome(_greedy_input(rng, k, {(0, i) for i in range(1, k)}, 3))
+        # centre first: every leaf avoids its color
+        picked = _assert_follows_rule(_greedy_input(rng, k, {(0, i) for i in range(1, k)}, 3))
+        assert picked[0] not in picked[1:]
         # centre last: its list must lose every leaf color, so give it room
         args = _greedy_input(rng, k, {(i, k - 1) for i in range(k - 1)}, k)
-        picked = _assert_same_outcome(args)
+        picked = _assert_follows_rule(args)
         assert picked[-1] not in picked[:-1]
 
     @pytest.mark.parametrize("k", [100, 511, 512, 900])
@@ -672,13 +670,13 @@ class TestGreedyPaths:
             d = int(rng.integers(2, 40))
             edges = _random_edges(rng, k, int(rng.integers(0, 8 * k)))
             p = 1.0 if trial % 2 else float(rng.uniform(0.5, 1.0))
-            stuck += isinstance(_assert_same_outcome(_greedy_input(rng, k, edges, d, p)), str)
+            stuck += isinstance(_assert_follows_rule(_greedy_input(rng, k, edges, d, p)), str)
         assert 0 < stuck < 12  # both outcomes are exercised
 
-    def test_first_stuck_in_ascending_order_not_in_level_order(self):
+    def test_the_first_stuck_position_is_named(self):
         # the chain 0 -> 1 -> 2 -> 3 with lists {3}, {2}, {1}, {1} leaves 3
-        # stuck at level 3, while 5 has an empty list and is stuck at level
-        # 0; 3 comes first
+        # stuck by its predecessor's pick, and 5 has an empty list; 3 comes
+        # first
         rng = np.random.default_rng(7)
         leftovers, allowed, earlier, later, u = _greedy_input(
             rng, 6, {(0, 1), (1, 2), (2, 3)}, 4
@@ -686,29 +684,12 @@ class TestGreedyPaths:
         allowed[[0, 1, 2, 3, 5]] = False
         allowed[[0, 1, 2, 3], [3, 2, 1, 1]] = True
         args = (leftovers, allowed, earlier, later, u)
-        for greedy in (_greedy_sequential, _greedy_levels):
-            with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[3]}$"):
-                greedy(*args)
-        # with 3 freed, the level-0 vertex is the first stuck one
+        with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[3]}$"):
+            slack_greedy(*args)
+        # with 3 freed, 5 is the first stuck one
         allowed[3, 2] = True
-        for greedy in (_greedy_sequential, _greedy_levels):
-            with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[5]}$"):
-                greedy(*args)
-
-    def test_stuck_vertex_with_stuck_successors(self):
-        # 0 has an empty list; its successors see a row the loop never
-        # builds, and may be stuck too, but 0 is named
-        rng = np.random.default_rng(8)
-        k = 600
-        edges = {(0, i) for i in range(1, k)} | {(i, i + 1) for i in range(1, 20)}
-        leftovers, allowed, earlier, later, u = _greedy_input(rng, k, edges, 2)
-        allowed[0] = False
-        allowed[1:21] = False
-        allowed[1:21, 1] = True
-        args = (leftovers, allowed, earlier, later, u)
-        with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[0]}$"):
-            _greedy_levels(*args)
-        _assert_same_outcome(args)
+        with pytest.raises(StuckVertex, match=f"stuck at vertex {leftovers[5]}$"):
+            slack_greedy(*args)
 
 
 def test_concentration_at_moderate_scale():
