@@ -359,6 +359,9 @@ class Pipeline:
         # a sample returns the input prefix; a cluster reads its outside
         # neighbors' colors, which may lie in any copy
         self._stop = self.reg.n if self.dec.clusters else g.n
+        # without a cluster only the prefix is colored, and the edges inside
+        # it are g's own (regularize checks that g is induced on it)
+        self._checked = None if self.dec.clusters else g.edge_arrays()
 
     def _shape(self, i: int) -> ClusterShape:
         """Cluster i's sample-independent context, built on first use."""
@@ -390,7 +393,7 @@ class Pipeline:
                 paths.append(f"fallback({type(exc).__name__})")
                 flagged = True
 
-        check_proper(self.reg, colors, what="pipeline coloring")
+        check_proper(self.reg, colors, edges=self._checked, what="pipeline coloring")
         colors = colors[: self.original.n].copy()  # not a view pinning the regularized array
         if not colors.all():
             raise VerificationFailed("pipeline left vertices uncolored")

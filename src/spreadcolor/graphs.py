@@ -189,8 +189,12 @@ class Graph:
 
     def gather_neighbors(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(degree of each vertex in vs, their sorted neighbor lists
-        concatenated in the order of vs)."""
+        concatenated in the order of vs).  On a regular graph the rows are
+        read as a (n, D) view of flat."""
         flat, ptr = self.flat, self.ptr
+        if self._min_degree == self._max_degree:
+            d = self._max_degree
+            return np.full(len(vs), d, dtype=np.int64), flat.reshape(self.n, d)[vs].ravel()
         lens = ptr[vs + 1] - ptr[vs]
         return lens, flat[np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
 

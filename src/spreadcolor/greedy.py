@@ -89,24 +89,26 @@ def ban_matrix(g: Graph, vertices: np.ndarray, colors: np.ndarray) -> tuple[np.n
     """slack_greedy's (allowed, earlier, later) for coloring the uncolored
     `vertices` in the given order against `colors` (0 = uncolored, else
     1..D+1), and each vertex's number of colored neighbors, whose colors
-    its row of allowed bans."""
+    its row of allowed bans.  The vertices must be distinct: a repeated
+    one gives a wrong matrix, not an error.
+
+    Only the vertices' own rows are read, so the cost follows their
+    degrees, not the graph's edge count.  Each edge between two of them
+    is taken once, from the row of its later end, so the pairs come
+    sorted by `later`."""
     k = len(vertices)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[vertices] = np.arange(k)
-    eu, ev = g.edge_arrays()
-    pu, pv = pos[eu], pos[ev]
+    lens, nbrs = g.gather_neighbors(vertices)
+    rows = np.repeat(np.arange(k), lens)
+    seen = colors[nbrs]
+    hit = seen > 0
     allowed = np.ones((k, g.max_degree + 2), dtype=bool)
     allowed[:, 0] = False
-    n_colored = np.zeros(k, dtype=np.int64)
-    colored = colors > 0
-    for p, b in ((pu, ev), (pv, eu)):
-        hit = (p >= 0) & colored[b]
-        rows = p[hit]
-        allowed[rows, colors[b[hit]]] = False
-        n_colored += np.bincount(rows, minlength=k)
-    both = (pu >= 0) & (pv >= 0)
-    pu, pv = pu[both], pv[both]
-    return allowed, np.minimum(pu, pv), np.maximum(pu, pv), n_colored
+    allowed[rows[hit], seen[hit]] = False
+    p = pos[nbrs]
+    pair = (p >= 0) & (p < rows)
+    return allowed, p[pair], rows[pair], np.bincount(rows[hit], minlength=k)
 
 
 def slack_greedy_sample(g: Graph, lists: ListAssignment, rng: np.random.Generator) -> np.ndarray:
@@ -229,7 +231,11 @@ def ordered_greedy_sample(g: Graph, order: np.ndarray, rng: np.random.Generator)
     uniform color of the palette 1..D+1 outside its colored neighborhood;
     returns the colors indexed by vertex.  This is slack greedy on the
     full palette; in the order arange(n) it is slack_greedy_sample with
-    every list 1..D+1, without building the lists."""
+    every list 1..D+1, without building the lists.  An order that is not a
+    permutation of 0..n-1 is a ValueError."""
+    order = np.asarray(order)
+    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
+        raise ValueError(f"order {order.tolist()} is not a permutation of 0..{g.n - 1}")
     allowed, earlier, later, _ = ban_matrix(g, order, np.zeros(g.n, dtype=np.int64))
     return slack_greedy(order, allowed, earlier, later, rng.random(g.n))[np.argsort(order)]
 

@@ -12,19 +12,25 @@ Each quantity is computed once.  The window and the pair threshold come
 from Params through _thresholds.  Rejection accepts each component with
 the T of its accepting attempt and hands that T forward; no edge leaves
 a component, so it is the T of the final labeling.  The hand-off counts
-(|N_v ∩ T| and the leftover degree of each leftover) come from the edge
-pass that builds the greedy's inputs (greedy.ban_matrix), so the window
-the rejection accepted is checked again on a second, separate count.
-Leftovers from `stop` on take no part in the greedy, so their window is
-re-counted on their own rows of the neighbor table.
+(|N_v ∩ T| and the leftover degree of each leftover) come from the
+leftovers' own rows, read once to build the greedy's inputs
+(greedy.ban_matrix), so the window the rejection accepted is checked
+again on a second, separate count.  Leftovers from `stop` on take no
+part in the greedy, so their window is re-counted by _in_t_counts.
+
+After the rejection, which labels every vertex, the work follows what
+is colored: the ban matrix reads the leftovers' rows, the greedy draws
+uniforms only below `stop`, and the final properness check reads only
+the edges below `stop` (an uncolored end never clashes).  Only the check
+of the labels on T reads the whole graph.
 
 Randomness is keyed: attempt t of the rejection loop uses the stream
 (seed, LABEL_TAG, t) and the greedy stage uses (seed, GREEDY_TAG), one
-uniform per vertex.  Because acceptance is decided per connected
-component and vector draws are stream prefixes, the result restricted to
-a component equals a run on that component alone (same seed, same D and
-window, ids preserved as a prefix).  The default window depends on the
-number of sparse vertices in the whole graph.
+uniform per vertex below `stop`.  Because acceptance is decided per
+connected component and vector draws are stream prefixes, the result
+restricted to a component equals a run on that component alone (same
+seed, same D and window, ids preserved as a prefix).  The default window
+depends on the number of sparse vertices in the whole graph.
 """
 from __future__ import annotations
 
@@ -65,13 +71,22 @@ def tranquil_mask(g: Graph, tau: np.ndarray) -> np.ndarray:
 
 
 def _in_t_counts(g: Graph, t_mask: np.ndarray) -> np.ndarray:
-    """Per vertex, the number of its neighbors inside the mask."""
-    flat, ptr = g.flat, g.ptr
-    vals = t_mask[flat].astype(np.int64)
-    counts = np.zeros(g.n, dtype=np.int64)
-    nonempty = ptr[:-1] < ptr[1:]
-    counts[nonempty] = np.add.reduceat(vals, ptr[:-1][nonempty])
-    return counts
+    """Per vertex, the number of its neighbors inside the mask: one bincount
+    over the rows of the masked vertices (adjacency is symmetric), so the
+    cost follows the mask, not the whole adjacency."""
+    return np.bincount(g.gather_neighbors(np.flatnonzero(t_mask))[1], minlength=g.n)
+
+
+def _edges_below(g: Graph, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of g with both ends below `stop`, in edge_arrays order: the
+    arrays are sorted by their smaller end u, so these are a prefix of
+    them filtered by v < stop."""
+    eu, ev = g.edge_arrays()
+    if stop == g.n:
+        return eu, ev
+    cut = np.searchsorted(eu, stop)
+    keep = ev[:cut] < stop
+    return eu[:cut][keep], ev[:cut][keep]
 
 
 def _pair_count(g: Graph, tau: np.ndarray, v: int) -> int:
@@ -271,8 +286,8 @@ def sparse_phase_color(
     below it, and colors is 0 from `stop` on.  Each color below `stop` is
     the full run's: position i of the ascending greedy reads only its
     allowed row, the picks of earlier positions and uniform i, and the
-    uniforms are still drawn for every vertex.  The labeling, T and the
-    window check still cover every sparse vertex.
+    `stop` uniforms drawn are the prefix of the n a full run draws.  The
+    labeling, T and the window check still cover every sparse vertex.
     """
     d = g.max_degree
     if not g.is_regular(d):
@@ -300,14 +315,13 @@ def sparse_phase_color(
     _check_hand_off(leftovers, in_t, d_rest, allowed.sum(axis=1), d, window, pair_min)
     if len(rest):
         # uncolored, but the window is part of the law's conditioning
-        in_t_rest = np.count_nonzero(t_mask[g.flat.reshape(g.n, d)[rest]], axis=1)
-        outside = _outside(in_t_rest, d, window)
+        outside = _outside(_in_t_counts(g, t_mask)[rest], d, window)
         if outside.any():
             raise VerificationFailed(
                 f"vertex {rest[np.argmax(outside)]} escaped the accepted window"
             )
 
-    uniforms = keyed_rng(seed, _GREEDY_TAG).random(g.n)[leftovers]
+    uniforms = keyed_rng(seed, _GREEDY_TAG).random(stop)[leftovers]
     picked = slack_greedy(leftovers, allowed, earlier, later, uniforms)
 
     # labels on T \ V* banned colors above and are dropped here, and no
@@ -316,7 +330,8 @@ def sparse_phase_color(
     colors[sparse_ids] = on_t[sparse_ids]
     colors[leftovers] = picked
     colors[stop:] = 0
-    check_proper(g, colors, what="sparse-phase coloring")
+    # an uncolored end never clashes, so only the edges below stop can
+    check_proper(g, colors, edges=_edges_below(g, stop), what="sparse-phase coloring")
     return SparsePhaseResult(
         colors=colors,
         labeling=tau,

@@ -191,6 +191,25 @@ class TestGraphBasics:
         assert g.components() == [[0, 1, 2], [3, 4]]
         assert not g.component_labels().flags.writeable
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_random_regular(30, 4, seed=5),  # regular: rows read as an (n, D) view
+            disjoint_union(complete_graph(3), path_graph(4)),
+            Graph.from_edges(5, []),
+            Graph.from_edges(0, []),
+        ],
+        ids=["regular", "irregular", "edgeless", "empty"],
+    )
+    def test_gather_neighbors_concatenates_the_rows(self, g):
+        rng = np.random.default_rng(3)
+        for vs in (np.arange(g.n), rng.permutation(g.n), rng.integers(0, max(g.n, 1), 7)[: g.n]):
+            lens, nbrs = g.gather_neighbors(vs)
+            rows = [g.neighbors(v) for v in vs.tolist()]
+            assert lens.dtype == nbrs.dtype == np.int64
+            assert lens.tolist() == [len(r) for r in rows]
+            assert nbrs.tolist() == [w for r in rows for w in r]
+
     def test_caches_stay_in_declared_fields(self):
         # a key added to the instance __dict__ after construction would put
         # every later attribute load on this graph on CPython's slow path

@@ -19,6 +19,7 @@ from spreadcolor.graphs import (
     keyed_rng,
 )
 from spreadcolor.greedy import (
+    ban_matrix,
     build_counterexample,
     enumerate_colorings,
     exact_containment_uniform,
@@ -115,6 +116,14 @@ class TestSlackGreedy:
             want = slack_greedy_sample(g, lists, keyed_rng(3, t))
             assert np.array_equal(ordered_greedy_sample(g, np.arange(n), keyed_rng(3, t)), want)
 
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1, 3], [1, 0], [0, 1, 2, 0]])
+    def test_ordered_greedy_rejects_an_order_that_is_not_a_permutation(self, order):
+        # ban_matrix needs distinct vertices; a repeat would build a wrong
+        # matrix without an error
+        with pytest.raises(ValueError) as exc:
+            ordered_greedy_sample(complete_graph(3), np.array(order), keyed_rng(0))
+        assert str(exc.value) == f"order {order} is not a permutation of 0..2"
+
     def test_stuck_vertex(self):
         g = complete_graph(3)
         with pytest.raises(StuckVertex):
@@ -145,6 +154,70 @@ class TestSlackGreedy:
                     if all(key[v] == c for v, c in tau.items())
                 )
                 assert p <= bound ** len(tau)
+
+
+def _edge_scan_ban_matrix(g: Graph, vertices: np.ndarray, colors: np.ndarray):
+    """ban_matrix as it was before it read only the vertices' own rows: one
+    pass over every edge of g, kept here as the reference."""
+    k = len(vertices)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[vertices] = np.arange(k)
+    eu, ev = g.edge_arrays()
+    pu, pv = pos[eu], pos[ev]
+    allowed = np.ones((k, g.max_degree + 2), dtype=bool)
+    allowed[:, 0] = False
+    n_colored = np.zeros(k, dtype=np.int64)
+    colored = colors > 0
+    for p, b in ((pu, ev), (pv, eu)):
+        hit = (p >= 0) & colored[b]
+        rows = p[hit]
+        allowed[rows, colors[b[hit]]] = False
+        n_colored += np.bincount(rows, minlength=k)
+    both = (pu >= 0) & (pv >= 0)
+    pu, pv = pu[both], pv[both]
+    return allowed, np.minimum(pu, pv), np.maximum(pu, pv), n_colored
+
+
+def _irregular_graph() -> Graph:
+    edges = list(gen_random_regular(60, 12, seed=21).edges())
+    return Graph.from_edges(60, edges[::2] + edges[1::4])
+
+
+class TestBanMatrix:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_random_regular(80, 10, seed=4), _irregular_graph, lambda: path_graph(9)],
+        ids=["regular", "irregular", "path"],
+    )
+    @pytest.mark.parametrize("coloring", ["zero", "partial"])
+    @pytest.mark.parametrize("order", ["sorted", "permuted", "empty", "all"])
+    def test_equals_the_edge_scan(self, make, coloring, order):
+        g = make()
+        d = g.max_degree
+        rng = np.random.default_rng(5)
+        colors = np.zeros(g.n, dtype=np.int64)
+        if coloring == "partial":
+            colored = rng.random(g.n) < 0.4
+            colors[colored] = rng.integers(1, d + 2, size=int(colored.sum()))
+        uncolored = np.flatnonzero(colors == 0)
+        vertices = {
+            "sorted": np.sort(rng.choice(uncolored, size=len(uncolored) // 2, replace=False)),
+            "permuted": rng.permutation(uncolored)[: len(uncolored) * 2 // 3],
+            "empty": np.zeros(0, dtype=np.int64),
+            "all": rng.permutation(uncolored),
+        }[order]
+        allowed, earlier, later, n_colored = ban_matrix(g, vertices, colors)
+        want_allowed, want_earlier, want_later, want_colored = _edge_scan_ban_matrix(
+            g, vertices, colors
+        )
+        assert np.array_equal(allowed, want_allowed)
+        assert np.array_equal(n_colored, want_colored)
+        assert n_colored.dtype == np.int64
+        got = sorted(zip(earlier.tolist(), later.tolist()))
+        assert got == sorted(zip(want_earlier.tolist(), want_later.tolist()))
+        assert all(e < l for e, l in got)
+        # slack_greedy reads the pairs grouped by their later end
+        assert np.array_equal(later, np.sort(later))
 
 
 class TestEnumeration:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadcolor import sparse_phase
+from spreadcolor import clusters, sparse_phase
 from spreadcolor.clusters import Pipeline
 from spreadcolor.decompose import Decomposition, sparse_dense_decompose
 from spreadcolor.errors import MaxTriesExceeded, StuckVertex, VerificationFailed
 from spreadcolor.graphs import (
     Graph,
+    check_proper,
     complete_graph,
     disjoint_union,
     gen_random_regular,
@@ -26,6 +27,7 @@ from spreadcolor.sparse_phase import (
     _LABEL_TAG,
     _bad_vertices,
     _check_hand_off,
+    _edges_below,
     _in_t_counts,
     _pair_count,
     _thresholds,
@@ -36,7 +38,7 @@ from spreadcolor.sparse_phase import (
 )
 from oracles import is_proper
 from test_clusters import swapped_double_clique
-from test_golden import _irregular
+from test_golden import _clustered, _irregular
 
 
 def cycle_graph(n: int) -> Graph:
@@ -127,6 +129,34 @@ class TestLabelStatistics:
     def test_in_t_counts_on_an_edgeless_graph_are_zero(self, n):
         counts = _in_t_counts(Graph.from_edges(n, []), np.ones(n, dtype=bool))
         assert counts.dtype == np.int64 and counts.tolist() == [0] * n
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_random_regular(90, 8, seed=2),
+            _irregular(),
+            Graph.from_edges(6, [(0, 1), (1, 2)]),  # isolated vertices
+            Graph.from_edges(0, []),
+        ],
+        ids=["regular", "irregular", "isolated", "empty"],
+    )
+    def test_in_t_counts_equal_the_row_reduction(self, g):
+        # the reference is the count as it was: a gather over every adjacency
+        # entry, summed per row with reduceat
+        def reference(g, t_mask):
+            flat, ptr = g.flat, g.ptr
+            vals = t_mask[flat].astype(np.int64)
+            counts = np.zeros(g.n, dtype=np.int64)
+            nonempty = ptr[:-1] < ptr[1:]
+            counts[nonempty] = np.add.reduceat(vals, ptr[:-1][nonempty])
+            return counts
+
+        rng = np.random.default_rng(11)
+        masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool), rng.random(g.n) < 0.37]
+        for mask in masks:
+            got = _in_t_counts(g, mask)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference(g, mask))
 
     def test_pair_count_definition(self):
         # star center: leaves are mutually non-adjacent; two leaves sharing a
@@ -557,6 +587,131 @@ class TestStop:
         g = gen_random_regular(200, 16, seed=6)
         with pytest.raises(ValueError, match=f"stop {stop} outside 0..200"):
             sparse_phase_color(g, _decompose_all_sparse(g), seed=0, stop=stop)
+
+    @pytest.mark.parametrize("n", [1, 99, 100, 4200])
+    def test_the_greedy_uniforms_are_a_stream_prefix(self, n):
+        # sparse_phase_color draws `stop` uniforms, not n: the colors below
+        # stop are the full run's only while a shorter draw is a prefix of
+        # a longer one, which a numpy change could break
+        for seed in (0, 555, 7373):
+            full = keyed_rng(seed, _GREEDY_TAG).random(n)
+            for k in sorted({0, 1, n // 3, n - 1, n}):
+                assert np.array_equal(keyed_rng(seed, _GREEDY_TAG).random(k), full[:k])
+
+    def test_edges_below_stop_are_the_filtered_edge_arrays(self):
+        g = _irregular()
+        eu, ev = g.edge_arrays()
+        for stop in (0, 1, 17, 59, 60):
+            below = (eu < stop) & (ev < stop)
+            u, v = _edges_below(g, stop)
+            assert np.array_equal(u, eu[below]) and np.array_equal(v, ev[below])
+
+    def test_a_clash_below_stop_names_the_whole_graph_edge(self, monkeypatch):
+        # a greedy that gives the later end of its first leftover pair the
+        # earlier end's pick: the check over the edges below stop must fail
+        # with the message of a check over every edge
+        pipe = Pipeline(_irregular())
+        stop = pipe.original.n
+        real = sparse_phase.slack_greedy
+
+        def clashing(leftovers, allowed, earlier, later, uniforms):
+            picked = real(leftovers, allowed, earlier, later, uniforms)
+            picked[later[0]] = picked[earlier[0]]
+            return picked
+
+        seen = []
+        real_check = sparse_phase.check_proper
+
+        def spy(g, colors, **kw):
+            seen.append(np.array(colors))
+            real_check(g, colors, **kw)
+
+        monkeypatch.setattr(sparse_phase, "slack_greedy", clashing)
+        monkeypatch.setattr(sparse_phase, "check_proper", spy)
+        for seed in range(3):
+            with pytest.raises(VerificationFailed) as got:
+                sparse_phase_color(pipe.reg, pipe.dec, seed, stop=stop)
+            with pytest.raises(VerificationFailed) as want:
+                check_proper(pipe.reg, seen[-1], what="sparse-phase coloring")
+            assert str(got.value) == str(want.value)
+
+    def test_a_pipeline_clash_names_the_whole_graph_edge(self, monkeypatch):
+        # a sparse phase whose coloring repeats a color across one input
+        # edge: the pipeline's check over the input's edges must fail with
+        # the message of a check over every edge of the regularized graph
+        g = _irregular()
+        pipe = Pipeline(g)
+        real = clusters.sparse_phase_color
+        planted = []
+
+        def clashing(*a, **k):
+            res = real(*a, **k)
+            u, v = next((u, v) for u, v in g.edges() if u > 30)
+            res.colors[v] = res.colors[u]
+            planted.append(res.colors.copy())
+            return res
+
+        monkeypatch.setattr(clusters, "sparse_phase_color", clashing)
+        for seed in range(3):
+            with pytest.raises(VerificationFailed) as got:
+                pipe.sample(seed)
+            with pytest.raises(VerificationFailed) as want:
+                check_proper(pipe.reg, planted[-1], what="pipeline coloring")
+            assert str(got.value) == str(want.value)
+
+    def test_a_t_clash_past_stop_is_caught(self, monkeypatch):
+        # an accepted labeling on the first copy and one label on the whole
+        # second copy, all of it claimed for T: every clash lies past stop,
+        # and the check of the labels on T still reads the whole graph
+        g1 = gen_random_regular(100, 50, seed=3)
+        g = disjoint_union(g1, g1)
+        dec = _decompose_all_sparse(g)
+        window, pair_min = _thresholds(50, len(dec.sparse), Params())
+        tau, t_mask = sample_conditioned_labeling(g, dec.sparse_ids(), 0, window, pair_min, 100)
+        tau[100:], t_mask[100:] = 1, True
+        monkeypatch.setattr(sparse_phase, "sample_conditioned_labeling", lambda *a: (tau, t_mask))
+        u, v = next(g1.edges())
+        with pytest.raises(
+            VerificationFailed,
+            match=rf"labeling restricted to T is not proper: edge \({u + 100},{v + 100}\)",
+        ):
+            sparse_phase_color(g, dec, seed=0, stop=100)
+
+    @pytest.mark.parametrize("clustered", [False, True], ids=["cluster-free", "clustered"])
+    def test_the_checks_read_only_the_edges_that_can_clash(self, monkeypatch, clustered):
+        # per sample: the labels on T are checked on every edge; without a
+        # cluster the sparse-phase and pipeline checks read at most the
+        # input's edges, and with one (stop is the whole regularized graph)
+        # every edge
+        if clustered:
+            edges = list(_clustered().edges())
+            g, params = Graph.from_edges(_clustered().n, edges[:-1]), Params(theta=0.05)
+        else:
+            g, params = _irregular(), Params()
+        pipe = Pipeline(g, params)
+        assert bool(pipe.dec.clusters) == clustered and pipe.reg.n > g.n
+        whole = pipe.reg.edge_count()
+        counted = []
+
+        def spy(real):
+            def wrapped(h, colors, edges=None, what="coloring"):
+                counted.append((what, h.edge_count() if edges is None else len(edges[0])))
+                real(h, colors, edges=edges, what=what)
+
+            return wrapped
+
+        monkeypatch.setattr(sparse_phase, "check_proper", spy(sparse_phase.check_proper))
+        monkeypatch.setattr(clusters, "check_proper", spy(clusters.check_proper))
+        for seed in range(3):
+            counted.clear()
+            pipe.sample(seed)
+            got = [(w, m) for w, m in counted if w not in ("cluster coloring", "pair process coloring")]
+            assert [w for w, _ in got] == [
+                "labeling restricted to T", "sparse-phase coloring", "pipeline coloring"
+            ]
+            assert got[0][1] == whole
+            for _, m in got[1:]:
+                assert m == whole if clustered else m <= g.edge_count()
 
     def test_a_leftover_past_stop_escaping_the_window_is_caught(self, monkeypatch):
         # an accepted labeling on the first copy, one label everywhere on
