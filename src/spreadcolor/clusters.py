@@ -56,32 +56,32 @@ class ClusterShape:
     complement graph H on the cluster, zeta = e(H)/D^2, the branch
     threshold zeta0 = sqrt(eps)/D, the (position, outside neighbor) pairs
     that B is gathered from, and the edges with an end in the cluster,
-    which the properness checks read.
-    Positions index the sorted cluster.  `violation` is the message of the
-    first failed cluster condition, or None; every context built on this
-    shape raises it."""
+    which the properness checks read.  Positions index `members`, the
+    sorted cluster.  cluster_shape builds a shape only for a cluster that
+    meets the cluster conditions."""
 
-    cluster: tuple[int, ...]
-    members: np.ndarray  # the cluster as an int array
+    members: np.ndarray  # the sorted cluster's vertex ids
     d: int
     eps: float
     zeta: float
     zeta0: float  # zeta below zeta0 takes the small branch, else the large one
     h_pairs: np.ndarray  # (e(H), 2) position pairs i < j, in lexicographic order
-    h_deg: tuple[int, ...]  # H-degree by position
+    h_deg: np.ndarray  # H-degree by position
     out_pos: np.ndarray  # position of each (vertex, outside neighbor) pair
     out_nbr: np.ndarray  # the outside neighbor of that pair
     edges: tuple[np.ndarray, np.ndarray]  # (member, neighbor) of each incident edge
-    violation: str | None
 
 
 def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
-    """Compute H, zeta, zeta0, the outside-neighbor index arrays and the checks
-    |N_v \\ C| < eps*D and |C \\ N_v| < eps*D (in vertex order, outside
-    first) of one cluster.  An id outside 0..n-1 or a repeated id is a
-    ValueError."""
+    """Check |N_v \\ C| < eps*D and |C \\ N_v| < eps*D for each v of the
+    cluster C, then compute H, zeta, zeta0 and the outside-neighbor index
+    arrays.  The first failed condition (in vertex order, outside first)
+    is a HypothesisViolated.  An eps outside (0, 1/2] (see _eta_rounds),
+    an id outside 0..n-1 or a repeated id is a ValueError."""
+    if not 0 < eps <= 0.5:
+        raise ValueError(f"cluster tolerance eps = {eps} is not in (0, 1/2]")
     d = g.max_degree
-    cl = tuple(sorted(cluster))
+    cl = sorted(cluster)
     check_vertex_ids(g, cl)
     repeated = [u for u, v in zip(cl, cl[1:]) if u == v]
     if repeated:
@@ -90,35 +90,30 @@ def cluster_shape(g: Graph, cluster: Sequence[int], eps: float) -> ClusterShape:
     size = len(cl)
     lens, nbrs = g.gather_neighbors(members)
     outside, missing = cluster_condition_counts(g, members, (lens, nbrs))
+    bad = np.flatnonzero((outside >= eps * d) | (missing >= eps * d))
+    if bad.size:
+        i = int(bad[0])
+        if outside[i] >= eps * d:
+            raise HypothesisViolated(f"|N_v \\ C| = {outside[i]} >= eps*D for v={cl[i]}")
+        raise HypothesisViolated(f"|C \\ N_v| = {missing[i]} >= eps*D for v={cl[i]}")
     rows = np.repeat(np.arange(size), lens)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[members] = np.arange(size)
     inside = pos[nbrs] >= 0
     h = np.ones((size, size), dtype=bool)
     h[rows[inside], pos[nbrs[inside]]] = False  # its diagonal is never read
-
-    violation = None
-    bad = np.flatnonzero((outside >= eps * d) | (missing >= eps * d))
-    if bad.size:
-        i = int(bad[0])
-        if outside[i] >= eps * d:
-            violation = f"|N_v \\ C| = {outside[i]} >= eps*D for v={cl[i]}"
-        else:
-            violation = f"|C \\ N_v| = {missing[i]} >= eps*D for v={cl[i]}"
     h_pairs = np.argwhere(np.triu(h, 1))
     return ClusterShape(
-        cluster=cl,
         members=members,
         d=d,
         eps=eps,
         zeta=len(h_pairs) / (d * d),
         zeta0=math.sqrt(eps) / d,
         h_pairs=h_pairs,
-        h_deg=tuple((missing - 1).tolist()),
+        h_deg=missing - 1,
         out_pos=rows[~inside],
         out_nbr=nbrs[~inside],
         edges=(np.repeat(members, lens), nbrs),
-        violation=violation,
     )
 
 
@@ -128,7 +123,7 @@ class ClusterContext:
     coloring: its shape (the cluster, D, eps, H, zeta) and the legal-color
     bigraph B, held as its read-only |C|-by-(D+1) boolean matrix `b`:
     b[x, y] is true when color y + 1 is legal for the vertex at position x
-    in `shape.cluster`."""
+    in `shape.members`."""
 
     graph: Graph
     shape: ClusterShape
@@ -136,59 +131,42 @@ class ClusterContext:
     b: np.ndarray
 
 
-def build_cluster_context(
-    g: Graph,
-    cluster: Sequence[int] | ClusterShape,
-    sigma_out: np.ndarray,
-    params: Params | None = None,
-) -> ClusterContext:
-    """Check the cluster conditions and assemble B on the cluster's shape.
-
-    `cluster` is the cluster's vertex ids or its shape,
-    cluster_shape(g, ids, params.cluster_eps()) computed earlier; B is
-    then one gather of sigma_out.  Only ids read params (default
-    Params()); a shape passed with a params whose cluster_eps() is not
-    the shape's eps is a ValueError.  sigma_out, a color array indexed by
-    vertex with 0 for uncolored, may be partial (later clusters are still
-    uncolored while earlier ones are being processed); only colored
-    outside neighbors constrain B.
-    """
-    if isinstance(cluster, ClusterShape):
-        shape = cluster
-        if params is not None and params.cluster_eps() != shape.eps:
-            raise ValueError(
-                f"shape built at eps {shape.eps}, params give {params.cluster_eps()}"
-            )
-    else:
-        shape = cluster_shape(g, cluster, (params or Params()).cluster_eps())
+def build_cluster_context(g: Graph, shape: ClusterShape, sigma_out: np.ndarray) -> ClusterContext:
+    """Assemble B on the cluster's shape: one gather of sigma_out, a color
+    array indexed by vertex with 0 for uncolored.  sigma_out may be
+    partial (later clusters are still uncolored while earlier ones are
+    being processed); only colored outside neighbors constrain B.  A
+    sigma_out of another length, or one that colors a cluster vertex or
+    uses a color outside 0..D+1, is a ValueError."""
     d = shape.d
     out = np.array(sigma_out, dtype=np.int64)  # a copy: the caller colors on
     if out.shape != (g.n,):
         raise ValueError(f"sigma_out must be a color array of shape ({g.n},)")
     if out[shape.members].any():
         raise ValueError("sigma_out must not color cluster vertices")
-    if shape.violation is not None:
-        raise HypothesisViolated(shape.violation)
 
     seen = out[shape.out_nbr]
     if seen.size and not (0 <= seen.min() and seen.max() <= d + 1):
         raise ValueError(f"sigma_out colors must lie in 0..D+1 = {d + 1}")
-    banned = np.zeros((len(shape.cluster), d + 2), dtype=bool)  # column 0: uncolored
+    banned = np.zeros((len(shape.members), d + 2), dtype=bool)  # column 0: uncolored
     banned[shape.out_pos, seen] = True
     legal = ~banned[:, 1:]
     legal.flags.writeable = False
-    return ClusterContext(
-        graph=g,
-        shape=shape,
-        sigma_out=out,
-        b=legal,
-    )
+    return ClusterContext(graph=g, shape=shape, sigma_out=out, b=legal)
 
 
 def _eta_rounds(shape: ClusterShape) -> tuple[float, int]:
     """Pick eta strictly inside the hierarchy 1/D, zeta << eta << zeta/eps, 1
     (the geometric mean of the two ends), round eta*D to an integer >= 1,
-    and check the rounded eta against the hierarchy."""
+    and check the rounded eta against the hierarchy.
+
+    zeta <= eta*h_margin needs no check: 1.25*rounds >= zeta*D + 1/2, a
+    margin no rounding error reaches.  Check 1 gives rounds >= 2, enough
+    while zeta*D <= 2.  Above that low = zeta, and the cluster conditions
+    every shape meets (|C| < (1+eps)*D, H-degrees < eps*D) with eps <= 1/2
+    give zeta < (1+eps)*eps/2 <= 3/8, so high >= 2*zeta, rounds >=
+    sqrt(2)*zeta*D - 1/2, and 1.25 times that is >= zeta*D + 1/2.  (Near
+    eps = 1 the margin is gone, and rounding can break the bound.)"""
     d, eps, zeta = shape.d, shape.eps, shape.zeta
     low = max(zeta, 1.0 / d)
     high = min(zeta / eps, 1.0)
@@ -197,10 +175,6 @@ def _eta_rounds(shape: ClusterShape) -> tuple[float, int]:
     eta = rounds / d
     if not 1.0 / d < eta:
         raise HypothesisViolated(f"hierarchy: 1/D = {1/d:.4f} !< eta = {eta:.4f}")
-    if not zeta <= eta * H_MARGIN:
-        raise HypothesisViolated(
-            f"hierarchy: zeta = {zeta:.4f} !<= eta*h_margin = {eta * H_MARGIN:.4f}"
-        )
     cap = min(zeta / eps, 1.0) / H_MARGIN
     if not eta <= cap:
         raise HypothesisViolated(
@@ -221,13 +195,13 @@ def process_pair_coloring(
     pair, so the partial coloring is proper no matter what the matching
     phase does with the remaining colors."""
     shape = ctx.shape
-    d, eps, zeta, cl = shape.d, shape.eps, shape.zeta, shape.cluster
+    d, eps, zeta, members = shape.d, shape.eps, shape.zeta, shape.members
     if zeta < shape.zeta0:
         raise HypothesisViolated(
             f"pair process requires zeta >= zeta0 ({zeta:.5f} < {shape.zeta0:.5f})"
         )
     hu, hv = shape.h_pairs.T  # positions
-    alive = np.ones(len(cl), dtype=bool)
+    alive = np.ones(len(members), dtype=bool)
     gamma = np.ones(d + 1, dtype=bool)  # y-indices
     pi: dict[int, int] = {}
     edge_floor = (zeta - 2 * eta * eps) * d * d
@@ -243,7 +217,7 @@ def process_pair_coloring(
             )
         e = edges[int(rng.integers(edges.size))]
         p, q = int(hu[e]), int(hv[e])
-        u, v = cl[p], cl[q]
+        u, v = int(members[p]), int(members[q])
         common = np.flatnonzero(ctx.b[p] & ctx.b[q] & gamma)
         if not common.size:
             raise EmptyChoiceSet(f"no common legal color for pair ({u},{v})")
@@ -270,11 +244,11 @@ def color_cluster(
     ctx: ClusterContext, rng: np.random.Generator, max_tries: int = Params.match_max_tries
 ) -> tuple[np.ndarray, str]:
     """Proper coloring of the cluster consistent with sigma_out; returns
-    (colors, branch taken), colors an int64 array aligned with ctx.shape.cluster.
+    (colors, branch taken), colors an int64 array aligned with ctx.shape.members.
     The branch, eta and the pair rounds come from the shape; max_tries is
     the matching's retry budget."""
     shape = ctx.shape
-    d, eps, size = shape.d, shape.eps, len(shape.cluster)
+    d, eps, size = shape.d, shape.eps, len(shape.members)
     colors = np.zeros(size, dtype=np.int64)
     if shape.zeta < shape.zeta0:
         # the matching alone colors the cluster: no pair rounds
@@ -300,7 +274,7 @@ def color_cluster(
         ctx.b[np.ix_(x_idx, rest_y)],
         z,
         rng,
-        r_x=[shape.h_deg[i] - rounds for i in x_idx.tolist()],
+        r_x=(shape.h_deg[x_idx] - rounds).tolist(),
         max_tries=max_tries,
     )
     hit = m.match >= 0
@@ -380,6 +354,9 @@ class Pipeline:
         colors = sparse_phase_color(self.reg, self.dec, seed, params, stop=self._stop).colors
 
         for i in range(len(self.dec.clusters)):
+            # outside the try: the verified decomposition checked the cluster
+            # conditions at this eps, so a raise here is a bug, not a fallback
+            # (which could not read a shape it never got)
             shape = self._shape(i)
             rng = keyed_rng(seed, _CLUSTER_TAG, i)
             try:

@@ -14,6 +14,7 @@ probabilities are Fractions throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -111,22 +112,40 @@ def ban_matrix(g: Graph, vertices: np.ndarray, colors: np.ndarray) -> tuple[np.n
     return allowed, p[pair], rows[pair], np.bincount(rows[hit], minlength=k)
 
 
+def _check_lists(g: Graph, lists: ListAssignment) -> None:
+    """A list count other than n, or a list with a color that is not an
+    integer or a color listed twice, is a ValueError; any int is a color."""
+    if len(lists) != g.n:
+        raise ValueError(f"{len(lists)} lists for a graph on {g.n} vertices")
+    for v, s in enumerate(lists):
+        try:
+            colors = set(map(operator.index, s))
+        except TypeError:
+            raise ValueError(f"vertex {v} lists a color that is not an integer") from None
+        if len(colors) < len(s):
+            raise ValueError(f"vertex {v} lists a color twice")
+
+
+def _check_order(g: Graph, order: Sequence[int]) -> np.ndarray:
+    """`order` as an array; not a permutation of 0..n-1 is a ValueError."""
+    order = np.asarray(order)
+    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
+        raise ValueError(f"order {order.tolist()} is not a permutation of 0..{g.n - 1}")
+    return order
+
+
 def slack_greedy_sample(g: Graph, lists: ListAssignment, rng: np.random.Generator) -> np.ndarray:
     """Color the vertices in ascending order, each uniformly from its
     list minus the colors already placed on its neighbors; returns the
-    colors indexed by vertex.  A list count other than n, or a repeated
-    color, is a ValueError; with |S_v| >= d(v) + 1 for all v no vertex can
-    get stuck, otherwise StuckVertex may be raised."""
-    if len(lists) != g.n:
-        raise ValueError(f"{len(lists)} lists for a graph on {g.n} vertices")
+    colors indexed by vertex.  Lists failing _check_lists are a
+    ValueError; with |S_v| >= d(v) + 1 for all v no vertex can get stuck,
+    otherwise StuckVertex may be raised."""
+    _check_lists(g, lists)
     lens = np.fromiter(map(len, lists), dtype=np.int64, count=g.n)
     # column j + 1 stands for the j-th smallest color of any list
     palette, col = np.unique(np.fromiter(chain.from_iterable(lists), np.int64), return_inverse=True)
     allowed = np.zeros((g.n, len(palette) + 1), dtype=bool)
     allowed[np.repeat(np.arange(g.n), lens), col + 1] = True
-    repeats = allowed.sum(axis=1) < lens
-    if repeats.any():
-        raise ValueError(f"vertex {np.argmax(repeats)} lists a color twice")
     return palette[slack_greedy(np.arange(g.n), allowed, *g.edge_arrays(), rng.random(g.n)) - 1]
 
 
@@ -135,17 +154,11 @@ def slack_greedy_exact_distribution(
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact output distribution of slack greedy in the given order
     (slack_greedy_sample's ascending order by default), keyed by the color
-    tuple in vertex order.  Exponential; for small instances only.  A list
-    count other than n, a repeated color or an order that is not a
-    permutation of 0..n-1 is a ValueError."""
-    if len(lists) != g.n:
-        raise ValueError(f"{len(lists)} lists for a graph on {g.n} vertices")
-    repeats = [v for v, s in enumerate(lists) if len(set(s)) < len(s)]
-    if repeats:
-        raise ValueError(f"vertex {repeats[0]} lists a color twice")
-    order = list(range(g.n)) if order is None else list(order)
-    if sorted(order) != list(range(g.n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{g.n - 1}")
+    tuple in vertex order.  Exponential; for small instances only.  Lists
+    failing _check_lists and an order that is not a permutation of 0..n-1
+    are a ValueError."""
+    _check_lists(g, lists)
+    order = range(g.n) if order is None else _check_order(g, order).tolist()
     out: dict[tuple[int, ...], Fraction] = {}
     adj = g.neighbor_lists()
 
@@ -233,9 +246,7 @@ def ordered_greedy_sample(g: Graph, order: np.ndarray, rng: np.random.Generator)
     full palette; in the order arange(n) it is slack_greedy_sample with
     every list 1..D+1, without building the lists.  An order that is not a
     permutation of 0..n-1 is a ValueError."""
-    order = np.asarray(order)
-    if order.shape != (g.n,) or not np.array_equal(np.sort(order), np.arange(g.n)):
-        raise ValueError(f"order {order.tolist()} is not a permutation of 0..{g.n - 1}")
+    order = _check_order(g, order)
     allowed, earlier, later, _ = ban_matrix(g, order, np.zeros(g.n, dtype=np.int64))
     return slack_greedy(order, allowed, earlier, later, rng.random(g.n))[np.argsort(order)]
 

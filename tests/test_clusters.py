@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,11 +69,18 @@ def outside_colors(g: Graph, sigma: dict[int, int] | None = None) -> np.ndarray:
     return out
 
 
+def context(g: Graph, cluster, sigma: dict[int, int] | None = None):
+    """The context of `cluster` against sigma's colors, built on its shape
+    at the default cluster tolerance."""
+    shape = cluster_shape(g, cluster, Params().cluster_eps())
+    return build_cluster_context(g, shape, outside_colors(g, sigma))
+
+
 class TestBuildContext:
     def test_isolated_clique_zeta_zero_complete_b(self):
         d = 16
         g = complete_graph(d + 1)
-        ctx = build_cluster_context(g, range(d + 1), outside_colors(g), Params())
+        ctx = context(g, range(d + 1))
         assert ctx.shape.zeta == 0.0
         assert ctx.b.shape == (d + 1, d + 1) and ctx.b.all()
 
@@ -83,12 +90,12 @@ class TestBuildContext:
         edges = set(g.edges()) - {(0, 1)}
         g2 = Graph.from_edges(d + 1, edges)
         # degrees now d-1 and d; treat as cluster of the (irregular) graph
-        ctx = build_cluster_context(g2, range(d + 1), outside_colors(g2), Params())
+        ctx = context(g2, range(d + 1))
         assert ctx.shape.zeta == 1 / ctx.shape.d**2
 
     def test_engineered_density(self):
         g = clique_minus_cycle(19)  # D = 16, e(H) = 19
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         assert ctx.shape.d == 16
         assert ctx.shape.zeta == pytest.approx(19 / 256)
 
@@ -96,7 +103,7 @@ class TestBuildContext:
         g = swapped_double_clique(17)
         cluster = [v for v in range(2, 17)]  # K_17 minus the swapped pair {0,1}
         sigma_out = {0: 3, 1: 5}
-        ctx = build_cluster_context(g, cluster, outside_colors(g, sigma_out), Params())
+        ctx = context(g, cluster, sigma_out)
         assert ctx.b.dtype == bool and ctx.b.shape == (15, 17)
         assert not ctx.b[:, [2, 4]].any()  # y-indices of colors 3 and 5
         assert np.count_nonzero(ctx.b) == 15 * 15
@@ -104,19 +111,19 @@ class TestBuildContext:
     def test_invariant_violation_raises(self):
         g = disjoint_union(complete_graph(17), complete_graph(17))
         with pytest.raises(HypothesisViolated):
-            build_cluster_context(g, range(34), outside_colors(g), Params())
+            cluster_shape(g, range(34), Params().cluster_eps())
 
-    def test_default_params(self):
+    def test_a_context_is_built_from_a_shape_alone(self):
+        # no ids and no Params: D, eps and the cluster are the shape's
+        assert list(inspect.signature(build_cluster_context).parameters) == ["g", "shape", "sigma_out"]
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g))
-        want = build_cluster_context(g, range(19), outside_colors(g), Params())
-        assert ctx.shape.zeta0 == want.shape.zeta0 and ctx.shape.eps == want.shape.eps
-        assert np.array_equal(ctx.b, want.b)
+        shape = cluster_shape(g, range(19), Params().cluster_eps())
+        assert build_cluster_context(g, shape, outside_colors(g)).shape is shape
 
     def test_sigma_out_on_cluster_rejected(self):
         g = complete_graph(17)
         with pytest.raises(ValueError):
-            build_cluster_context(g, range(17), outside_colors(g, {3: 1}), Params())
+            context(g, range(17), {3: 1})
 
 
 def _reference_legal_rows(g, cluster, sigma_out: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -144,9 +151,8 @@ class TestClusterShape:
             rng = np.random.default_rng(seed)
             sigma_out = {v: int(rng.integers(0, 18)) for v in range(19, 38)}
             arr = outside_colors(g2, sigma_out)
-            ctx = build_cluster_context(g2, shape, arr, Params())
+            ctx = build_cluster_context(g2, shape, arr)
             assert adjacency_rows(ctx.b) == _reference_legal_rows(g2, cluster, sigma_out)
-            assert np.array_equal(ctx.b, build_cluster_context(g2, cluster, arr, Params()).b)
         # the cluster check reads every edge with an end in the cluster
         touching = {(u, v) for u, v in g2.edges() if u in cluster or v in cluster}
         got = {tuple(sorted(e)) for e in zip(*(a.tolist() for a in shape.edges))}
@@ -159,38 +165,42 @@ class TestClusterShape:
         cset = frozenset(range(19))
         ref = [(u, v) for u in range(19) for v in range(u + 1, 19) if v not in g.neighbors(u)]
         assert [tuple(p) for p in shape.h_pairs.tolist()] == ref
-        assert shape.h_deg == tuple(len(cset - set(g.neighbors(v)) - {v}) for v in range(19))
+        assert shape.h_deg.dtype == np.int64
+        assert shape.h_deg.tolist() == [len(cset - set(g.neighbors(v)) - {v}) for v in range(19)]
         assert shape.zeta == len(ref) / 16**2
-        assert shape.out_pos.size == 0 and shape.violation is None
+        assert shape.out_pos.size == 0
 
-    def test_violation_is_raised_on_every_use(self):
+    def test_a_violated_condition_is_raised_by_the_shape(self):
         g = disjoint_union(complete_graph(17), complete_graph(17))
-        shape = cluster_shape(g, range(34), Params().cluster_eps())
-        assert shape.violation == "|C \\ N_v| = 18 >= eps*D for v=0"
-        for _ in range(2):
-            with pytest.raises(HypothesisViolated) as info:
-                build_cluster_context(g, shape, outside_colors(g), Params())
-            assert str(info.value) == shape.violation
+        with pytest.raises(HypothesisViolated) as info:
+            cluster_shape(g, range(34), Params().cluster_eps())
+        assert str(info.value) == "|C \\ N_v| = 18 >= eps*D for v=0"
 
     def test_outside_check_comes_first(self):
         # vertex 0 of the first K17 sees 16 outside vertices: |N_v \ C| >= 0.4*16
         g = Graph.from_edges(
             34, [*complete_graph(17).edges(), *[(0, 17 + i) for i in range(16)]]
         )
-        shape = cluster_shape(g, range(1, 17), Params().cluster_eps())
-        assert shape.violation is None
-        shape = cluster_shape(g, range(17), Params().cluster_eps())
-        assert shape.violation == "|N_v \\ C| = 16 >= eps*D for v=0"
+        cluster_shape(g, range(1, 17), Params().cluster_eps())
+        with pytest.raises(HypothesisViolated) as info:
+            cluster_shape(g, range(17), Params().cluster_eps())
+        assert str(info.value) == "|N_v \\ C| = 16 >= eps*D for v=0"
+
+    @pytest.mark.parametrize("eps", [0.0, -0.4, 0.5001, 1.0, math.nan])
+    def test_a_tolerance_outside_zero_to_one_half_rejected(self, eps):
+        # _eta_rounds' margin needs eps <= 1/2: at eps = 1, D = 106 and
+        # e(H) = 265, rounding puts zeta above eta*h_margin
+        g = complete_graph(17)
+        with pytest.raises(ValueError, match=r"cluster tolerance eps = .* is not in \(0, 1/2\]"):
+            cluster_shape(g, range(17), eps)
+        assert cluster_shape(g, range(17), 0.5).eps == 0.5
 
     @pytest.mark.parametrize("cluster, stray", [([-1, 0, 1], -1), ([0, 1, 5], 5)])
     def test_ids_outside_the_graph_rejected(self, cluster, stray):
-        # both fail at the boundary and name the stray id
+        # rejected at the boundary, naming the stray id
         g = complete_graph(5)
-        message = f"vertex {stray} not in graph of order 5"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"vertex {stray} not in graph of order 5"):
             cluster_shape(g, cluster, Params().cluster_eps())
-        with pytest.raises(ValueError, match=message):
-            build_cluster_context(g, cluster, outside_colors(g), Params())
 
     def test_repeated_id_rejected(self):
         # a repeated id used to build an 18-row context with zeta = 1/256,
@@ -199,30 +209,6 @@ class TestClusterShape:
         cluster = [0, *range(17)]
         with pytest.raises(ValueError, match="vertex 0 appears more than once"):
             cluster_shape(g, cluster, Params().cluster_eps())
-        with pytest.raises(ValueError, match="vertex 0 appears more than once"):
-            build_cluster_context(g, cluster, outside_colors(g), Params())
-
-    def test_a_shape_with_params_of_another_eps_is_a_value_error(self):
-        g = complete_graph(17)
-        shape = cluster_shape(g, range(17), Params().cluster_eps())
-        build_cluster_context(g, shape, outside_colors(g), Params(theta=0.05))
-        with pytest.raises(ValueError, match="shape built at eps 0.4, params give 0.2"):
-            build_cluster_context(g, shape, outside_colors(g), Params(eps=0.025))
-
-    def test_a_cluster_and_its_shape_build_equal_contexts(self):
-        g = swapped_double_clique(17)
-        arr = outside_colors(g, {0: 3, 1: 5})
-        shape = cluster_shape(g, range(2, 17), Params().cluster_eps())
-        a = build_cluster_context(g, range(2, 17), arr, Params())
-        b = build_cluster_context(g, shape, arr, Params())
-        assert b.shape is shape and a.graph is b.graph
-        assert np.array_equal(a.sigma_out, b.sigma_out) and np.array_equal(a.b, b.b)
-        for f in fields(shape):
-            x, y = getattr(a.shape, f.name), getattr(shape, f.name)
-            if f.name == "edges":
-                assert all(map(np.array_equal, x, y))
-            else:
-                assert np.array_equal(x, y), f.name
 
     def test_one_shape_gathers_the_neighbors_once(self, monkeypatch):
         calls = []
@@ -231,12 +217,12 @@ class TestClusterShape:
             Graph, "gather_neighbors", lambda self, vs: calls.append(len(vs)) or real(self, vs)
         )
         shape = cluster_shape(clique_minus_cycle(19), range(19), Params().cluster_eps())
-        assert calls == [19] and shape.h_deg == (2,) * 19
+        assert calls == [19] and shape.h_deg.tolist() == [2] * 19
 
     def test_outside_colors_beyond_the_palette_rejected(self):
         g = swapped_double_clique(17)
         with pytest.raises(ValueError, match="0..D\\+1"):
-            build_cluster_context(g, range(2, 17), outside_colors(g, {0: 18}), Params())
+            context(g, range(2, 17), {0: 18})
 
     def test_pipeline_builds_each_shape_once(self, monkeypatch):
         calls = []
@@ -253,8 +239,9 @@ class TestClusterShape:
     @pytest.mark.parametrize("eps_in", [0.01, 0.03, 0.05])
     def test_zeta0_is_derived_from_eps_and_d(self, eps_in):
         # no Params field sets zeta0: it is sqrt of the cluster tolerance 8*eps over D
-        g = clique_minus_cycle(19)
-        shape = cluster_shape(g, range(19), Params(eps=eps_in).cluster_eps())
+        # (K17, whose members miss only themselves, meets the conditions at each eps)
+        g = complete_graph(17)
+        shape = cluster_shape(g, range(17), Params(eps=eps_in).cluster_eps())
         assert shape.d == 16 and shape.zeta0 == math.sqrt(8.0 * eps_in) / 16
 
     @pytest.mark.parametrize(
@@ -264,7 +251,7 @@ class TestClusterShape:
     )
     def test_the_branch_follows_the_shape(self, g, branch):
         # K17 has zeta = 0; K19 minus a cycle has zeta = 19/256 above sqrt(0.4)/16
-        ctx = build_cluster_context(g, range(g.n), outside_colors(g))
+        ctx = context(g, range(g.n))
         assert (ctx.shape.zeta < ctx.shape.zeta0) == (branch == "small")
         assert color_cluster(ctx, np.random.default_rng(0))[1] == branch
 
@@ -285,7 +272,7 @@ def derived_pair_process(ctx, rng):
 class TestProcess:
     def test_bookkeeping_and_pair_property(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         assert ctx.shape.zeta >= ctx.shape.zeta0
         rng = np.random.default_rng(0)
         pi = derived_pair_process(ctx, rng)
@@ -298,7 +285,7 @@ class TestProcess:
 
     def test_small_zeta_rejected(self):
         g = complete_graph(17)
-        ctx = build_cluster_context(g, range(17), outside_colors(g), Params())
+        ctx = context(g, range(17))
         with pytest.raises(HypothesisViolated):
             process_pair_coloring(ctx, np.random.default_rng(1), 1, 1.0)
 
@@ -306,7 +293,7 @@ class TestProcess:
         # a shape whose only H pair is an edge of g; eta = 1 lowers both floors
         # below zero, so the one round colors that edge
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         ctx.shape = replace(ctx.shape, h_pairs=np.array([[0, g.neighbors(0)[0]]]))
         with pytest.raises(VerificationFailed, match="pair process coloring is not proper"):
             process_pair_coloring(ctx, np.random.default_rng(0), rounds=1, eta=1.0)
@@ -315,7 +302,7 @@ class TestProcess:
         # eta = 0 makes the edge floor zeta*D^2 = e(H) itself, which e(H_0) = e(H)
         # does not exceed
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         with pytest.raises(FloorNotMet, match=r"e\(H_i\) = 19 !> .* = 19.00"):
             process_pair_coloring(ctx, np.random.default_rng(0), rounds=1, eta=0.0)
         assert issubclass(FloorNotMet, HypothesisViolated)
@@ -325,7 +312,7 @@ class TestProcess:
         # eta and rounds have one derivation, in color_cluster, which checks
         # the hierarchy before the pair process runs
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         calls = []
         real = clusters.process_pair_coloring
         monkeypatch.setattr(
@@ -339,28 +326,28 @@ class TestProcess:
 
     def test_rounds_reduce_counts(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         pi = derived_pair_process(ctx, np.random.default_rng(2))
         # |C'| = |C| - 2*rounds, |Gamma'| = D+1 - rounds
         rounds = len(set(pi.values()))
-        assert len(ctx.shape.cluster) - len(pi) == 19 - 2 * rounds
+        assert len(ctx.shape.members) - len(pi) == 19 - 2 * rounds
 
 
 class TestColorCluster:
     def test_isolated_clique_bijection(self):
         d = 16
         g = complete_graph(d + 1)
-        ctx = build_cluster_context(g, range(d + 1), outside_colors(g), Params())
+        ctx = context(g, range(d + 1))
         colors, branch = color_cluster(ctx, np.random.default_rng(3))
         assert branch == "small"
         assert colors.dtype == np.int64 and sorted(colors) == list(range(1, d + 2))
 
     def test_large_zeta_path(self):
         g = clique_minus_cycle(19)
-        ctx = build_cluster_context(g, range(19), outside_colors(g), Params())
+        ctx = context(g, range(19))
         colors, branch = color_cluster(ctx, np.random.default_rng(4))
         assert branch == "large"
-        coloring = dict(zip(ctx.shape.cluster, colors.tolist()))
+        coloring = dict(zip(ctx.shape.members.tolist(), colors.tolist()))
         assert set(coloring) == set(range(19)) and all(coloring.values())
         assert is_proper(g, coloring)
         # colors used twice are exactly the process pairs
@@ -385,12 +372,12 @@ class TestColorCluster:
         g2 = Graph.from_edges(38, edges)
         assert g2.is_regular(16)
         sigma_out = {v: (v % 17) + 1 for v in range(19, 38)}
-        ctx = build_cluster_context(g2, range(19), outside_colors(g2, sigma_out), Params())
+        ctx = context(g2, range(19), sigma_out)
         assert ctx.shape.zeta == pytest.approx(20 / 256)
         colors, branch = color_cluster(ctx, np.random.default_rng(5))
         assert branch == "large"
         assert colors.all()
-        for v, c in zip(ctx.shape.cluster, colors.tolist()):
+        for v, c in zip(ctx.shape.members.tolist(), colors.tolist()):
             for w in g2.neighbors(v):
                 if w in sigma_out:
                     assert sigma_out[w] != c
@@ -415,14 +402,14 @@ class TestColorCluster:
             g = Graph.from_edges(33 + 33 * 14, edges)
             shape = replace(cluster_shape(g, range(33), Params().cluster_eps()), zeta0=1.0)
         ctx = build_cluster_context(g, shape, outside_colors(g))
-        d, j, r_x = ctx.shape.d, len(ctx.shape.cluster), ctx.shape.h_deg
+        d, j, r_x = ctx.shape.d, len(ctx.shape.members), ctx.shape.h_deg.tolist()
         values = {"R": d + 1 - j, "max r_x": max(r_x), "sum r_x": sum(r_x)}
         low, high = (c * (ctx.shape.eps + ctx.shape.zeta * d) * j for c in (2, 3))
         assert low < values.pop(case) <= high
         assert all(value <= low for value in values.values())
         colors, branch = color_cluster(ctx, np.random.default_rng(8))
         assert branch == "small"
-        assert is_proper(g, dict(zip(ctx.shape.cluster, colors.tolist())))
+        assert is_proper(g, dict(zip(ctx.shape.members.tolist(), colors.tolist())))
 
     def test_oversized_cluster_negative_r(self):
         # 20 vertices with D = 17 and zeta0 forced huge -> small path, R < 0
@@ -460,12 +447,36 @@ class TestColorCluster:
         with pytest.raises(HypothesisViolated, match=message):
             clusters._eta_rounds(shape)
 
+    def test_zeta_below_eta_times_the_margin_needs_no_check(self):
+        # _eta_rounds does not check zeta <= eta*h_margin: the cluster
+        # conditions give zeta < (1+eps)*eps/2, and on the large branch
+        # (zeta >= zeta0) every eta that passes the two checks meets it with
+        # the margin its docstring proves
+        shape = cluster_shape(clique_minus_cycle(19), range(19), Params().cluster_eps())
+        seen = {"returned": 0, "1/D": 0, "eta": 0}
+        for d in range(4, 49):
+            for eps in (0.5, 0.4, 0.32, 0.2, 0.08, 0.008):
+                zeta0, top = math.sqrt(eps) / d, (1 + eps) * eps / 2
+                for e in range(math.ceil(top * d * d) + 1):
+                    zeta = e / (d * d)
+                    if not zeta0 <= zeta < top:
+                        continue
+                    try:
+                        eta, rounds = clusters._eta_rounds(replace(shape, d=d, eps=eps, zeta=zeta))
+                    except HypothesisViolated as exc:
+                        seen[str(exc).split()[1]] += 1
+                        continue
+                    assert zeta <= eta * clusters.H_MARGIN, (d, eps, e)
+                    assert 5 * rounds * d >= 4 * e + 2 * d  # 1.25*rounds >= zeta*D + 1/2
+                    seen["returned"] += 1
+        assert all(seen.values()), seen  # both checks fire and most shapes pass
+
 
 class TestClusterCheck:
     def _ctx(self):
         # K15 whose every vertex also sees outside vertices 0 (color 3) and 1 (color 5)
         g = swapped_double_clique(17)
-        return build_cluster_context(g, range(2, 17), outside_colors(g, {0: 3, 1: 5}), Params())
+        return context(g, range(2, 17), {0: 3, 1: 5})
 
     def test_conflict_with_outside_color_caught(self, monkeypatch):
         # x -> y = x + 2 gives vertex 2 color 3, the color of its neighbor 0
@@ -488,22 +499,23 @@ class TestClusterCheck:
     def test_outside_colors_are_one_array_over_the_graph(self):
         g = swapped_double_clique(17)
         arr = outside_colors(g, {0: 3, 1: 5})
-        ctx = build_cluster_context(g, range(2, 17), arr, Params())
+        shape = cluster_shape(g, range(2, 17), Params().cluster_eps())
+        ctx = build_cluster_context(g, shape, arr)
         arr[0] = 7  # the context keeps its own copy
         assert ctx.sigma_out[0] == 3 and np.array_equal(ctx.b, self._ctx().b)
         with pytest.raises(ValueError, match="read-only"):
             ctx.b[0, 0] = False
         with pytest.raises(ValueError, match=r"shape \(34,\)"):
-            build_cluster_context(g, range(2, 17), arr[:-1], Params())
+            build_cluster_context(g, shape, arr[:-1])
         with pytest.raises(TypeError):
-            build_cluster_context(g, range(2, 17), {0: 3, 1: 5}, Params())
+            build_cluster_context(g, shape, {0: 3, 1: 5})
 
 
 class TestPipelineCheck:
     def test_improper_final_coloring_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "color_cluster",
-            lambda ctx, rng, max_tries: (np.ones(len(ctx.shape.cluster), dtype=np.int64), "small"),
+            lambda ctx, rng, max_tries: (np.ones(len(ctx.shape.members), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match=r"pipeline coloring is not proper: edge \(0,1\)"):
             Pipeline(complete_graph(17)).sample(0)
@@ -517,10 +529,20 @@ class TestPipelineCheck:
         with pytest.raises(VerificationFailed, match="does not cover the cluster"):
             Pipeline(complete_graph(17)).sample(0)
 
+    def test_a_shape_that_raises_is_a_bug_not_a_fallback(self, monkeypatch):
+        # a Pipeline's clusters come from its verified decomposition, which
+        # checks the cluster conditions at the shape's eps
+        def planted(*a):
+            raise HypothesisViolated("planted")
+
+        monkeypatch.setattr(clusters, "cluster_shape", planted)
+        with pytest.raises(HypothesisViolated, match="planted"):
+            Pipeline(complete_graph(17)).sample(0)
+
     def test_uncolored_vertex_caught(self, monkeypatch):
         monkeypatch.setattr(
             clusters, "color_cluster",
-            lambda ctx, rng, max_tries: (np.zeros(len(ctx.shape.cluster), dtype=np.int64), "small"),
+            lambda ctx, rng, max_tries: (np.zeros(len(ctx.shape.members), dtype=np.int64), "small"),
         )
         with pytest.raises(VerificationFailed, match="left vertices uncolored"):
             Pipeline(complete_graph(17)).sample(0)

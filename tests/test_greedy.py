@@ -83,15 +83,26 @@ class TestSlackGreedy:
         [
             ([[1, 2], [1, 2]], "^2 lists for a graph on 3 vertices$"),
             ([[1, 2], [2, 3, 2], [3]], "^vertex 1 lists a color twice$"),
+            ([[1, 2], [1.5, 2.5], [3]], "^vertex 1 lists a color that is not an integer$"),
+            ([[1, 2], [2, 3], ["3"]], "^vertex 2 lists a color that is not an integer$"),
         ],
     )
     def test_bad_lists_are_a_value_error(self, lists, message):
         # a repeated color used to be drawn with double weight; the exact law
-        # used to end in IndexError or count the repeated color twice
+        # used to end in IndexError or count the repeated color twice.  A
+        # non-integer color used to be truncated by the sampler (a color off
+        # its list) and kept by the exact law
         with pytest.raises(ValueError, match=message):
             slack_greedy_sample(complete_graph(3), lists, np.random.default_rng(0))
         with pytest.raises(ValueError, match=message):
             slack_greedy_exact_distribution(complete_graph(3), lists)
+
+    def test_negative_colors_are_colors(self):
+        g, lists = complete_graph(3), [[-1, -2, -3]] * 3
+        law = slack_greedy_exact_distribution(g, lists)
+        assert set(law) == set(itertools.permutations([-1, -2, -3]))
+        sigma = slack_greedy_sample(g, lists, np.random.default_rng(0))
+        assert tuple(sigma.tolist()) in law
 
     @pytest.mark.parametrize("order", [[0, 0], [0, 5], [1]])
     def test_an_order_that_is_not_a_permutation_is_a_value_error(self, order):
