@@ -108,11 +108,6 @@ class TestBuildContext:
         assert not ctx.b[:, [2, 4]].any()  # y-indices of colors 3 and 5
         assert np.count_nonzero(ctx.b) == 15 * 15
 
-    def test_invariant_violation_raises(self):
-        g = disjoint_union(complete_graph(17), complete_graph(17))
-        with pytest.raises(HypothesisViolated):
-            cluster_shape(g, range(34), Params().cluster_eps())
-
     def test_a_context_is_built_from_a_shape_alone(self):
         # no ids and no Params: D, eps and the cluster are the shape's
         assert list(inspect.signature(build_cluster_context).parameters) == ["g", "shape", "sigma_out"]
@@ -469,7 +464,7 @@ class TestColorCluster:
                     assert zeta <= eta * clusters.H_MARGIN, (d, eps, e)
                     assert 5 * rounds * d >= 4 * e + 2 * d  # 1.25*rounds >= zeta*D + 1/2
                     seen["returned"] += 1
-        assert all(seen.values()), seen  # both checks fire and most shapes pass
+        assert all(seen.values()), seen  # not vacuous: both checks fire, and shapes pass
 
 
 class TestClusterCheck:
